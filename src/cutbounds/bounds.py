@@ -8,12 +8,14 @@ integral weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
-from .graph import DisconnectedGraphError, WeightedGraph, stats
+from .graph import (DisconnectedGraphError, WeightedGraph, _cached,
+                    _component_split, stats)
 from .spanning import (RootedSpanningTree, dfs_tree, girth_layer_certificates,
                        max_spanning_tree, min_spanning_tree,
                        parity_layer_certificates,
@@ -77,6 +79,17 @@ def _report(name, g, value_float, value_exact, cut, details) -> BoundReport:
     if value_exact is not None:
         value_float = float(value_exact)
     return BoundReport(name, value_float, cut, DETERMINISTIC, value_exact, details)
+
+
+def _cached_report(g: WeightedGraph, key,
+                   compute: Callable[[], BoundReport]) -> BoundReport:
+    """A report memoized on ``g`` under ``key``; each caller gets its own copy.
+
+    The copy's ``details`` are deep-copied so no caller can alter the
+    memoized report; the cut is immutable and shared.
+    """
+    rep = _cached(g, key, compute)
+    return replace(rep, details=copy.deepcopy(rep.details))
 
 
 # -- spanning-tree based bounds -----------------------------------------
@@ -372,16 +385,15 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
     The maximum cut decomposes over components, so summed bounds stay
     valid; cuts are merged through the component embeddings.
     """
-    comps = g.components()
-    if len(comps) <= 1:
+    split = _component_split(g)
+    if len(split) <= 1:
         return fn(g)
     side = [0] * g.n
     total = 0.0
     exact: Optional[Fraction] = Fraction(0) if g.integer_weights else None
     mode = DETERMINISTIC
     reports = []
-    for comp in comps:
-        sub, orig_v, _ = g.induced(comp)
+    for sub, orig_v in split:
         rep = fn(sub)
         reports.append(rep)
         for i, s in enumerate(rep.cut.side):
@@ -396,6 +408,6 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
     cut = Cut.from_side(g, side)
     if exact is not None:
         total = float(exact)
-    details = {"components": len(comps),
+    details = {"components": len(split),
                "component_bounds": [r.bound_value for r in reports]}
     return BoundReport(name or reports[0].name, total, cut, mode, exact, details)

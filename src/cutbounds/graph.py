@@ -8,9 +8,10 @@ The text format is line oriented: ``c`` comment lines, one header line
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 
 class GraphError(Exception):
@@ -33,6 +34,10 @@ class NegativeWeightError(GraphError):
     """An edge weight is negative."""
 
 
+class NonFiniteWeightError(GraphError):
+    """An edge weight is NaN or infinite, or the total weight overflows."""
+
+
 class DisconnectedGraphError(GraphError):
     """The operation requires a connected graph."""
 
@@ -48,13 +53,16 @@ class WeightedGraph:
     of an edge in ``edges`` is its edge id and serves as the deterministic
     tie-breaker throughout the library.  Adjacency lists are sorted by
     neighbor id.  Instances are immutable after construction and safe to
-    share across threads.
+    share across threads.  Derived results (statistics, the component
+    split, some bound reports) are memoized per instance on first use;
+    equality ignores the memo.
 
     ``integer_weights`` is True when every weight is integral; downstream
     bound arithmetic is then carried out exactly over rationals.
     """
 
-    __slots__ = ("n", "edges", "adj", "total_weight", "integer_weights", "_ids")
+    __slots__ = ("n", "edges", "adj", "total_weight", "integer_weights", "_ids",
+                 "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         if n < 0:
@@ -68,6 +76,8 @@ class WeightedGraph:
                 raise GraphError(f"vertex id out of range: ({u}, {v})")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
+            if not math.isfinite(w):
+                raise NonFiniteWeightError(f"non-finite weight {w} on edge ({u}, {v})")
             if w < 0:
                 raise NegativeWeightError(f"negative weight {w} on edge ({u}, {v})")
             if u > v:
@@ -84,7 +94,10 @@ class WeightedGraph:
             adj[v].append((u, eid))
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.total_weight = float(sum(w for _, _, w in self.edges))
+        if not math.isfinite(self.total_weight):
+            raise NonFiniteWeightError("total edge weight overflows to infinity")
         self.integer_weights = all(w.is_integer() for _, _, w in self.edges)
+        self._memo: dict = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -210,15 +223,49 @@ def girth(g: WeightedGraph) -> Optional[int]:
     return best
 
 
+_T = TypeVar("_T")
+
+
+def _cached(g: WeightedGraph, key, compute: Callable[[], _T]) -> _T:
+    """The derived result of ``g`` stored under ``key``, computed on first use.
+
+    Graphs are immutable, so a stored result never goes stale.  Writes are
+    idempotent: concurrent first calls may both compute, and every caller
+    gets the value stored first.
+    """
+    memo = g._memo
+    if key not in memo:
+        memo.setdefault(key, compute())
+    return memo[key]
+
+
 def stats(g: WeightedGraph) -> GraphStats:
-    gi = girth(g)
-    return GraphStats(
-        total_weight=g.total_weight,
-        max_degree=g.max_degree(),
-        girth=gi,
-        triangle_free=(gi is None or gi >= 4),
-        connected=g.is_connected(),
-    )
+    def compute() -> GraphStats:
+        gi = girth(g)
+        return GraphStats(
+            total_weight=g.total_weight,
+            max_degree=g.max_degree(),
+            girth=gi,
+            triangle_free=(gi is None or gi >= 4),
+            connected=g.is_connected(),
+        )
+    return _cached(g, "stats", compute)
+
+
+def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, ...]], ...]:
+    """``(sub, orig_vertex)`` per connected component, ordered by minimum vertex.
+
+    A connected graph is its own single piece, so its memo is shared.  Its
+    memo stores None rather than the graph itself: a graph that referenced
+    itself would outlive its last user until a full garbage collection.
+    """
+    def compute():
+        comps = g.components()
+        if len(comps) == 1:
+            return None
+        return tuple(g.induced(comp)[:2] for comp in comps)
+    split = _cached(g, "components", compute)
+    return ((g, tuple(range(g.n))),) if split is None else split
 
 
 # -- file format -------------------------------------------------------
@@ -245,8 +292,8 @@ def save_graph(g: WeightedGraph) -> str:
 def load_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format, validating every line.
 
-    Raises MalformedLineError, SelfLoopError, DuplicateEdgeError or
-    NegativeWeightError, each naming the offending line.
+    Raises MalformedLineError, SelfLoopError, DuplicateEdgeError,
+    NegativeWeightError or NonFiniteWeightError.
     """
     n = None
     declared_m = None

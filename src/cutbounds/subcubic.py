@@ -12,6 +12,7 @@ redistribution sampler.
 
 from __future__ import annotations
 
+import heapq
 import random
 import statistics
 from collections import deque
@@ -20,14 +21,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .bounds import (BoundReport, MONTE_CARLO, _exact_total, _report, slack)
+from .bounds import (BoundReport, MONTE_CARLO, _cached_report, _exact_total,
+                     _report, slack)
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, TriangleFoundError, WeightedGraph,
                     stats)
-from .spanning import (RootedSpanningTree, _orient, layer_edge_sets,
-                       max_spanning_tree, shortest_fundamental_odd_cycle,
-                       tree_distances_from)
+from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
+                       layer_edge_sets, max_spanning_tree,
+                       shortest_fundamental_odd_cycle)
 
 EIGHT_ELEVENTHS = Fraction(8, 11)
 PERCOLATION_P = 0.85
@@ -75,19 +77,24 @@ def _peel_greedy(g: WeightedGraph) -> list[int]:
     Valid for any connected graph that has a vertex of degree at most 2:
     at every peeling step some remaining vertex has at most two remaining
     neighbors, so in reverse order every vertex sees at most two colors.
+    Each step peels the lowest-numbered such vertex, kept in a min-heap: a
+    vertex enters it once, when its remaining degree first reaches 2 or less.
     """
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
+    heap = [v for v in range(g.n) if deg[v] <= 2]  # ascending, so a heap
     order = []
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if alive[x] and deg[x] <= 2), default=None)
-        if v is None:
-            raise AssertionError("no low-degree vertex available while peeling")
+    while heap:
+        v = heapq.heappop(heap)
         alive[v] = False
         order.append(v)
         for u, _ in g.adj[v]:
             if alive[u]:
                 deg[u] -= 1
+                if deg[u] == 2:
+                    heapq.heappush(heap, u)
+    if len(order) < g.n:
+        raise AssertionError("no low-degree vertex available while peeling")
     color = [0] * g.n
     for v in reversed(order):
         used = {color[u] for u, _ in g.adj[v] if color[u]}
@@ -241,8 +248,11 @@ def _bfs_without(g: WeightedGraph, src: int, banned: tuple[int, ...]) -> list[in
 def color_components(g: WeightedGraph) -> VertexColoring3:
     """Proper 3-coloring of a (possibly disconnected) tf subcubic graph."""
     color = [0] * max(g.n, 1)
-    for comp in g.components():
-        sub, orig_v, _ = g.induced(comp)
+    comps = g.components()
+    for comp in comps:
+        # a connected graph is colored itself, so its memoized stats serve;
+        # pieces of a disconnected one are not kept once colored
+        sub, orig_v = (g, comp) if len(comps) == 1 else g.induced(comp)[:2]
         piece = brooks_3_coloring(sub)
         for i, v in enumerate(orig_v):
             color[v] = piece.class_of[i]
@@ -452,18 +462,12 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
 
 
 def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None:
-    """Every non-tree edge closes a cycle of length divisible by 3."""
-    if h.m == len(tree_ids):
-        return
-    t = _orient(h, tree_ids, (0,), "arbitrary")
-    dists: dict[int, list[int]] = {}
-    for eid in range(h.m):
-        if eid in tree_ids:
-            continue
-        u, v, _ = h.edges[eid]
-        if u not in dists:
-            dists[u] = tree_distances_from(h, t, u)
-        cyc = dists[u][v] + 1
+    """Every non-tree edge closes a cycle of length divisible by 3.
+
+    Raises DisconnectedGraphError when a non-tree edge exists and
+    ``tree_ids`` does not span ``h``.
+    """
+    for _, cyc in fundamental_cycle_lengths(h, tree_ids):
         if cyc % 3 != 0:
             raise ClaimViolationError(
                 f"cycle of length {cyc} through a non-successor edge "
@@ -685,9 +689,13 @@ def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
     The three certified cuts satisfy, with weights 9/22, 8/22 and 5/22,
     a combination identity equal to (8/11) w, so their maximum meets the
     bound.  Runs on the zero-weight 3-regular extension and restricts the
-    winning cut back.
+    winning cut back.  The report is memoized on ``g``.
     """
     _require_tf_subcubic(g)
+    return _cached_report(g, "eight_elevenths", lambda: _eight_elevenths(g))
+
+
+def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     if g.n == 0:
         return _report("eight_elevenths", g, 0.0,
                        Fraction(0) if g.integer_weights else None,
@@ -824,7 +832,8 @@ def tree_percolation_bound(g: WeightedGraph,
 
     Requires max degree at most 3.  Returns the best locally improved
     sample; details record the raw sample mean and standard deviation for
-    expectation validation.
+    expectation validation.  The report is memoized on ``g``, keyed on
+    everything it depends on: p, trials, seed and the tree's edge set.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -833,6 +842,12 @@ def tree_percolation_bound(g: WeightedGraph,
     if not g.is_connected():
         raise DisconnectedGraphError("percolation bound needs a spanning tree")
     t = tree if tree is not None else max_spanning_tree(g)
+    return _cached_report(g, ("tree_percolation", p, trials, seed, t.edge_ids),
+                          lambda: _tree_percolation(g, t, p, trials, seed))
+
+
+def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
+                      trials: int, seed: int) -> BoundReport:
     r = shortest_fundamental_odd_cycle(g, t)
     best: Optional[Cut] = None
     raw_weights = []
@@ -861,7 +876,9 @@ def combined_tree_bound(g: WeightedGraph,
     Mixing the p = 0.85 percolation inequality (worst case r = 5) with the
     8/11 inequality at weights 0.46545 / 0.53455 yields the coefficient;
     the returned cut is the better of the two branch cuts, and the
-    expectation-only percolation branch makes the mode Monte Carlo.
+    expectation-only percolation branch makes the mode Monte Carlo.  Both
+    branch reports are memoized on ``g``, so after a suite has run them
+    this costs one spanning tree.
     """
     _require_tf_subcubic(g)
     if not g.is_connected():

@@ -182,3 +182,48 @@ def random_certificate_edges(g: WeightedGraph, rng: random.Random) -> list[int]:
         out.extend(e for e, (u, v, _) in enumerate(g.edges)
                    if u in comp_set and v in comp_set)
     return sorted(set(out))
+
+
+def peel_colors_by_scan(g: WeightedGraph) -> list[int]:
+    """Reverse-degeneracy greedy 3-coloring, rescanning every vertex per step.
+
+    Peels the lowest-numbered live vertex with at most two live neighbors.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order = []
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if alive[x] and deg[x] <= 2), default=None)
+        if v is None:
+            raise AssertionError("no low-degree vertex available while peeling")
+        alive[v] = False
+        order.append(v)
+        for u, _ in g.adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+    color = [0] * g.n
+    for v in reversed(order):
+        used = {color[u] for u, _ in g.adj[v] if color[u]}
+        color[v] = min(c for c in (1, 2, 3) if c not in used)
+    return color
+
+
+def shortest_odd_fundamental_cycle_by_bfs(g: WeightedGraph, tree_ids):
+    """Min odd d_T(u, v) + 1 over non-tree edges, one tree BFS per edge."""
+    from collections import deque
+    best = None
+    for eid, (u, v, _) in enumerate(g.edges):
+        if eid in tree_ids:
+            continue
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y, e2 in g.adj[x]:
+                if e2 in tree_ids and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        cyc = dist[v] + 1
+        if cyc % 2 == 1 and (best is None or cyc < best):
+            best = cyc
+    return best

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import cutbounds as cb
 from cutbounds.cli import main
 
@@ -118,3 +120,14 @@ def test_bad_input_exit_codes(tmp_path):
     assert code == 2
     code, _ = run_cli(["bounds"])  # no input source
     assert code == 2
+
+
+@pytest.mark.parametrize("weights", [["nan"], ["inf"], ["1e308", "1e308"]])
+def test_non_finite_weights_exit_with_message(tmp_path, capsys, weights):
+    path = tmp_path / "g.graph"
+    path.write_text(f"p {len(weights) + 1} {len(weights)}\n"
+                    + "".join(f"e {i} {i + 1} {w}\n" for i, w in enumerate(weights)))
+    code, text = run_cli(["bounds", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "Traceback" not in err

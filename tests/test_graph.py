@@ -42,6 +42,15 @@ def test_negative_weight_rejected():
         cb.load_graph("p 2 1\ne 0 1 -1\n")
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, float("nan"))], [(0, 1, float("inf"))], [(0, 1, float("-inf"))],
+    [(0, 1, 1e308), (1, 2, 1e308)],   # total overflows
+])
+def test_non_finite_weights_rejected(edges):
+    with pytest.raises(cb.NonFiniteWeightError):
+        cb.WeightedGraph(3, edges)
+
+
 @pytest.mark.parametrize("text", [
     "e 0 1 1\n",                      # edge before header
     "p 2\n",                          # short header

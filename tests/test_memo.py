@@ -1,0 +1,80 @@
+"""Per-graph memoization: cached results equal fresh ones and stay private."""
+
+import cutbounds as cb
+from cutbounds.cli import _bound_suite
+from cutbounds.graph import _component_split
+
+
+def _two_pieces():
+    # Petersen on 0..9 and a 6-cycle on 10..15: triangle-free, subcubic
+    pet = cb.petersen(2.0)
+    edges = list(pet.edges) + [(10 + i, 10 + (i + 1) % 6, float(i + 1)) for i in range(6)]
+    return cb.WeightedGraph(16, edges)
+
+
+def test_memoized_reports_repeat():
+    g = cb.petersen_c3(3.0, 1.0)
+    assert cb.eight_elevenths_bound(g) == cb.eight_elevenths_bound(g)
+    assert (cb.tree_percolation_bound(g, trials=16, seed=3)
+            == cb.tree_percolation_bound(g, trials=16, seed=3))
+    assert cb.stats(g) is cb.stats(g)
+
+
+def test_percolation_memo_keys_on_every_input():
+    g = cb.petersen()
+    base = cb.tree_percolation_bound(g, trials=16, seed=0)
+    fresh = cb.petersen()
+    for kwargs in ({"trials": 16, "seed": 1}, {"trials": 8, "seed": 0},
+                   {"trials": 16, "seed": 0, "p": 0.5},
+                   {"trials": 16, "seed": 0, "tree": cb.min_spanning_tree(g, 3)}):
+        assert cb.tree_percolation_bound(g, **kwargs) == cb.tree_percolation_bound(fresh, **kwargs)
+    assert cb.tree_percolation_bound(g, trials=16, seed=0) == base
+
+
+def test_returned_details_are_private_copies():
+    g = cb.petersen()
+    first = cb.eight_elevenths_bound(g)
+    first.details["winner"] = "tampered"
+    first.details["drop_class"]["cut_weight"] = -1.0
+    first.details["class_weights"].append(99.0)
+    assert cb.eight_elevenths_bound(g) == cb.eight_elevenths_bound(cb.petersen())
+    perc = cb.tree_percolation_bound(g, trials=8)
+    perc.details["r"] = 0
+    assert cb.tree_percolation_bound(g, trials=8).details["r"] == 5
+
+
+def test_equal_graphs_do_not_share_a_memo():
+    g1, g2 = cb.petersen(), cb.petersen()
+    assert g1 == g2
+    cb.eight_elevenths_bound(g1)
+    assert g1._memo and not g2._memo
+    assert cb.stats(g1) is not cb.stats(g2)
+
+
+def test_combined_tree_after_suite_equals_fresh():
+    for make in (cb.petersen, _two_pieces):
+        g = make()
+        suite = _bound_suite(g, seed=0, trials=16, root=None, sweep=None)
+        results = {name: run() for name, run in suite}
+        fresh = dict(_bound_suite(make(), seed=0, trials=16, root=None, sweep=None))
+        assert results["combined_tree"] == fresh["combined_tree"]()
+        assert results["tree_percolation"] == fresh["tree_percolation"]()
+
+
+def test_per_component_independent_of_cached_split():
+    g = _two_pieces()
+    cold = cb.per_component(g, cb.dfs_bound, "dfs_tree")
+    warm_graph = _two_pieces()
+    split = _component_split(warm_graph)
+    assert [orig_v for _, orig_v in split] == [tuple(range(10)), tuple(range(10, 16))]
+    for sub, _ in split:
+        cb.stats(sub)
+    assert cb.per_component(warm_graph, cb.dfs_bound, "dfs_tree") == cold
+    assert cb.per_component(g, cb.dfs_bound, "dfs_tree") == cold
+    assert cold.details["components"] == 2
+
+
+def test_connected_graph_is_its_own_piece():
+    g = cb.petersen()
+    assert _component_split(g) == ((g, tuple(range(10))),)
+    assert _component_split(g)[0][0] is g

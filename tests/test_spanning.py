@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.spanning import (cross_edges, layer_edge_sets, reroot_at_edge,
-                                shortest_fundamental_odd_cycle)
-from helpers import random_connected_graph, spanning_tree_weights
+from cutbounds.spanning import (cross_edges, fundamental_cycle_lengths,
+                                layer_edge_sets, reroot_at_edge,
+                                shortest_fundamental_odd_cycle,
+                                tree_distances_from)
+from helpers import (random_connected_graph, shortest_odd_fundamental_cycle_by_bfs,
+                     spanning_tree_weights)
 
 
 def test_dfs_on_cycle_is_path():
@@ -144,6 +148,37 @@ def test_shortest_fundamental_odd_cycle():
     assert shortest_fundamental_odd_cycle(g8, cb.max_spanning_tree(g8)) is None
     pet = cb.petersen()
     assert shortest_fundamental_odd_cycle(pet, cb.dfs_tree(pet, 0)) == 5
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_fundamental_cycle_lengths_match_tree_bfs(n, extra, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(n, extra, rng)
+    dfs = cb.dfs_tree(g, rng.randrange(n))
+    heavy = cb.max_spanning_tree(g)
+    two_rooted = reroot_at_edge(g, heavy, rng.choice(sorted(heavy.edge_ids)))
+    for t in (dfs, heavy, two_rooted):
+        want = [(eid, tree_distances_from(g, t, u)[v] + 1)
+                for eid, (u, v, _) in enumerate(g.edges) if eid not in t.edge_ids]
+        assert fundamental_cycle_lengths(g, t.edge_ids) == want
+        assert (shortest_fundamental_odd_cycle(g, t)
+                == shortest_odd_fundamental_cycle_by_bfs(g, t.edge_ids))
+
+
+def test_fundamental_cycle_lengths_long_cycle():
+    g = cb.cycle(301)
+    t = cb.max_spanning_tree(g)
+    assert fundamental_cycle_lengths(g, t.edge_ids) == [(g.m - 1, 301)]
+    assert fundamental_cycle_lengths(cb.WeightedGraph(0, []), frozenset()) == []
+    path = cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    assert fundamental_cycle_lengths(path, frozenset({0, 1, 2})) == []
+
+
+def test_fundamental_cycle_lengths_need_spanning_edges():
+    g = cb.cycle(6)
+    with pytest.raises(cb.DisconnectedGraphError):
+        fundamental_cycle_lengths(g, frozenset({0, 1, 2}))
 
 
 def test_reroot_at_edge_levels():

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds.bounds import slack
 from cutbounds.subcubic import (color_components, percolation_expectation,
+                                _assert_cycles_divisible, _peel_greedy,
                                 _percolation_raw)
 from cutbounds.spanning import max_spanning_tree
-from helpers import naive_max_cut
+from helpers import naive_max_cut, peel_colors_by_scan, random_connected_graph
 
 
 def bridged_gadgets():
@@ -238,6 +240,40 @@ def test_component_layer_cut_nine_cycle_with_tail():
     assert value == 7.0 / 8.0 * 23.0
     assert cut.weight >= value
     assert cut.crosses(g, g.edge_id(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 30), st.integers(0, 10 ** 6))
+def test_peel_greedy_matches_scan(n, extra, seed):
+    g = (random_connected_graph(n, extra, random.Random(seed)) if n
+         else cb.WeightedGraph(0, []))
+    _assert_peel_matches_scan(g)
+
+
+def test_peel_greedy_matches_scan_on_subcubic_corpus():
+    for seed in range(12):
+        _assert_peel_matches_scan(cb.random_triangle_free_subcubic(30, seed=seed))
+    _assert_peel_matches_scan(cb.petersen())  # cubic: both give up
+
+
+def _assert_peel_matches_scan(g):
+    try:
+        want = peel_colors_by_scan(g)
+    except AssertionError:
+        with pytest.raises(AssertionError):
+            _peel_greedy(g)
+        return
+    assert _peel_greedy(g) == want
+
+
+def test_cycles_divisible_check():
+    six = cb.cycle(6)
+    _assert_cycles_divisible(six, frozenset(range(5)))
+    four = cb.cycle(4)  # path 0-1-2-3 plus the edge closing a 4-cycle
+    with pytest.raises(cb.ClaimViolationError):
+        _assert_cycles_divisible(four, frozenset(range(3)))
+    with pytest.raises(cb.DisconnectedGraphError):
+        _assert_cycles_divisible(six, frozenset(range(3)))
 
 
 def test_component_layer_cut_rejects_bad_cycle_length():
