@@ -254,13 +254,23 @@ def cmd_conjecture(args, out) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         parser.add_argument("--input", help="graph file to load")
         parser.add_argument("--generate", nargs="+", metavar="ARG",
                             help="generator kind followed by its parameters")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=256)
+    parser.add_argument("--trials", type=_positive_int, default=256)
     parser.add_argument("--format", choices=("table", "json-lines"), default="table")
     parser.add_argument("--max-n-override", type=int, default=None,
                         help="override oracle size guards")

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 
+_EXACT_FLOAT_LIMIT = 2.0 ** 53
+
+
 class GraphError(Exception):
     """Base class for graph construction and parsing errors."""
 
@@ -57,8 +60,9 @@ class WeightedGraph:
     split, some bound reports) are memoized per instance on first use;
     equality ignores the memo.
 
-    ``integer_weights`` is True when every weight is integral; downstream
-    bound arithmetic is then carried out exactly over rationals.
+    ``integer_weights`` is True when every weight is integral and the total
+    weight is below 2^53, so that every sum of weights is an exact float;
+    downstream bound arithmetic is then carried out exactly over rationals.
     """
 
     __slots__ = ("n", "edges", "adj", "total_weight", "integer_weights", "_ids",
@@ -96,7 +100,10 @@ class WeightedGraph:
         self.total_weight = float(sum(w for _, _, w in self.edges))
         if not math.isfinite(self.total_weight):
             raise NonFiniteWeightError("total edge weight overflows to infinity")
-        self.integer_weights = all(w.is_integer() for _, _, w in self.edges)
+        # Below 2^53 every partial sum of integral weights is an exact
+        # float, and a float total below 2^53 means the true total is too.
+        self.integer_weights = (self.total_weight < _EXACT_FLOAT_LIMIT
+                                and all(w.is_integer() for _, _, w in self.edges))
         self._memo: dict = {}
 
     # -- basic queries -------------------------------------------------
@@ -168,12 +175,10 @@ class WeightedGraph:
         """
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
-        sub_edges = []
-        orig_edge = []
-        for eid, (u, v, w) in enumerate(self.edges):
-            if u in index and v in index:
-                sub_edges.append((index[u], index[v], w))
-                orig_edge.append(eid)
+        orig_edge = sorted(eid for x in vs for y, eid in self.adj[x]
+                           if x < y and y in index)
+        sub_edges = [(index[u], index[v], w)
+                     for u, v, w in (self.edges[eid] for eid in orig_edge)]
         return WeightedGraph(len(vs), sub_edges), tuple(vs), tuple(orig_edge)
 
 

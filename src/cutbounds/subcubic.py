@@ -19,7 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .bounds import (BoundReport, MONTE_CARLO, _cached_report, _exact_total,
                      _report, slack)
@@ -36,6 +38,10 @@ PERCOLATION_P = 0.85
 COMBINATION_WEIGHT_A = 0.46545  # on the percolation inequality (p = 0.85, r = 5)
 COMBINATION_WEIGHT_B = 0.53455  # on the 8/11 inequality
 TREE_COEFFICIENT = 0.3193
+
+# A block of Monte Carlo trials spans about this many (trial, vertex) or
+# (trial, edge) cells, so batch memory stays small whatever the trial count.
+_BLOCK_CELLS = 1 << 14
 
 
 class ClaimViolationError(Exception):
@@ -837,6 +843,8 @@ def tree_percolation_bound(g: WeightedGraph,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if g.max_degree() > 3:
         raise ValueError("graph is not subcubic")
     if not g.is_connected():
@@ -851,9 +859,7 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
     r = shortest_fundamental_odd_cycle(g, t)
     best: Optional[Cut] = None
     raw_weights = []
-    for trial in range(trials):
-        rng = random.Random(seed + trial)
-        raw = _percolation_raw(g, t, p, rng)
+    for raw in _percolation_raw_cuts(g, t, p, trials, seed):
         raw_weights.append(raw.weight)
         improved = local_search_improve(g, raw)
         if best is None or improved.weight > best.weight:
@@ -862,7 +868,7 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
     details = {
         "p": p, "r": r, "trials": trials, "seed": seed,
         "tree_weight": t.weight,
-        "raw_mean": statistics.fmean(raw_weights) if raw_weights else 0.0,
+        "raw_mean": statistics.fmean(raw_weights),
         "raw_std": statistics.stdev(raw_weights) if len(raw_weights) > 1 else 0.0,
     }
     return BoundReport("tree_percolation", value, best, MONTE_CARLO, None, details)
@@ -928,6 +934,8 @@ def shearer_sample(g: WeightedGraph, rng: random.Random) -> Cut:
 def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundReport:
     """Monte Carlo coefficient bound s * w(G) for triangle-free graphs,
     s = 1/2 + 1/(4 sqrt(2 max_degree))."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not stats(g).triangle_free:
         raise TriangleFoundError("redistribution bound expects a triangle-free graph")
     delta = g.max_degree()
@@ -936,9 +944,7 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
                            MONTE_CARLO, None, {"delta": delta})
     best_raw: Optional[Cut] = None
     raw_weights = []
-    for trial in range(trials):
-        rng = random.Random(seed + trial)
-        raw = shearer_sample(g, rng)
+    for raw in _shearer_raw_cuts(g, trials, seed):
         raw_weights.append(raw.weight)
         if best_raw is None or raw.weight > best_raw.weight:
             best_raw = raw
@@ -951,3 +957,130 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
         "raw_std": statistics.stdev(raw_weights) if len(raw_weights) > 1 else 0.0,
     }
     return BoundReport("shearer", value, cut, MONTE_CARLO, None, details)
+
+
+# =====================================================================
+# batched trials of the Monte Carlo bounds
+# =====================================================================
+#
+# Trial ``i`` of a bound draws from its own ``random.Random(seed + i)``,
+# exactly the values, in exactly the order, that ``_percolation_raw`` or
+# ``shearer_sample`` draw.  The batch reads those values as raw generator
+# words and does the per-vertex and per-edge work for a block of trials
+# with numpy, so every cut equals the one the per-sample function returns.
+
+
+def _mt_words(rng: random.Random, k: int) -> np.ndarray:
+    """The next ``k`` 32-bit outputs of ``rng``'s generator, in draw order.
+
+    This rests on how CPython's Mersenne Twister serves its methods.
+    ``getrandbits(32 * k)`` fills its result from the least significant
+    32-bit word up, one generator output per word, so its little-endian
+    bytes are the outputs in order.  ``getrandbits(1)`` consumes one output
+    ``a`` and returns ``a >> 31``.  ``random()`` consumes two, ``a`` then
+    ``b``, and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` (see
+    ``_uniforms``).  So drawing ``k`` words leaves ``rng`` in the state that
+    the matching sequence of those calls would.
+    """
+    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"),
+                         dtype="<u4")
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The ``random()`` values of consecutive word pairs along the last axis."""
+    hi = (words[..., 0::2] >> 5).astype(np.uint64)
+    lo = (words[..., 1::2] >> 6).astype(np.uint64)
+    return (hi * (1 << 26) + lo) / float(1 << 53)
+
+
+def _trial_blocks(g: WeightedGraph, trials: int,
+                  seed: int) -> Iterator[list[random.Random]]:
+    """The generators ``random.Random(seed + i)`` of every trial, in blocks."""
+    rows = max(1, _BLOCK_CELLS // max(g.n, g.m, 1))
+    for start in range(seed, seed + trials, rows):
+        yield [random.Random(s) for s in range(start, min(start + rows, seed + trials))]
+
+
+def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints as a (2, m) array, and the weights."""
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2).T
+    return ends, np.array([w for _, _, w in g.edges], dtype=float)
+
+
+def _block_cuts(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
+                weights: np.ndarray) -> list[Cut]:
+    """One cut per row of ``sides``, weighed exactly as ``Cut.from_side`` would."""
+    if g.integer_weights:
+        # Every partial sum is an integer below 2^53, hence exact in any order.
+        crossing = (sides[:, ends[0]] != sides[:, ends[1]]) @ weights
+        return [Cut(tuple(row), w) for row, w in zip(sides.tolist(), crossing.tolist())]
+    # Python's float sum (compensated since 3.12) sets the rounding, and no
+    # numpy summation order matches it.
+    return [Cut.from_side(g, row) for row in sides.tolist()]
+
+
+def _percolation_raw_cuts(g: WeightedGraph, t: RootedSpanningTree, p: float,
+                          trials: int, seed: int) -> Iterator[Cut]:
+    """``_percolation_raw`` with ``random.Random(seed + i)`` for each trial i.
+
+    Every kept edge is a tree edge, so each kept-forest component is a
+    subtree of ``t`` rooted at vertex 0.  Its top is found by pointer
+    jumping along kept parent edges, and the 2-color of v measured from the
+    component's lowest vertex s is the parity of level[v] + level[s].
+    """
+    n, tree = g.n, sorted(t.edge_ids)
+    k = len(tree)
+    rooted = _orient(g, t.edge_ids, (0,), t.kind)
+    column = {e: i for i, e in enumerate(tree)}
+    verts = np.arange(n)
+    parent = verts.copy()
+    parent_edge = np.full(n, k)  # column k of ``kept`` is never kept
+    for v, u in enumerate(rooted.parent):
+        if u is not None:
+            parent[v] = u
+            parent_edge[v] = column[g.edge_id(u, v)]
+    parity = (np.array(rooted.level) & 1).astype(np.int8)
+    ends, weights = _edge_arrays(g)
+    for rngs in _trial_blocks(g, trials, seed):
+        b = len(rngs)
+        kept = np.zeros((b, k + 1), dtype=bool)
+        kept[:, :k] = _uniforms(np.stack([_mt_words(r, 2 * k) for r in rngs])) < p
+        top = np.where(kept[:, parent_edge], parent, verts)
+        while True:
+            jumped = np.take_along_axis(top, top, axis=1)
+            if np.array_equal(jumped, top):
+                break
+            top = jumped
+        rows = np.arange(b)[:, None]
+        lowest = np.full((b, n), n)
+        np.minimum.at(lowest, (rows, top), verts)
+        low = lowest[rows, top]
+        is_low = low == verts
+        # Components draw their orientation bits in order of lowest vertex.
+        order = np.take_along_axis(np.cumsum(is_low, axis=1) - 1, low, axis=1)
+        bits = np.zeros((b, n), dtype=np.int8)
+        for i, (r, c) in enumerate(zip(rngs, is_low.sum(axis=1).tolist())):
+            bits[i, :c] = _mt_words(r, c) >> 31
+        sides = parity ^ parity[low] ^ np.take_along_axis(bits, order, axis=1)
+        yield from _block_cuts(g, sides, ends, weights)
+
+
+def _shearer_raw_cuts(g: WeightedGraph, trials: int, seed: int) -> Iterator[Cut]:
+    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i."""
+    n = g.n
+    ends, weights = _edge_arrays(g)
+    degree = np.array([g.degree(v) for v in range(n)])
+    for rngs in _trial_blocks(g, trials, seed):
+        b = len(rngs)
+        sides = (np.stack([_mt_words(r, n) for r in rngs]) >> 31).astype(np.int8)
+        crossing = sides[:, ends[0]] != sides[:, ends[1]]
+        cells = n * np.arange(b)[:, None, None] + ends
+        other = np.bincount(cells[np.broadcast_to(crossing[:, None], cells.shape)],
+                            minlength=b * n).reshape(b, n)
+        good = 2 * other > degree
+        tie = 2 * other == degree
+        for i, r in enumerate(rngs):
+            good[i, tie[i]] = _mt_words(r, np.count_nonzero(tie[i])) >> 31
+            stay = good[i]
+            sides[i, ~stay] = _mt_words(r, n - np.count_nonzero(stay)) >> 31
+        yield from _block_cuts(g, sides, ends, weights)

@@ -227,3 +227,45 @@ def shortest_odd_fundamental_cycle_by_bfs(g: WeightedGraph, tree_ids):
         if cyc % 2 == 1 and (best is None or cyc < best):
             best = cyc
     return best
+
+
+def induced_by_edge_scan(g: WeightedGraph, vertices):
+    """Induced subgraph by scanning all m edges; same contract as ``g.induced``."""
+    vs = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(vs)}
+    sub_edges = []
+    orig_edge = []
+    for eid, (u, v, w) in enumerate(g.edges):
+        if u in index and v in index:
+            sub_edges.append((index[u], index[v], w))
+            orig_edge.append(eid)
+    return WeightedGraph(len(vs), sub_edges), tuple(vs), tuple(orig_edge)
+
+
+def random_tf_subcubic_graph(n: int, rng: random.Random,
+                             integer_weights: bool) -> WeightedGraph:
+    """Connected triangle-free graph of max degree 3, with odd cycles likely.
+
+    A random tree of max degree 3, then up to n chords between vertices of
+    degree < 3 that share no neighbor.
+    """
+    def draw():
+        return float(rng.randint(0, 9)) if integer_weights else rng.random() * 5.0
+
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    edges = {}
+
+    def add(u, v):
+        edges[(min(u, v), max(u, v))] = draw()
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    for v in range(1, n):
+        u = rng.choice([x for x in range(max(0, v - 8), v) if len(nbrs[x]) < 3])
+        add(u, v)
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if (u != v and v not in nbrs[u] and len(nbrs[u]) < 3 and len(nbrs[v]) < 3
+                and not nbrs[u] & nbrs[v]):
+            add(u, v)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])

@@ -131,3 +131,23 @@ def test_non_finite_weights_exit_with_message(tmp_path, capsys, weights):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_exit_2(capsys, trials):
+    code, text = run_cli(["bounds", "--generate", "cycle", "6", "--trials", trials])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "--trials" in err and "Traceback" not in err
+
+
+def test_verify_integer_weights_above_2_53(tmp_path):
+    path = tmp_path / "big.graph"
+    path.write_text("p 3 2\ne 0 1 9007199254740993\ne 1 2 1\n")
+    code, text = run_cli(["verify", "--input", str(path)])
+    assert code == 0 and "all sound" in text
+    g = cb.load_graph(path.read_text())
+    assert not g.integer_weights
+    for rep in (cb.matching_bound(g), cb.edge_rooted_tree_bound(g),
+                cb.matching_vizing_bound(g, cb.best_matching(g))):
+        assert rep.certified(g)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from helpers import girth_by_edge_removal, random_connected_graph
+from helpers import girth_by_edge_removal, induced_by_edge_scan, random_connected_graph
 
 C5_FILE = """c five cycle
 p 5 5
@@ -104,6 +104,17 @@ def test_components_and_induced():
     assert sub.n == 2 and sub.edges[0] == (0, 1, 2.0)
     assert orig_v == (3, 4) and orig_e == (1,)
     assert not g.is_connected()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 20), st.integers(0, 10 ** 6), st.data())
+def test_induced_matches_edge_scan(n, extra, seed, data):
+    import random
+    g = random_connected_graph(n, extra, random.Random(seed))
+    vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    sub, orig_v, orig_e = g.induced(vertices)
+    want_sub, want_v, want_e = induced_by_edge_scan(g, vertices)
+    assert sub == want_sub and orig_v == want_v and orig_e == want_e
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,19 @@
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds.bounds import slack
-from cutbounds.subcubic import (color_components, percolation_expectation,
-                                _assert_cycles_divisible, _peel_greedy,
-                                _percolation_raw)
-from cutbounds.spanning import max_spanning_tree
-from helpers import naive_max_cut, peel_colors_by_scan, random_connected_graph
+from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
+                                percolation_expectation,
+                                _assert_cycles_divisible, _mt_words,
+                                _peel_greedy, _percolation_raw, _uniforms)
+from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
+from helpers import (naive_max_cut, peel_colors_by_scan, random_connected_graph,
+                     random_tf_subcubic_graph)
 
 
 def bridged_gadgets():
@@ -388,3 +391,106 @@ def test_monte_carlo_determinism():
     r1 = cb.shearer_bound(g, trials=40, seed=5)
     r2 = cb.shearer_bound(g, trials=40, seed=5)
     assert r1.cut == r2.cut and r1.details == r2.details
+
+
+# -- batched trials against the per-sample references -------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 64), st.lists(st.booleans(), max_size=40))
+@example(seed=0, calls=[])
+def test_mt_words_match_rng_calls(seed, calls):
+    """True draws random(), False draws getrandbits(1)."""
+    ref = random.Random(seed)
+    want = [ref.random() if c else ref.getrandbits(1) for c in calls]
+    rng = random.Random(seed)
+    words = _mt_words(rng, sum(2 if c else 1 for c in calls))
+    got, i = [], 0
+    for c in calls:
+        if c:
+            got.append(float(_uniforms(words[i:i + 2])[0]))
+            i += 2
+        else:
+            got.append(int(words[i] >> 31))
+            i += 1
+    assert got == want
+    assert rng.getstate() == ref.getstate()
+
+
+def _reference_percolation(g, t, p, trials, seed):
+    best, raw_weights = None, []
+    for trial in range(trials):
+        raw = _percolation_raw(g, t, p, random.Random(seed + trial))
+        raw_weights.append(raw.weight)
+        improved = cb.local_search_improve(g, raw)
+        if best is None or improved.weight > best.weight:
+            best = improved
+    return best, raw_weights
+
+
+def _reference_shearer(g, trials, seed):
+    best, raw_weights = None, []
+    for trial in range(trials):
+        raw = cb.shearer_sample(g, random.Random(seed + trial))
+        raw_weights.append(raw.weight)
+        if best is None or raw.weight > best.weight:
+            best = raw
+    return cb.local_search_improve(g, best), raw_weights
+
+
+def _assert_matches_reference(rep, best, raw_weights):
+    assert rep.cut == best
+    assert rep.details["raw_mean"] == statistics.fmean(raw_weights)
+    assert rep.details["raw_std"] == (statistics.stdev(raw_weights)
+                                      if len(raw_weights) > 1 else 0.0)
+
+
+def _batch_corpus():
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield random_tf_subcubic_graph(rng.randint(1, 40), rng, seed % 2 == 0)
+    yield cb.petersen()
+    yield cb.cycle(301)  # tree levels past the int8 range
+
+
+@pytest.mark.parametrize("g", list(_batch_corpus()), ids=repr)
+def test_batched_bounds_equal_per_sample_loop(g):
+    t = max_spanning_tree(g)
+    trees = [t, dfs_tree(g)]
+    if t.edge_ids:
+        trees.append(reroot_at_edge(g, t, max(t.edge_ids)))
+    for tree, p, trials in zip(trees, (1.0, 0.5, 0.85), (1, 37, 20)):
+        rep = cb.tree_percolation_bound(g, tree, p, trials=trials, seed=3)
+        _assert_matches_reference(rep, *_reference_percolation(g, tree, p, trials, 3))
+    if g.m:
+        rep = cb.shearer_bound(g, trials=29, seed=7)
+        _assert_matches_reference(rep, *_reference_shearer(g, 29, 7))
+
+
+def test_batched_shearer_equals_per_sample_loop_above_degree_three():
+    rng = random.Random(4)
+    g = cb.WeightedGraph(9, [(u, v, rng.random()) for u in range(4) for v in range(4, 9)])
+    rep = cb.shearer_bound(g, trials=50, seed=1)
+    _assert_matches_reference(rep, *_reference_shearer(g, 50, 1))
+
+
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_batched_bounds_equal_per_sample_loop_over_blocks(integer_weights):
+    g = random_tf_subcubic_graph(2000, random.Random(5), integer_weights)
+    assert g.integer_weights == integer_weights
+    rows = _BLOCK_CELLS // max(g.n, g.m)
+    trials = 2 * rows + 1  # three blocks, the last one partial
+    t = max_spanning_tree(g)
+    rep = cb.tree_percolation_bound(g, t, trials=trials, seed=11)
+    _assert_matches_reference(rep, *_reference_percolation(g, t, 0.85, trials, 11))
+    rep = cb.shearer_bound(g, trials=trials, seed=11)
+    _assert_matches_reference(rep, *_reference_shearer(g, trials, 11))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_bounds_reject_trials_below_one(trials):
+    g = cb.petersen()
+    with pytest.raises(ValueError, match="trials"):
+        cb.tree_percolation_bound(g, trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        cb.shearer_bound(g, trials=trials)
