@@ -26,6 +26,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Smallest --max-n every kind of random verify instance can be drawn at.
+RANDOM_VERIFY_MIN_N = 4
+
 _SKIPPABLE = (BoundPreconditionError, TriangleFoundError, DisconnectedGraphError,
               OddCycleError, ValueError)
 
@@ -120,20 +123,24 @@ def cmd_bounds(args, out) -> int:
     return EXIT_OK
 
 
+def _guard(args, default: int) -> int:
+    """The oracle size guard: ``--max-n-override`` when given, else default."""
+    return default if args.max_n_override is None else args.max_n_override
+
+
 def cmd_oracle(args, out) -> int:
     g = _load_input(args)
-    max_n = args.max_n_override
     if args.quantity == "max-cut":
-        res = oracle.exact_max_cut(g, max_n or oracle.MAX_CUT_GUARD)
+        res = oracle.exact_max_cut(g, _guard(args, oracle.MAX_CUT_GUARD))
         witness = res.witness.bitstring()
     elif args.quantity == "max-induced-bipartite":
-        res = oracle.max_induced_bipartite(g, max_n or oracle.BIPARTITE_FAMILY_GUARD)
+        res = oracle.max_induced_bipartite(g, _guard(args, oracle.BIPARTITE_FAMILY_GUARD))
         witness = list(res.witness)
     elif args.quantity == "max-dfs-tree":
-        res = oracle.max_dfs_tree_weight(g, max_n or oracle.DFS_WEIGHT_GUARD)
+        res = oracle.max_dfs_tree_weight(g, _guard(args, oracle.DFS_WEIGHT_GUARD))
         witness = list(res.witness)
     elif args.quantity == "five-cycle-cover":
-        res = oracle.five_cycle_cover(g, max_n or oracle.FIVE_CYCLE_GUARD)
+        res = oracle.five_cycle_cover(g, _guard(args, oracle.FIVE_CYCLE_GUARD))
         witness = (None if res.witness is None
                    else [list(g.edges[e][:2]) for e in res.witness])
     else:
@@ -198,6 +205,9 @@ def _random_verify_instance(index: int, seed: int, max_n: int) -> WeightedGraph:
 def cmd_verify(args, out) -> int:
     instances: list[tuple[str, WeightedGraph]] = []
     if args.random:
+        if args.max_n < RANDOM_VERIFY_MIN_N:
+            raise ValueError(f"--max-n must be at least {RANDOM_VERIFY_MIN_N} with --random, "
+                             f"got {args.max_n}")
         for i in range(args.random):
             g = _random_verify_instance(i, args.seed, args.max_n)
             instances.append((f"random[{i}]", g))
@@ -231,7 +241,7 @@ def cmd_generate(args, out) -> int:
 def cmd_conjecture(args, out) -> int:
     g = _load_input(args)
     rep = oracle.conjecture_report(g, seed=args.seed,
-                                   max_n=args.max_n_override or 20)
+                                   max_n=_guard(args, 20))
     row = {
         "n": rep.n, "m": rep.m, "total_weight": rep.total_weight,
         "max_cut": rep.max_cut, "cut_ratio": rep.cut_ratio,
@@ -254,14 +264,17 @@ def cmd_conjecture(args, out) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than ``lowest``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -270,9 +283,9 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         parser.add_argument("--generate", nargs="+", metavar="ARG",
                             help="generator kind followed by its parameters")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=_positive_int, default=256)
+    parser.add_argument("--trials", type=_int_at_least(1), default=256)
     parser.add_argument("--format", choices=("table", "json-lines"), default="table")
-    parser.add_argument("--max-n-override", type=int, default=None,
+    parser.add_argument("--max-n-override", type=_int_at_least(0), default=None,
                         help="override oracle size guards")
 
 
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="soundness sweep: cut >= bound <= max cut")
     _add_common(p)
-    p.add_argument("--random", type=int, default=0,
+    p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="verify this many seeded random instances")
     p.add_argument("--max-n", type=int, default=14,
                    help="max vertices for random instances / exact cross-check")

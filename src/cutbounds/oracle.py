@@ -5,7 +5,6 @@ maximum DFS-tree weight, and exact one-edge-per-five-cycle covers."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -21,7 +20,8 @@ BIPARTITE_FAMILY_GUARD = 16
 DFS_WEIGHT_GUARD = 12
 FIVE_CYCLE_GUARD = 40
 
-_CHUNK_BITS = 22
+# Masks per GEMM block of the max-cut enumeration (2 MB of float64).
+_BLOCK_CELLS = 1 << 18
 
 
 class SizeGuardError(Exception):
@@ -39,49 +39,93 @@ class OracleResult:
 
 
 def exact_max_cut(g: WeightedGraph, max_n: int = MAX_CUT_GUARD) -> OracleResult:
-    """Exact maximum cut by vectorized enumeration of all side assignments.
+    """Exact maximum cut by enumerating all side assignments.
 
-    The last vertex's side is fixed (cuts are complement invariant); the
-    remaining assignments are scanned in chunks with integer accumulation
-    when all weights are integral.  Witness: an optimal cut.
+    The last vertex sits on side 0 (cuts are complement invariant).  The
+    other n-1 vertices split into ``lo`` (bits 0..L-1, L = (n-1)//2) and
+    ``hi``.  The cut weight of side mask x is x.c + x^T Q x with c the
+    weighted degrees and Q[u, v] = -2w, so a block of masks is one float64
+    GEMM of a ``hi`` factor against a ``lo`` factor.  Masks whose GEMM
+    value lies within rounding distance of the block maximum are summed
+    again in edge order (int64 in integer mode, float64 otherwise), so the
+    value is bit-for-bit that per-mask sum.  Witness: the optimal cut of
+    the smallest optimal mask.
     """
     if g.n > max_n:
         raise SizeGuardError(f"max cut enumeration guarded at n <= {max_n}")
     if g.n == 0:
         return OracleResult("max_cut", 0, Cut((), 0.0))
     nfree = g.n - 1
-    total_masks = 1 << nfree
-    int_mode = g.integer_weights
-    best_val: Optional[float] = None
+    low, high = nfree // 2, nfree - nfree // 2
+    c = np.zeros(nfree)
+    q = np.zeros((nfree, nfree))
+    for u, v, w in g.edges:
+        c[u] += w
+        if v != nfree:
+            c[v] += w
+            q[u, v] = -2.0 * w
+    xl, xh = _bit_rows(low), _bit_rows(high)
+    lo_val = xl @ c[:low] + ((xl @ q[:low, :low]) * xl).sum(axis=1)
+    hi_val = xh @ c[low:] + ((xh @ q[low:, low:]) * xh).sum(axis=1)
+    # value[h << L | l] = (left @ right)[h, l] = cross + hi_val[h] + lo_val[l]
+    left = np.column_stack([xh @ q[:low, low:].T, hi_val, np.ones(1 << high)])
+    right = np.vstack([xl.T, np.ones(1 << low), lo_val])
+    # Every GEMM value is a rounded sum of at most 3m nonzero terms (the
+    # c entries, themselves sums of 2m weights, and the m entries of Q)
+    # whose magnitudes add up to at most 4w(G); every intermediate is a
+    # sum of a subset of them.  Each of the < 3m roundings is at most
+    # 2^-53 * 4w(G), and the edge-order sum of at most m weights is off by
+    # at most m * 2^-53 * w(G).  So the GEMM value and the edge-order sum
+    # of a mask differ by e <= 13m * 2^-53 * w(G) to first order, and
+    # tol = 16(n+m) * 2^-52 * max(1, w(G)) exceeds 2e: the block's optimal
+    # masks all lie within tol of its GEMM maximum.  With integral weights and 8w(G) <
+    # 2^53 every intermediate is an exact integer: the GEMM value is the
+    # edge-order sum, and the first GEMM maximum is the answer.
+    exact = g.integer_weights and 8.0 * g.total_weight < 2.0 ** 53
+    tol = 0.0 if exact else 16 * (g.n + g.m) * 2.0 ** -52 * max(1.0, g.total_weight)
+    best_val = None
     best_mask = 0
-    for start in range(0, total_masks, 1 << _CHUNK_BITS):
-        end = min(start + (1 << _CHUNK_BITS), total_masks)
-        masks = np.arange(start, end, dtype=np.uint64)
-        acc = np.zeros(end - start, dtype=np.int64 if int_mode else np.float64)
-        for u, v, w in g.edges:
-            if v == nfree:
-                bits = (masks >> np.uint64(u)) & np.uint64(1)
-            else:
-                bits = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-            if int_mode:
-                acc += bits.astype(np.int64) * int(w)
-            else:
-                acc += bits.astype(np.float64) * w
-        i = int(np.argmax(acc))
-        val = acc[i]
+    rows = max(1, _BLOCK_CELLS >> low)
+    for h0 in range(0, 1 << high, rows):
+        block = left[h0:h0 + rows] @ right
+        top = block.max()
+        if best_val is not None and top + tol <= best_val:
+            continue
+        if exact:
+            mask, val = (h0 << low) + int(block.argmax()), top
+        else:
+            masks = (h0 << low) + np.flatnonzero(block >= top - tol)
+            vals = _edge_order_cut_values(g, masks)
+            i = int(np.argmax(vals))
+            mask, val = int(masks[i]), vals[i]
         if best_val is None or val > best_val:
-            best_val = val
-            best_mask = start + i
+            best_val, best_mask = val, mask
     side = [(best_mask >> v) & 1 for v in range(nfree)] + [0]
     cut = Cut.from_side(g, side)
-    value = int(best_val) if int_mode else float(best_val)
+    value = int(best_val) if g.integer_weights else float(best_val)
     if abs(cut.weight - float(value)) > slack(g):
         raise AssertionError("optimal cut witness does not re-evaluate to the value")
     return OracleResult("max_cut", value, cut)
 
 
-def _mask_vertices(mask: int, n: int) -> list[int]:
-    return [v for v in range(n) if mask >> v & 1]
+def _bit_rows(k: int) -> np.ndarray:
+    """Row i holds bits 0..k-1 of i as float64 zeros and ones."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
+def _edge_order_cut_values(g: WeightedGraph, masks: np.ndarray) -> np.ndarray:
+    """Cut weights of side masks (last vertex on side 0), accumulated edge
+    by edge: int64 in integer mode, float64 otherwise."""
+    nfree = g.n - 1
+    int_mode = g.integer_weights
+    acc = np.zeros(len(masks), dtype=np.int64 if int_mode else np.float64)
+    for u, v, w in g.edges:
+        bits = (masks >> u if v == nfree else (masks >> u) ^ (masks >> v)) & 1
+        if int_mode:
+            acc += bits * int(w)
+        else:
+            acc += bits.astype(np.float64) * w
+    return acc
 
 
 def max_induced_bipartite(g: WeightedGraph,
@@ -102,69 +146,33 @@ def max_induced_bipartite(g: WeightedGraph,
     if n == 0:
         return OracleResult("max_induced_bipartite", 0, ())
     full = (1 << n) - 1
-    part_weight: dict[int, float] = {}
-    for mask in range(1, full + 1):
-        vs = _mask_vertices(mask, n)
-        if len(vs) == 1:
-            continue
-        seen = {vs[0]}
-        queue = deque([vs[0]])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adj[u]:
-                if mask >> v & 1 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != len(vs):
-            continue
-        color = {vs[0]: 0}
-        queue = deque([vs[0]])
-        ok = True
-        weight = 0.0
-        while queue and ok:
-            u = queue.popleft()
-            for v, eid in g.adj[u]:
-                if not mask >> v & 1:
-                    continue
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for u, v, w in g.edges:
-            if mask >> u & 1 and mask >> v & 1:
-                weight += w
-        if weight > 0.0:
-            part_weight[mask] = weight
-
-    value = [0.0] * (full + 1)
-    choice = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        best = value[mask ^ low]
-        pick = 0
-        rest = mask ^ low
-        sub = rest
-        while True:
-            s = sub | low
-            w = part_weight.get(s)
-            if w is not None:
-                cand = w + value[mask ^ s]
-                if cand > best:
-                    best, pick = cand, s
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        value[mask] = best
-        choice[mask] = pick
+    parts, part_weight = _bipartite_parts(g)
+    part_low = parts & -parts
+    value = np.zeros(full + 1)
+    choice = np.zeros(full + 1, dtype=np.int64)
+    # Layer v holds the masks whose lowest vertex is v; they read only
+    # masks whose lowest vertex is above v.  Parts are tried in descending
+    # order with a strict >, so skipping the lowest vertex wins ties, then
+    # the largest part: the order of a descending submask loop.
+    for v in range(n - 1, -1, -1):
+        low = 1 << v
+        layer = low | (np.arange(1 << (n - 1 - v), dtype=np.int64) << (v + 1))
+        best = value[layer ^ low]
+        pick = np.zeros(len(layer), dtype=np.int64)
+        for j in np.flatnonzero(part_low == low)[::-1]:
+            s = parts[j]
+            idx = np.flatnonzero(layer & s == s)
+            cand = part_weight[j] + value[layer[idx] ^ s]
+            better = cand > best[idx]
+            best[idx[better]] = cand[better]
+            pick[idx[better]] = s
+        value[layer] = best
+        choice[layer] = pick
 
     witness_edges: list[int] = []
     mask = full
     while mask:
-        s = choice[mask]
+        s = int(choice[mask])
         if s:
             in_s = [bool(s >> v & 1) for v in range(n)]
             witness_edges.extend(eid for eid, (u, v, _) in enumerate(g.edges)
@@ -172,9 +180,55 @@ def max_induced_bipartite(g: WeightedGraph,
             mask ^= s
         else:
             mask ^= mask & -mask
-    out = value[full]
+    out = float(value[full])
     result = int(round(out)) if g.integer_weights else out
     return OracleResult("max_induced_bipartite", result, tuple(sorted(witness_edges)))
+
+
+def _bipartite_parts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex masks (ascending) that induce a connected bipartite subgraph
+    of positive weight on at least two vertices, with their induced
+    weights summed in edge order.
+
+    For every mask at once, grows the vertices at even and odd distance
+    from its lowest vertex to a fixpoint; the mask qualifies when the two
+    sides are disjoint and cover it.
+    """
+    n = g.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    nbr = [0] * n
+    for u, v, _ in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    split = n // 2
+    lo_nbr, hi_nbr = _union_table(nbr[:split]), _union_table(nbr[split:])
+    lo_bits = (1 << split) - 1
+
+    def around(sets: np.ndarray) -> np.ndarray:
+        return (lo_nbr[sets & lo_bits] | hi_nbr[sets >> split]) & masks
+
+    root = masks & -masks
+    even = root
+    while True:
+        odd = around(even)
+        grown = around(odd) | root
+        if np.array_equal(grown, even):
+            break
+        even = grown
+    parts = masks[((even & odd) == 0) & ((even | odd) == masks) & (odd != 0)]
+    weight = np.zeros(len(parts))
+    for u, v, w in g.edges:
+        weight += (parts >> u & parts >> v & 1) * w
+    keep = weight > 0.0
+    return parts[keep], weight[keep]
+
+
+def _union_table(sets: list[int]) -> np.ndarray:
+    """Entry i is the union of sets[b] over the bits b of i."""
+    table = np.zeros(1, dtype=np.int64)
+    for s in sets:
+        table = np.concatenate([table, table | s])
+    return table
 
 
 def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> OracleResult:

@@ -269,3 +269,124 @@ def random_tf_subcubic_graph(n: int, rng: random.Random,
                 and not nbrs[u] & nbrs[v]):
             add(u, v)
     return WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
+
+
+def max_cut_by_edge_passes(g: WeightedGraph, chunk_bits: int = 22):
+    """Exact max cut by one numpy pass per edge over all 2^(n-1) masks.
+
+    The last vertex sits on side 0.  Returns ``(value, side)``: the value
+    is accumulated in edge order (int64 in integer mode, float64
+    otherwise) and the side list belongs to the smallest optimal mask.
+    """
+    import numpy as np
+    if g.n == 0:
+        return 0, []
+    nfree = g.n - 1
+    total_masks = 1 << nfree
+    int_mode = g.integer_weights
+    best_val = None
+    best_mask = 0
+    for start in range(0, total_masks, 1 << chunk_bits):
+        end = min(start + (1 << chunk_bits), total_masks)
+        masks = np.arange(start, end, dtype=np.uint64)
+        acc = np.zeros(end - start, dtype=np.int64 if int_mode else np.float64)
+        for u, v, w in g.edges:
+            if v == nfree:
+                bits = (masks >> np.uint64(u)) & np.uint64(1)
+            else:
+                bits = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
+            if int_mode:
+                acc += bits.astype(np.int64) * int(w)
+            else:
+                acc += bits.astype(np.float64) * w
+        i = int(np.argmax(acc))
+        val = acc[i]
+        if best_val is None or val > best_val:
+            best_val = val
+            best_mask = start + i
+    side = [(best_mask >> v) & 1 for v in range(nfree)] + [0]
+    return (int(best_val) if int_mode else float(best_val)), side
+
+
+def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
+    """Max induced-bipartite family by a BFS per vertex mask and a subset
+    DP over explicit submask loops.  Returns ``(value, witness_edge_ids)``
+    with the value typed as the library reports it."""
+    from collections import deque
+    n = g.n
+    if n == 0:
+        return 0, ()
+    full = (1 << n) - 1
+    part_weight: dict[int, float] = {}
+    for mask in range(1, full + 1):
+        vs = [v for v in range(n) if mask >> v & 1]
+        if len(vs) == 1:
+            continue
+        seen = {vs[0]}
+        queue = deque([vs[0]])
+        while queue:
+            u = queue.popleft()
+            for v, _ in g.adj[u]:
+                if mask >> v & 1 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(seen) != len(vs):
+            continue
+        color = {vs[0]: 0}
+        queue = deque([vs[0]])
+        ok = True
+        weight = 0.0
+        while queue and ok:
+            u = queue.popleft()
+            for v, eid in g.adj[u]:
+                if not mask >> v & 1:
+                    continue
+                if v not in color:
+                    color[v] = color[u] ^ 1
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        for u, v, w in g.edges:
+            if mask >> u & 1 and mask >> v & 1:
+                weight += w
+        if weight > 0.0:
+            part_weight[mask] = weight
+
+    value = [0.0] * (full + 1)
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        best = value[mask ^ low]
+        pick = 0
+        rest = mask ^ low
+        sub = rest
+        while True:
+            s = sub | low
+            w = part_weight.get(s)
+            if w is not None:
+                cand = w + value[mask ^ s]
+                if cand > best:
+                    best, pick = cand, s
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        value[mask] = best
+        choice[mask] = pick
+
+    witness_edges: list[int] = []
+    mask = full
+    while mask:
+        s = choice[mask]
+        if s:
+            in_s = [bool(s >> v & 1) for v in range(n)]
+            witness_edges.extend(eid for eid, (u, v, _) in enumerate(g.edges)
+                                 if in_s[u] and in_s[v])
+            mask ^= s
+        else:
+            mask ^= mask & -mask
+    out = value[full]
+    result = int(round(out)) if g.integer_weights else out
+    return result, tuple(sorted(witness_edges))

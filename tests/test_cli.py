@@ -151,3 +151,46 @@ def test_verify_integer_weights_above_2_53(tmp_path):
     for rep in (cb.matching_bound(g), cb.edge_rooted_tree_bound(g),
                 cb.matching_vizing_bound(g, cb.best_matching(g))):
         assert rep.certified(g)
+
+
+@pytest.mark.parametrize("max_n", ["2", "0", "-1"])
+def test_verify_random_max_n_below_four_exit_2(capsys, max_n):
+    code, text = run_cli(["verify", "--random", "3", "--max-n", max_n])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "--max-n" in err
+    assert "Traceback" not in err and "randrange" not in err
+
+
+def test_verify_random_smallest_max_n_draws_every_kind():
+    code, text = run_cli(["verify", "--random", "14", "--max-n", "4"])
+    assert code == 0 and "14 instance(s), all sound" in text
+
+
+def test_verify_negative_random_exit_2(capsys):
+    code, text = run_cli(["verify", "--random", "-2"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "--random" in err and "Traceback" not in err
+
+
+def test_verify_input_keeps_small_max_n():
+    # --max-n only skips the exact cross-check for a loaded instance
+    code, text = run_cli(["verify", "--generate", "cycle", "5", "--max-n", "2"])
+    assert code == 0 and "all sound" in text
+
+
+@pytest.mark.parametrize("command", [["oracle", "max-cut"], ["conjecture"]])
+def test_max_n_override_zero_is_honoured(capsys, command):
+    code, text = run_cli(command + ["--generate", "cycle", "40", "--max-n-override", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "n <= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["oracle", "max-cut"], ["conjecture"], ["bounds"]])
+def test_negative_max_n_override_exit_2(capsys, command):
+    code, text = run_cli(command + ["--generate", "cycle", "5", "--max-n-override", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "--max-n-override" in err and "Traceback" not in err
