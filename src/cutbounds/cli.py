@@ -17,7 +17,7 @@ from . import generators, oracle, subcubic
 from .bounds import BoundPreconditionError, BoundReport, per_component
 from .coloring import matching_vizing_bound, vizing_classes_bound
 from .graph import (DisconnectedGraphError, GraphError, TriangleFoundError,
-                    WeightedGraph, load_graph, save_graph)
+                    WeightedGraph, _component_split, load_graph, save_graph)
 from .spanning import OddCycleError
 from .subcubic import ClaimViolationError
 
@@ -33,6 +33,20 @@ _SKIPPABLE = (BoundPreconditionError, TriangleFoundError, DisconnectedGraphError
               OddCycleError, ValueError)
 
 
+def _component_roots(g: WeightedGraph,
+                     root: Optional[int]) -> Callable[[WeightedGraph], Optional[int]]:
+    """The DFS root, as a local id, of each component ``per_component`` lifts over.
+
+    The component that contains vertex ``root`` of ``g`` is rooted there;
+    every other one at its lowest vertex, local id 0.
+    """
+    if root is None:
+        return lambda h: None
+    local = {id(sub): orig_v.index(root) if root in orig_v else 0
+             for sub, orig_v in _component_split(g)}
+    return lambda h: local[id(h)]
+
+
 def _bound_suite(g: WeightedGraph, seed: int, trials: int,
                  root: Optional[int], sweep: Optional[bool]):
     """Ordered (name, runner) pairs; connectivity-requiring bounds are
@@ -40,11 +54,14 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
     def pc(fn: Callable[[WeightedGraph], BoundReport], name: str):
         return lambda: per_component(g, fn, name)
 
+    root_of = _component_roots(g, root)
     return [
-        ("poljak_turzik", pc(lambda h: bnd.poljak_turzik(h, root, sweep), "poljak_turzik")),
-        ("dfs_tree", pc(lambda h: bnd.dfs_bound(h, root, sweep), "dfs_tree")),
+        ("poljak_turzik",
+         pc(lambda h: bnd.poljak_turzik(h, root_of(h), sweep), "poljak_turzik")),
+        ("dfs_tree", pc(lambda h: bnd.dfs_bound(h, root_of(h), sweep), "dfs_tree")),
         ("matching", lambda: bnd.matching_bound(g)),
-        ("girth_layers", pc(lambda h: bnd.girth_bound(h, None, root, sweep), "girth_layers")),
+        ("girth_layers",
+         pc(lambda h: bnd.girth_bound(h, None, root_of(h), sweep), "girth_layers")),
         ("triangle_free_tree", pc(bnd.triangle_free_tree_bound, "triangle_free_tree")),
         ("edge_rooted_tree", pc(bnd.edge_rooted_tree_bound, "edge_rooted_tree")),
         ("matching_vizing", lambda: matching_vizing_bound(g, bnd.best_matching(g))),
@@ -111,6 +128,9 @@ def _json_safe(value):
 
 def cmd_bounds(args, out) -> int:
     g = _load_input(args)
+    if args.root is not None and not 0 <= args.root < g.n:
+        raise ValueError(f"--root {args.root} is not a vertex: "
+                         f"the graph has n={g.n} vertices, ids 0..n-1")
     rows = []
     for name, runner in _bound_suite(g, args.seed, args.trials, args.root,
                                      True if args.best_roots else None):

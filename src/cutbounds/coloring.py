@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bounds import BoundReport, _exact_total, _exact_weight, _report
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
-from .graph import TriangleFoundError, WeightedGraph, stats
+from .graph import TriangleFoundError, WeightedGraph, triangle_free
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class ContractedGraph:
 
 def contract_matching(g: WeightedGraph, matching: Sequence[int]) -> ContractedGraph:
     m_ids = check_matching(g, matching)
-    if not stats(g).triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("matching contraction needs a triangle-free graph")
     vid = [-1] * g.n
     origin: list[tuple[int, ...]] = []
@@ -275,8 +275,7 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     guarantees yields the closed-form coefficient, so the best cut meets
     it deterministically.
     """
-    st = stats(g)
-    if not st.triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
     if g.m == 0:
         cut = derandomized_cut(g, verify_induced_bipartite(g, ()))

@@ -257,6 +257,22 @@ def stats(g: WeightedGraph) -> GraphStats:
     return _cached(g, "stats", compute)
 
 
+def triangle_free(g: WeightedGraph) -> bool:
+    """True when no edge's ends share a neighbour; memoized on ``g``.
+
+    Served by the memoized ``stats`` when one exists; otherwise each edge
+    is checked for a common neighbour, without a girth pass.
+    """
+    st = g._memo.get("stats")
+    if st is not None:
+        return st.triangle_free
+
+    def compute() -> bool:
+        nbrs = [{u for u, _ in a} for a in g.adj]
+        return all(nbrs[u].isdisjoint(nbrs[v]) for u, v, _ in g.edges)
+    return _cached(g, "triangle_free", compute)
+
+
 def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, ...]], ...]:
     """``(sub, orig_vertex)`` per connected component, ordered by minimum vertex.
 

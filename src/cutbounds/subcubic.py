@@ -28,7 +28,7 @@ from .bounds import (BoundReport, MONTE_CARLO, _cached_report, _exact_total,
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, TriangleFoundError, WeightedGraph,
-                    stats)
+                    triangle_free)
 from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
                        layer_edge_sets, max_spanning_tree,
                        shortest_fundamental_odd_cycle)
@@ -166,7 +166,7 @@ def brooks_3_coloring(g: WeightedGraph) -> VertexColoring3:
         raise DisconnectedGraphError("coloring expects a connected graph")
     if g.max_degree() > 3:
         raise ValueError("graph is not subcubic")
-    if not stats(g).triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("coloring expects a triangle-free graph")
     color = _brooks_connected(g)
     out = VertexColoring3(tuple(color))
@@ -256,8 +256,8 @@ def color_components(g: WeightedGraph) -> VertexColoring3:
     color = [0] * max(g.n, 1)
     comps = g.components()
     for comp in comps:
-        # a connected graph is colored itself, so its memoized stats serve;
-        # pieces of a disconnected one are not kept once colored
+        # a connected graph is colored itself, so its memoized triangle
+        # check serves; pieces of a disconnected one are not kept once colored
         sub, orig_v = (g, comp) if len(comps) == 1 else g.induced(comp)[:2]
         piece = brooks_3_coloring(sub)
         for i, v in enumerate(orig_v):
@@ -296,10 +296,9 @@ def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
     subdivided; its subdivision vertex has two internal edges and attaches
     to the deficient vertex, keeping the result triangle-free.
     """
-    st = stats(g)
-    if not st.triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("regularization expects a triangle-free graph")
-    if st.max_degree > 3:
+    if g.max_degree() > 3:
         raise ValueError("graph is not subcubic")
     edges = [(u, v, w) for u, v, w in g.edges]
     n = g.n
@@ -671,10 +670,9 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification
 
 
 def _require_tf_subcubic(g: WeightedGraph) -> None:
-    st = stats(g)
-    if not st.triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("bound expects a triangle-free graph")
-    if st.max_degree > 3:
+    if g.max_degree() > 3:
         raise ValueError("graph is not subcubic")
 
 
@@ -858,12 +856,22 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
                       trials: int, seed: int) -> BoundReport:
     r = shortest_fundamental_odd_cycle(g, t)
     best: Optional[Cut] = None
-    raw_weights = []
-    for raw in _percolation_raw_cuts(g, t, p, trials, seed):
-        raw_weights.append(raw.weight)
-        improved = local_search_improve(g, raw)
-        if best is None or improved.weight > best.weight:
-            best = improved
+    raw_weights: list[float] = []
+    seen: set[bytes] = set()
+    for sides, weights in _percolation_raw_sides(g, t, p, trials, seed):
+        raw_weights += weights
+        # local_search_improve is a function of the side vector alone, so a
+        # repeated raw cut improves to a cut already compared with ``best``;
+        # its weight cannot beat ``best`` under the strict >, so only the
+        # first occurrence of each side vector is searched.
+        for key, row, w in zip(np.packbits(sides, axis=1), sides, weights):
+            key = key.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            improved = local_search_improve(g, Cut(tuple(row.tolist()), w))
+            if best is None or improved.weight > best.weight:
+                best = improved
     value = percolation_expectation(g, t, p, r)
     details = {
         "p": p, "r": r, "trials": trials, "seed": seed,
@@ -936,7 +944,7 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
     s = 1/2 + 1/(4 sqrt(2 max_degree))."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not stats(g).triangle_free:
+    if not triangle_free(g):
         raise TriangleFoundError("redistribution bound expects a triangle-free graph")
     delta = g.max_degree()
     if g.m == 0:
@@ -993,12 +1001,48 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (hi * (1 << 26) + lo) / float(1 << 53)
 
 
+def _block_ranges(g: WeightedGraph, trials: int,
+                  seed: int) -> Iterator[tuple[int, int]]:
+    """The seeds ``seed .. seed + trials - 1`` as ``[start, stop)`` blocks."""
+    rows = max(1, _BLOCK_CELLS // max(g.n, g.m, 1))
+    for start in range(seed, seed + trials, rows):
+        yield start, min(start + rows, seed + trials)
+
+
 def _trial_blocks(g: WeightedGraph, trials: int,
                   seed: int) -> Iterator[list[random.Random]]:
     """The generators ``random.Random(seed + i)`` of every trial, in blocks."""
-    rows = max(1, _BLOCK_CELLS // max(g.n, g.m, 1))
-    for start in range(seed, seed + trials, rows):
-        yield [random.Random(s) for s in range(start, min(start + rows, seed + trials))]
+    for start, stop in _block_ranges(g, trials, seed):
+        yield [random.Random(s) for s in range(start, stop)]
+
+
+# The last word matrix ``_trial_words`` drew, keyed on its ``(start, stop)``.
+_drawn_words: dict[tuple[int, int], np.ndarray] = {}
+_MIN_WORDS = 64
+
+
+def _trial_words(start: int, stop: int, length: int) -> np.ndarray:
+    """The first ``length`` words of ``random.Random(s)`` for each seed s in
+    ``[start, stop)``, one row per seed, read-only.
+
+    Each row is a prefix of its seed's stream, so a wider matrix serves any
+    narrower request.  The last matrix drawn is kept; it is at least
+    ``_MIN_WORDS`` wide, and a wider request for the same seeds at least
+    doubles it.  So the components ``per_component`` lifts a bound over,
+    sampled one after another with the same seeds, share one draw per
+    block, or a few for a wide mix of sizes, instead of one draw each.
+    """
+    width = max(length, _MIN_WORDS)
+    words = _drawn_words.get((start, stop))
+    if words is not None:
+        if words.shape[1] >= length:
+            return words[:, :length]
+        width = max(width, 2 * words.shape[1])
+    words = np.stack([_mt_words(random.Random(s), width) for s in range(start, stop)])
+    words.flags.writeable = False
+    _drawn_words.clear()
+    _drawn_words[(start, stop)] = words
+    return words[:, :length]
 
 
 def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -1007,26 +1051,37 @@ def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return ends, np.array([w for _, _, w in g.edges], dtype=float)
 
 
+def _side_weights(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
+                  weights: np.ndarray) -> list[float]:
+    """The weight of each row of ``sides``, exactly as ``Cut.from_side`` gives it."""
+    if g.integer_weights:
+        # Every partial sum is an integer below 2^53, hence exact in any order.
+        return ((sides[:, ends[0]] != sides[:, ends[1]]) @ weights).tolist()
+    # Python's float sum (compensated since 3.12) sets the rounding, and no
+    # numpy summation order matches it.
+    return [Cut.from_side(g, row).weight for row in sides.tolist()]
+
+
 def _block_cuts(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
                 weights: np.ndarray) -> list[Cut]:
     """One cut per row of ``sides``, weighed exactly as ``Cut.from_side`` would."""
-    if g.integer_weights:
-        # Every partial sum is an integer below 2^53, hence exact in any order.
-        crossing = (sides[:, ends[0]] != sides[:, ends[1]]) @ weights
-        return [Cut(tuple(row), w) for row, w in zip(sides.tolist(), crossing.tolist())]
-    # Python's float sum (compensated since 3.12) sets the rounding, and no
-    # numpy summation order matches it.
-    return [Cut.from_side(g, row) for row in sides.tolist()]
+    return [Cut(tuple(row), w) for row, w in
+            zip(sides.tolist(), _side_weights(g, sides, ends, weights))]
 
 
-def _percolation_raw_cuts(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                          trials: int, seed: int) -> Iterator[Cut]:
-    """``_percolation_raw`` with ``random.Random(seed + i)`` for each trial i.
+def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
+                           trials: int, seed: int
+                           ) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """``_percolation_raw`` with ``random.Random(seed + i)`` for each trial i,
+    as blocks of side vectors (one row per trial) and their cut weights.
 
-    Every kept edge is a tree edge, so each kept-forest component is a
-    subtree of ``t`` rooted at vertex 0.  Its top is found by pointer
-    jumping along kept parent edges, and the 2-color of v measured from the
-    component's lowest vertex s is the parity of level[v] + level[s].
+    Trial i draws ``2k`` words for the keep decisions of the k tree edges,
+    then one word per kept-forest component for its orientation; both are
+    a prefix of the first ``2k + n`` words of its stream.  Every kept edge
+    is a tree edge, so each kept-forest component is a subtree of ``t``
+    rooted at vertex 0.  Its top is found by pointer jumping along kept
+    parent edges, and the 2-color of v measured from the component's
+    lowest vertex s is the parity of level[v] + level[s].
     """
     n, tree = g.n, sorted(t.edge_ids)
     k = len(tree)
@@ -1041,10 +1096,11 @@ def _percolation_raw_cuts(g: WeightedGraph, t: RootedSpanningTree, p: float,
             parent_edge[v] = column[g.edge_id(u, v)]
     parity = (np.array(rooted.level) & 1).astype(np.int8)
     ends, weights = _edge_arrays(g)
-    for rngs in _trial_blocks(g, trials, seed):
-        b = len(rngs)
+    for start, stop in _block_ranges(g, trials, seed):
+        b = stop - start
+        words = _trial_words(start, stop, 2 * k + n)
         kept = np.zeros((b, k + 1), dtype=bool)
-        kept[:, :k] = _uniforms(np.stack([_mt_words(r, 2 * k) for r in rngs])) < p
+        kept[:, :k] = _uniforms(words[:, :2 * k]) < p
         top = np.where(kept[:, parent_edge], parent, verts)
         while True:
             jumped = np.take_along_axis(top, top, axis=1)
@@ -1056,13 +1112,12 @@ def _percolation_raw_cuts(g: WeightedGraph, t: RootedSpanningTree, p: float,
         np.minimum.at(lowest, (rows, top), verts)
         low = lowest[rows, top]
         is_low = low == verts
-        # Components draw their orientation bits in order of lowest vertex.
+        # Components take their orientation bits in order of lowest vertex;
+        # a trial with c components reads only the first c of its n bits.
         order = np.take_along_axis(np.cumsum(is_low, axis=1) - 1, low, axis=1)
-        bits = np.zeros((b, n), dtype=np.int8)
-        for i, (r, c) in enumerate(zip(rngs, is_low.sum(axis=1).tolist())):
-            bits[i, :c] = _mt_words(r, c) >> 31
+        bits = (words[:, 2 * k:] >> 31).astype(np.int8)
         sides = parity ^ parity[low] ^ np.take_along_axis(bits, order, axis=1)
-        yield from _block_cuts(g, sides, ends, weights)
+        yield sides, _side_weights(g, sides, ends, weights)
 
 
 def _shearer_raw_cuts(g: WeightedGraph, trials: int, seed: int) -> Iterator[Cut]:

@@ -194,3 +194,67 @@ def test_negative_max_n_override_exit_2(capsys, command):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert "--max-n-override" in err and "Traceback" not in err
+
+
+def _write(tmp_path, g, name="g.graph"):
+    path = tmp_path / name
+    path.write_text(cb.save_graph(g))
+    return str(path)
+
+
+def _two_paths():
+    return cb.WeightedGraph(6, [(0, 1, 2.0), (1, 2, 3.0), (3, 4, 1.0), (4, 5, 5.0)])
+
+
+@pytest.mark.parametrize("graph, root", [
+    (cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]), "99"),
+    (cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]), "4"),
+    (_two_paths(), "6"),
+    (_two_paths(), "-2"),
+    (_two_paths(), "-1"),
+])
+def test_bounds_root_out_of_range_exit_2(tmp_path, capsys, graph, root):
+    code, text = run_cli(["bounds", "--input", _write(tmp_path, graph), "--root", root])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "--root" in err and f"n={graph.n}" in err
+    assert "Traceback" not in err and "IndexError" not in err
+
+
+def test_bounds_root_applies_to_its_component(tmp_path):
+    g = _two_paths()
+    code, text = run_cli(["bounds", "--input", _write(tmp_path, g), "--root", "4",
+                          "--format", "json-lines", "--trials", "8"])
+    assert code == 0
+    rows = {r["name"]: r for r in map(json.loads, text.splitlines())}
+    # vertex 4 is local vertex 1 of the second path; the first path keeps
+    # its lowest vertex, local 0
+    roots = iter((0, 1))
+    want = cb.per_component(g, lambda h: cb.dfs_bound(h, next(roots)))
+    assert rows["dfs_tree"]["cut"] == want.cut.bitstring()
+    assert rows["dfs_tree"]["bound_value"] == want.bound_value
+
+
+# The rows that depend on --root, as printed before a root was mapped to
+# its own component: every component was then rooted at local vertex 0.
+_ROOT0_ROWS = """\
+{"bound_value": 49.0, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 8.75, 29.75], "components": 3}, "mode": "deterministic", "name": "poljak_turzik"}
+{"bound_value": 51.5, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 9.25, 31.75], "components": 3}, "mode": "deterministic", "name": "dfs_tree"}
+{"bound_value": 59.291666666666664, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [12.833333333333334, 11.083333333333334, 35.375], "components": 3}, "mode": "deterministic", "name": "girth_layers"}
+"""  # noqa: E501
+
+
+def test_bounds_root_zero_on_disconnected_input_is_unchanged(tmp_path):
+    edges = [(0, 1, 4.0), (1, 2, 1.0), (2, 3, 7.0), (3, 4, 2.0)]
+    edges += [(5 + i, 5 + (i + 1) % 6, float(i % 4 + 1)) for i in range(6)]
+    edges += [(u + 11, v + 11, float((u * 3 + v) % 5 + 1)) for u, v, _ in cb.petersen().edges]
+    path = _write(tmp_path, cb.WeightedGraph(21, edges))
+    base = ["bounds", "--input", path, "--trials", "16", "--format", "json-lines"]
+    code, text = run_cli(base + ["--root", "0"])
+    assert code == 0
+    lines = text.splitlines(keepends=True)
+    assert "".join(lines[0:2] + lines[3:4]) == _ROOT0_ROWS
+    # no other bound reads the root
+    _, unrooted = run_cli(base)
+    other = unrooted.splitlines(keepends=True)
+    assert lines[2] == other[2] and lines[4:] == other[4:]

@@ -134,3 +134,63 @@ def test_zero_weight_edges_legal():
     g = cb.WeightedGraph(3, [(0, 1, 0.0), (1, 2, 1.0)])
     assert g.total_weight == 1.0
     assert g.integer_weights
+
+
+# -- triangle_free ------------------------------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return [(u, v, 1.0) for u, v in chosen], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_triangle_free_matches_girth_stats(spec):
+    edges, n = spec
+    fresh = cb.WeightedGraph(n, edges)  # no stats memo: the edge check runs
+    expected = cb.stats(cb.WeightedGraph(n, edges)).triangle_free
+    assert cb.triangle_free(fresh) == expected
+    assert cb.triangle_free(fresh) == expected  # memoized
+    with_stats = cb.WeightedGraph(n, edges)
+    cb.stats(with_stats)
+    assert cb.triangle_free(with_stats) == expected
+
+
+def test_triangle_free_edge_cases():
+    assert cb.triangle_free(cb.WeightedGraph(0, []))
+    assert cb.triangle_free(cb.WeightedGraph(5, []))
+    assert cb.triangle_free(cb.cycle(4))
+    assert not cb.triangle_free(cb.cycle(3))
+    assert cb.triangle_free(cb.petersen_c3(2.0, 1.0))
+    assert not cb.triangle_free(cb.WeightedGraph(5, [(0, 1, 1.0), (1, 4, 1.0), (0, 4, 0.0)]))
+
+
+def test_triangle_free_skips_the_girth_pass(monkeypatch):
+    def no_girth(g):
+        raise AssertionError("girth called")
+    monkeypatch.setattr(cb.graph, "girth", no_girth)
+    assert cb.triangle_free(cb.petersen())
+    assert not cb.triangle_free(cb.complete(4))
+
+
+_TRIANGLE_MESSAGES = [
+    (lambda g: cb.brooks_3_coloring(g), "coloring expects a triangle-free graph"),
+    (lambda g: cb.regularize_to_cubic(g), "regularization expects a triangle-free graph"),
+    (lambda g: cb.two_thirds_bound(g), "bound expects a triangle-free graph"),
+    (lambda g: cb.eight_elevenths_bound(g), "bound expects a triangle-free graph"),
+    (lambda g: cb.shearer_bound(g, trials=4), "redistribution bound expects a triangle-free graph"),
+    (lambda g: cb.contract_matching(g, []), "matching contraction needs a triangle-free graph"),
+    (lambda g: cb.vizing_classes_bound(g), "coefficient bound needs a triangle-free graph"),
+]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("call, message", _TRIANGLE_MESSAGES)
+def test_triangle_preconditions_keep_their_errors(n, call, message):
+    with pytest.raises(cb.TriangleFoundError) as info:
+        call(cb.complete(n))
+    assert str(info.value) == message

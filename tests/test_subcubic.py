@@ -1,16 +1,20 @@
 import random
 import statistics
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cutbounds as cb
+from cutbounds import subcubic
 from cutbounds.bounds import slack
+from cutbounds.graph import _component_split
 from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
                                 percolation_expectation,
                                 _assert_cycles_divisible, _mt_words,
-                                _peel_greedy, _percolation_raw, _uniforms)
+                                _peel_greedy, _percolation_raw, _trial_words,
+                                _uniforms)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
 from helpers import (naive_max_cut, peel_colors_by_scan, random_connected_graph,
                      random_tf_subcubic_graph)
@@ -494,3 +498,92 @@ def test_monte_carlo_bounds_reject_trials_below_one(trials):
         cb.tree_percolation_bound(g, trials=trials)
     with pytest.raises(ValueError, match="trials"):
         cb.shearer_bound(g, trials=trials)
+
+
+# -- per-component sampling: one draw per block, one search per raw cut ------
+
+
+def _shapes_union(integer_weights, extra=()):
+    """path(3), C5, C6, Petersen and the subdivided K3,3 (then ``extra``)
+    as one disconnected graph with varied weights."""
+    rng = random.Random(17)
+    path3 = cb.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    shapes = [path3, cb.cycle(5), cb.cycle(6), cb.petersen(), cb.gadget_k33_subdivided(),
+              *extra]
+    edges, base = [], 0
+    for h in shapes:
+        for u, v, _ in h.edges:
+            w = float(rng.randint(1, 9)) if integer_weights else rng.uniform(0.5, 9.5)
+            edges.append((base + u, base + v, w))
+        base += h.n
+    g = cb.WeightedGraph(base, edges)
+    assert g.integer_weights == integer_weights and len(g.components()) == len(shapes)
+    return g
+
+
+def _lifted_percolation(g, trials, seed):
+    return cb.per_component(
+        g, lambda h: cb.tree_percolation_bound(h, trials=trials, seed=seed))
+
+
+@pytest.mark.parametrize("extra", [(), (cb.cycle(41),)], ids=["shapes", "with_c41"])
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_per_component_percolation_equals_reference_loop(integer_weights, extra):
+    g = _shapes_union(integer_weights, extra)
+    rep = _lifted_percolation(g, 256, 9)
+    side = [0] * g.n
+    for sub, orig_v in _component_split(g):
+        t = max_spanning_tree(sub)
+        best, raw_weights = _reference_percolation(sub, t, 0.85, 256, 9)
+        _assert_matches_reference(cb.tree_percolation_bound(sub, trials=256, seed=9),
+                                  best, raw_weights)
+        for i, s in enumerate(best.side):
+            side[orig_v[i]] = s
+    assert rep.cut == cb.Cut.from_side(g, side)
+
+
+def test_local_search_runs_once_per_distinct_raw_cut(monkeypatch):
+    g = _shapes_union(True)
+    searched = []
+
+    def counting(h, cut):
+        searched.append((h.n, cut.side))
+        return cb.local_search_improve(h, cut)
+
+    monkeypatch.setattr(subcubic, "local_search_improve", counting)
+    _lifted_percolation(g, 256, 2)
+    distinct = set()
+    for sub, _ in _component_split(g):
+        t = max_spanning_tree(sub)
+        distinct |= {(sub.n, _percolation_raw(sub, t, 0.85, random.Random(2 + i)).side)
+                     for i in range(256)}
+    assert len(searched) == len(set(searched)) == len(distinct)
+    assert set(searched) == distinct
+    assert len(searched) < 5 * 256
+
+
+def test_trial_generators_are_seeded_once_per_suite(monkeypatch):
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
+    _lifted_percolation(_shapes_union(True), 256, 4)
+    assert sorted(seeded) == list(range(4, 4 + 256))
+
+
+def test_trial_words_are_read_only_prefixes_of_each_stream(monkeypatch):
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    wide = _trial_words(10, 14, 200)
+    narrow = _trial_words(10, 14, 7)
+    for words in (wide, narrow):
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
+    for row, s in zip(wide, range(10, 14)):
+        assert row.tolist() == _mt_words(random.Random(s), 200).tolist()
+    assert narrow.tolist() == wide[:, :7].tolist()
