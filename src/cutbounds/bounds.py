@@ -53,9 +53,8 @@ class BoundReport:
     def certified(self, g: WeightedGraph) -> bool:
         if self.mode != DETERMINISTIC:
             return True
-        if self.bound_exact is not None and g.integer_weights:
-            return Fraction(self.cut.weight) >= self.bound_exact
-        return self.cut.weight >= self.bound_value - slack(g)
+        exact = self.bound_exact is not None and g.integer_weights
+        return meets(g, self.cut.weight, self.bound_exact if exact else self.bound_value)
 
 
 def slack(g: WeightedGraph) -> float:
@@ -63,22 +62,34 @@ def slack(g: WeightedGraph) -> float:
     return 1e-9 * max(1.0, g.total_weight)
 
 
-def _exact_weight(g: WeightedGraph, edge_ids) -> Optional[Fraction]:
-    if not g.integer_weights:
-        return None
-    return Fraction(sum(int(g.edges[e][2]) for e in edge_ids))
+def meets(g: WeightedGraph, weight: float, value) -> bool:
+    """Whether a cut of ``weight`` reaches a bound ``value`` on ``g``.
+
+    A ``Fraction`` value is compared exactly; a float one up to ``slack``.
+    """
+    if isinstance(value, Fraction):
+        return Fraction(weight) >= value
+    return weight >= value - slack(g)
 
 
-def _exact_total(g: WeightedGraph) -> Optional[Fraction]:
-    if not g.integer_weights:
-        return None
-    return Fraction(sum(int(w) for _, _, w in g.edges))
+def _num(g: WeightedGraph, x: float):
+    """``x`` in the arithmetic of ``g``: a ``Fraction`` when its weights are
+    integral, else the float itself.
+
+    Every sum of integral weights below 2^53 is an exact float, so the
+    ``Fraction`` of such a sum is its exact value.
+    """
+    return Fraction(x) if g.integer_weights else x
 
 
-def _report(name, g, value_float, value_exact, cut, details) -> BoundReport:
-    if value_exact is not None:
-        value_float = float(value_exact)
-    return BoundReport(name, value_float, cut, DETERMINISTIC, value_exact, details)
+def _report(name, g, value, cut, details) -> BoundReport:
+    """A deterministic report of ``value``, computed in the arithmetic of ``g``."""
+    if isinstance(value, Fraction) != g.integer_weights:
+        raise AssertionError(f"{name}: bound value {value!r} is not in the "
+                             f"arithmetic of the graph (integer weights: "
+                             f"{g.integer_weights})")
+    exact = value if g.integer_weights else None
+    return BoundReport(name, float(value), cut, DETERMINISTIC, exact, details)
 
 
 def _cached_report(g: WeightedGraph, key,
@@ -133,12 +144,10 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g, root, sweep)
     cut = _parity_cut(g, d)
-    wt = _exact_total(g)
-    exact = wt / 2 + _exact_weight(g, tmin.edge_ids) / 4 if wt is not None else None
-    value = g.total_weight / 2 + tmin.weight / 4
+    value = _num(g, g.total_weight) / 2 + _num(g, tmin.weight) / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
-    return _report("poljak_turzik", g, value, exact, cut, details)
+    return _report("poljak_turzik", g, value, cut, details)
 
 
 def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
@@ -146,11 +155,9 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
     d = _best_dfs_tree(g, root, sweep)
     cut = _parity_cut(g, d)
-    wt = _exact_total(g)
-    exact = wt / 2 + _exact_weight(g, d.edge_ids) / 4 if wt is not None else None
-    value = g.total_weight / 2 + d.weight / 4
+    value = _num(g, g.total_weight) / 2 + _num(g, d.weight) / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
-    return _report("dfs_tree", g, value, exact, cut, details)
+    return _report("dfs_tree", g, value, cut, details)
 
 
 # -- matching bounds -----------------------------------------------------
@@ -255,14 +262,11 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
         m_ids = best_matching(g, strategy)
     cert = verify_induced_bipartite(g, m_ids)
     cut = derandomized_cut(g, cert)
-    wt = _exact_total(g)
-    wm = _exact_weight(g, m_ids)
-    exact = (wt + wm) / 2 if wt is not None else None
-    value = (g.total_weight + sum(g.edges[e][2] for e in m_ids)) / 2
-    details = {"matching_size": len(m_ids),
-               "matching_weight": float(sum(g.edges[e][2] for e in m_ids)),
+    wm = float(sum(g.edges[e][2] for e in m_ids))
+    value = (_num(g, g.total_weight) + _num(g, wm)) / 2
+    details = {"matching_size": len(m_ids), "matching_weight": wm,
                "strategy": strategy}
-    return _report("matching", g, value, exact, cut, details)
+    return _report("matching", g, value, cut, details)
 
 
 # -- girth-family bounds --------------------------------------------------
@@ -303,13 +307,10 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
     d = _best_dfs_tree(g, root, sweep)
     certs = girth_layer_certificates(g, d, k)
     cut, best_j = _best_layer_cut(g, certs)
-    wt = _exact_total(g)
-    exact = (wt / 2 + Fraction(k - 1, 2 * k) * _exact_weight(g, d.edge_ids)
-             if wt is not None else None)
-    value = g.total_weight / 2 + (k - 1) / (2 * k) * d.weight
+    value = _num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, d.weight)
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight, "best_layer": best_j}
-    return _report("girth_layers", g, value, exact, cut, details)
+    return _report("girth_layers", g, value, cut, details)
 
 
 def triangle_free_tree_bound(g: WeightedGraph,
@@ -327,11 +328,9 @@ def triangle_free_tree_bound(g: WeightedGraph,
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
     cut = _parity_cut(g, t)
-    wt = _exact_total(g)
-    exact = wt / 2 + _exact_weight(g, t.edge_ids) / 4 if wt is not None else None
-    value = g.total_weight / 2 + t.weight / 4
+    value = _num(g, g.total_weight) / 2 + _num(g, t.weight) / 4
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
-    return _report("triangle_free_tree", g, value, exact, cut, details)
+    return _report("triangle_free_tree", g, value, cut, details)
 
 
 def edge_rooted_tree_bound(g: WeightedGraph,
@@ -362,17 +361,12 @@ def edge_rooted_tree_bound(g: WeightedGraph,
     certs = girth_layer_certificates(g, t, k, marked_eid)
     cut, best_j = _best_layer_cut(g, certs)
     we_star = g.edges[marked_eid][2]
-    wt = _exact_total(g)
-    exact = None
-    if wt is not None:
-        exact = (wt / 2 + Fraction(k - 1, 2 * k) * _exact_weight(g, t.edge_ids)
-                 + Fraction(int(we_star), 2 * k))
-    value = (g.total_weight / 2 + (k - 1) / (2 * k) * t.weight
-             + we_star / (2 * k))
+    value = (_num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, t.weight)
+             + _num(g, we_star) / (2 * k))
     details = {"k": k, "marked_edge": list(g.edges[marked_eid][:2]),
                "marked_weight": we_star, "tree_weight": t.weight,
                "shortest_fundamental_odd_cycle": r, "best_layer": best_j}
-    return _report("edge_rooted_tree", g, value, exact, cut, details)
+    return _report("edge_rooted_tree", g, value, cut, details)
 
 
 # -- disconnected inputs --------------------------------------------------
@@ -389,25 +383,23 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
     if len(split) <= 1:
         return fn(g)
     side = [0] * g.n
-    total = 0.0
-    exact: Optional[Fraction] = Fraction(0) if g.integer_weights else None
-    mode = DETERMINISTIC
     reports = []
     for sub, orig_v in split:
         rep = fn(sub)
         reports.append(rep)
         for i, s in enumerate(rep.cut.side):
             side[orig_v[i]] = s
-        total += rep.bound_value
-        if exact is not None and rep.bound_exact is not None:
-            exact += rep.bound_exact
-        else:
-            exact = None
-        if rep.mode != DETERMINISTIC:
-            mode = MONTE_CARLO
     cut = Cut.from_side(g, side)
-    if exact is not None:
+    exact = None
+    if g.integer_weights and all(r.bound_exact is not None for r in reports):
+        exact = sum((r.bound_exact for r in reports), Fraction(0))
         total = float(exact)
+    else:
+        total = 0.0
+        for r in reports:  # left to right: sum() rounds differently on 3.12+
+            total += r.bound_value
+    mode = (DETERMINISTIC if all(r.mode == DETERMINISTIC for r in reports)
+            else MONTE_CARLO)
     details = {"components": len(split),
                "component_bounds": [r.bound_value for r in reports]}
     return BoundReport(name or reports[0].name, total, cut, mode, exact, details)

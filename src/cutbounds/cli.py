@@ -16,8 +16,9 @@ from . import bounds as bnd
 from . import generators, oracle, subcubic
 from .bounds import BoundPreconditionError, BoundReport, per_component
 from .coloring import matching_vizing_bound, vizing_classes_bound
-from .graph import (DisconnectedGraphError, GraphError, TriangleFoundError,
-                    WeightedGraph, _component_split, load_graph, save_graph)
+from .graph import (DisconnectedGraphError, GraphError, NotSubcubicError,
+                    TriangleFoundError, WeightedGraph, _component_split,
+                    load_graph, save_graph)
 from .spanning import OddCycleError
 from .subcubic import ClaimViolationError
 
@@ -30,7 +31,7 @@ EXIT_INTERNAL = 3
 RANDOM_VERIFY_MIN_N = 4
 
 _SKIPPABLE = (BoundPreconditionError, TriangleFoundError, DisconnectedGraphError,
-              OddCycleError, ValueError)
+              NotSubcubicError, OddCycleError)
 
 
 def _component_roots(g: WeightedGraph,
@@ -76,6 +77,20 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
             "combined_tree")),
         ("shearer", lambda: subcubic.shearer_bound(g, trials=trials, seed=seed)),
     ]
+
+
+def _run_bound(name: str, runner: Callable[[], BoundReport]) -> BoundReport | str:
+    """The bound's report, or the reason it does not apply to the graph.
+
+    Any other ``ValueError`` is a fault of the bound, not of the input, so
+    it becomes an internal error that names the bound.
+    """
+    try:
+        return runner()
+    except _SKIPPABLE as exc:
+        return str(exc)
+    except ValueError as exc:
+        raise AssertionError(f"bound {name} failed: {exc}") from exc
 
 
 def _load_input(args) -> WeightedGraph:
@@ -134,11 +149,9 @@ def cmd_bounds(args, out) -> int:
     rows = []
     for name, runner in _bound_suite(g, args.seed, args.trials, args.root,
                                      True if args.best_roots else None):
-        try:
-            rep = runner()
-            rows.append(_report_row(rep))
-        except _SKIPPABLE as exc:
-            rows.append({"name": name, "skipped": True, "reason": str(exc)})
+        rep = _run_bound(name, runner)
+        rows.append({"name": name, "skipped": True, "reason": rep}
+                    if isinstance(rep, str) else _report_row(rep))
     _render_reports(rows, args.format, out)
     return EXIT_OK
 
@@ -184,9 +197,8 @@ def _verify_one(g: WeightedGraph, seed: int, max_n: int, out) -> tuple[int, int,
         mac = float(oracle.exact_max_cut(g, max_n).value)
     eps = bnd.slack(g)
     for name, runner in _bound_suite(g, seed, trials=16, root=None, sweep=None):
-        try:
-            rep = runner()
-        except _SKIPPABLE:
+        rep = _run_bound(name, runner)
+        if isinstance(rep, str):
             continue
         checked += 1
         if rep.mode == bnd.DETERMINISTIC and not rep.certified(g):

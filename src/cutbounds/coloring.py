@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _exact_total, _exact_weight, _report
+from .bounds import BoundReport, _num, _report
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
 from .graph import TriangleFoundError, WeightedGraph, triangle_free
 
@@ -230,20 +230,16 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
         cut = derandomized_cut(g, cert)
         if best is None or cut.weight > best.weight:
             best, best_class = cut, i
-    wt = _exact_total(g)
     wm_f = float(sum(g.edges[e][2] for e in m_ids))
-    exact = None
-    if wt is not None:
-        wm = _exact_weight(g, m_ids)
-        exact = (wt + wm) / 2 + (wt - wm) / (2 * c)
-    value = (g.total_weight + wm_f) / 2 + (g.total_weight - wm_f) / (2 * c)
+    w, wm = _num(g, g.total_weight), _num(g, wm_f)
+    value = (w + wm) / 2 + (w - wm) / (2 * c)
     delta = g.max_degree()
     worst = (delta / (2 * delta - 1) * (g.total_weight - wm_f) + wm_f
              if delta >= 1 else wm_f)
     details = {"color_count": c, "matching_weight": wm_f,
                "matching_size": len(m_ids), "best_class": best_class,
                "worst_case_bound": worst}
-    return _report("matching_vizing", g, value, exact, cut=best, details=details)
+    return _report("matching_vizing", g, value, best, details)
 
 
 # -- degree-driven coefficients -------------------------------------------
@@ -279,8 +275,7 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
     if g.m == 0:
         cut = derandomized_cut(g, verify_induced_bipartite(g, ()))
-        return _report("vizing_classes", g, 0.0,
-                       Fraction(0) if g.integer_weights else None, cut,
+        return _report("vizing_classes", g, _num(g, 0.0), cut,
                        {"delta": 0, "class_count": 0})
     delta = g.max_degree()
     coloring = vizing_edge_coloring(g)
@@ -291,9 +286,7 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
         if best is None or rep.cut.weight > best.cut.weight:
             best, best_class = rep, i
     coeff = vizing_classes_coefficient_exact(delta)
-    wt = _exact_total(g)
-    exact = coeff * wt if wt is not None else None
-    value = float(coeff) * g.total_weight
+    value = coeff * _num(g, g.total_weight)
     details = {"delta": delta, "class_count": coloring.color_count,
                "best_class": best_class, "coefficient": float(coeff)}
-    return _report("vizing_classes", g, value, exact, best.cut, details)
+    return _report("vizing_classes", g, value, best.cut, details)

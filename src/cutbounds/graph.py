@@ -49,6 +49,10 @@ class TriangleFoundError(GraphError):
     """The operation requires a triangle-free graph."""
 
 
+class NotSubcubicError(GraphError, ValueError):
+    """The operation requires a graph of maximum degree at most 3."""
+
+
 class WeightedGraph:
     """Simple undirected graph with nonnegative edge weights.
 

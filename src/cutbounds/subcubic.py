@@ -23,12 +23,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (BoundReport, MONTE_CARLO, _cached_report, _exact_total,
-                     _report, slack)
+from .bounds import BoundReport, MONTE_CARLO, _cached_report, _num, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, local_search_improve, place_blocks
-from .graph import (DisconnectedGraphError, TriangleFoundError, WeightedGraph,
-                    triangle_free)
+from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
+                    WeightedGraph, triangle_free)
 from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
                        layer_edge_sets, max_spanning_tree,
                        shortest_fundamental_odd_cycle)
@@ -165,7 +164,7 @@ def brooks_3_coloring(g: WeightedGraph) -> VertexColoring3:
     if not g.is_connected():
         raise DisconnectedGraphError("coloring expects a connected graph")
     if g.max_degree() > 3:
-        raise ValueError("graph is not subcubic")
+        raise NotSubcubicError("graph is not subcubic")
     if not triangle_free(g):
         raise TriangleFoundError("coloring expects a triangle-free graph")
     color = _brooks_connected(g)
@@ -211,9 +210,9 @@ def _precolored_pair_greedy(g: WeightedGraph) -> list[int]:
         for x, y in combinations(g.neighbors(v), 2):
             if g.has_edge(x, y):
                 continue
-            if not _connected_without(g, (x, y)):
-                continue
             dist = _bfs_without(g, v, (x, y))
+            if dist.count(-1) > 2:  # only x and y may be unreached
+                continue
             order = sorted((u for u in range(g.n) if u not in (x, y)),
                            key=lambda u: (-dist[u], u))
             color = [0] * g.n
@@ -223,19 +222,6 @@ def _precolored_pair_greedy(g: WeightedGraph) -> list[int]:
                 color[u] = min(c for c in (1, 2, 3) if c not in used)
             return color
     raise AssertionError("no precoloring pair found in a 2-connected cubic graph")
-
-
-def _connected_without(g: WeightedGraph, banned: tuple[int, ...]) -> bool:
-    start = next(v for v in range(g.n) if v not in banned)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w, _ in g.adj[u]:
-            if w not in banned and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n - len(banned)
 
 
 def _bfs_without(g: WeightedGraph, src: int, banned: tuple[int, ...]) -> list[int]:
@@ -299,7 +285,7 @@ def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
     if not triangle_free(g):
         raise TriangleFoundError("regularization expects a triangle-free graph")
     if g.max_degree() > 3:
-        raise ValueError("graph is not subcubic")
+        raise NotSubcubicError("graph is not subcubic")
     edges = [(u, v, w) for u, v, w in g.edges]
     n = g.n
     gadgets = 0
@@ -393,15 +379,6 @@ def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassificati
     return out
 
 
-def _class_weights_exact(g: WeightedGraph, cls: EdgeClassification):
-    if not g.integer_weights:
-        return None
-    w = [Fraction(0)] * 3
-    for e, c in enumerate(cls.class_of_edge):
-        w[c] += Fraction(int(g.edges[e][2]))
-    return tuple(w)
-
-
 # =====================================================================
 # the three certified cuts
 # =====================================================================
@@ -458,12 +435,9 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
         cut = place_blocks(g, _two_color_blocks(g, residue))
         if best is None or cut.weight > best.weight:
             best = cut
-    w0, w1, w2 = cls.weights(g)
-    value = w0 + 2.0 * w1 / 3.0 + w2 / 3.0
-    exact_w = _class_weights_exact(g, cls)
-    exact = (exact_w[0] + Fraction(2, 3) * exact_w[1] + Fraction(1, 3) * exact_w[2]
-             if exact_w is not None else None)
-    return best, value, exact
+    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
+    value = w0 + 2 * w1 / 3 + w2 / 3
+    return best, float(value), value if g.integer_weights else None
 
 
 def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None:
@@ -505,7 +479,7 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
     """
     cls = cls or classify_edges(g, succ)
     star_edges = sorted(set(cls.edge_ids(1)) | set(cls.edge_ids(2)))
-    comp_of = _undirected_components(g, star_edges)
+    comp_of = WeightedGraph(g.n, (g.edges[e] for e in star_edges)).components()
     blocks: list[dict[int, int]] = []
     for comp in comp_of:
         if len(comp) == 1:
@@ -513,38 +487,9 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
             continue
         blocks.append(_component_block(g, succ, comp, set(star_edges)))
     cut = place_blocks(g, blocks)
-    w0, w1, w2 = cls.weights(g)
-    value = 0.5 * w0 + 7.0 * w1 / 8.0 + w2
-    exact_w = _class_weights_exact(g, cls)
-    exact = (Fraction(1, 2) * exact_w[0] + Fraction(7, 8) * exact_w[1] + exact_w[2]
-             if exact_w is not None else None)
-    return cut, value, exact
-
-
-def _undirected_components(g: WeightedGraph, edge_ids: Sequence[int]) -> list[list[int]]:
-    """Components of (V, edge_ids), singletons included, sorted as usual."""
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for e in edge_ids:
-        u, v, _ = g.edges[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
+    value = w0 / 2 + 7 * w1 / 8 + w2
+    return cut, float(value), value if g.integer_weights else None
 
 
 def _walk_cycle(succ: SuccessorDigraph, comp: list[int]) -> Optional[list[int]]:
@@ -656,12 +601,9 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification
     if rep.details["color_count"] > 5 and g.max_degree() >= 3:
         raise ClaimViolationError(
             f"contracted coloring used {rep.details['color_count']} > 5 colors")
-    w0, w1, w2 = cls.weights(g)
-    value = 0.6 * (w0 + w1) + w2
-    exact_w = _class_weights_exact(g, cls)
-    exact = (Fraction(3, 5) * (exact_w[0] + exact_w[1]) + exact_w[2]
-             if exact_w is not None else None)
-    return rep.cut, value, exact
+    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
+    value = Fraction(3, 5) * (w0 + w1) + w2
+    return rep.cut, float(value), value if g.integer_weights else None
 
 
 # =====================================================================
@@ -673,18 +615,7 @@ def _require_tf_subcubic(g: WeightedGraph) -> None:
     if not triangle_free(g):
         raise TriangleFoundError("bound expects a triangle-free graph")
     if g.max_degree() > 3:
-        raise ValueError("graph is not subcubic")
-
-
-def _check_claim(name: str, g3: WeightedGraph, cut: Cut, value: float,
-                 exact: Optional[Fraction]) -> None:
-    if exact is not None and g3.integer_weights:
-        if Fraction(cut.weight) < exact:
-            raise ClaimViolationError(
-                f"{name} cut weight {cut.weight} below certified {exact}")
-    elif cut.weight < value - slack(g3):
-        raise ClaimViolationError(
-            f"{name} cut weight {cut.weight} below certified {value}")
+        raise NotSubcubicError("graph is not subcubic")
 
 
 def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
@@ -701,9 +632,7 @@ def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
 
 def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     if g.n == 0:
-        return _report("eight_elevenths", g, 0.0,
-                       Fraction(0) if g.integer_weights else None,
-                       Cut((), 0.0), {})
+        return _report("eight_elevenths", g, _num(g, 0.0), Cut((), 0.0), {})
     ext = regularize_to_cubic(g)
     g3 = ext.graph
     coloring = color_components(g3)
@@ -719,16 +648,17 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     best_cut = None
     best_name = None
     for name, (cut, value, exact) in candidates:
-        _check_claim(name, g3, cut, value, exact)
+        bound = value if exact is None else exact
+        if not meets(g3, cut.weight, bound):
+            raise ClaimViolationError(
+                f"{name} cut weight {cut.weight} below certified {bound}")
         details[name] = {"cut_weight": cut.weight, "certified": value}
         if best_cut is None or cut.weight > best_cut.weight:
             best_cut, best_name = cut, name
     details["winner"] = best_name
     cut = ext.restrict(best_cut)
-    wt = _exact_total(g)
-    exact = EIGHT_ELEVENTHS * wt if wt is not None else None
-    value = float(EIGHT_ELEVENTHS) * g.total_weight
-    return _report("eight_elevenths", g, value, exact, cut, details)
+    value = EIGHT_ELEVENTHS * _num(g, g.total_weight)
+    return _report("eight_elevenths", g, value, cut, details)
 
 
 def two_thirds_bound(g: WeightedGraph) -> BoundReport:
@@ -739,8 +669,7 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
     """
     _require_tf_subcubic(g)
     if g.n == 0:
-        return _report("two_thirds", g, 0.0,
-                       Fraction(0) if g.integer_weights else None, Cut((), 0.0), {})
+        return _report("two_thirds", g, _num(g, 0.0), Cut((), 0.0), {})
     coloring = color_components(g)
     pair_w = {(i, j): 0.0 for i, j in combinations((1, 2, 3), 2)}
     for u, v, w in g.edges:
@@ -760,12 +689,10 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
             wj = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == j)
             side[v] = 0 if wj >= wi else 1
     cut = Cut.from_side(g, side)
-    wt = _exact_total(g)
-    exact = Fraction(2, 3) * wt if wt is not None else None
-    value = 2.0 * g.total_weight / 3.0
+    value = 2 * _num(g, g.total_weight) / 3
     details = {"kept_pair": [i, j], "moved_class": k,
                "pair_weight": pair_w[(i, j)]}
-    return _report("two_thirds", g, value, exact, cut, details)
+    return _report("two_thirds", g, value, cut, details)
 
 
 # =====================================================================
@@ -844,7 +771,7 @@ def tree_percolation_bound(g: WeightedGraph,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if g.max_degree() > 3:
-        raise ValueError("graph is not subcubic")
+        raise NotSubcubicError("graph is not subcubic")
     if not g.is_connected():
         raise DisconnectedGraphError("percolation bound needs a spanning tree")
     t = tree if tree is not None else max_spanning_tree(g)

@@ -390,3 +390,41 @@ def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
     out = value[full]
     result = int(round(out)) if g.integer_weights else out
     return result, tuple(sorted(witness_edges))
+
+
+def reference_float_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
+    """Each deterministic bound's formula written out in float arithmetic.
+
+    Values are rebuilt from the quantities a report's ``details`` record,
+    with float constants in the formula's natural operation order.  Returns
+    ``{key: value}``: the bound itself under ``name``, and for
+    ``eight_elevenths`` also its three candidate cuts' certified values.
+    """
+    w, d = g.total_weight, details
+    if name in ("poljak_turzik", "dfs_tree", "triangle_free_tree"):
+        tree = {"poljak_turzik": "min_tree_weight", "dfs_tree": "dfs_tree_weight",
+                "triangle_free_tree": "tree_weight"}[name]
+        return {name: w / 2 + d[tree] / 4}
+    if name == "matching":
+        return {name: (w + d["matching_weight"]) / 2}
+    if name == "girth_layers":
+        k = d["k"]
+        return {name: w / 2 + (k - 1) / (2 * k) * d["dfs_tree_weight"]}
+    if name == "edge_rooted_tree":
+        k = d["k"]
+        return {name: (w / 2 + (k - 1) / (2 * k) * d["tree_weight"]
+                       + d["marked_weight"] / (2 * k))}
+    if name == "matching_vizing":
+        wm, c = d["matching_weight"], d["color_count"]
+        return {name: (w + wm) / 2 + (w - wm) / (2 * c)}
+    if name == "vizing_classes":
+        return {name: d["coefficient"] * w}
+    if name == "two_thirds":
+        return {name: 2.0 * w / 3.0}
+    if name == "eight_elevenths":
+        w0, w1, w2 = d["class_weights"]
+        return {name: (8 / 11) * w,
+                "drop_class": w0 + 2.0 * w1 / 3.0 + w2 / 3.0,
+                "layered_components": 0.5 * w0 + 7.0 * w1 / 8.0 + w2,
+                "mutual_matching": 0.6 * (w0 + w1) + w2}
+    raise KeyError(name)

@@ -258,3 +258,56 @@ def test_bounds_root_zero_on_disconnected_input_is_unchanged(tmp_path):
     _, unrooted = run_cli(base)
     other = unrooted.splitlines(keepends=True)
     assert lines[2] == other[2] and lines[4:] == other[4:]
+
+
+_STAR_K14 = "p 5 4\ne 0 1 1\ne 0 2 2\ne 0 3 3\ne 0 4 4\n"
+
+
+def _skip_rows(text):
+    return [(r["name"], r["reason"]) for r in map(json.loads, text.strip().splitlines())
+            if r.get("skipped")]
+
+
+def test_bounds_skip_rows_star_and_k4(tmp_path):
+    path = tmp_path / "star.graph"
+    path.write_text(_STAR_K14)
+    code, text = run_cli(["bounds", "--input", str(path), "--trials", "8",
+                          "--format", "json-lines"])
+    assert code == 0
+    assert _skip_rows(text) == [(name, "graph is not subcubic") for name in
+                                ("two_thirds", "eight_elevenths", "tree_percolation",
+                                 "combined_tree")]
+    code, text = run_cli(["bounds", "--generate", "complete", "4", "--trials", "8",
+                          "--format", "json-lines"])
+    assert code == 0
+    assert _skip_rows(text) == [
+        ("girth_layers", "girth 3 < 4"),
+        ("triangle_free_tree", "triangle-free tree bound needs girth >= 4"),
+        ("matching_vizing", "matching contraction needs a triangle-free graph"),
+        ("vizing_classes", "coefficient bound needs a triangle-free graph"),
+        ("two_thirds", "bound expects a triangle-free graph"),
+        ("eight_elevenths", "bound expects a triangle-free graph"),
+        ("combined_tree", "bound expects a triangle-free graph"),
+        ("shearer", "redistribution bound expects a triangle-free graph")]
+    code, text = run_cli(["verify", "--input", str(path)])
+    assert code == 0 and "checked=9 ok" in text
+
+
+def test_not_subcubic_is_a_typed_precondition():
+    star = cb.load_graph(_STAR_K14)
+    with pytest.raises(cb.NotSubcubicError, match="graph is not subcubic"):
+        cb.two_thirds_bound(star)
+    assert issubclass(cb.NotSubcubicError, cb.GraphError)
+    assert issubclass(cb.NotSubcubicError, ValueError)
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_internal_value_error_in_a_bound_exits_3(monkeypatch, capsys, command):
+    def boom(g):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cb.subcubic, "two_thirds_bound", boom)
+    code, _ = run_cli([command, "--generate", "cycle", "5", "--trials", "8"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "two_thirds" in err and "boom" in err and "Traceback" not in err
