@@ -21,9 +21,9 @@ from .generators import (complete, cycle, gadget_k33_subdivided, petersen,
                          star_counterexample, star_counterexample_params_ok)
 from .graph import (DisconnectedGraphError, DuplicateEdgeError, GraphError,
                     GraphStats, MalformedLineError, NegativeWeightError,
-                    NonFiniteWeightError, NotSubcubicError, SelfLoopError,
-                    TriangleFoundError, WeightedGraph, girth, load_graph,
-                    save_graph, stats, triangle_free)
+                    NonFiniteWeightError, NotSubcubicError, PreconditionError,
+                    SelfLoopError, TriangleFoundError, WeightedGraph, girth,
+                    load_graph, save_graph, stats, triangle_free)
 from .oracle import (ConjectureReport, OracleResult, SizeGuardError,
                      conjecture_report, enumerate_five_cycles, exact_max_cut,
                      five_cycle_cover, is_exact_five_cycle_cover,

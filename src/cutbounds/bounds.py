@@ -14,13 +14,12 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
-from .graph import (DisconnectedGraphError, WeightedGraph, _cached,
-                    _component_split, stats)
+from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
+                    WeightedGraph, _cached, _component_split, stats)
 from .spanning import (RootedSpanningTree, dfs_tree, girth_layer_certificates,
                        max_spanning_tree, min_spanning_tree,
                        parity_layer_certificates,
                        shortest_fundamental_odd_cycle)
-from .graph import TriangleFoundError
 
 DETERMINISTIC = "deterministic"
 MONTE_CARLO = "monte_carlo"
@@ -29,7 +28,7 @@ EXACT_MATCHING_MAX_EDGES = 24
 ROOT_SWEEP_MAX_N = 64
 
 
-class BoundPreconditionError(Exception):
+class BoundPreconditionError(PreconditionError):
     """The instance violates a bound's precondition (reported, not fatal)."""
 
 

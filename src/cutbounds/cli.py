@@ -14,12 +14,11 @@ from typing import Callable, Optional
 
 from . import bounds as bnd
 from . import generators, oracle, subcubic
-from .bounds import BoundPreconditionError, BoundReport, per_component
+from .bounds import BoundReport, per_component
 from .coloring import matching_vizing_bound, vizing_classes_bound
-from .graph import (DisconnectedGraphError, GraphError, NotSubcubicError,
-                    TriangleFoundError, WeightedGraph, _component_split,
+from .cuts import NotBipartiteError, NotInducedError
+from .graph import (GraphError, PreconditionError, WeightedGraph, _component_split,
                     load_graph, save_graph)
-from .spanning import OddCycleError
 from .subcubic import ClaimViolationError
 
 EXIT_OK = 0
@@ -29,9 +28,6 @@ EXIT_INTERNAL = 3
 
 # Smallest --max-n every kind of random verify instance can be drawn at.
 RANDOM_VERIFY_MIN_N = 4
-
-_SKIPPABLE = (BoundPreconditionError, TriangleFoundError, DisconnectedGraphError,
-              NotSubcubicError, OddCycleError)
 
 
 def _component_roots(g: WeightedGraph,
@@ -82,14 +78,15 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
 def _run_bound(name: str, runner: Callable[[], BoundReport]) -> BoundReport | str:
     """The bound's report, or the reason it does not apply to the graph.
 
-    Any other ``ValueError`` is a fault of the bound, not of the input, so
-    it becomes an internal error that names the bound.
+    Any other ``ValueError``, and a certificate that fails its check, is a
+    fault of the bound, not of the input, so it becomes an internal error
+    that names the bound.
     """
     try:
         return runner()
-    except _SKIPPABLE as exc:
+    except PreconditionError as exc:
         return str(exc)
-    except ValueError as exc:
+    except (ValueError, NotInducedError, NotBipartiteError) as exc:
         raise AssertionError(f"bound {name} failed: {exc}") from exc
 
 

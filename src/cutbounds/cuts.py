@@ -84,6 +84,39 @@ class InducedBipartiteSubgraph:
         return float(sum(g.edges[e][2] for e in self.edge_ids))
 
 
+def _two_color(g: WeightedGraph, edge_ids: Iterable[int]) -> list[dict[int, int]]:
+    """2-color each component of an edge subset, as blocks for ``place_blocks``.
+
+    Blocks are ordered by minimum vertex, each a ``{vertex: color}`` map in
+    BFS order with its minimum vertex on color 0.  Raises NotBipartiteError
+    if a component has an odd cycle.
+    """
+    sub_adj: dict[int, list[int]] = {}
+    for e in sorted(edge_ids):
+        u, v, _ = g.edges[e]
+        sub_adj.setdefault(u, []).append(v)
+        sub_adj.setdefault(v, []).append(u)
+    color: dict[int, int] = {}
+    blocks: list[dict[int, int]] = []
+    for start in sorted(sub_adj):
+        if start in color:
+            continue
+        color[start] = 0
+        block = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in sub_adj[u]:
+                if v not in color:
+                    color[v] = block[v] = color[u] ^ 1
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    raise NotBipartiteError(
+                        f"odd cycle in component containing vertex {start}")
+        blocks.append(block)
+    return blocks
+
+
 def verify_induced_bipartite(g: WeightedGraph, edge_ids: Iterable[int]) -> InducedBipartiteSubgraph:
     """Check the certificate conditions for an edge subset.
 
@@ -95,39 +128,16 @@ def verify_induced_bipartite(g: WeightedGraph, edge_ids: Iterable[int]) -> Induc
     for e in ids:
         if not (0 <= e < g.m):
             raise ValueError(f"edge id {e} out of range")
-    sub_adj: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(ids):
-        u, v, _ = g.edges[e]
-        sub_adj.setdefault(u, []).append((v, e))
-        sub_adj.setdefault(v, []).append((u, e))
-
-    color: dict[int, int] = {}
     comps: list[BipartiteComponent] = []
-    for start in sorted(sub_adj):
-        if start in color:
-            continue
-        color[start] = 0
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in sub_adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    comp.append(v)
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise NotBipartiteError(
-                        f"odd cycle in component containing vertex {start}")
-        comp.sort()
-        comp_set = set(comp)
+    for block in _two_color(g, ids):
+        comp = sorted(block)
         for u in comp:
             for v, eid in g.adj[u]:
-                if v in comp_set and eid not in ids:
+                if v in block and eid not in ids:
                     raise NotInducedError(
-                        f"component of vertex {start} induces edge ({u}, {v}) "
+                        f"component of vertex {comp[0]} induces edge ({u}, {v}) "
                         "outside the edge set")
-        comps.append(BipartiteComponent(tuple(comp), tuple(color[v] for v in comp)))
+        comps.append(BipartiteComponent(tuple(comp), tuple(block[v] for v in comp)))
     return InducedBipartiteSubgraph(ids, tuple(comps))
 
 

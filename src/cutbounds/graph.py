@@ -3,7 +3,7 @@
 Graphs are simple and undirected with nonnegative real edge weights.
 The text format is line oriented: ``c`` comment lines, one header line
 ``p <num_vertices> <num_edges>``, then ``e <u> <v> <weight>`` lines with
-0-based vertex ids and a decimal weight.
+0-based vertex ids and a decimal weight, every field in ASCII.
 """
 
 from __future__ import annotations
@@ -41,15 +41,19 @@ class NonFiniteWeightError(GraphError):
     """An edge weight is NaN or infinite, or the total weight overflows."""
 
 
-class DisconnectedGraphError(GraphError):
+class PreconditionError(GraphError):
+    """The graph is outside what the operation applies to (a bound is skipped)."""
+
+
+class DisconnectedGraphError(PreconditionError):
     """The operation requires a connected graph."""
 
 
-class TriangleFoundError(GraphError):
+class TriangleFoundError(PreconditionError):
     """The operation requires a triangle-free graph."""
 
 
-class NotSubcubicError(GraphError, ValueError):
+class NotSubcubicError(PreconditionError, ValueError):
     """The operation requires a graph of maximum degree at most 3."""
 
 
@@ -327,6 +331,9 @@ def load_graph(text: str) -> WeightedGraph:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        # int() and float() would also take Unicode digits and "_" groups
+        if not line.isascii() or "_" in line:
+            raise MalformedLineError(f"line {lineno}: non-ASCII character or '_' in a field")
         fields = line.split()
         if fields[0] == "p":
             if n is not None:

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cuts import InducedBipartiteSubgraph, verify_induced_bipartite
-from .graph import DisconnectedGraphError, WeightedGraph, stats
+from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph, stats
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
 
 
-class OddCycleError(Exception):
+class OddCycleError(PreconditionError):
     """A short odd cycle violates a layer-decomposition precondition."""
 
 
@@ -122,23 +122,24 @@ def cross_edges(g: WeightedGraph, t: RootedSpanningTree) -> list[int]:
     return bad
 
 
+def _find(par: list[int], x: int) -> int:
+    """Root of ``x`` in the union-find forest ``par``, halving the path."""
+    while par[x] != x:
+        par[x] = par[par[x]]
+        x = par[x]
+    return x
+
+
 def _kruskal(g: WeightedGraph, maximize: bool) -> frozenset[int]:
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     order = sorted(range(g.m),
                    key=lambda e: (-g.edges[e][2] if maximize else g.edges[e][2], e))
     par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
     chosen: set[int] = set()
     for eid in order:
         u, v, _ = g.edges[eid]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(par, u), _find(par, v)
         if ru != rv:
             par[ru] = rv
             chosen.add(eid)
@@ -211,18 +212,11 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> list[lis
             if min(lu, lv) % k != j:
                 kept.append(eid)
         par = list(range(g.n))
-
-        def find(x: int) -> int:
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
         for eid in kept:
             u, v, _ = g.edges[eid]
-            par[find(u)] = find(v)
+            par[_find(par, u)] = _find(par, v)
         extra = [eid for eid in non_tree
-                 if find(g.edges[eid][0]) == find(g.edges[eid][1])]
+                 if _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
         sets.append(sorted(kept + extra))
     return sets
 

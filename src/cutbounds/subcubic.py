@@ -19,13 +19,14 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .bounds import BoundReport, MONTE_CARLO, _cached_report, _num, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
-from .cuts import Cut, local_search_improve, place_blocks
+from .cuts import Cut, _two_color, local_search_improve, place_blocks
+from .generators import _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, triangle_free)
 from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
@@ -68,12 +69,6 @@ class VertexColoring3:
                 raise AssertionError(f"monochromatic edge ({u}, {v})")
         if any(c not in (1, 2, 3) for c in self.class_of):
             raise AssertionError("color out of range")
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        out: tuple[list[int], ...] = ([], [], [])
-        for v, c in enumerate(self.class_of):
-            out[c - 1].append(v)
-        return tuple(tuple(c) for c in out)
 
 
 def _peel_greedy(g: WeightedGraph) -> list[int]:
@@ -291,11 +286,8 @@ def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
     gadgets = 0
     for s in range(g.n):
         for _ in range(3 - g.degree(s)):
-            a0, a1, a2, b0, b1, b2, mid = range(n, n + 7)
-            for x, y in ((a0, b1), (a0, b2), (a1, b0), (a1, b1), (a1, b2),
-                         (a2, b0), (a2, b1), (a2, b2), (a0, mid), (b0, mid)):
-                edges.append((x, y, 0.0))
-            edges.append((s, mid, 0.0))
+            edges += [(x, y, 0.0) for x, y in _gadget_pairs(n)]
+            edges.append((s, n + 6, 0.0))  # the subdivision vertex
             n += 7
             gadgets += 1
     if gadgets == 0:
@@ -384,35 +376,6 @@ def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassificati
 # =====================================================================
 
 
-def _two_color_blocks(g: WeightedGraph, edge_ids: Sequence[int]) -> list[dict[int, int]]:
-    """2-color the components of an edge subset; raise if one is odd."""
-    adj: dict[int, list[int]] = {}
-    for e in edge_ids:
-        u, v, _ = g.edges[e]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color: dict[int, int] = {}
-    blocks: list[dict[int, int]] = []
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        block = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    block[v] = color[v]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise ClaimViolationError(
-                        f"edge set component at vertex {start} is not bipartite")
-        blocks.append(block)
-    return blocks
-
-
 def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
                   succ: SuccessorDigraph,
                   cls: Optional[EdgeClassification] = None
@@ -432,7 +395,7 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
             if s is not None and coloring.class_of[v] == i:
                 dropped.add(g.edge_id(v, s))
         residue = [e for e in range(g.m) if e not in dropped]
-        cut = place_blocks(g, _two_color_blocks(g, residue))
+        cut = place_blocks(g, _two_color(g, residue))
         if best is None or cut.weight > best.weight:
             best = cut
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
@@ -453,16 +416,21 @@ def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None
                 "(expected a multiple of 3)")
 
 
-def _layered_local_cut(h: WeightedGraph, tree_ids: frozenset[int],
-                       roots: tuple[int, ...], k: int = 4) -> Cut:
-    """Best of the k layer cuts of a component with its spanning tree."""
-    t = _orient(h, tree_ids, roots, "arbitrary")
+def _layered_sides(g: WeightedGraph, members: list[int], star_edges: set[int],
+                   roots: tuple[int, ...]) -> dict[int, int]:
+    """Sides, by host vertex, of the best k = 4 layer cut of ``g`` induced on
+    ``members``, whose star edges are a spanning tree leveled from ``roots``
+    and close only cycles of length divisible by 3."""
+    sub, orig_v, orig_e = g.induced(members)
+    tree_ids = frozenset(i for i, oe in enumerate(orig_e) if oe in star_edges)
+    _assert_cycles_divisible(sub, tree_ids)
+    t = _orient(sub, tree_ids, tuple(orig_v.index(r) for r in roots), "arbitrary")
     best: Optional[Cut] = None
-    for s in layer_edge_sets(h, t, k):
-        cut = place_blocks(h, _two_color_blocks(h, s))
+    for s in layer_edge_sets(sub, t, 4):
+        cut = place_blocks(sub, _two_color(sub, s))
         if best is None or cut.weight > best.weight:
             best = cut
-    return best
+    return dict(zip(orig_v, best.side))
 
 
 def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
@@ -478,14 +446,14 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
     length is then at least 9).  Certified value: (1/2) w0 + (7/8) w1 + w2.
     """
     cls = cls or classify_edges(g, succ)
-    star_edges = sorted(set(cls.edge_ids(1)) | set(cls.edge_ids(2)))
-    comp_of = WeightedGraph(g.n, (g.edges[e] for e in star_edges)).components()
+    star_edges = set(cls.edge_ids(1)) | set(cls.edge_ids(2))
+    comp_of = WeightedGraph(g.n, (g.edges[e] for e in sorted(star_edges))).components()
     blocks: list[dict[int, int]] = []
     for comp in comp_of:
         if len(comp) == 1:
             blocks.append({comp[0]: 0})
             continue
-        blocks.append(_component_block(g, succ, comp, set(star_edges)))
+        blocks.append(_component_block(g, succ, comp, star_edges))
     cut = place_blocks(g, blocks)
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
     value = w0 / 2 + 7 * w1 / 8 + w2
@@ -508,25 +476,11 @@ def _walk_cycle(succ: SuccessorDigraph, comp: list[int]) -> Optional[list[int]]:
 
 def _component_block(g: WeightedGraph, succ: SuccessorDigraph, comp: list[int],
                      star_edges: set[int]) -> dict[int, int]:
-    sub, orig_v, orig_e = g.induced(comp)
-    local = {v: i for i, v in enumerate(orig_v)}
-    e_local = {oe: i for i, oe in enumerate(orig_e)}
-    comp_star = [e_local[oe] for oe in orig_e if oe in star_edges]
     cycle = _walk_cycle(succ, comp)
-
-    if cycle is None:
-        root = next(v for v in comp if succ.succ[v] is None)
-        tree_ids = frozenset(comp_star)
-        _assert_cycles_divisible(sub, tree_ids)
-        cut = _layered_local_cut(sub, tree_ids, (local[root],))
-        return {orig_v[i]: s for i, s in enumerate(cut.side)}
-
-    if len(cycle) == 2:
-        tree_ids = frozenset(comp_star)
-        _assert_cycles_divisible(sub, tree_ids)
-        roots = (local[cycle[0]], local[cycle[1]])
-        cut = _layered_local_cut(sub, tree_ids, tuple(sorted(roots)))
-        return {orig_v[i]: s for i, s in enumerate(cut.side)}
+    if cycle is None or len(cycle) == 2:
+        # an in-tree leveled from its sink, or a tree leveled from its mutual edge
+        roots = sorted(cycle) if cycle else [next(v for v in comp if succ.succ[v] is None)]
+        return _layered_sides(g, comp, star_edges, tuple(roots))
 
     # long directed cycle: length divisible by 3, chordless, and the only
     # edges between distinct hanging subtrees are the cycle edges
@@ -555,25 +509,19 @@ def _component_block(g: WeightedGraph, succ: SuccessorDigraph, comp: list[int],
 
     for v in comp:
         anchor[v] = entry(v) if v not in cyc_set else v
-    for u, v, _ in sub.edges:
-        au, av = anchor[orig_v[u]], anchor[orig_v[v]]
-        if au != av and frozenset((orig_v[u], orig_v[v])) not in cyc_pairs:
-            raise ClaimViolationError(
-                "edge between distinct hanging subtrees off the successor cycle")
+    for u in comp:
+        for v, _ in g.adj[u]:
+            if (v in anchor and anchor[v] != anchor[u]
+                    and frozenset((u, v)) not in cyc_pairs):
+                raise ClaimViolationError(
+                    "edge between distinct hanging subtrees off the successor cycle")
 
     side: dict[int, int] = {}
     local_sides: dict[int, dict[int, int]] = {}
     for cj in cycle:
         members = sorted(v for v in comp if anchor[v] == cj)
-        if len(members) == 1:
-            local_sides[cj] = {cj: 0}
-            continue
-        tsub, t_orig_v, t_orig_e = g.induced(members)
-        t_star = frozenset(i for i, oe in enumerate(t_orig_e) if oe in star_edges)
-        _assert_cycles_divisible(tsub, t_star)
-        t_local_root = t_orig_v.index(cj)
-        cut = _layered_local_cut(tsub, t_star, (t_local_root,))
-        local_sides[cj] = {t_orig_v[i]: s for i, s in enumerate(cut.side)}
+        local_sides[cj] = ({cj: 0} if len(members) == 1
+                           else _layered_sides(g, members, star_edges, (cj,)))
 
     order = list(cycle)
     if len(order) % 2 == 1:
@@ -936,13 +884,6 @@ def _block_ranges(g: WeightedGraph, trials: int,
         yield start, min(start + rows, seed + trials)
 
 
-def _trial_blocks(g: WeightedGraph, trials: int,
-                  seed: int) -> Iterator[list[random.Random]]:
-    """The generators ``random.Random(seed + i)`` of every trial, in blocks."""
-    for start, stop in _block_ranges(g, trials, seed):
-        yield [random.Random(s) for s in range(start, stop)]
-
-
 # The last word matrix ``_trial_words`` drew, keyed on its ``(start, stop)``.
 _drawn_words: dict[tuple[int, int], np.ndarray] = {}
 _MIN_WORDS = 64
@@ -1004,7 +945,8 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
 
     Trial i draws ``2k`` words for the keep decisions of the k tree edges,
     then one word per kept-forest component for its orientation; both are
-    a prefix of the first ``2k + n`` words of its stream.  Every kept edge
+    a prefix of its first ``2k + n <= 3n`` words, the prefix that
+    ``_shearer_raw_cuts`` asks for, so both read one matrix.  Every kept edge
     is a tree edge, so each kept-forest component is a subtree of ``t``
     rooted at vertex 0.  Its top is found by pointer jumping along kept
     parent edges, and the 2-color of v measured from the component's
@@ -1025,7 +967,7 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
     ends, weights = _edge_arrays(g)
     for start, stop in _block_ranges(g, trials, seed):
         b = stop - start
-        words = _trial_words(start, stop, 2 * k + n)
+        words = _trial_words(start, stop, 3 * n)
         kept = np.zeros((b, k + 1), dtype=bool)
         kept[:, :k] = _uniforms(words[:, :2 * k]) < p
         top = np.where(kept[:, parent_edge], parent, verts)
@@ -1048,21 +990,28 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
 
 
 def _shearer_raw_cuts(g: WeightedGraph, trials: int, seed: int) -> Iterator[Cut]:
-    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i."""
+    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i.
+
+    Trial i draws n first-stage bits, then one bit per tied vertex, then
+    one per vertex that is not good, each in vertex order: a prefix of the
+    first ``3n`` words of its stream.  A vertex's tie bit or redraw is the
+    word at its rank among the tied or not-good vertices of its trial.
+    """
     n = g.n
     ends, weights = _edge_arrays(g)
     degree = np.array([g.degree(v) for v in range(n)])
-    for rngs in _trial_blocks(g, trials, seed):
-        b = len(rngs)
-        sides = (np.stack([_mt_words(r, n) for r in rngs]) >> 31).astype(np.int8)
-        crossing = sides[:, ends[0]] != sides[:, ends[1]]
+    for start, stop in _block_ranges(g, trials, seed):
+        b = stop - start
+        bits = (_trial_words(start, stop, 3 * n) >> 31).astype(np.int8)
+        first = bits[:, :n]
+        crossing = first[:, ends[0]] != first[:, ends[1]]
         cells = n * np.arange(b)[:, None, None] + ends
         other = np.bincount(cells[np.broadcast_to(crossing[:, None], cells.shape)],
                             minlength=b * n).reshape(b, n)
-        good = 2 * other > degree
         tie = 2 * other == degree
-        for i, r in enumerate(rngs):
-            good[i, tie[i]] = _mt_words(r, np.count_nonzero(tie[i])) >> 31
-            stay = good[i]
-            sides[i, ~stay] = _mt_words(r, n - np.count_nonzero(stay)) >> 31
+        tie_bits = np.take_along_axis(bits, n - 1 + np.cumsum(tie, axis=1), axis=1)
+        good = (2 * other > degree) | (tie & (tie_bits == 1))
+        past_ties = n - 1 + np.count_nonzero(tie, axis=1)[:, None]
+        redraws = np.take_along_axis(bits, past_ties + np.cumsum(~good, axis=1), axis=1)
+        sides = np.where(good, first, redraws)
         yield from _block_cuts(g, sides, ends, weights)

@@ -184,6 +184,38 @@ def random_certificate_edges(g: WeightedGraph, rng: random.Random) -> list[int]:
     return sorted(set(out))
 
 
+def two_color_blocks(g: WeightedGraph, edge_ids) -> list[dict[int, int]]:
+    """2-color the components of an edge subset, BFS from each lowest
+    uncolored vertex over the edges in the order given; raise
+    NotBipartiteError if one is odd."""
+    from collections import deque
+    adj: dict[int, list[int]] = {}
+    for e in edge_ids:
+        u, v, _ = g.edges[e]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    color: dict[int, int] = {}
+    blocks: list[dict[int, int]] = []
+    for start in sorted(adj):
+        if start in color:
+            continue
+        color[start] = 0
+        block = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = color[u] ^ 1
+                    block[v] = color[v]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    raise NotBipartiteError(
+                        f"edge set component at vertex {start} is not bipartite")
+        blocks.append(block)
+    return blocks
+
+
 def peel_colors_by_scan(g: WeightedGraph) -> list[int]:
     """Reverse-degeneracy greedy 3-coloring, rescanning every vertex per step.
 

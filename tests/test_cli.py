@@ -311,3 +311,24 @@ def test_internal_value_error_in_a_bound_exits_3(monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert code == 3
     assert "two_thirds" in err and "boom" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [cb.NotInducedError, cb.NotBipartiteError])
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_certificate_failure_in_a_bound_exits_3(monkeypatch, capsys, command, error):
+    def broken(g):
+        raise error("bad certificate")
+
+    monkeypatch.setattr(cb.subcubic, "two_thirds_bound", broken)
+    code, _ = run_cli([command, "--generate", "cycle", "5", "--trials", "8"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: ") and "two_thirds" in err
+    assert "bad certificate" in err and "Traceback" not in err
+
+
+def test_skips_are_precondition_errors():
+    for error in (cb.BoundPreconditionError, cb.TriangleFoundError,
+                  cb.DisconnectedGraphError, cb.NotSubcubicError, cb.OddCycleError):
+        assert issubclass(error, cb.PreconditionError)
+    assert issubclass(cb.PreconditionError, cb.GraphError)

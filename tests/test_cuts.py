@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.cuts import place_blocks
-from helpers import random_certificate_edges, random_connected_graph
+from cutbounds.cuts import _two_color, place_blocks
+from helpers import random_certificate_edges, random_connected_graph, two_color_blocks
 
 
 def test_verify_single_edge():
@@ -139,3 +139,29 @@ def test_empty_and_single_vertex_graphs():
     assert cut.side == (0,)
     with pytest.raises(cb.DisconnectedGraphError):
         cb.dfs_bound(empty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 12), st.integers(0, 2 ** 32), st.data())
+def test_two_color_equals_reference_blocks(n, extra, seed, data):
+    g = random_connected_graph(n, extra, random.Random(seed))
+    ids = sorted(data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else [])
+    try:
+        want = two_color_blocks(g, ids)
+    except cb.NotBipartiteError:
+        with pytest.raises(cb.NotBipartiteError):
+            _two_color(g, ids)
+        return
+    got = _two_color(g, ids)
+    assert [list(b.items()) for b in got] == [list(b.items()) for b in want]
+    assert all(b[min(b)] == 0 for b in got)
+    assert [min(b) for b in got] == sorted(min(b) for b in got)
+
+
+def test_two_color_rejects_odd_cycles():
+    g = cb.cycle(7)
+    with pytest.raises(cb.NotBipartiteError):
+        _two_color(g, range(g.m))
+    with pytest.raises(cb.NotBipartiteError):
+        two_color_blocks(g, range(g.m))
+    assert _two_color(g, range(g.m - 1)) == two_color_blocks(g, range(g.m - 1))

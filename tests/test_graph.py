@@ -59,9 +59,24 @@ def test_non_finite_weights_rejected(edges):
     "p 2 1\nq 0 1 1\n",               # unknown line type
     "p 2 2\ne 0 1 1\n",               # edge count mismatch
     "p 2 1\ne 0 1 x\n",               # unparsable weight
+    "p 3 1\ne 0 1 1_0\n",             # underscore-grouped weight
+    "p 3 1\ne 1 \uff12 7\n",           # full-width digit as a vertex id
+    "p 3 1\ne 0 \u0661 7\n",           # Arabic-Indic digit as a vertex id
+    "p 0_3 2\ne 0 1 1\ne 1 2 1\n",    # underscore in the header
+    "p 3 1\ne 0 1 \uff17\n",           # full-width digit as a weight
 ])
 def test_malformed_lines(text):
     with pytest.raises(cb.MalformedLineError):
+        cb.load_graph(text)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("p 2 1\ne 0 1 nan\n", cb.NonFiniteWeightError, "non-finite weight nan"),
+    ("p 2 1\ne 0 1 inf\n", cb.NonFiniteWeightError, "non-finite weight inf"),
+    ("p -1 0\n", cb.MalformedLineError, "negative header field"),
+])
+def test_ascii_fields_keep_their_messages(text, error, message):
+    with pytest.raises(error, match=message):
         cb.load_graph(text)
 
 

@@ -587,3 +587,51 @@ def test_trial_words_are_read_only_prefixes_of_each_stream(monkeypatch):
     for row, s in zip(wide, range(10, 14)):
         assert row.tolist() == _mt_words(random.Random(s), 200).tolist()
     assert narrow.tolist() == wide[:, :7].tolist()
+
+
+# -- shearer reads the same word matrix as percolation ----------------------
+
+
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_shearer_equals_per_sample_loop_on_a_disconnected_union(monkeypatch,
+                                                                integer_weights):
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    g = _shapes_union(integer_weights)
+    _assert_matches_reference(cb.shearer_bound(g, trials=64, seed=3),
+                              *_reference_shearer(g, 64, 3))
+
+
+def test_shearer_equals_per_sample_loop_after_and_before_percolation(monkeypatch):
+    g = random_tf_subcubic_graph(15, random.Random(12), True)
+    assert g.is_connected()
+    want = _reference_shearer(g, 100, 5)
+    # percolation draws first and caches a matrix wider than shearer asks for
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    cb.tree_percolation_bound(g, trials=100, seed=5)
+    assert subcubic._drawn_words[(5, 105)].shape[1] > 3 * g.n
+    _assert_matches_reference(cb.shearer_bound(g, trials=100, seed=5), *want)
+    # shearer draws first, on a fresh graph so nothing is memoized
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    h = cb.WeightedGraph(g.n, g.edges)
+    _assert_matches_reference(cb.shearer_bound(h, trials=100, seed=5), *want)
+    t = max_spanning_tree(h)
+    _assert_matches_reference(cb.tree_percolation_bound(h, t, trials=100, seed=5),
+                              *_reference_percolation(h, t, 0.85, 100, 5))
+
+
+def test_shearer_after_percolation_seeds_no_generator(monkeypatch):
+    g = random_tf_subcubic_graph(40, random.Random(3), True)
+    assert g.is_connected() and max(g.n, g.m) * 256 <= _BLOCK_CELLS
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
+    cb.tree_percolation_bound(g, trials=256, seed=0)
+    assert sorted(seeded) == list(range(256))
+    cb.shearer_bound(g, trials=256, seed=0)
+    assert len(seeded) == 256
