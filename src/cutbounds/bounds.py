@@ -118,18 +118,13 @@ def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
     """DFS tree maximizing tree weight over the swept roots (ties: lowest root)."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    best = None
-    for r in _dfs_root_policy(g, root, sweep):
-        t = dfs_tree(g, r)
-        if best is None or t.weight > best.weight:
-            best = t
-    return best
+    return max((dfs_tree(g, r) for r in _dfs_root_policy(g, root, sweep)),
+               key=lambda t: t.weight)
 
 
 def _parity_cut(g: WeightedGraph, t: RootedSpanningTree) -> Cut:
     """Better of the two parity-layer derandomized cuts of a tree."""
-    c1, c2 = (derandomized_cut(g, cert) for cert in parity_layer_certificates(g, t))
-    return c1 if c1.weight >= c2.weight else c2
+    return _best_layer_cut(g, parity_layer_certificates(g, t))[0]
 
 
 def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
@@ -165,6 +160,11 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
 def greedy_matching(g: WeightedGraph) -> tuple[int, ...]:
     """Heaviest-first greedy matching (ties by edge id), then one swap pass."""
     order = sorted(range(g.m), key=lambda e: (-g.edges[e][2], e))
+    return _swap_pass(g, _maximal_matching(g, order))
+
+
+def _maximal_matching(g: WeightedGraph, order) -> list[int]:
+    """The edges of ``order`` taken greedily while both ends are free, in order."""
     used = [False] * g.n
     chosen: list[int] = []
     for eid in order:
@@ -172,7 +172,7 @@ def greedy_matching(g: WeightedGraph) -> tuple[int, ...]:
         if not used[u] and not used[v]:
             used[u] = used[v] = True
             chosen.append(eid)
-    return _swap_pass(g, chosen)
+    return chosen
 
 
 def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:
@@ -272,13 +272,12 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
 
 
 def _best_layer_cut(g: WeightedGraph, certs) -> tuple[Cut, int]:
-    best = None
-    best_j = 0
-    for j, cert in enumerate(certs):
-        c = derandomized_cut(g, cert)
-        if best is None or c.weight > best.weight:
-            best, best_j = c, j
-    return best, best_j
+    """The heaviest derandomized cut over ``certs``, and its index.  Ties go to
+    the first: every best-of in the engine is ``max``, which keeps the first
+    maximum.  Cuts are streamed, as acyclic inputs have k = n certificates."""
+    j, cut = max(enumerate(derandomized_cut(g, cert) for cert in certs),
+                 key=lambda jc: jc[1].weight)
+    return cut, j
 
 
 def girth_bound(g: WeightedGraph, k: Optional[int] = None,
@@ -389,16 +388,13 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
         for i, s in enumerate(rep.cut.side):
             side[orig_v[i]] = s
     cut = Cut.from_side(g, side)
-    exact = None
-    if g.integer_weights and all(r.bound_exact is not None for r in reports):
-        exact = sum((r.bound_exact for r in reports), Fraction(0))
-        total = float(exact)
-    else:
-        total = 0.0
-        for r in reports:  # left to right: sum() rounds differently on 3.12+
-            total += r.bound_value
+    exact = g.integer_weights and all(r.bound_exact is not None for r in reports)
+    total = Fraction(0) if exact else 0.0
+    for r in reports:  # left to right: sum() rounds differently on 3.12+
+        total += r.bound_exact if exact else r.bound_value
     mode = (DETERMINISTIC if all(r.mode == DETERMINISTIC for r in reports)
             else MONTE_CARLO)
     details = {"components": len(split),
                "component_bounds": [r.bound_value for r in reports]}
-    return BoundReport(name or reports[0].name, total, cut, mode, exact, details)
+    return BoundReport(name or reports[0].name, float(total), cut, mode,
+                       total if exact else None, details)

@@ -8,6 +8,7 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Callable, Optional
@@ -117,14 +118,13 @@ def _render_reports(rows: list[dict], fmt: str, out) -> None:
 
 
 def _report_row(rep: BoundReport) -> dict:
-    details = {k: v for k, v in rep.details.items()}
     return {
         "name": rep.name,
         "bound_value": rep.bound_value,
         "cut_weight": rep.cut.weight,
         "mode": rep.mode,
         "cut": rep.cut.bitstring(),
-        "details": _json_safe(details),
+        "details": _json_safe(rep.details),
     }
 
 
@@ -185,27 +185,27 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_one(g: WeightedGraph, seed: int, max_n: int, out) -> tuple[int, int, list[str]]:
-    """Run every deterministic bound; check cut >= bound and bound <= mac."""
+def _verify_one(g: WeightedGraph, seed: int, trials: int, max_n: int,
+                guard: int) -> tuple[int, list[str]]:
+    """Run every bound; check cut >= bound and, for n <= max_n, bound <= max cut
+    and cut <= max cut, exactly when the weights are integral."""
     failures: list[str] = []
     checked = 0
-    mac = None
-    if g.n <= max_n:
-        mac = float(oracle.exact_max_cut(g, max_n).value)
-    eps = bnd.slack(g)
-    for name, runner in _bound_suite(g, seed, trials=16, root=None, sweep=None):
+    mac = oracle.exact_max_cut(g, guard).value if g.n <= max_n else None
+    for name, runner in _bound_suite(g, seed, trials, root=None, sweep=None):
         rep = _run_bound(name, runner)
         if isinstance(rep, str):
             continue
         checked += 1
-        if rep.mode == bnd.DETERMINISTIC and not rep.certified(g):
+        if not rep.certified(g):
             failures.append(f"{name}: cut {rep.cut.weight} below bound {rep.bound_value}")
         if mac is not None:
-            if rep.mode == bnd.DETERMINISTIC and rep.bound_value > mac + eps:
-                failures.append(f"{name}: bound {rep.bound_value} exceeds max cut {mac}")
-            if rep.cut.weight > mac + eps:
-                failures.append(f"{name}: cut {rep.cut.weight} exceeds max cut {mac}")
-    return checked, 0 if not failures else 1, failures
+            bound = rep.bound_value if rep.bound_exact is None else rep.bound_exact
+            if rep.mode == bnd.DETERMINISTIC and not bnd.meets(g, mac, bound):
+                failures.append(f"{name}: bound {rep.bound_value} exceeds max cut {float(mac)}")
+            if not bnd.meets(g, mac, bnd._num(g, rep.cut.weight)):
+                failures.append(f"{name}: cut {rep.cut.weight} exceeds max cut {float(mac)}")
+    return checked, failures
 
 
 def _random_verify_instance(index: int, seed: int, max_n: int) -> WeightedGraph:
@@ -233,10 +233,14 @@ def _random_verify_instance(index: int, seed: int, max_n: int) -> WeightedGraph:
 
 def cmd_verify(args, out) -> int:
     instances: list[tuple[str, WeightedGraph]] = []
+    guard = _guard(args, oracle.MAX_CUT_GUARD)
     if args.random:
         if args.max_n < RANDOM_VERIFY_MIN_N:
             raise ValueError(f"--max-n must be at least {RANDOM_VERIFY_MIN_N} with --random, "
                              f"got {args.max_n}")
+        if args.max_n > guard:
+            raise oracle.SizeGuardError(f"--max-n {args.max_n} with --random draws instances "
+                                        f"past the max cut guard n <= {guard}")
         for i in range(args.random):
             g = _random_verify_instance(i, args.seed, args.max_n)
             instances.append((f"random[{i}]", g))
@@ -244,8 +248,8 @@ def cmd_verify(args, out) -> int:
         instances.append(("input", _load_input(args)))
     total_failures: list[str] = []
     for label, g in instances:
-        checked, status, failures = _verify_one(g, args.seed, args.max_n, out)
-        marker = "ok" if status == 0 else "FAIL"
+        checked, failures = _verify_one(g, args.seed, args.trials, args.max_n, guard)
+        marker = "FAIL" if failures else "ok"
         print(f"{label}: n={g.n} m={g.m} checked={checked} {marker}", file=out)
         for f in failures:
             print(f"  {f}", file=out)
@@ -271,17 +275,7 @@ def cmd_conjecture(args, out) -> int:
     g = _load_input(args)
     rep = oracle.conjecture_report(g, seed=args.seed,
                                    max_n=_guard(args, 20))
-    row = {
-        "n": rep.n, "m": rep.m, "total_weight": rep.total_weight,
-        "max_cut": rep.max_cut, "cut_ratio": rep.cut_ratio,
-        "theta_ratio": rep.theta_ratio,
-        "theta_tree_weight": rep.theta_tree_weight,
-        "matching_ratio": rep.matching_ratio,
-        "matching_weight": rep.matching_weight,
-        "five_cycle_cover_size": rep.five_cycle_cover_size,
-        "five_cycle_applicable": rep.five_cycle_applicable,
-        "flags": rep.flags,
-    }
+    row = dataclasses.asdict(rep)
     if args.format == "json-lines":
         print(json.dumps(row, sort_keys=True), file=out)
     else:
@@ -306,16 +300,11 @@ def _int_at_least(lowest: int) -> Callable[[str], int]:
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument("--input", help="graph file to load")
-        parser.add_argument("--generate", nargs="+", metavar="ARG",
-                            help="generator kind followed by its parameters")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=_int_at_least(1), default=256)
-    parser.add_argument("--format", choices=("table", "json-lines"), default="table")
-    parser.add_argument("--max-n-override", type=_int_at_least(0), default=None,
-                        help="override oracle size guards")
+def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,21 +313,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified lower bounds and explicit cuts for maximum weighted cut")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="run every applicable bound")
-    _add_common(p)
+    graph_input = _option("--input", help="graph file to load")
+    graph_input.add_argument("--generate", nargs="+", metavar="ARG",
+                             help="generator kind followed by its parameters")
+    seed = _option("--seed", type=int, default=0)
+    fmt = _option("--format", choices=("table", "json-lines"), default="table")
+    guard = _option("--max-n-override", type=_int_at_least(0), default=None,
+                    help="override oracle size guards")
+
+    def trials(default: int) -> argparse.ArgumentParser:
+        return _option("--trials", type=_int_at_least(1), default=default)
+
+    p = sub.add_parser("bounds", parents=[graph_input, seed, trials(256), fmt],
+                       help="run every applicable bound")
     p.add_argument("--root", type=int, default=None, help="DFS root")
     p.add_argument("--best-roots", action="store_true",
                    help="sweep all DFS roots (default for small graphs)")
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("oracle", help="exact desk-scale quantities")
+    p = sub.add_parser("oracle", parents=[graph_input, fmt, guard],
+                       help="exact desk-scale quantities")
     p.add_argument("quantity", choices=("max-cut", "max-induced-bipartite",
                                         "max-dfs-tree", "five-cycle-cover"))
-    _add_common(p)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("verify", help="soundness sweep: cut >= bound <= max cut")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[graph_input, seed, trials(16), guard],
+                       help="soundness sweep: cut >= bound <= max cut")
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="verify this many seeded random instances")
     p.add_argument("--max-n", type=int, default=14,
@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("conjecture", help="per-instance conjecture evidence ratios")
-    _add_common(p)
+    p = sub.add_parser("conjecture", parents=[graph_input, seed, fmt, guard],
+                       help="per-instance conjecture evidence ratios")
     p.set_defaults(fn=cmd_conjecture)
 
     return parser

@@ -222,14 +222,9 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
         coloring = vizing_edge_coloring(con.base)
         classes = coloring.classes()
     c = max(len(classes), 1)
-    best = None
-    best_class = None
-    for i, cls in enumerate(classes or [[]]):
-        lifted = con.lift_matching(cls)
-        cert = verify_induced_bipartite(g, set(m_ids) | set(lifted))
-        cut = derandomized_cut(g, cert)
-        if best is None or cut.weight > best.weight:
-            best, best_class = cut, i
+    cuts = (derandomized_cut(g, verify_induced_bipartite(
+        g, set(m_ids) | set(con.lift_matching(cls)))) for cls in classes or [[]])
+    best_class, best = max(enumerate(cuts), key=lambda ic: ic[1].weight)
     wm_f = float(sum(g.edges[e][2] for e in m_ids))
     w, wm = _num(g, g.total_weight), _num(g, wm_f)
     value = (w + wm) / 2 + (w - wm) / (2 * c)
@@ -279,12 +274,9 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
                        {"delta": 0, "class_count": 0})
     delta = g.max_degree()
     coloring = vizing_edge_coloring(g)
-    best = None
-    best_class = None
-    for i, cls in enumerate(coloring.classes()):
-        rep = matching_vizing_bound(g, cls)
-        if best is None or rep.cut.weight > best.cut.weight:
-            best, best_class = rep, i
+    best_class, best = max(enumerate(matching_vizing_bound(g, cls)
+                                     for cls in coloring.classes()),
+                           key=lambda ir: ir[1].cut.weight)
     coeff = vizing_classes_coefficient_exact(delta)
     value = coeff * _num(g, g.total_weight)
     details = {"delta": delta, "class_count": coloring.color_count,

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import greedy_matching, slack
+from .bounds import _maximal_matching, greedy_matching, slack
 from .cuts import Cut
 from .graph import DisconnectedGraphError, WeightedGraph, stats
 from .spanning import min_spanning_tree, max_spanning_tree
@@ -258,23 +258,17 @@ def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> Orac
         if hit is not None:
             return hit
         u = stack[-1]
-        best = None
-        for v, eid in g.adj[u]:
-            if mask >> v & 1:
-                continue
+
+        def grow(v: int, eid: int) -> tuple[float, tuple[int, ...]]:
             sub_w, sub_e = explore(mask | (1 << v), stack + (v,))
-            cand = (g.edges[eid][2] + sub_w, (eid,) + sub_e)
-            if best is None or cand[0] > best[0]:
-                best = cand
-        memo[key] = best
+            return g.edges[eid][2] + sub_w, (eid,) + sub_e
+
+        memo[key] = best = max((grow(v, eid) for v, eid in g.adj[u] if not mask >> v & 1),
+                               key=lambda cand: cand[0])
         return best
 
-    best_val = None
-    best_edges: tuple[int, ...] = ()
-    for root in range(g.n):
-        w, eids = explore(1 << root, (root,))
-        if best_val is None or w > best_val:
-            best_val, best_edges = w, eids
+    best_val, best_edges = max((explore(1 << root, (root,)) for root in range(g.n)),
+                               key=lambda cand: cand[0])
     value = int(round(best_val)) if g.integer_weights else best_val
     return OracleResult("max_dfs_tree_weight", value, tuple(sorted(best_edges)))
 
@@ -392,14 +386,7 @@ def _random_spanning_tree_ids(g: WeightedGraph, rng: random.Random) -> frozenset
 def _random_maximal_matching(g: WeightedGraph, rng: random.Random) -> list[int]:
     order = list(range(g.m))
     rng.shuffle(order)
-    used = [False] * g.n
-    out = []
-    for eid in order:
-        u, v, _ = g.edges[eid]
-        if not used[u] and not used[v]:
-            used[u] = used[v] = True
-            out.append(eid)
-    return sorted(out)
+    return sorted(_maximal_matching(g, order))
 
 
 def conjecture_report(g: WeightedGraph, seed: int = 0, tree_samples: int = 100,

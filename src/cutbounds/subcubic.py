@@ -388,16 +388,14 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     classes, the average of the three residues.
     """
     cls = cls or classify_edges(g, succ)
-    best: Optional[Cut] = None
-    for i in (1, 2, 3):
-        dropped = set()
-        for v, s in enumerate(succ.succ):
-            if s is not None and coloring.class_of[v] == i:
-                dropped.add(g.edge_id(v, s))
-        residue = [e for e in range(g.m) if e not in dropped]
-        cut = place_blocks(g, _two_color(g, residue))
-        if best is None or cut.weight > best.weight:
-            best = cut
+
+    def residue(i: int) -> list[int]:
+        dropped = {g.edge_id(v, s) for v, s in enumerate(succ.succ)
+                   if s is not None and coloring.class_of[v] == i}
+        return [e for e in range(g.m) if e not in dropped]
+
+    best = max((place_blocks(g, _two_color(g, residue(i))) for i in (1, 2, 3)),
+               key=lambda cut: cut.weight)
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
     value = w0 + 2 * w1 / 3 + w2 / 3
     return best, float(value), value if g.integer_weights else None
@@ -425,11 +423,8 @@ def _layered_sides(g: WeightedGraph, members: list[int], star_edges: set[int],
     tree_ids = frozenset(i for i, oe in enumerate(orig_e) if oe in star_edges)
     _assert_cycles_divisible(sub, tree_ids)
     t = _orient(sub, tree_ids, tuple(orig_v.index(r) for r in roots), "arbitrary")
-    best: Optional[Cut] = None
-    for s in layer_edge_sets(sub, t, 4):
-        cut = place_blocks(sub, _two_color(sub, s))
-        if best is None or cut.weight > best.weight:
-            best = cut
+    best = max((place_blocks(sub, _two_color(sub, s)) for s in layer_edge_sets(sub, t, 4)),
+               key=lambda cut: cut.weight)
     return dict(zip(orig_v, best.side))
 
 
@@ -593,17 +588,13 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     )
     details: dict = {"gadgets": ext.gadget_count,
                      "class_weights": list(cls.weights(g3))}
-    best_cut = None
-    best_name = None
     for name, (cut, value, exact) in candidates:
         bound = value if exact is None else exact
         if not meets(g3, cut.weight, bound):
             raise ClaimViolationError(
                 f"{name} cut weight {cut.weight} below certified {bound}")
         details[name] = {"cut_weight": cut.weight, "certified": value}
-        if best_cut is None or cut.weight > best_cut.weight:
-            best_cut, best_name = cut, name
-    details["winner"] = best_name
+    details["winner"], (best_cut, _, _) = max(candidates, key=lambda c: c[1][0].weight)
     cut = ext.restrict(best_cut)
     value = EIGHT_ELEVENTHS * _num(g, g.total_weight)
     return _report("eight_elevenths", g, value, cut, details)
@@ -625,18 +616,10 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
         pair_w[(cu, cv)] += w
     (i, j) = max(pair_w, key=lambda p: (pair_w[p], -p[0], -p[1]))
     k = ({1, 2, 3} - {i, j}).pop()
-    side = [0] * g.n
-    for v in range(g.n):
-        c = coloring.class_of[v]
-        if c == i:
-            side[v] = 0
-        elif c == j:
-            side[v] = 1
-        else:
-            wi = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == i)
-            wj = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == j)
-            side[v] = 0 if wj >= wi else 1
-    cut = Cut.from_side(g, side)
+    # classes i and j are one rigid block, placed first as it carries all of class
+    # k's weight; each k-vertex then takes the side opposite its heavier neighbor class
+    cut = place_blocks(g, [{v: int(c == j) for v, c in enumerate(coloring.class_of)
+                            if c != k}])
     value = 2 * _num(g, g.total_weight) / 3
     details = {"kept_pair": [i, j], "moved_class": k,
                "pair_weight": pair_w[(i, j)]}
@@ -775,7 +758,7 @@ def combined_tree_bound(g: WeightedGraph,
     t = tree if tree is not None else max_spanning_tree(g)
     eight = eight_elevenths_bound(g)
     perc = tree_percolation_bound(g, t, PERCOLATION_P, trials, seed)
-    cut = eight.cut if eight.cut.weight >= perc.cut.weight else perc.cut
+    cut = max(eight.cut, perc.cut, key=lambda c: c.weight)
     value = g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
              + COMBINATION_WEIGHT_B * float(EIGHT_ELEVENTHS))

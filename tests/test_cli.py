@@ -1,9 +1,13 @@
+import argparse
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 import cutbounds as cb
+from cutbounds import cli
 from cutbounds.cli import main
 
 
@@ -332,3 +336,90 @@ def test_skips_are_precondition_errors():
                   cb.DisconnectedGraphError, cb.NotSubcubicError, cb.OddCycleError):
         assert issubclass(error, cb.PreconditionError)
     assert issubclass(cb.PreconditionError, cb.GraphError)
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--max-n-override", "5"],
+    ["oracle", "max-cut", "--seed", "1"],
+    ["oracle", "max-cut", "--trials", "8"],
+    ["conjecture", "--trials", "8"],
+    ["verify", "--format", "json-lines"],
+])
+def test_options_a_command_never_reads_exit_2(capsys, command):
+    code, text = run_cli(command + ["--generate", "cycle", "5"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_verify_honours_trials(monkeypatch):
+    seen = []
+    shearer = cb.subcubic.shearer_bound
+
+    def spy(g, trials, seed):
+        seen.append(trials)
+        return shearer(g, trials=trials, seed=seed)
+
+    monkeypatch.setattr(cb.subcubic, "shearer_bound", spy)
+    for extra in ([], ["--trials", "3"]):
+        code, text = run_cli(["verify", "--generate", "cycle", "6"] + extra)
+        assert code == 0 and "all sound" in text
+    assert seen == [16, 3]
+
+
+@pytest.mark.parametrize("args, guard", [
+    (["--generate", "cycle", "31", "--max-n", "31"], 30),
+    (["--generate", "cycle", "12", "--max-n", "14", "--max-n-override", "10"], 10),
+    (["--random", "5", "--max-n", "31"], 30),
+    (["--random", "5", "--max-n-override", "10"], 10),
+])
+def test_verify_obeys_the_max_cut_guard(capsys, args, guard):
+    start = time.perf_counter()
+    code, text = run_cli(["verify"] + args)
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and f"n <= {guard}" in err and "Traceback" not in err
+
+
+def test_verify_cross_checks_integer_weights_exactly(monkeypatch):
+    # C5 of weight 10^9: max cut 4 * 10^9, float slack 5
+    def one_above(g):
+        over = Fraction(4 * 10 ** 9 + 1)
+        return cb.bounds._report("two_thirds", g, over, cb.Cut((0,) * g.n, float(over)), {})
+
+    monkeypatch.setattr(cb.subcubic, "two_thirds_bound", one_above)
+    code, text = run_cli(["verify", "--generate", "cycle", "5", "1000000000"])
+    assert code == 1 and "FAIL" in text
+    assert "two_thirds: bound 4000000001.0 exceeds max cut 4000000000.0" in text
+    assert "two_thirds: cut 4000000001.0 exceeds max cut 4000000000.0" in text
+
+
+def _option_reads(argv):
+    """The parsed options ``argv``'s command reads while it runs."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Recording())
+    reads.clear()
+    assert args.fn(args, io.StringIO()) == 0
+    return reads
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["oracle", "max-cut"], ["verify"],
+                                     ["conjecture"], ["generate", "cycle", "5"]])
+def test_every_option_a_command_accepts_is_read(tmp_path, command):
+    path = _write(tmp_path, cb.cycle(5))
+    if command[0] == "generate":
+        reads = _option_reads(command + ["--output", str(tmp_path / "out.graph")])
+    else:
+        reads = (_option_reads(command + ["--generate", "cycle", "5"])
+                 | _option_reads(command + ["--input", path]))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {a.dest for a in sub.choices[command[0]]._actions if a.dest != "help"}
+    assert accepted - reads == set()
