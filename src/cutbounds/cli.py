@@ -185,13 +185,13 @@ def cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_one(g: WeightedGraph, seed: int, trials: int, max_n: int,
-                guard: int) -> tuple[int, list[str]]:
+def _verify_one(g: WeightedGraph, seed: int, trials: int,
+                max_n: int) -> tuple[int, list[str]]:
     """Run every bound; check cut >= bound and, for n <= max_n, bound <= max cut
     and cut <= max cut, exactly when the weights are integral."""
     failures: list[str] = []
     checked = 0
-    mac = oracle.exact_max_cut(g, guard).value if g.n <= max_n else None
+    mac = oracle.exact_max_cut(g, max_n).value if g.n <= max_n else None
     for name, runner in _bound_suite(g, seed, trials, root=None, sweep=None):
         rep = _run_bound(name, runner)
         if isinstance(rep, str):
@@ -233,14 +233,13 @@ def _random_verify_instance(index: int, seed: int, max_n: int) -> WeightedGraph:
 
 def cmd_verify(args, out) -> int:
     instances: list[tuple[str, WeightedGraph]] = []
-    guard = _guard(args, oracle.MAX_CUT_GUARD)
+    if args.max_n > oracle.MAX_CUT_GUARD:
+        raise oracle.SizeGuardError(f"--max-n {args.max_n} is past the max cut guard "
+                                    f"n <= {oracle.MAX_CUT_GUARD}")
     if args.random:
         if args.max_n < RANDOM_VERIFY_MIN_N:
             raise ValueError(f"--max-n must be at least {RANDOM_VERIFY_MIN_N} with --random, "
                              f"got {args.max_n}")
-        if args.max_n > guard:
-            raise oracle.SizeGuardError(f"--max-n {args.max_n} with --random draws instances "
-                                        f"past the max cut guard n <= {guard}")
         for i in range(args.random):
             g = _random_verify_instance(i, args.seed, args.max_n)
             instances.append((f"random[{i}]", g))
@@ -248,7 +247,7 @@ def cmd_verify(args, out) -> int:
         instances.append(("input", _load_input(args)))
     total_failures: list[str] = []
     for label, g in instances:
-        checked, failures = _verify_one(g, args.seed, args.trials, args.max_n, guard)
+        checked, failures = _verify_one(g, args.seed, args.trials, args.max_n)
         marker = "FAIL" if failures else "ok"
         print(f"{label}: n={g.n} m={g.m} checked={checked} {marker}", file=out)
         for f in failures:
@@ -321,11 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     guard = _option("--max-n-override", type=_int_at_least(0), default=None,
                     help="override oracle size guards")
 
-    def trials(default: int) -> argparse.ArgumentParser:
-        return _option("--trials", type=_int_at_least(1), default=default)
-
-    p = sub.add_parser("bounds", parents=[graph_input, seed, trials(256), fmt],
+    p = sub.add_parser("bounds", parents=[graph_input, seed, fmt],
                        help="run every applicable bound")
+    p.add_argument("--trials", type=_int_at_least(1), default=256)
     p.add_argument("--root", type=int, default=None, help="DFS root")
     p.add_argument("--best-roots", action="store_true",
                    help="sweep all DFS roots (default for small graphs)")
@@ -337,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "max-dfs-tree", "five-cycle-cover"))
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("verify", parents=[graph_input, seed, trials(16), guard],
+    p = sub.add_parser("verify", parents=[graph_input, seed],
                        help="soundness sweep: cut >= bound <= max cut")
+    p.add_argument("--trials", type=_int_at_least(1), default=16)
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="verify this many seeded random instances")
     p.add_argument("--max-n", type=int, default=14,

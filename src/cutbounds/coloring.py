@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _num, _report
+from .bounds import BoundReport, _best_layer_cut, _num, _report
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
 from .graph import TriangleFoundError, WeightedGraph, triangle_free
 
@@ -222,9 +222,9 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
         coloring = vizing_edge_coloring(con.base)
         classes = coloring.classes()
     c = max(len(classes), 1)
-    cuts = (derandomized_cut(g, verify_induced_bipartite(
-        g, set(m_ids) | set(con.lift_matching(cls)))) for cls in classes or [[]])
-    best_class, best = max(enumerate(cuts), key=lambda ic: ic[1].weight)
+    certs = (verify_induced_bipartite(g, set(m_ids) | set(con.lift_matching(cls)))
+             for cls in classes or [[]])
+    best, best_class = _best_layer_cut(g, certs)
     wm_f = float(sum(g.edges[e][2] for e in m_ids))
     w, wm = _num(g, g.total_weight), _num(g, wm_f)
     value = (w + wm) / 2 + (w - wm) / (2 * c)

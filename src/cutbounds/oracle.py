@@ -258,13 +258,15 @@ def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> Orac
         if hit is not None:
             return hit
         u = stack[-1]
-
-        def grow(v: int, eid: int) -> tuple[float, tuple[int, ...]]:
+        best = None
+        for v, eid in g.adj[u]:
+            if mask >> v & 1:
+                continue
             sub_w, sub_e = explore(mask | (1 << v), stack + (v,))
-            return g.edges[eid][2] + sub_w, (eid,) + sub_e
-
-        memo[key] = best = max((grow(v, eid) for v, eid in g.adj[u] if not mask >> v & 1),
-                               key=lambda cand: cand[0])
+            cand = (g.edges[eid][2] + sub_w, (eid,) + sub_e)
+            if best is None or cand[0] > best[0]:
+                best = cand
+        memo[key] = best
         return best
 
     best_val, best_edges = max((explore(1 << root, (root,)) for root in range(g.n)),

@@ -594,8 +594,9 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
             raise ClaimViolationError(
                 f"{name} cut weight {cut.weight} below certified {bound}")
         details[name] = {"cut_weight": cut.weight, "certified": value}
-    details["winner"], (best_cut, _, _) = max(candidates, key=lambda c: c[1][0].weight)
-    cut = ext.restrict(best_cut)
+    best_name, best = max(candidates, key=lambda c: c[1][0].weight)
+    details["winner"] = best_name
+    cut = ext.restrict(best[0])
     value = EIGHT_ELEVENTHS * _num(g, g.total_weight)
     return _report("eight_elevenths", g, value, cut, details)
 
@@ -616,10 +617,13 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
         pair_w[(cu, cv)] += w
     (i, j) = max(pair_w, key=lambda p: (pair_w[p], -p[0], -p[1]))
     k = ({1, 2, 3} - {i, j}).pop()
-    # classes i and j are one rigid block, placed first as it carries all of class
-    # k's weight; each k-vertex then takes the side opposite its heavier neighbor class
-    cut = place_blocks(g, [{v: int(c == j) for v, c in enumerate(coloring.class_of)
-                            if c != k}])
+    side = [int(c == j) for c in coloring.class_of]
+    for v in range(g.n):
+        if coloring.class_of[v] == k:
+            wi = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == i)
+            wj = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == j)
+            side[v] = 0 if wj >= wi else 1
+    cut = Cut.from_side(g, side)
     value = 2 * _num(g, g.total_weight) / 3
     details = {"kept_pair": [i, j], "moved_class": k,
                "pair_weight": pair_w[(i, j)]}

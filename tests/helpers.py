@@ -462,21 +462,6 @@ def reference_float_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
     raise KeyError(name)
 
 
-def two_thirds_sides_by_vertex(g: WeightedGraph, class_of, i: int, j: int) -> tuple[int, ...]:
-    """The 2/3 placement written per vertex: class i on side 0, class j on
-    side 1, and each other vertex on side 0 exactly when its weight to
-    class j is at least its weight to class i."""
-    side = []
-    for v in range(g.n):
-        if class_of[v] in (i, j):
-            side.append(int(class_of[v] == j))
-            continue
-        wi = sum(g.edges[e][2] for u, e in g.adj[v] if class_of[u] == i)
-        wj = sum(g.edges[e][2] for u, e in g.adj[v] if class_of[u] == j)
-        side.append(0 if wj >= wi else 1)
-    return tuple(side)
-
-
 def greedy_matching_by_loop(g: WeightedGraph) -> tuple[int, ...]:
     """Heaviest-first greedy matching with its own loop, then the library's
     swap pass."""

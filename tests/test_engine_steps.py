@@ -1,6 +1,7 @@
-"""Each bound reuses the engine's own steps: ``place_blocks`` for the 2/3
-placement, one greedy maximal matching, and ``max`` (first maximum wins)
-for every best-of selection."""
+"""The engine's steps agree with the bounds built from them: the 2/3
+placement is ``place_blocks`` with one rigid block, one greedy maximal
+matching serves both matchings, and every best-of selection keeps the
+first maximum."""
 
 import random
 
@@ -8,30 +9,34 @@ from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds.bounds import _best_dfs_tree, _best_layer_cut, greedy_matching
+from cutbounds.cuts import place_blocks
 from cutbounds.oracle import _random_maximal_matching
 from cutbounds.subcubic import color_components
-from helpers import (greedy_matching_by_loop, random_connected_graph,
-                     random_tf_subcubic_graph, two_thirds_sides_by_vertex)
+from helpers import greedy_matching_by_loop, random_connected_graph, random_tf_subcubic_graph
+
+
+def _assert_two_thirds_is_rigid_pair_placement(g):
+    # classes i and j as one rigid block carry all of class k's weight, so the
+    # block goes first with orientation 0, then each k-vertex takes its side
+    rep = cb.two_thirds_bound(g)
+    i, j = rep.details["kept_pair"]
+    block = {v: int(c == j) for v, c in enumerate(color_components(g).class_of)
+             if c in (i, j)}
+    placed = place_blocks(g, [block])
+    assert rep.cut.side == placed.side and rep.cut.weight == placed.weight
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 10 ** 6), st.booleans())
-def test_two_thirds_cut_matches_per_vertex_placement(n, seed, integer):
-    g = random_tf_subcubic_graph(n, random.Random(seed), integer)
-    rep = cb.two_thirds_bound(g)
-    i, j = rep.details["kept_pair"]
-    want = two_thirds_sides_by_vertex(g, color_components(g).class_of, i, j)
-    assert rep.cut.side == want
-    assert rep.cut.weight == cb.Cut.from_side(g, want).weight
+def test_two_thirds_cut_is_the_rigid_pair_placement(n, seed, integer):
+    _assert_two_thirds_is_rigid_pair_placement(
+        random_tf_subcubic_graph(n, random.Random(seed), integer))
 
 
-def test_two_thirds_fixtures_match_per_vertex_placement():
+def test_two_thirds_fixtures_are_the_rigid_pair_placement():
     for g in (cb.cycle(5), cb.cycle(7, 3.0), cb.petersen(), cb.gadget_k33_subdivided(2.0),
               cb.random_triangle_free_subcubic(30, seed=4)):
-        rep = cb.two_thirds_bound(g)
-        i, j = rep.details["kept_pair"]
-        assert rep.cut.side == two_thirds_sides_by_vertex(
-            g, color_components(g).class_of, i, j)
+        _assert_two_thirds_is_rigid_pair_placement(g)
 
 
 def test_best_layer_cut_ties_go_to_the_first_certificate():
