@@ -159,20 +159,14 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
 
 def greedy_matching(g: WeightedGraph) -> tuple[int, ...]:
     """Heaviest-first greedy matching (ties by edge id), then one swap pass."""
-    order = sorted(range(g.m), key=lambda e: (-g.edges[e][2], e))
-    return _swap_pass(g, _maximal_matching(g, order))
-
-
-def _maximal_matching(g: WeightedGraph, order) -> list[int]:
-    """The edges of ``order`` taken greedily while both ends are free, in order."""
     used = [False] * g.n
     chosen: list[int] = []
-    for eid in order:
+    for eid in sorted(range(g.m), key=lambda e: (-g.edges[e][2], e)):
         u, v, _ = g.edges[eid]
         if not used[u] and not used[v]:
             used[u] = used[v] = True
             chosen.append(eid)
-    return chosen
+    return _swap_pass(g, chosen)
 
 
 def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:

@@ -65,7 +65,7 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
         ("matching_vizing", lambda: matching_vizing_bound(g, bnd.best_matching(g))),
         ("vizing_classes", lambda: vizing_classes_bound(g)),
         ("two_thirds", lambda: subcubic.two_thirds_bound(g)),
-        ("eight_elevenths", lambda: subcubic.eight_elevenths_bound(g)),
+        ("eight_elevenths", pc(subcubic.eight_elevenths_bound, "eight_elevenths")),
         ("tree_percolation",
          pc(lambda h: subcubic.tree_percolation_bound(h, trials=trials, seed=seed),
             "tree_percolation")),
@@ -272,8 +272,7 @@ def cmd_generate(args, out) -> int:
 
 def cmd_conjecture(args, out) -> int:
     g = _load_input(args)
-    rep = oracle.conjecture_report(g, seed=args.seed,
-                                   max_n=_guard(args, 20))
+    rep = oracle.conjecture_report(g, max_n=_guard(args, 20))
     row = dataclasses.asdict(rep)
     if args.format == "json-lines":
         print(json.dumps(row, sort_keys=True), file=out)
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("conjecture", parents=[graph_input, seed, fmt, guard],
+    p = sub.add_parser("conjecture", parents=[graph_input, fmt, guard],
                        help="per-instance conjecture evidence ratios")
     p.set_defaults(fn=cmd_conjecture)
 

@@ -136,13 +136,9 @@ def vizing_edge_coloring(g: WeightedGraph) -> EdgeColoring:
         for i, col in enumerate(shifted):
             set_color(fan_edge[i], col)
 
-    # compact to 1..c preserving the order of first use
-    used: list[int] = []
-    for c in color:
-        if c not in used:
-            used.append(c)
-    remap = {c: i + 1 for i, c in enumerate(sorted(used))}
-    out = EdgeColoring(tuple(remap[c] for c in color), len(used))
+    # compact to 1..c, keeping the order of the colors
+    remap = {c: i + 1 for i, c in enumerate(sorted(set(color)))}
+    out = EdgeColoring(tuple(remap[c] for c in color), len(remap))
     out.validate(g)
     return out
 

@@ -16,6 +16,9 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 _EXACT_FLOAT_LIMIT = 2.0 ** 53
 
+# Most vertices a file header may declare, checked before anything is allocated.
+MAX_VERTICES = 2 ** 20
+
 
 class GraphError(Exception):
     """Base class for graph construction and parsing errors."""
@@ -134,9 +137,6 @@ class WeightedGraph:
 
     def edge_id(self, u: int, v: int) -> Optional[int]:
         return self._ids.get((min(u, v), max(u, v)))
-
-    def weight(self, eid: int) -> float:
-        return self.edges[eid][2]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WeightedGraph)
@@ -321,8 +321,8 @@ def save_graph(g: WeightedGraph) -> str:
 def load_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format, validating every line.
 
-    Raises MalformedLineError, SelfLoopError, DuplicateEdgeError,
-    NegativeWeightError or NonFiniteWeightError.
+    Raises MalformedLineError (also past ``MAX_VERTICES``), SelfLoopError,
+    DuplicateEdgeError, NegativeWeightError or NonFiniteWeightError.
     """
     n = None
     declared_m = None
@@ -346,6 +346,8 @@ def load_graph(text: str) -> WeightedGraph:
                 raise MalformedLineError(f"line {lineno}: non-integer header field") from None
             if n < 0 or declared_m < 0:
                 raise MalformedLineError(f"line {lineno}: negative header field")
+            if n > MAX_VERTICES:
+                raise MalformedLineError(f"line {lineno}: vertex limit {MAX_VERTICES} exceeded")
         elif fields[0] == "e":
             if n is None:
                 raise MalformedLineError(f"line {lineno}: edge before header")

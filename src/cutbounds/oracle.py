@@ -4,16 +4,15 @@ maximum DFS-tree weight, and exact one-edge-per-five-cycle covers."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import _maximal_matching, greedy_matching, slack
+from .bounds import best_matching, slack
 from .cuts import Cut
 from .graph import DisconnectedGraphError, WeightedGraph, stats
-from .spanning import min_spanning_tree, max_spanning_tree
+from .spanning import max_spanning_tree
 
 MAX_CUT_GUARD = 30
 BIPARTITE_FAMILY_GUARD = 16
@@ -380,61 +379,45 @@ class ConjectureReport:
     flags: list[str] = field(default_factory=list)
 
 
-def _random_spanning_tree_ids(g: WeightedGraph, rng: random.Random) -> frozenset[int]:
-    perturbed = WeightedGraph(g.n, [(u, v, rng.random()) for u, v, _ in g.edges])
-    return min_spanning_tree(perturbed).edge_ids
-
-
-def _random_maximal_matching(g: WeightedGraph, rng: random.Random) -> list[int]:
-    order = list(range(g.m))
-    rng.shuffle(order)
-    return sorted(_maximal_matching(g, order))
-
-
-def conjecture_report(g: WeightedGraph, seed: int = 0, tree_samples: int = 100,
-                      matching_samples: int = 20, max_n: int = 20) -> ConjectureReport:
+def conjecture_report(g: WeightedGraph, max_n: int = 20) -> ConjectureReport:
     """Evidence ratios against the instance's exact maximum cut.
 
-    theta: min over sampled spanning trees of (mac - w/2) / w(T);
-    matching coefficient: min over sampled maximal matchings of
-    (mac - w(M)) / (w - w(M)); plus the five-cycle exact cover search for
+    theta: (mac - w/2) / w(T) at a maximum-weight spanning tree T;
+    matching coefficient: (mac - w(M)) / (w - w(M)) at the matching M of
+    ``bounds.best_matching``; plus the five-cycle exact cover search for
     triangle-free subcubic instances.
+
+    Each ratio is taken at the heaviest object of its family, where it is
+    smallest, instead of over a sample.  mac >= w/2, so (mac - w/2) / w(T)
+    falls as w(T) rises: the heaviest spanning tree gives the minimum over
+    all trees, and the 3/8 test mac < w/2 + (3/8) w(T) fires most easily
+    there.  mac <= w, so (mac - x) / (w - x) falls as x = w(M) rises, and
+    both matching tests mac < c (w - x) + x with c < 1 fire most easily at
+    the heaviest matching.  ``best_matching`` is a maximum-weight matching
+    up to ``EXACT_MATCHING_MAX_EDGES`` edges; above that it is the greedy
+    matching plus one swap pass, and the ratio only bounds the minimum
+    from above.
     """
     st = stats(g)
     mac = float(exact_max_cut(g, max_n).value)
     w = g.total_weight
     eps = slack(g)
-    rng = random.Random(seed)
     flags: list[str] = []
 
     cut_ratio = mac / w if w > 0 else None
 
-    theta_ratio = None
-    theta_tree_w = None
+    theta_ratio = theta_tree_w = None
     if st.connected and g.n >= 2:
-        tree_sets = [min_spanning_tree(g).edge_ids, max_spanning_tree(g).edge_ids]
-        tree_sets += [_random_spanning_tree_ids(g, rng) for _ in range(tree_samples)]
-        for ids in tree_sets:
-            tw = sum(g.edges[e][2] for e in ids)
-            if tw <= 0:
-                continue
-            ratio = (mac - w / 2.0) / tw
-            if theta_ratio is None or ratio < theta_ratio:
-                theta_ratio, theta_tree_w = ratio, tw
+        tw = max_spanning_tree(g).weight
+        if tw > 0:
+            theta_ratio, theta_tree_w = (mac - w / 2.0) / tw, tw
             if st.triangle_free and mac + eps < w / 2.0 + 0.375 * tw:
                 flags.append("tree_three_eighths")
 
-    matching_ratio = None
-    matching_w = None
-    matchings = [list(greedy_matching(g))]
-    matchings += [_random_maximal_matching(g, rng) for _ in range(matching_samples)]
-    for m_ids in matchings:
-        wm = sum(g.edges[e][2] for e in m_ids)
-        if w - wm <= 0:
-            continue
-        ratio = (mac - wm) / (w - wm)
-        if matching_ratio is None or ratio < matching_ratio:
-            matching_ratio, matching_w = ratio, wm
+    matching_ratio = matching_w = None
+    wm = sum(g.edges[e][2] for e in best_matching(g))
+    if w - wm > 0:
+        matching_ratio, matching_w = (mac - wm) / (w - wm), wm
         if st.triangle_free:
             if mac + eps < 0.5 * (w - wm) + wm:
                 flags.append("matching_coefficient_half")
@@ -458,5 +441,5 @@ def conjecture_report(g: WeightedGraph, seed: int = 0, tree_samples: int = 100,
         theta_tree_weight=theta_tree_w, matching_ratio=matching_ratio,
         matching_weight=matching_w, five_cycle_cover_size=five_size,
         five_cycle_applicable=five_applicable,
-        flags=sorted(set(flags)),
+        flags=sorted(flags),
     )

@@ -378,8 +378,7 @@ def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassificati
 
 def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
                   succ: SuccessorDigraph,
-                  cls: Optional[EdgeClassification] = None
-                  ) -> tuple[Cut, float, Optional[Fraction]]:
+                  cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
     """Best of the three drop-one-class cuts.
 
     Dropping every successor edge owned by one color class leaves each of
@@ -387,8 +386,6 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     is bipartite.  Certified value: w0 + (2/3) w1 + (1/3) w2 over the edge
     classes, the average of the three residues.
     """
-    cls = cls or classify_edges(g, succ)
-
     def residue(i: int) -> list[int]:
         dropped = {g.edge_id(v, s) for v, s in enumerate(succ.succ)
                    if s is not None and coloring.class_of[v] == i}
@@ -397,8 +394,7 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     best = max((place_blocks(g, _two_color(g, residue(i))) for i in (1, 2, 3)),
                key=lambda cut: cut.weight)
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    value = w0 + 2 * w1 / 3 + w2 / 3
-    return best, float(value), value if g.integer_weights else None
+    return best, w0 + 2 * w1 / 3 + w2 / 3
 
 
 def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None:
@@ -429,8 +425,7 @@ def _layered_sides(g: WeightedGraph, members: list[int], star_edges: set[int],
 
 
 def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
-                        cls: Optional[EdgeClassification] = None
-                        ) -> tuple[Cut, float, Optional[Fraction]]:
+                        cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
     """Layered cut over the components of the successor graph.
 
     Each component is an in-tree or a tree plus one directed cycle.  Trees
@@ -440,7 +435,6 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
     the cycle, dropping the cheapest cycle edge when the cycle is odd (its
     length is then at least 9).  Certified value: (1/2) w0 + (7/8) w1 + w2.
     """
-    cls = cls or classify_edges(g, succ)
     star_edges = set(cls.edge_ids(1)) | set(cls.edge_ids(2))
     comp_of = WeightedGraph(g.n, (g.edges[e] for e in sorted(star_edges))).components()
     blocks: list[dict[int, int]] = []
@@ -451,8 +445,7 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
         blocks.append(_component_block(g, succ, comp, star_edges))
     cut = place_blocks(g, blocks)
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    value = w0 / 2 + 7 * w1 / 8 + w2
-    return cut, float(value), value if g.integer_weights else None
+    return cut, w0 / 2 + 7 * w1 / 8 + w2
 
 
 def _walk_cycle(succ: SuccessorDigraph, comp: list[int]) -> Optional[list[int]]:
@@ -532,8 +525,8 @@ def _component_block(g: WeightedGraph, succ: SuccessorDigraph, comp: list[int],
     return side
 
 
-def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification
-                        ) -> tuple[Cut, float, Optional[Fraction]]:
+def mutual_matching_cut(g: WeightedGraph,
+                        cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
     """Matching-contraction cut with the mutual successor edges as matching.
 
     Certified value: (3/5)(w0 + w1) + w2, which the contraction bound
@@ -545,8 +538,7 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification
         raise ClaimViolationError(
             f"contracted coloring used {rep.details['color_count']} > 5 colors")
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    value = Fraction(3, 5) * (w0 + w1) + w2
-    return rep.cut, float(value), value if g.integer_weights else None
+    return rep.cut, Fraction(3, 5) * (w0 + w1) + w2
 
 
 # =====================================================================
@@ -588,12 +580,11 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     )
     details: dict = {"gadgets": ext.gadget_count,
                      "class_weights": list(cls.weights(g3))}
-    for name, (cut, value, exact) in candidates:
-        bound = value if exact is None else exact
-        if not meets(g3, cut.weight, bound):
+    for name, (cut, value) in candidates:
+        if not meets(g3, cut.weight, value):
             raise ClaimViolationError(
-                f"{name} cut weight {cut.weight} below certified {bound}")
-        details[name] = {"cut_weight": cut.weight, "certified": value}
+                f"{name} cut weight {cut.weight} below certified {value}")
+        details[name] = {"cut_weight": cut.weight, "certified": float(value)}
     best_name, best = max(candidates, key=lambda c: c[1][0].weight)
     details["winner"] = best_name
     cut = ext.restrict(best[0])

@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +136,17 @@ def test_non_finite_weights_exit_with_message(tmp_path, capsys, weights):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("over", [1, 10 ** 11])
+def test_absurd_vertex_count_exits_2(tmp_path, capsys, over):
+    header = cb.graph.MAX_VERTICES + over  # read first: nothing is loaded before it exists
+    path = tmp_path / "g.graph"
+    path.write_text(f"p {header} 0\n")
+    code, text = run_cli(["bounds", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -342,6 +355,7 @@ def test_skips_are_precondition_errors():
     ["oracle", "max-cut", "--seed", "1"],
     ["oracle", "max-cut", "--trials", "8"],
     ["conjecture", "--trials", "8"],
+    ["conjecture", "--seed", "1"],
     ["verify", "--format", "json-lines"],
     ["verify", "--max-n-override", "10"],
 ])
@@ -424,3 +438,35 @@ def test_every_option_a_command_accepts_is_read(tmp_path, command):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {a.dest for a in sub.choices[command[0]]._actions if a.dest != "help"}
     assert accepted - reads == set()
+
+
+# README's CLI section is what users copy, so it is held to the parser.
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_section():
+    text = _README.read_text(encoding="utf-8")
+    return text[text.index("## CLI"):text.index("\n## ", text.index("## CLI") + 1)]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    block = _readme_cli_section().split("```")[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("cutbounds ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(cb.save_graph(cb.petersen()))
+    for argv in lines:
+        assert run_cli(argv[1:])[0] == 0, " ".join(argv)
+
+
+def test_readme_cli_bullets_name_every_option():
+    bullets = re.findall(r"^- `(\w+)[^`]*`:(.*?)(?=^- |^$)", _readme_cli_section(),
+                         re.M | re.S)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(name for name, _ in bullets) == sorted(sub.choices)
+    for name, text in bullets:
+        accepted = {flag for a in sub.choices[name]._actions for flag in a.option_strings
+                    if flag.startswith("--")} - {"--input", "--generate", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == accepted, name

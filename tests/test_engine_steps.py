@@ -1,7 +1,7 @@
 """The engine's steps agree with the bounds built from them: the 2/3
-placement is ``place_blocks`` with one rigid block, one greedy maximal
-matching serves both matchings, and every best-of selection keeps the
-first maximum."""
+placement is ``place_blocks`` with one rigid block, the greedy matching is
+the plain heaviest-first loop, and every best-of selection keeps the first
+maximum."""
 
 import random
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import cutbounds as cb
 from cutbounds.bounds import _best_dfs_tree, _best_layer_cut, greedy_matching
 from cutbounds.cuts import place_blocks
-from cutbounds.oracle import _random_maximal_matching
 from cutbounds.subcubic import color_components
 from helpers import greedy_matching_by_loop, random_connected_graph, random_tf_subcubic_graph
 
@@ -57,12 +56,3 @@ def test_best_dfs_tree_sweep_ties_go_to_the_lowest_root():
 def test_greedy_matching_matches_the_loop(n, extra, seed, integer):
     g = random_connected_graph(n, extra, random.Random(seed), integer)
     assert greedy_matching(g) == greedy_matching_by_loop(g)
-
-
-def test_random_maximal_matching_is_maximal_and_sorted():
-    g = random_connected_graph(20, 25, random.Random(3))
-    m_ids = _random_maximal_matching(g, random.Random(0))
-    assert m_ids == sorted(m_ids)
-    covered = {x for e in m_ids for x in g.edges[e][:2]}
-    assert len(covered) == 2 * len(m_ids)
-    assert all(u in covered or v in covered for u, v, _ in g.edges)

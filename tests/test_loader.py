@@ -1,5 +1,6 @@
 """Property tests of the edge-list file format."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
@@ -61,3 +62,9 @@ def test_load_returns_a_graph_or_raises_a_graph_error(text):
         return
     assert isinstance(g, cb.WeightedGraph)
     assert g.n <= 12
+
+
+def test_header_above_the_vertex_limit_raises_before_allocating():
+    limit = cb.graph.MAX_VERTICES  # read first: no graph is built before it exists
+    with pytest.raises(cb.MalformedLineError, match="limit"):
+        cb.load_graph(f"p {limit + 1} 0\n")

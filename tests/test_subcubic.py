@@ -169,16 +169,16 @@ def _pipeline(g):
 def test_certified_cuts_hold(seed):
     g = cb.random_triangle_free_subcubic(4 + seed, seed=seed, weight_dist="int")
     g3, col, succ, cls = _pipeline(g)
-    for cut, value, exact in (cb.per_class_cut(g3, col, succ, cls),
-                              cb.component_layer_cut(g3, succ, cls),
-                              cb.mutual_matching_cut(g3, cls)):
-        assert Fraction(cut.weight) >= exact
+    for cut, value in (cb.per_class_cut(g3, col, succ, cls),
+                       cb.component_layer_cut(g3, succ, cls),
+                       cb.mutual_matching_cut(g3, cls)):
+        assert Fraction(cut.weight) >= value
         assert cut.weight >= value - slack(g3)
 
 
 def test_per_class_cut_petersen():
     g3, col, succ, cls = _pipeline(cb.petersen())
-    cut, value, exact = cb.per_class_cut(g3, col, succ, cls)
+    cut, value = cb.per_class_cut(g3, col, succ, cls)
     assert cut.weight >= value
     assert cut.weight <= 12.0
 
@@ -188,7 +188,7 @@ def test_mutual_matching_cut_empty_matching():
     # use the Petersen pipeline and strip class-2 edges instead
     g3, col, succ, cls = _pipeline(cb.petersen())
     if not cls.edge_ids(2):
-        cut, value, exact = cb.mutual_matching_cut(g3, cls)
+        cut, value = cb.mutual_matching_cut(g3, cls)
         assert value == pytest.approx(0.6 * g3.total_weight)
 
 
@@ -233,7 +233,7 @@ def test_component_layer_cut_odd_nine_cycle():
     # the stitch must keep every cycle edge except the cheapest
     g = cb.WeightedGraph(9, [(i, (i + 1) % 9, float(i + 1)) for i in range(9)])
     succ = cb.SuccessorDigraph(tuple((i + 1) % 9 for i in range(9)))
-    cut, value, exact = cb.component_layer_cut(g, succ)
+    cut, value = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
     assert value == 7.0 / 8.0 * 45.0
     assert cut.weight == 44.0  # drops only the weight-1 edge
 
@@ -243,7 +243,7 @@ def test_component_layer_cut_nine_cycle_with_tail():
     edges = [(i, (i + 1) % 9, 2.0) for i in range(9)] + [(0, 9, 5.0)]
     g = cb.WeightedGraph(10, edges)
     succ = cb.SuccessorDigraph(tuple((i + 1) % 9 for i in range(9)) + (0,))
-    cut, value, exact = cb.component_layer_cut(g, succ)
+    cut, value = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
     assert value == 7.0 / 8.0 * 23.0
     assert cut.weight >= value
     assert cut.crosses(g, g.edge_id(0, 9))
@@ -287,7 +287,7 @@ def test_component_layer_cut_rejects_bad_cycle_length():
     g = cb.cycle(5)  # directed 5-cycle is not divisible by 3
     succ = cb.SuccessorDigraph(tuple((i + 1) % 5 for i in range(5)))
     with pytest.raises(cb.ClaimViolationError):
-        cb.component_layer_cut(g, succ)
+        cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
 
 
 # -- tree percolation --------------------------------------------------------
