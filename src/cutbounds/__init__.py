@@ -29,8 +29,7 @@ from .oracle import (ConjectureReport, OracleResult, SizeGuardError,
                      five_cycle_cover, is_exact_five_cycle_cover,
                      max_dfs_tree_weight, max_induced_bipartite)
 from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree,
-                       girth_layer_certificates, max_spanning_tree,
-                       min_spanning_tree, parity_layer_certificates)
+                       max_spanning_tree, min_spanning_tree)
 from .subcubic import (ClaimViolationError, CubicExtension, EdgeClassification,
                        SuccessorDigraph, VertexColoring3, brooks_3_coloring,
                        classify_edges, combined_tree_bound,

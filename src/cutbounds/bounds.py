@@ -11,14 +11,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
 from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
                     WeightedGraph, _cached, _component_split, stats)
-from .spanning import (RootedSpanningTree, dfs_tree, girth_layer_certificates,
-                       max_spanning_tree, min_spanning_tree,
-                       parity_layer_certificates,
+from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree, layer_edge_sets,
+                       max_spanning_tree, min_spanning_tree, reroot_at_edge,
                        shortest_fundamental_odd_cycle)
 
 DETERMINISTIC = "deterministic"
@@ -122,11 +121,6 @@ def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
                key=lambda t: t.weight)
 
 
-def _parity_cut(g: WeightedGraph, t: RootedSpanningTree) -> Cut:
-    """Better of the two parity-layer derandomized cuts of a tree."""
-    return _best_layer_cut(g, parity_layer_certificates(g, t))[0]
-
-
 def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
                   sweep: Optional[bool] = None) -> BoundReport:
     """w(G)/2 + w(T_min)/4 with a minimum-weight spanning tree T_min.
@@ -137,7 +131,7 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     """
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g, root, sweep)
-    cut = _parity_cut(g, d)
+    cut = _best_layer_cut(g, layer_edge_sets(g, d, 2))[0]
     value = _num(g, g.total_weight) / 2 + _num(g, tmin.weight) / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
@@ -148,7 +142,7 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
               sweep: Optional[bool] = None) -> BoundReport:
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
     d = _best_dfs_tree(g, root, sweep)
-    cut = _parity_cut(g, d)
+    cut = _best_layer_cut(g, layer_edge_sets(g, d, 2))[0]
     value = _num(g, g.total_weight) / 2 + _num(g, d.weight) / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
     return _report("dfs_tree", g, value, cut, details)
@@ -265,13 +259,26 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
 # -- girth-family bounds --------------------------------------------------
 
 
-def _best_layer_cut(g: WeightedGraph, certs) -> tuple[Cut, int]:
-    """The heaviest derandomized cut over ``certs``, and its index.  Ties go to
-    the first: every best-of in the engine is ``max``, which keeps the first
-    maximum.  Cuts are streamed, as acyclic inputs have k = n certificates."""
-    j, cut = max(enumerate(derandomized_cut(g, cert) for cert in certs),
-                 key=lambda jc: jc[1].weight)
-    return cut, j
+def _best_layer_cut(g: WeightedGraph,
+                    edge_sets: Iterable[Iterable[int]]) -> tuple[Cut, int]:
+    """The heaviest derandomized cut over ``edge_sets`` and its index, the
+    first on ties.  Each set is checked when the loop reaches it, so the
+    sets can stream (acyclic inputs have k = n of them).  The loop stops at
+    a cut of weight >= w(G), as no later cut weighs more: integral weights
+    sum exactly, and a float cut weight sums a subset of w(G)'s nonnegative
+    weights in the same edge order, where left-to-right rounding is
+    monotone.  Python 3.12's compensated ``sum`` rounds each exact sum about
+    once instead; that is monotone too, except that a later cut within that
+    last rounding of w(G) could read heavier, by no more than the rounding.
+    """
+    best, best_j = None, -1
+    for j, ids in enumerate(edge_sets):
+        cut = derandomized_cut(g, verify_induced_bipartite(g, ids))
+        if best is None or cut.weight > best.weight:
+            best, best_j = cut, j
+            if cut.weight >= g.total_weight:
+                break
+    return best, best_j
 
 
 def girth_bound(g: WeightedGraph, k: Optional[int] = None,
@@ -297,8 +304,7 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
     if st.girth is not None and k > st.girth:
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
     d = _best_dfs_tree(g, root, sweep)
-    certs = girth_layer_certificates(g, d, k)
-    cut, best_j = _best_layer_cut(g, certs)
+    cut, best_j = _best_layer_cut(g, layer_edge_sets(g, d, k))
     value = _num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, d.weight)
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight, "best_layer": best_j}
@@ -319,7 +325,7 @@ def triangle_free_tree_bound(g: WeightedGraph,
     if not st.connected:
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
-    cut = _parity_cut(g, t)
+    cut = _best_layer_cut(g, layer_edge_sets(g, t, 2))[0]
     value = _num(g, g.total_weight) / 2 + _num(g, t.weight) / 4
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
     return _report("triangle_free_tree", g, value, cut, details)
@@ -343,15 +349,15 @@ def edge_rooted_tree_bound(g: WeightedGraph,
     t = tree if tree is not None else max_spanning_tree(g)
     if marked_eid is None:
         marked_eid = max(t.edge_ids, key=lambda e: (g.edges[e][2], -e))
-    if marked_eid not in t.edge_ids:
-        raise ValueError("marked edge must be a tree edge")
-    r = shortest_fundamental_odd_cycle(g, t)
+    leveled = reroot_at_edge(g, t, marked_eid)
+    r = shortest_fundamental_odd_cycle(g, leveled)
     if k is None:
         k = (r - 1) // 2 if r is not None else max(1, g.n)
     if k < 1:
         raise BoundPreconditionError("no legal k: an odd triangle closes the tree")
-    certs = girth_layer_certificates(g, t, k, marked_eid)
-    cut, best_j = _best_layer_cut(g, certs)
+    if r is not None and r <= 2 * k - 1:
+        raise OddCycleError(f"odd cycle of length {r} <= 2k-1 = {2 * k - 1} through the tree")
+    cut, best_j = _best_layer_cut(g, layer_edge_sets(g, leveled, k))
     we_star = g.edges[marked_eid][2]
     value = (_num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, t.weight)
              + _num(g, we_star) / (2 * k))

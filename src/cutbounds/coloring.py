@@ -218,9 +218,8 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
         coloring = vizing_edge_coloring(con.base)
         classes = coloring.classes()
     c = max(len(classes), 1)
-    certs = (verify_induced_bipartite(g, set(m_ids) | set(con.lift_matching(cls)))
-             for cls in classes or [[]])
-    best, best_class = _best_layer_cut(g, certs)
+    best, best_class = _best_layer_cut(
+        g, (set(m_ids) | set(con.lift_matching(cls)) for cls in classes or [[]]))
     wm_f = float(sum(g.edges[e][2] for e in m_ids))
     w, wm = _num(g, g.total_weight), _num(g, wm_f)
     value = (w + wm) / 2 + (w - wm) / (2 * c)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .graph import WeightedGraph
+from .graph import MAX_VERTICES, WeightedGraph
 
 # Petersen on 10 vertices: outer 5-cycle 0..4, inner 5-cycle 5..9, and the
 # crossing perfect matching between them.
@@ -164,7 +164,9 @@ GENERATOR_KINDS = tuple(sorted(_SPECS))
 
 
 def build(kind: str, params: Sequence[str]) -> WeightedGraph:
-    """Build a named graph from string parameters (CLI entry point)."""
+    """Build a named graph from string parameters (CLI entry point); sizes
+    past ``MAX_VERTICES`` vertices, or vertex pairs where every pair is built
+    or scanned, raise before anything is built."""
     if kind not in _SPECS:
         raise ValueError(f"unknown generator {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
     types, defaults, fn = _SPECS[kind]
@@ -181,4 +183,11 @@ def build(kind: str, params: Sequence[str]) -> WeightedGraph:
             args.append(defaults[i])
         else:
             raise ValueError(f"{kind}: missing required parameter #{i + 1}")
+    if kind in ("cycle", "path") and args[0] > MAX_VERTICES:
+        raise ValueError(f"{kind}: {args[0]} vertices exceed the limit {MAX_VERTICES}")
+    if kind in ("complete", "star_counterexample", "random_triangle_free_subcubic"):
+        n = args[1] + 1 if kind == "star_counterexample" else args[0]
+        if n > 0 and n * (n - 1) // 2 > MAX_VERTICES:
+            raise ValueError(f"{kind}: {n} vertices make {n * (n - 1) // 2} vertex "
+                             f"pairs, above the limit {MAX_VERTICES}")
     return fn(*args)

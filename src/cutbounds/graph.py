@@ -210,10 +210,19 @@ def girth(g: WeightedGraph) -> Optional[int]:
     For each root, any non-tree edge (u, v) seen during BFS closes a walk of
     dist(u) + dist(v) + 1 edges that contains a cycle of at most that length,
     and a root on a shortest cycle realizes it exactly, so the minimum over
-    all roots is the girth.
+    all roots is the girth.  Every cycle lies in the 2-core, so vertices of
+    degree <= 1 are peeled first and the BFS runs within the core only; a
+    forest has an empty core and costs O(n + m).
     """
+    deg = [len(a) for a in g.adj]
+    peel = [v for v in range(g.n) if deg[v] <= 1]
+    for v in peel:  # grows while it is walked
+        for u, _ in g.adj[v]:
+            deg[u] -= 1
+            if deg[u] == 1:
+                peel.append(u)
     best: Optional[int] = None
-    for src in range(g.n):
+    for src in (v for v in range(g.n) if deg[v] >= 2):
         dist = [-1] * g.n
         via = [-1] * g.n
         dist[src] = 0
@@ -223,7 +232,7 @@ def girth(g: WeightedGraph) -> Optional[int]:
             if best is not None and 2 * dist[u] >= best:
                 continue
             for v, eid in g.adj[u]:
-                if eid == via[u]:
+                if eid == via[u] or deg[v] < 2:
                     continue
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1

@@ -1,15 +1,14 @@
 """Spanning structures: DFS trees, min/max spanning trees, and the layer
-decompositions that turn a tree into families of induced-bipartite
-certificates (parity layers, girth layers, edge-rooted layers)."""
+family that turns a leveled tree into k candidate certificates (parity
+layers are its k = 2 case; edge-rooted layers level from a marked edge)."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .cuts import InducedBipartiteSubgraph, verify_induced_bipartite
-from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph, stats
+from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
 
 
@@ -169,47 +168,24 @@ def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,
     return _orient(g, t.edge_ids, (u, v), t.kind)
 
 
-def parity_layer_certificates(
-        g: WeightedGraph, t: RootedSpanningTree
-) -> tuple[InducedBipartiteSubgraph, InducedBipartiteSubgraph]:
-    """Split tree edges by the parity of their upper level.
-
-    Edges between levels i and i+1 go to the odd-i part or the even-i part.
-    Each part's components are stars, induced whenever the children of any
-    node are pairwise non-adjacent (always true for DFS trees; needs a
-    triangle-free host for arbitrary trees).  Verification failures
-    surface as NotInducedError / NotBipartiteError.
-    """
-    if len(t.roots) != 1:
-        raise ValueError("parity layers need a single-rooted tree")
-    odd, even = [], []
-    for eid in sorted(t.edge_ids):
-        u, v, _ = g.edges[eid]
-        i = min(t.level[u], t.level[v])
-        (odd if i % 2 == 1 else even).append(eid)
-    return (verify_induced_bipartite(g, odd), verify_induced_bipartite(g, even))
-
-
-def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> list[list[int]]:
-    """The k layered edge sets of a leveled tree.
+def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> Iterator[list[int]]:
+    """The k layered edge sets of a leveled tree, yielded one at a time.
 
     Set j keeps every tree edge except those between levels i and i+1 with
     i = j (mod k), then adds every non-tree edge whose endpoints fall in
     one connected component of the kept forest.  A marked level-0/level-0
-    edge is never dropped.
+    edge is never dropped.  For k = 2 on a single-rooted tree these are the
+    parity layers, odd upper level first.  Sets are yielded unchecked, so
+    memory stays O(n + m) even at k = n.
     """
     tree_ids = sorted(t.edge_ids)
-    sets: list[list[int]] = []
     non_tree = [e for e in range(g.m) if e not in t.edge_ids]
     for j in range(k):
         kept = []
         for eid in tree_ids:
             u, v, _ = g.edges[eid]
             lu, lv = t.level[u], t.level[v]
-            if lu == lv:
-                kept.append(eid)
-                continue
-            if min(lu, lv) % k != j:
+            if lu == lv or min(lu, lv) % k != j:
                 kept.append(eid)
         par = list(range(g.n))
         for eid in kept:
@@ -217,8 +193,7 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> list[lis
             par[_find(par, u)] = _find(par, v)
         extra = [eid for eid in non_tree
                  if _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
-        sets.append(sorted(kept + extra))
-    return sets
+        yield sorted(kept + extra)
 
 
 def tree_distances_from(g: WeightedGraph, t: RootedSpanningTree, src: int) -> list[int]:
@@ -279,35 +254,3 @@ def shortest_fundamental_odd_cycle(g: WeightedGraph, t: RootedSpanningTree) -> O
     """
     return min((c for _, c in fundamental_cycle_lengths(g, t.edge_ids) if c % 2 == 1),
                default=None)
-
-
-def girth_layer_certificates(g: WeightedGraph, t: RootedSpanningTree, k: int,
-                             marked_eid: Optional[int] = None
-                             ) -> list[InducedBipartiteSubgraph]:
-    """The k layer certificates of a spanning tree.
-
-    Without a marked edge: t must be a DFS tree, k even and at most the
-    girth; every tree edge then lands in exactly k-1 of the k sets.  With a
-    marked tree edge: t may be arbitrary and k any positive integer, but
-    T + e must contain no odd cycle of length 2k-1 or less for every
-    non-tree edge e (checked); levels are measured from the marked edge's
-    endpoints and the marked edge lands in all k sets.
-    """
-    if marked_eid is None:
-        if k < 2 or k % 2 != 0:
-            raise ValueError("k must be a positive even integer")
-        if t.kind != "dfs":
-            raise ValueError("girth layers need a DFS tree (no cross edges)")
-        gi = stats(g).girth
-        if gi is not None and gi < k:
-            raise OddCycleError(f"girth {gi} is below k = {k}")
-        leveled = t
-    else:
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        leveled = reroot_at_edge(g, t, marked_eid)
-        r = shortest_fundamental_odd_cycle(g, leveled)
-        if r is not None and r <= 2 * k - 1:
-            raise OddCycleError(
-                f"odd cycle of length {r} <= 2k-1 = {2 * k - 1} through the tree")
-    return [verify_induced_bipartite(g, s) for s in layer_edge_sets(g, leveled, k)]

@@ -804,11 +804,12 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
         return BoundReport("shearer", 0.0, Cut.from_side(g, [0] * g.n),
                            MONTE_CARLO, None, {"delta": delta})
     best_raw: Optional[Cut] = None
-    raw_weights = []
-    for raw in _shearer_raw_cuts(g, trials, seed):
-        raw_weights.append(raw.weight)
-        if best_raw is None or raw.weight > best_raw.weight:
-            best_raw = raw
+    raw_weights: list[float] = []
+    for sides, weights in _shearer_raw_sides(g, trials, seed):
+        raw_weights += weights
+        i = max(range(len(weights)), key=weights.__getitem__)
+        if best_raw is None or weights[i] > best_raw.weight:
+            best_raw = Cut(tuple(sides[i].tolist()), weights[i])
     cut = local_search_improve(g, best_raw)
     value = shearer_coefficient(delta) * g.total_weight
     details = {
@@ -908,13 +909,6 @@ def _side_weights(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
     return [Cut.from_side(g, row).weight for row in sides.tolist()]
 
 
-def _block_cuts(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
-                weights: np.ndarray) -> list[Cut]:
-    """One cut per row of ``sides``, weighed exactly as ``Cut.from_side`` would."""
-    return [Cut(tuple(row), w) for row, w in
-            zip(sides.tolist(), _side_weights(g, sides, ends, weights))]
-
-
 def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
                            trials: int, seed: int
                            ) -> Iterator[tuple[np.ndarray, list[float]]]:
@@ -924,7 +918,7 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
     Trial i draws ``2k`` words for the keep decisions of the k tree edges,
     then one word per kept-forest component for its orientation; both are
     a prefix of its first ``2k + n <= 3n`` words, the prefix that
-    ``_shearer_raw_cuts`` asks for, so both read one matrix.  Every kept edge
+    ``_shearer_raw_sides`` asks for, so both read one matrix.  Every kept edge
     is a tree edge, so each kept-forest component is a subtree of ``t``
     rooted at vertex 0.  Its top is found by pointer jumping along kept
     parent edges, and the 2-color of v measured from the component's
@@ -967,8 +961,10 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
         yield sides, _side_weights(g, sides, ends, weights)
 
 
-def _shearer_raw_cuts(g: WeightedGraph, trials: int, seed: int) -> Iterator[Cut]:
-    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i.
+def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
+                       ) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i,
+    as blocks of side vectors (one row per trial) and their cut weights.
 
     Trial i draws n first-stage bits, then one bit per tied vertex, then
     one per vertex that is not good, each in vertex order: a prefix of the
@@ -992,4 +988,4 @@ def _shearer_raw_cuts(g: WeightedGraph, trials: int, seed: int) -> Iterator[Cut]
         past_ties = n - 1 + np.count_nonzero(tie, axis=1)[:, None]
         redraws = np.take_along_axis(bits, past_ties + np.cumsum(~good, axis=1), axis=1)
         sides = np.where(good, first, redraws)
-        yield from _block_cuts(g, sides, ends, weights)
+        yield sides, _side_weights(g, sides, ends, weights)

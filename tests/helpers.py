@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cutbounds import WeightedGraph, verify_induced_bipartite
+from cutbounds import WeightedGraph, derandomized_cut, verify_induced_bipartite
 from cutbounds.cuts import NotBipartiteError, NotInducedError
 
 
@@ -474,3 +474,33 @@ def greedy_matching_by_loop(g: WeightedGraph) -> tuple[int, ...]:
             used[u] = used[v] = True
             chosen.append(eid)
     return _swap_pass(g, chosen)
+
+
+def pendant_graph(cycle_len: int, extra: int, rng: random.Random,
+                  integer_weights: bool) -> WeightedGraph:
+    """A forest (``cycle_len`` 0) or a cycle, with random pendant trees: each
+    later vertex hangs off an earlier one or starts a new tree."""
+    pairs = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
+    n = max(cycle_len, 1) + extra
+    pairs += [(rng.randrange(v), v) for v in range(max(cycle_len, 1), n)
+              if rng.random() < 0.9]
+    draw = (lambda: float(rng.randint(0, 9))) if integer_weights else rng.random
+    return WeightedGraph(n, [(u, v, draw()) for u, v in pairs])
+
+
+def parity_layer_split(g: WeightedGraph, t) -> list[list[int]]:
+    """Tree edges split by the parity of their upper level, ``[odd, even]``,
+    each in edge-id order: the two parity layers of a single-rooted tree."""
+    odd, even = [], []
+    for eid in sorted(t.edge_ids):
+        u, v, _ = g.edges[eid]
+        (odd if min(t.level[u], t.level[v]) % 2 == 1 else even).append(eid)
+    return [odd, even]
+
+
+def best_layer_cut_by_full_scan(g: WeightedGraph, edge_sets):
+    """The first heaviest derandomized cut over every edge set, with its
+    index, checking and cutting each set without stopping early."""
+    cuts = [derandomized_cut(g, verify_induced_bipartite(g, s)) for s in edge_sets]
+    j = max(range(len(cuts)), key=lambda i: cuts[i].weight)
+    return cuts[j], j

@@ -108,6 +108,12 @@ def test_edge_rooted_tree_fixtures():
     assert r.details["k"] == 2
 
 
+def test_edge_rooted_tree_rejects_a_triangle_through_the_tree():
+    # K4's heaviest tree is the star at 0; every non-tree edge closes a triangle
+    with pytest.raises(cb.OddCycleError, match="odd cycle of length 3 <= 2k-1 = 3"):
+        cb.edge_rooted_tree_bound(cb.complete(4), k=2)
+
+
 def test_dominance_dfs_over_pt_corpus():
     rng = random.Random(6)
     for _ in range(120):

@@ -149,6 +149,40 @@ def test_absurd_vertex_count_exits_2(tmp_path, capsys, over):
     assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
 
 
+_MAX = cb.graph.MAX_VERTICES
+# the fewest vertices with more than MAX_VERTICES vertex pairs
+_PAIRS_OVER = next(n for n in range(2, _MAX) if n * (n - 1) // 2 > _MAX)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cycle", [str(_MAX + 1)]), ("cycle", ["100000000000"]), ("path", [str(_MAX + 1)]),
+    ("complete", [str(_PAIRS_OVER)]), ("star_counterexample", ["2", str(_PAIRS_OVER - 1)]),
+    ("random_triangle_free_subcubic", [str(_PAIRS_OVER)])])
+def test_over_limit_generate_exits_2_before_building(monkeypatch, capsys, kind, params):
+    def unbuilt(*args):
+        raise AssertionError(f"{kind} was built")
+
+    types, defaults, _ = cb.generators._SPECS[kind]
+    monkeypatch.setitem(cb.generators._SPECS, kind, (types, defaults, unbuilt))
+    code, text = run_cli(["bounds", "--generate", kind, *params])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cycle", [str(_MAX)]), ("path", [str(_MAX)]), ("complete", [str(_PAIRS_OVER - 1)]),
+    ("star_counterexample", ["2", str(_PAIRS_OVER - 2)]),
+    ("random_triangle_free_subcubic", [str(_PAIRS_OVER - 1)])])
+def test_generate_limits_admit_the_largest_size(monkeypatch, kind, params):
+    built = []
+    types, defaults, _ = cb.generators._SPECS[kind]
+    monkeypatch.setitem(cb.generators._SPECS, kind,
+                        (types, defaults, lambda *args: built.append(args) or cb.cycle(5)))
+    cb.generators.build(kind, params)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trials_below_one_exit_2(capsys, trials):
     code, text = run_cli(["bounds", "--generate", "cycle", "6", "--trials", trials])

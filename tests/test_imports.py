@@ -32,3 +32,44 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level ``_``-prefixed functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded and attributes taken in ``tree``, outside ``skip``."""
+    out: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_private_helper_is_read():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    reads_elsewhere = {name: set().union(*(_reads(t) for n, t in trees.items() if n != name))
+                       for name in trees}
+    orphans = [f"{file}:{name}" for file, tree in sorted(trees.items())
+               for name, node in _private_definitions(tree)
+               if name not in reads_elsewhere[file] | _reads(tree, skip=node)]
+    assert orphans == []

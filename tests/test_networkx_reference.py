@@ -10,7 +10,7 @@ import cutbounds as cb
 from cutbounds.bounds import EXACT_MATCHING_MAX_EDGES, exact_matching_small
 from cutbounds.cuts import NotBipartiteError
 from cutbounds.subcubic import _articulation_points
-from helpers import random_connected_graph
+from helpers import pendant_graph, random_connected_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -30,7 +30,11 @@ def _graphs(max_n, max_extra):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_graphs(14, 20))
+@given(st.one_of(_graphs(14, 20), st.builds(
+    lambda cycle_len, extra, seed, integer: pendant_graph(
+        cycle_len, extra, random.Random(seed), integer),
+    st.sampled_from([0, 3, 4, 5, 6, 7, 9]), st.integers(0, 20), st.integers(0, 10 ** 6),
+    st.booleans())))
 def test_girth_and_triangles(g):
     h = _to_nx(g)
     want = nx.girth(h)

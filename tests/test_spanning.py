@@ -66,7 +66,7 @@ def test_mst_matches_enumeration_small():
 def test_parity_layers_path():
     g = cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
     t = cb.dfs_tree(g, 0)
-    g1, g2 = cb.parity_layer_certificates(g, t)
+    g1, g2 = (cb.verify_induced_bipartite(g, s) for s in layer_edge_sets(g, t, 2))
     assert g1.weight(g) + g2.weight(g) == t.weight
     assert g1.edge_ids == frozenset({1})       # level-1 to level-2 edge
     assert g2.edge_ids == frozenset({0, 2})
@@ -74,7 +74,8 @@ def test_parity_layers_path():
 
 def test_parity_layers_c5_dfs():
     g = cb.cycle(5)
-    g1, g2 = cb.parity_layer_certificates(g, cb.dfs_tree(g, 0))
+    g1, g2 = (cb.verify_induced_bipartite(g, s)
+              for s in layer_edge_sets(g, cb.dfs_tree(g, 0), 2))
     assert g1.weight(g) + g2.weight(g) == 4.0
 
 
@@ -84,13 +85,16 @@ def test_parity_layers_k4_star_tree_fails():
         parent=(None, 0, 0, 0), roots=(0,), level=(0, 1, 1, 1),
         edge_ids=frozenset({g.edge_id(0, 1), g.edge_id(0, 2), g.edge_id(0, 3)}),
         kind="arbitrary", weight=3.0)
-    with pytest.raises(cb.NotInducedError):
-        cb.parity_layer_certificates(g, star)
+    # the second set joins the star to the triangle on its leaves: K4 itself
+    with pytest.raises(cb.NotBipartiteError):
+        for s in layer_edge_sets(g, star, 2):
+            cb.verify_induced_bipartite(g, s)
 
 
 def test_girth_layers_c5():
     g = cb.cycle(5)
-    certs = cb.girth_layer_certificates(g, cb.dfs_tree(g, 0), 4)
+    certs = [cb.verify_induced_bipartite(g, s)
+             for s in layer_edge_sets(g, cb.dfs_tree(g, 0), 4)]
     assert len(certs) == 4
     for eid in cb.dfs_tree(g, 0).edge_ids:
         assert sum(eid in c.edge_ids for c in certs) == 3
@@ -105,7 +109,7 @@ def test_girth_layers_reproduce_figure():
     g = cb.WeightedGraph(9, [(u, v, 1.0) for u, v in FIG_TREE + FIG_BACK])
     t = cb.dfs_tree(g, 0)
     assert t.edge_ids == frozenset(range(8))  # DFS rediscovers the drawn tree
-    certs = cb.girth_layer_certificates(g, t, 4)
+    certs = [cb.verify_induced_bipartite(g, s) for s in layer_edge_sets(g, t, 4)]
 
     def ids(pairs):
         return frozenset(g.edge_id(u, v) for u, v in pairs)
@@ -119,27 +123,15 @@ def test_girth_layers_reproduce_figure():
     assert [c.edge_ids for c in certs] == expected
 
 
-def test_girth_layers_triangle_rejected():
-    g = cb.complete(4)
-    with pytest.raises(cb.OddCycleError):
-        cb.girth_layer_certificates(g, cb.dfs_tree(g, 0), 4)
-
-
 def test_marked_edge_layers():
     g = cb.cycle(8)
     t = cb.max_spanning_tree(g)
     marked = sorted(t.edge_ids)[0]
-    certs = cb.girth_layer_certificates(g, t, 4, marked)
+    certs = [cb.verify_induced_bipartite(g, s)
+             for s in layer_edge_sets(g, reroot_at_edge(g, t, marked), 4)]
     for eid in t.edge_ids:
         want = 4 if eid == marked else 3
         assert sum(eid in c.edge_ids for c in certs) == want
-
-
-def test_marked_edge_precondition():
-    g = cb.cycle(5)
-    t = cb.max_spanning_tree(g)
-    with pytest.raises(cb.OddCycleError):
-        cb.girth_layer_certificates(g, t, 4, sorted(t.edge_ids)[0])
 
 
 def test_shortest_fundamental_odd_cycle():
@@ -211,7 +203,7 @@ def test_layer_sum_invariant():
         k = 3
         marked = sorted(t.edge_ids)[0]
         leveled = reroot_at_edge(g, t, marked)
-        sets = layer_edge_sets(g, leveled, k)
+        sets = list(layer_edge_sets(g, leveled, k))
         for eid in t.edge_ids:
             want = k if eid == marked else k - 1
             assert sum(eid in s for s in sets) == want
