@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
 from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
@@ -121,6 +121,13 @@ def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
                key=lambda t: t.weight)
 
 
+def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:
+    """The derandomized cut of the layer set of ``t`` that drops the least
+    tree weight, and the set's index: one check and one cut."""
+    j, ids = layer_edge_sets(g, t, k)
+    return derandomized_cut(g, verify_induced_bipartite(g, ids)), j
+
+
 def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
                   sweep: Optional[bool] = None) -> BoundReport:
     """w(G)/2 + w(T_min)/4 with a minimum-weight spanning tree T_min.
@@ -131,7 +138,7 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     """
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g, root, sweep)
-    cut = _best_layer_cut(g, layer_edge_sets(g, d, 2))[0]
+    cut = _layer_cut(g, d, 2)[0]
     value = _num(g, g.total_weight) / 2 + _num(g, tmin.weight) / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
@@ -142,7 +149,7 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
               sweep: Optional[bool] = None) -> BoundReport:
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
     d = _best_dfs_tree(g, root, sweep)
-    cut = _best_layer_cut(g, layer_edge_sets(g, d, 2))[0]
+    cut = _layer_cut(g, d, 2)[0]
     value = _num(g, g.total_weight) / 2 + _num(g, d.weight) / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
     return _report("dfs_tree", g, value, cut, details)
@@ -259,28 +266,6 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
 # -- girth-family bounds --------------------------------------------------
 
 
-def _best_layer_cut(g: WeightedGraph,
-                    edge_sets: Iterable[Iterable[int]]) -> tuple[Cut, int]:
-    """The heaviest derandomized cut over ``edge_sets`` and its index, the
-    first on ties.  Each set is checked when the loop reaches it, so the
-    sets can stream (acyclic inputs have k = n of them).  The loop stops at
-    a cut of weight >= w(G), as no later cut weighs more: integral weights
-    sum exactly, and a float cut weight sums a subset of w(G)'s nonnegative
-    weights in the same edge order, where left-to-right rounding is
-    monotone.  Python 3.12's compensated ``sum`` rounds each exact sum about
-    once instead; that is monotone too, except that a later cut within that
-    last rounding of w(G) could read heavier, by no more than the rounding.
-    """
-    best, best_j = None, -1
-    for j, ids in enumerate(edge_sets):
-        cut = derandomized_cut(g, verify_induced_bipartite(g, ids))
-        if best is None or cut.weight > best.weight:
-            best, best_j = cut, j
-            if cut.weight >= g.total_weight:
-                break
-    return best, best_j
-
-
 def girth_bound(g: WeightedGraph, k: Optional[int] = None,
                 root: Optional[int] = None, sweep: Optional[bool] = None) -> BoundReport:
     """w(G)/2 + (k-1)/(2k) * w(D) for a DFS tree D, when the girth is >= k.
@@ -304,7 +289,7 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
     if st.girth is not None and k > st.girth:
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
     d = _best_dfs_tree(g, root, sweep)
-    cut, best_j = _best_layer_cut(g, layer_edge_sets(g, d, k))
+    cut, best_j = _layer_cut(g, d, k)
     value = _num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, d.weight)
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight, "best_layer": best_j}
@@ -325,7 +310,7 @@ def triangle_free_tree_bound(g: WeightedGraph,
     if not st.connected:
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
-    cut = _best_layer_cut(g, layer_edge_sets(g, t, 2))[0]
+    cut = _layer_cut(g, t, 2)[0]
     value = _num(g, g.total_weight) / 2 + _num(g, t.weight) / 4
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
     return _report("triangle_free_tree", g, value, cut, details)
@@ -357,7 +342,7 @@ def edge_rooted_tree_bound(g: WeightedGraph,
         raise BoundPreconditionError("no legal k: an odd triangle closes the tree")
     if r is not None and r <= 2 * k - 1:
         raise OddCycleError(f"odd cycle of length {r} <= 2k-1 = {2 * k - 1} through the tree")
-    cut, best_j = _best_layer_cut(g, layer_edge_sets(g, leveled, k))
+    cut, best_j = _layer_cut(g, leveled, k)
     we_star = g.edges[marked_eid][2]
     value = (_num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, t.weight)
              + _num(g, we_star) / (2 * k))

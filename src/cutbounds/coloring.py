@@ -2,8 +2,8 @@
 
 vizing_edge_coloring implements the classical fan-and-alternating-path
 construction with at most max_degree + 1 colors.  matching_vizing_bound
-contracts a matching, colors the contraction, lifts every color class
-back to an induced matching, and keeps the best derandomized cut.
+contracts a matching, colors the contraction, and derandomizes the
+matching joined with its heaviest lifted color class.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _best_layer_cut, _num, _report
+from .bounds import BoundReport, _num, _report
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
 from .graph import TriangleFoundError, WeightedGraph, triangle_free
 
@@ -208,18 +208,17 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
 
     c is the achieved color count of the contracted graph (at most
     2*max_degree - 1), so the reported bound is at least the worst-case
-    max_degree/(2*max_degree-1) * (w(G)-w(M)) + w(M) form.  The cut is the
-    best derandomized cut over M joined with each lifted color class.
+    max_degree/(2*max_degree-1) * (w(G)-w(M)) + w(M) form.  The one cut
+    derandomizes M joined with the heaviest lifted class (the first on
+    ties), which weighs at least (w(G)-w(M))/c.
     """
     con = contract_matching(g, matching)
     m_ids = con.matching
-    classes = []
-    if con.base.m:
-        coloring = vizing_edge_coloring(con.base)
-        classes = coloring.classes()
-    c = max(len(classes), 1)
-    best, best_class = _best_layer_cut(
-        g, (set(m_ids) | set(con.lift_matching(cls)) for cls in classes or [[]]))
+    classes = vizing_edge_coloring(con.base).classes() if con.base.m else [[]]
+    c = len(classes)
+    best_class = max(range(c), key=lambda i: sum(con.base.edges[k][2] for k in classes[i]))
+    ids = set(m_ids) | set(con.lift_matching(classes[best_class]))
+    best = derandomized_cut(g, verify_induced_bipartite(g, ids))
     wm_f = float(sum(g.edges[e][2] for e in m_ids))
     w, wm = _num(g, g.total_weight), _num(g, wm_f)
     value = (w + wm) / 2 + (w - wm) / (2 * c)
@@ -256,10 +255,10 @@ def vizing_classes_coefficient_exact(delta: int) -> Fraction:
 def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     """Coefficient bound t * w(G) for triangle-free graphs.
 
-    Colors the graph itself, runs the matching-contraction bound on every
-    color class, and returns the best cut.  Averaging the per-class
-    guarantees yields the closed-form coefficient, so the best cut meets
-    it deterministically.
+    Runs the matching-contraction bound once, on the heaviest class M of a
+    (delta+1)-edge-coloring of G, the first on ties.  That bound rises with
+    w(M) >= w(G)/(delta+1) and falls with its color count c <= 2*delta - 1;
+    at both worst cases it equals t * w(G), so the one cut meets t * w(G).
     """
     if not triangle_free(g):
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
@@ -269,9 +268,9 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
                        {"delta": 0, "class_count": 0})
     delta = g.max_degree()
     coloring = vizing_edge_coloring(g)
-    best_class, best = max(enumerate(matching_vizing_bound(g, cls)
-                                     for cls in coloring.classes()),
-                           key=lambda ir: ir[1].cut.weight)
+    best_class, heaviest = max(enumerate(coloring.classes()),
+                               key=lambda ic: sum(g.edges[e][2] for e in ic[1]))
+    best = matching_vizing_bound(g, heaviest)
     coeff = vizing_classes_coefficient_exact(delta)
     value = coeff * _num(g, g.total_weight)
     details = {"delta": delta, "class_count": coloring.color_count,

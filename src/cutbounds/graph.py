@@ -212,17 +212,20 @@ def girth(g: WeightedGraph) -> Optional[int]:
     and a root on a shortest cycle realizes it exactly, so the minimum over
     all roots is the girth.  Every cycle lies in the 2-core, so vertices of
     degree <= 1 are peeled first and the BFS runs within the core only; a
-    forest has an empty core and costs O(n + m).
+    forest has an empty core and costs O(n + m).  A finished root leaves
+    the core too, as every cycle through it has been measured.
     """
     deg = [len(a) for a in g.adj]
     peel = [v for v in range(g.n) if deg[v] <= 1]
-    for v in peel:  # grows while it is walked
-        for u, _ in g.adj[v]:
-            deg[u] -= 1
-            if deg[u] == 1:
-                peel.append(u)
     best: Optional[int] = None
-    for src in (v for v in range(g.n) if deg[v] >= 2):
+    for src in range(g.n):
+        while peel:  # peel what is left to its 2-core
+            for u, _ in g.adj[peel.pop()]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    peel.append(u)
+        if deg[src] < 2:
+            continue
         dist = [-1] * g.n
         via = [-1] * g.n
         dist[src] = 0
@@ -242,6 +245,8 @@ def girth(g: WeightedGraph) -> Optional[int]:
                     cand = dist[u] + dist[v] + 1
                     if best is None or cand < best:
                         best = cand
+        deg[src] = 1  # peeled like a leaf: each neighbour loses one
+        peel.append(src)
     return best
 
 

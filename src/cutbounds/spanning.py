@@ -1,12 +1,13 @@
 """Spanning structures: DFS trees, min/max spanning trees, and the layer
-family that turns a leveled tree into k candidate certificates (parity
-layers are its k = 2 case; edge-rooted layers level from a marked edge)."""
+family of a leveled tree, whose lightest-dropping member is the one
+certificate built (parity layers are its k = 2 case; edge-rooted layers
+level from a marked edge)."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
@@ -168,32 +169,35 @@ def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,
     return _orient(g, t.edge_ids, (u, v), t.kind)
 
 
-def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> Iterator[list[int]]:
-    """The k layered edge sets of a leveled tree, yielded one at a time.
+def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[int, list[int]]:
+    """Of the k layered edge sets of a leveled tree, the one that drops the
+    least tree weight (the first on ties), and its index j.
 
     Set j keeps every tree edge except those between levels i and i+1 with
     i = j (mod k), then adds every non-tree edge whose endpoints fall in
     one connected component of the kept forest.  A marked level-0/level-0
-    edge is never dropped.  For k = 2 on a single-rooted tree these are the
-    parity layers, odd upper level first.  Sets are yielded unchecked, so
-    memory stays O(n + m) even at k = n.
+    edge is never dropped; the sets drop every other tree edge once, so set
+    j keeps at least (k-1)/k of w(T) plus 1/k of the marked edge.  For k = 2
+    on a single-rooted tree these are the parity layers, odd upper level
+    first.  Only set j is built.
     """
-    tree_ids = sorted(t.edge_ids)
-    non_tree = [e for e in range(g.m) if e not in t.edge_ids]
-    for j in range(k):
-        kept = []
-        for eid in tree_ids:
-            u, v, _ = g.edges[eid]
-            lu, lv = t.level[u], t.level[v]
-            if lu == lv or min(lu, lv) % k != j:
-                kept.append(eid)
-        par = list(range(g.n))
-        for eid in kept:
-            u, v, _ = g.edges[eid]
-            par[_find(par, u)] = _find(par, v)
-        extra = [eid for eid in non_tree
-                 if _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
-        yield sorted(kept + extra)
+    layer: dict[int, int] = {}
+    dropped = [0.0] * k
+    for eid in sorted(t.edge_ids):
+        u, v, w = g.edges[eid]
+        lu, lv = t.level[u], t.level[v]
+        if lu != lv:
+            layer[eid] = min(lu, lv) % k
+            dropped[layer[eid]] += w
+    j = min(range(k), key=dropped.__getitem__)
+    kept = [eid for eid in sorted(t.edge_ids) if layer.get(eid) != j]
+    par = list(range(g.n))
+    for eid in kept:
+        u, v, _ = g.edges[eid]
+        par[_find(par, u)] = _find(par, v)
+    extra = [eid for eid in range(g.m) if eid not in t.edge_ids
+             and _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
+    return j, sorted(kept + extra)
 
 
 def tree_distances_from(g: WeightedGraph, t: RootedSpanningTree, src: int) -> list[int]:

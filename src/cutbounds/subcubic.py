@@ -4,10 +4,10 @@ Pipeline for the 8/11 coefficient bound: pad the graph to a 3-regular
 triangle-free supergraph with zero-weight gadgets, 3-color it (Brooks),
 orient every vertex toward the neighbor whose color is unique in its
 neighborhood (the successor digraph), classify edges by how many endpoints
-realize them as successor arcs, and combine three certified cuts built
-from that structure.  Also hosts the 2/3 coloring cut, the tree
-percolation sampler, its combination bound, and the two-stage random
-redistribution sampler.
+realize them as successor arcs, and build the one of three certified cuts
+from that structure whose certified value is largest.  Also hosts the 2/3
+coloring cut, the tree percolation sampler, its combination bound, and the
+two-stage random redistribution sampler.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -377,24 +377,20 @@ def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassificati
 
 
 def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
-                  succ: SuccessorDigraph,
-                  cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
-    """Best of the three drop-one-class cuts.
+                  succ: SuccessorDigraph) -> Cut:
+    """The drop-one-class cut that drops the least weight, first on ties.
 
     Dropping every successor edge owned by one color class leaves each of
     that class's vertices attached to a single other class, so the residue
-    is bipartite.  Certified value: w0 + (2/3) w1 + (1/3) w2 over the edge
-    classes, the average of the three residues.
+    is bipartite and every residue edge crosses its cut.  The residues keep
+    w0 + (2/3) w1 + (1/3) w2 on average over the edge classes.
     """
-    def residue(i: int) -> list[int]:
-        dropped = {g.edge_id(v, s) for v, s in enumerate(succ.succ)
-                   if s is not None and coloring.class_of[v] == i}
-        return [e for e in range(g.m) if e not in dropped]
-
-    best = max((place_blocks(g, _two_color(g, residue(i))) for i in (1, 2, 3)),
-               key=lambda cut: cut.weight)
-    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    return best, w0 + 2 * w1 / 3 + w2 / 3
+    dropped: dict[int, set[int]] = {c: set() for c in (1, 2, 3)}
+    for v, s in enumerate(succ.succ):
+        if s is not None:
+            dropped[coloring.class_of[v]].add(g.edge_id(v, s))
+    least = min((1, 2, 3), key=lambda c: sum(g.edges[e][2] for e in sorted(dropped[c])))
+    return place_blocks(g, _two_color(g, (e for e in range(g.m) if e not in dropped[least])))
 
 
 def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None:
@@ -412,20 +408,19 @@ def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None
 
 def _layered_sides(g: WeightedGraph, members: list[int], star_edges: set[int],
                    roots: tuple[int, ...]) -> dict[int, int]:
-    """Sides, by host vertex, of the best k = 4 layer cut of ``g`` induced on
+    """Sides, by host vertex, of the k = 4 layer cut of ``g`` induced on
     ``members``, whose star edges are a spanning tree leveled from ``roots``
     and close only cycles of length divisible by 3."""
     sub, orig_v, orig_e = g.induced(members)
     tree_ids = frozenset(i for i, oe in enumerate(orig_e) if oe in star_edges)
     _assert_cycles_divisible(sub, tree_ids)
     t = _orient(sub, tree_ids, tuple(orig_v.index(r) for r in roots), "arbitrary")
-    best = max((place_blocks(sub, _two_color(sub, s)) for s in layer_edge_sets(sub, t, 4)),
-               key=lambda cut: cut.weight)
-    return dict(zip(orig_v, best.side))
+    cut = place_blocks(sub, _two_color(sub, layer_edge_sets(sub, t, 4)[1]))
+    return dict(zip(orig_v, cut.side))
 
 
 def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
-                        cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
+                        cls: EdgeClassification) -> Cut:
     """Layered cut over the components of the successor graph.
 
     Each component is an in-tree or a tree plus one directed cycle.  Trees
@@ -443,9 +438,7 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
             blocks.append({comp[0]: 0})
             continue
         blocks.append(_component_block(g, succ, comp, star_edges))
-    cut = place_blocks(g, blocks)
-    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    return cut, w0 / 2 + 7 * w1 / 8 + w2
+    return place_blocks(g, blocks)
 
 
 def _walk_cycle(succ: SuccessorDigraph, comp: list[int]) -> Optional[list[int]]:
@@ -525,20 +518,35 @@ def _component_block(g: WeightedGraph, succ: SuccessorDigraph, comp: list[int],
     return side
 
 
-def mutual_matching_cut(g: WeightedGraph,
-                        cls: EdgeClassification) -> tuple[Cut, Fraction | float]:
+def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
     """Matching-contraction cut with the mutual successor edges as matching.
 
     Certified value: (3/5)(w0 + w1) + w2, which the contraction bound
     dominates whenever the contracted coloring uses at most five colors.
     """
-    a2 = cls.edge_ids(2)
-    rep = matching_vizing_bound(g, a2)
+    rep = matching_vizing_bound(g, cls.edge_ids(2))
     if rep.details["color_count"] > 5 and g.max_degree() >= 3:
         raise ClaimViolationError(
             f"contracted coloring used {rep.details['color_count']} > 5 colors")
+    return rep.cut
+
+
+def _eight_elevenths_candidates(g: WeightedGraph, coloring: VertexColoring3,
+                                succ: SuccessorDigraph, cls: EdgeClassification
+                                ) -> dict[str, tuple[Fraction | float, Callable[[], Cut]]]:
+    """The three certified cuts on the cubic graph ``g``, by name: each
+    one's certified value, known from the edge-class weights alone, and a
+    function that builds its cut.  With weights 9/22, 8/22 and 5/22 the
+    values add up to (8/11) w, so the largest alone meets the bound."""
     w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
-    return rep.cut, Fraction(3, 5) * (w0 + w1) + w2
+    return {
+        "drop_class": (w0 + 2 * w1 / 3 + w2 / 3,
+                       lambda: per_class_cut(g, coloring, succ)),
+        "layered_components": (w0 / 2 + 7 * w1 / 8 + w2,
+                               lambda: component_layer_cut(g, succ, cls)),
+        "mutual_matching": (Fraction(3, 5) * (w0 + w1) + w2,
+                            lambda: mutual_matching_cut(g, cls)),
+    }
 
 
 # =====================================================================
@@ -556,10 +564,11 @@ def _require_tf_subcubic(g: WeightedGraph) -> None:
 def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
     """Deterministic cut of weight at least (8/11) w(G) for tf subcubic G.
 
-    The three certified cuts satisfy, with weights 9/22, 8/22 and 5/22,
-    a combination identity equal to (8/11) w, so their maximum meets the
-    bound.  Runs on the zero-weight 3-regular extension and restricts the
-    winning cut back.  The report is memoized on ``g``.
+    The three certified values satisfy, with weights 9/22, 8/22 and 5/22,
+    a combination identity equal to (8/11) w, so the candidate with the
+    largest value (the first on ties) meets the bound alone: only its cut
+    is built and checked.  Runs on the zero-weight 3-regular extension and
+    restricts that cut back.  The report is memoized on ``g``.
     """
     _require_tf_subcubic(g)
     return _cached_report(g, "eight_elevenths", lambda: _eight_elevenths(g))
@@ -573,23 +582,19 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     coloring = color_components(g3)
     succ = successor_digraph(g3, coloring)
     cls = classify_edges(g3, succ)
-    candidates = (
-        ("drop_class", per_class_cut(g3, coloring, succ, cls)),
-        ("layered_components", component_layer_cut(g3, succ, cls)),
-        ("mutual_matching", mutual_matching_cut(g3, cls)),
-    )
-    details: dict = {"gadgets": ext.gadget_count,
-                     "class_weights": list(cls.weights(g3))}
-    for name, (cut, value) in candidates:
-        if not meets(g3, cut.weight, value):
-            raise ClaimViolationError(
-                f"{name} cut weight {cut.weight} below certified {value}")
-        details[name] = {"cut_weight": cut.weight, "certified": float(value)}
-    best_name, best = max(candidates, key=lambda c: c[1][0].weight)
-    details["winner"] = best_name
-    cut = ext.restrict(best[0])
-    value = EIGHT_ELEVENTHS * _num(g, g.total_weight)
-    return _report("eight_elevenths", g, value, cut, details)
+    candidates = _eight_elevenths_candidates(g3, coloring, succ, cls)
+    winner = max(candidates, key=lambda name: candidates[name][0])
+    value, build = candidates[winner]
+    cut = build()
+    if not meets(g3, cut.weight, value):
+        raise ClaimViolationError(
+            f"{winner} cut weight {cut.weight} below certified {value}")
+    details = {"gadgets": ext.gadget_count, "class_weights": list(cls.weights(g3)),
+               **{name: {"certified": float(v)} for name, (v, _) in candidates.items()},
+               "winner": winner}
+    details[winner]["cut_weight"] = cut.weight
+    return _report("eight_elevenths", g, EIGHT_ELEVENTHS * _num(g, g.total_weight),
+                   ext.restrict(cut), details)
 
 
 def two_thirds_bound(g: WeightedGraph) -> BoundReport:

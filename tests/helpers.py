@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from cutbounds import WeightedGraph, derandomized_cut, verify_induced_bipartite
+from cutbounds import WeightedGraph, verify_induced_bipartite
 from cutbounds.cuts import NotBipartiteError, NotInducedError
 
 
@@ -498,9 +498,68 @@ def parity_layer_split(g: WeightedGraph, t) -> list[list[int]]:
     return [odd, even]
 
 
-def best_layer_cut_by_full_scan(g: WeightedGraph, edge_sets):
-    """The first heaviest derandomized cut over every edge set, with its
-    index, checking and cutting each set without stopping early."""
-    cuts = [derandomized_cut(g, verify_induced_bipartite(g, s)) for s in edge_sets]
-    j = max(range(len(cuts)), key=lambda i: cuts[i].weight)
-    return cuts[j], j
+def layer_sets_by_definition(g: WeightedGraph, t, k: int) -> list[list[int]]:
+    """All k layer sets of ``t``, each built from its definition: set j
+    drops the tree edges between levels i and i+1 with i = j (mod k), keeps
+    the rest of the tree, and absorbs each non-tree edge whose ends the
+    kept forest joins, found by a BFS per set."""
+    from collections import deque
+    sets = []
+    for j in range(k):
+        kept = set()
+        for e in t.edge_ids:
+            lu, lv = (t.level[x] for x in g.edges[e][:2])
+            if lu == lv or min(lu, lv) % k != j:
+                kept.add(e)
+        comp = [-1] * g.n
+        for s in range(g.n):
+            if comp[s] >= 0:
+                continue
+            comp[s] = s
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for v, eid in g.adj[u]:
+                    if eid in kept and comp[v] < 0:
+                        comp[v] = s
+                        queue.append(v)
+        sets.append(sorted(kept | {e for e, (u, v, _) in enumerate(g.edges)
+                                   if e not in t.edge_ids and comp[u] == comp[v]}))
+    return sets
+
+
+def lightest_layer_by_full_scan(g: WeightedGraph, t, k: int) -> tuple[int, list[int]]:
+    """The first of the k layer sets with the least dropped tree weight, and
+    its index; each dropped weight is summed in edge-id order."""
+    sets = layer_sets_by_definition(g, t, k)
+    dropped = []
+    for ids in sets:
+        kept, drop = set(ids), 0.0
+        for e in sorted(t.edge_ids):
+            if e not in kept:
+                drop += g.edges[e][2]
+        dropped.append(drop)
+    j = dropped.index(min(dropped))
+    return j, sets[j]
+
+
+def eight_elevenths_candidate_cuts(g: WeightedGraph):
+    """The cubic extension of ``g`` and every 8/11 candidate built on it, by
+    name, as ``(cut, certified value)``.  Building all three runs each
+    one's own ClaimViolationError checks; a cut below its certified value
+    raises ClaimViolationError too."""
+    from cutbounds.bounds import meets
+    from cutbounds.subcubic import (ClaimViolationError, _eight_elevenths_candidates,
+                                    classify_edges, color_components,
+                                    regularize_to_cubic, successor_digraph)
+    g3 = regularize_to_cubic(g).graph
+    coloring = color_components(g3)
+    succ = successor_digraph(g3, coloring)
+    out = {}
+    for name, (value, build) in _eight_elevenths_candidates(
+            g3, coloring, succ, classify_edges(g3, succ)).items():
+        cut = build()
+        if not meets(g3, cut.weight, value):
+            raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
+        out[name] = (cut, value)
+    return g3, out

@@ -285,12 +285,13 @@ def test_bounds_root_applies_to_its_component(tmp_path):
     assert rows["dfs_tree"]["bound_value"] == want.bound_value
 
 
-# The rows that depend on --root, as printed before a root was mapped to
-# its own component: every component was then rooted at local vertex 0.
+# The rows that depend on --root, with the bound values printed before a
+# root was mapped to its own component: every component was then rooted at
+# local vertex 0.  The cuts are those of the one layer set each bound builds.
 _ROOT0_ROWS = """\
-{"bound_value": 49.0, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 8.75, 29.75], "components": 3}, "mode": "deterministic", "name": "poljak_turzik"}
-{"bound_value": 51.5, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 9.25, 31.75], "components": 3}, "mode": "deterministic", "name": "dfs_tree"}
-{"bound_value": 59.291666666666664, "cut": "101011010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [12.833333333333334, 11.083333333333334, 35.375], "components": 3}, "mode": "deterministic", "name": "girth_layers"}
+{"bound_value": 49.0, "cut": "010101010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 8.75, 29.75], "components": 3}, "mode": "deterministic", "name": "poljak_turzik"}
+{"bound_value": 51.5, "cut": "010101010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 9.25, 31.75], "components": 3}, "mode": "deterministic", "name": "dfs_tree"}
+{"bound_value": 59.291666666666664, "cut": "010100101011001001101", "cut_weight": 68.0, "details": {"component_bounds": [12.833333333333334, 11.083333333333334, 35.375], "components": 3}, "mode": "deterministic", "name": "girth_layers"}
 """  # noqa: E501
 
 

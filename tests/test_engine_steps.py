@@ -1,22 +1,23 @@
 """The engine's steps agree with the bounds built from them: the 2/3
 placement is ``place_blocks`` with one rigid block, the greedy matching is
 the plain heaviest-first loop, the parity layers are the k = 2 layer family,
-and every best-of selection keeps the first maximum, also where it stops
-early."""
+every selection keeps the first best candidate, and each bound builds,
+checks and derandomizes one certificate per component."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds import bounds
-from cutbounds.bounds import _best_dfs_tree, _best_layer_cut, greedy_matching
+from cutbounds import bounds, coloring, cuts, subcubic
+from cutbounds.bounds import _best_dfs_tree, greedy_matching
 from cutbounds.cuts import place_blocks
-from cutbounds.spanning import layer_edge_sets
+from cutbounds.spanning import layer_edge_sets, reroot_at_edge
 from cutbounds.subcubic import color_components
-from helpers import (best_layer_cut_by_full_scan, greedy_matching_by_loop,
-                     parity_layer_split, pendant_graph, random_certificate_edges,
-                     random_connected_graph, random_tf_subcubic_graph)
+from helpers import (greedy_matching_by_loop, layer_sets_by_definition,
+                     lightest_layer_by_full_scan, parity_layer_split, random_connected_graph,
+                     random_tf_subcubic_graph)
 
 
 def _assert_two_thirds_is_rigid_pair_placement(g):
@@ -43,72 +44,157 @@ def test_two_thirds_fixtures_are_the_rigid_pair_placement():
         _assert_two_thirds_is_rigid_pair_placement(g)
 
 
-def test_best_layer_cut_ties_go_to_the_first_certificate():
-    g = cb.cycle(6)
-    cert = cb.verify_induced_bipartite(g, [0, 3])
-    cut, j = _best_layer_cut(g, iter([[0, 3], [0, 3]]))
-    assert j == 0 and cut == cb.derandomized_cut(g, cert)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 30), st.integers(0, 10 ** 6), st.booleans())
 def test_parity_layers_are_the_k2_layer_family(n, extra, seed, integer):
     rng = random.Random(seed)
     g = random_connected_graph(n, extra, rng, integer)
-    d = cb.dfs_tree(g, rng.randrange(n))
-    assert list(layer_edge_sets(g, d, 2)) == parity_layer_split(g, d)
     h = random_tf_subcubic_graph(n, rng, integer)
-    t = cb.max_spanning_tree(h)
-    assert list(layer_edge_sets(h, t, 2)) == parity_layer_split(h, t)
-
-
-def _weighted(n, pairs, rng, integer):
-    draw = (lambda: float(rng.randint(0, 9))) if integer else (lambda: rng.random() * 5.0)
-    return cb.WeightedGraph(n, [(u, v, draw()) for u, v in pairs])
-
-
-def _grid(rows, cols, rng, integer):
-    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return _weighted(rows * cols, pairs, rng, integer)
+    for host, t in ((g, cb.dfs_tree(g, rng.randrange(n))), (h, cb.max_spanning_tree(h))):
+        odd, even = split = parity_layer_split(host, t)
+        assert layer_sets_by_definition(host, t, 2) == split
+        # set 0 drops the even layer, set 1 the odd one
+        weight = [sum(host.edges[e][2] for e in ids) for ids in split]
+        j = 0 if weight[1] <= weight[0] else 1
+        assert layer_edge_sets(host, t, 2) == (j, split[j])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["random", "forest", "even_cycle", "grid"]),
-       st.integers(2, 14), st.integers(0, 10 ** 6), st.booleans())
-def test_early_stopping_layer_cut_matches_a_full_scan(family, n, seed, integer):
+@given(st.integers(1, 24), st.integers(0, 12), st.integers(0, 10 ** 6), st.booleans())
+def test_lightest_layer_matches_a_full_scan(n, extra, seed, integer):
+    # on a tree every k is legal and every layer set is a certificate; on a
+    # graph the bounds pick k, their tree and their marked edge themselves
     rng = random.Random(seed)
-    g = {"random": lambda: random_connected_graph(n, rng.randint(0, 2 * n), rng, integer),
-         "forest": lambda: pendant_graph(0, n, rng, integer),
-         "even_cycle": lambda: _weighted(2 * n, [(i, (i + 1) % (2 * n)) for i in range(2 * n)],
-                                         rng, integer),
-         "grid": lambda: _grid(2 + n % 3, n, rng, integer)}[family]()
-    # random certificates around the whole edge set, which cuts every edge
-    # when g is bipartite; repeats make ties on both sides of the stop
-    sets = [random_certificate_edges(g, rng) for _ in range(rng.randint(0, 4))]
-    if family != "random":
-        sets.append(list(range(g.m)))
-    sets += [random_certificate_edges(g, rng) for _ in range(rng.randint(0, 4))]
-    sets += sets[:rng.randint(0, len(sets))]
-    if family != "forest":
-        sets += layer_edge_sets(g, cb.dfs_tree(g, 0), 2)
-    assert _best_layer_cut(g, iter(sets)) == best_layer_cut_by_full_scan(g, sets)
+    tree = random_connected_graph(n, 0, rng, integer)
+    t = cb.max_spanning_tree(tree) if rng.random() < 0.5 else cb.dfs_tree(tree, rng.randrange(n))
+    marked = None
+    if n > 1 and rng.random() < 0.5:
+        marked = rng.choice(sorted(t.edge_ids))
+        t = reroot_at_edge(tree, t, marked)
+    k = rng.randint(1, n + 1)
+    j, ids = layer_edge_sets(tree, t, k)
+    assert (j, ids) == lightest_layer_by_full_scan(tree, t, k)
+    cut = cb.derandomized_cut(tree, cb.verify_induced_bipartite(tree, ids))
+    if integer:
+        w_t = Fraction(t.weight)
+        value = Fraction(tree.total_weight) / 2 + Fraction(k - 1, 2 * k) * w_t
+        if marked is not None:
+            value += Fraction(tree.edges[marked][2]) / (2 * k)
+        assert Fraction(cut.weight) >= value
 
-
-def test_k_equals_n_layers_stop_at_the_first_full_cut(monkeypatch):
-    calls = []
-
-    def counting(g, cert):
-        calls.append(cert)
-        return cb.derandomized_cut(g, cert)
-
-    monkeypatch.setattr(bounds, "derandomized_cut", counting)
-    g = cb.generators.path(300)
+    g = random_connected_graph(n, extra, rng, integer)
     for bound in (cb.girth_bound, cb.edge_rooted_tree_bound):
-        calls.clear()
+        try:
+            rep = bound(g)
+        except cb.PreconditionError:
+            continue
+        k = rep.details["k"]
+        if bound is cb.girth_bound:
+            t = _best_dfs_tree(g, None, None)
+        else:
+            t = reroot_at_edge(g, cb.max_spanning_tree(g), g.edge_id(*rep.details["marked_edge"]))
+        assert rep.details["best_layer"] == lightest_layer_by_full_scan(g, t, k)[0]
+        if integer:
+            assert Fraction(rep.cut.weight) >= rep.bound_exact
+
+
+def _counted(monkeypatch, module, name, log):
+    """Replace ``module.name`` by a wrapper that appends the call's
+    arguments to ``log`` and calls the original."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _three_components():
+    # Petersen, an 8-cycle and a path: triangle-free, subcubic, girth >= 4
+    edges = [(u, v, float((u * 7 + v) % 5 + 1)) for u, v, _ in cb.petersen().edges]
+    edges += [(10 + i, 10 + (i + 1) % 8, float(i % 3 + 1)) for i in range(8)]
+    edges += [(18 + i, 19 + i, float(i + 2)) for i in range(5)]
+    return cb.WeightedGraph(24, edges)
+
+
+def test_each_layer_bound_derandomizes_one_certificate_per_component(monkeypatch):
+    checked, cut = [], []
+    _counted(monkeypatch, bounds, "verify_induced_bipartite", checked)
+    _counted(monkeypatch, bounds, "derandomized_cut", cut)
+    for bound in (cb.poljak_turzik, cb.dfs_bound, cb.girth_bound,
+                  cb.triangle_free_tree_bound, cb.edge_rooted_tree_bound):
+        checked.clear()
+        cut.clear()
+        rep = cb.per_component(_three_components(), bound)
+        assert rep.details["components"] == 3
+        assert (len(checked), len(cut)) == (3, 3), bound.__name__
+
+
+def test_matching_vizing_derandomizes_one_certificate_per_component(monkeypatch):
+    cut = []
+    _counted(monkeypatch, coloring, "derandomized_cut", cut)
+    rep = cb.per_component(_three_components(),
+                           lambda h: cb.matching_vizing_bound(h, cb.best_matching(h)))
+    assert rep.details["components"] == 3 and len(cut) == 3
+
+
+def test_vizing_classes_colors_twice(monkeypatch):
+    colorings = []
+    _counted(monkeypatch, coloring, "vizing_edge_coloring", colorings)
+    for g in (cb.petersen(), random_tf_subcubic_graph(40, random.Random(3), True)):
+        colorings.clear()
+        assert cb.vizing_classes_bound(g).certified(g)
+        assert len(colorings) == 2
+
+
+def test_eight_elevenths_builds_only_the_winning_candidate(monkeypatch):
+    # every place_blocks call records the candidate builders it runs inside
+    building, placed = [], []
+
+    def inside(name, real):
+        def wrapper(*args):
+            building.append(name)
+            try:
+                return real(*args)
+            finally:
+                building.pop()
+        return wrapper
+
+    def placing(real):
+        def wrapper(g, blocks):
+            placed.append(tuple(building))
+            return real(g, blocks)
+        return wrapper
+
+    builder = {"drop_class": "per_class_cut", "layered_components": "component_layer_cut",
+               "mutual_matching": "mutual_matching_cut"}
+    for name in builder.values():
+        monkeypatch.setattr(subcubic, name, inside(name, getattr(subcubic, name)))
+    for module in (subcubic, cuts):
+        monkeypatch.setattr(module, "place_blocks", placing(module.place_blocks))
+    winners = set()
+    graphs = [cb.cycle(5), cb.petersen(), cb.gadget_k33_subdivided(2.0)]
+    graphs += [random_tf_subcubic_graph(n, random.Random(n), True) for n in range(4, 40, 3)]
+    for g in graphs:
+        placed.clear()
+        rep = cb.eight_elevenths_bound(g)
+        winner = rep.details["winner"]
+        winners.add(winner)
+        assert placed and set(placed) == {(builder[winner],)}
+        assert [n for n in builder if "cut_weight" in rep.details[n]] == [winner]
+    assert len(winners) > 1
+
+
+def test_long_odd_cycle_layer_bounds_check_one_set(monkeypatch):
+    checked = []
+    _counted(monkeypatch, bounds, "verify_induced_bipartite", checked)
+    g = cb.cycle(1001)
+    for bound in (cb.girth_bound, cb.edge_rooted_tree_bound):
+        checked.clear()
         rep = bound(g)
-        assert rep.details["k"] >= 150 and rep.cut.weight == g.total_weight
-        assert len(calls) == 1
+        assert rep.details["k"] >= 500 and rep.certified(g)
+        assert len(checked) == 1
 
 
 def test_best_dfs_tree_sweep_ties_go_to_the_lowest_root():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from helpers import girth_by_edge_removal, induced_by_edge_scan, random_connected_graph
+from helpers import (girth_by_edge_removal, induced_by_edge_scan, pendant_graph,
+                     random_connected_graph)
 
 C5_FILE = """c five cycle
 p 5 5
@@ -95,11 +96,27 @@ def test_stats_fixtures():
     assert cb.stats(tree).triangle_free
 
 
+def _theta(*lengths):
+    """Vertices 0 and 1 joined by internally disjoint paths of these lengths."""
+    pairs, n = [], 2
+    for length in lengths:
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        walk = [0] + inner + [1]
+        pairs += list(zip(walk, walk[1:]))
+    return cb.WeightedGraph(n, [(u, v, 1.0) for u, v in pairs])
+
+
 def test_girth_matches_independent_oracle():
     import random
-    for seed in range(60):
-        g = random_connected_graph(random.Random(seed).randint(3, 10), seed % 5,
-                                   random.Random(seed + 1))
+    graphs = [random_connected_graph(random.Random(seed).randint(3, 10), seed % 5,
+                                     random.Random(seed + 1)) for seed in range(60)]
+    graphs += [cb.cycle(n) for n in (3, 4, 99, 100, 201)]
+    graphs += [_theta(*lengths) for lengths in ((1, 2, 2), (2, 3, 4), (5, 5, 7), (40, 41, 60),
+                                                  (3, 3, 3, 3))]
+    graphs += [pendant_graph(cycle_len, extra, random.Random(cycle_len), True)
+               for cycle_len in (3, 5, 8, 31, 60) for extra in (1, 20)]
+    for g in graphs:
         assert cb.girth(g) == girth_by_edge_removal(g), cb.save_graph(g)
 
 

@@ -8,8 +8,16 @@ from cutbounds.spanning import (cross_edges, fundamental_cycle_lengths,
                                 layer_edge_sets, reroot_at_edge,
                                 shortest_fundamental_odd_cycle,
                                 tree_distances_from)
-from helpers import (random_connected_graph, shortest_odd_fundamental_cycle_by_bfs,
-                     spanning_tree_weights)
+from helpers import (layer_sets_by_definition, random_connected_graph,
+                     shortest_odd_fundamental_cycle_by_bfs, spanning_tree_weights)
+
+
+def _layer_sets(g, t, k):
+    """The k layer sets by their definition; the library builds one of them."""
+    sets = layer_sets_by_definition(g, t, k)
+    j, ids = layer_edge_sets(g, t, k)
+    assert sets[j] == ids
+    return sets
 
 
 def test_dfs_on_cycle_is_path():
@@ -66,7 +74,7 @@ def test_mst_matches_enumeration_small():
 def test_parity_layers_path():
     g = cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
     t = cb.dfs_tree(g, 0)
-    g1, g2 = (cb.verify_induced_bipartite(g, s) for s in layer_edge_sets(g, t, 2))
+    g1, g2 = (cb.verify_induced_bipartite(g, s) for s in _layer_sets(g, t, 2))
     assert g1.weight(g) + g2.weight(g) == t.weight
     assert g1.edge_ids == frozenset({1})       # level-1 to level-2 edge
     assert g2.edge_ids == frozenset({0, 2})
@@ -75,7 +83,7 @@ def test_parity_layers_path():
 def test_parity_layers_c5_dfs():
     g = cb.cycle(5)
     g1, g2 = (cb.verify_induced_bipartite(g, s)
-              for s in layer_edge_sets(g, cb.dfs_tree(g, 0), 2))
+              for s in _layer_sets(g, cb.dfs_tree(g, 0), 2))
     assert g1.weight(g) + g2.weight(g) == 4.0
 
 
@@ -87,14 +95,14 @@ def test_parity_layers_k4_star_tree_fails():
         kind="arbitrary", weight=3.0)
     # the second set joins the star to the triangle on its leaves: K4 itself
     with pytest.raises(cb.NotBipartiteError):
-        for s in layer_edge_sets(g, star, 2):
+        for s in _layer_sets(g, star, 2):
             cb.verify_induced_bipartite(g, s)
 
 
 def test_girth_layers_c5():
     g = cb.cycle(5)
     certs = [cb.verify_induced_bipartite(g, s)
-             for s in layer_edge_sets(g, cb.dfs_tree(g, 0), 4)]
+             for s in _layer_sets(g, cb.dfs_tree(g, 0), 4)]
     assert len(certs) == 4
     for eid in cb.dfs_tree(g, 0).edge_ids:
         assert sum(eid in c.edge_ids for c in certs) == 3
@@ -109,7 +117,7 @@ def test_girth_layers_reproduce_figure():
     g = cb.WeightedGraph(9, [(u, v, 1.0) for u, v in FIG_TREE + FIG_BACK])
     t = cb.dfs_tree(g, 0)
     assert t.edge_ids == frozenset(range(8))  # DFS rediscovers the drawn tree
-    certs = [cb.verify_induced_bipartite(g, s) for s in layer_edge_sets(g, t, 4)]
+    certs = [cb.verify_induced_bipartite(g, s) for s in _layer_sets(g, t, 4)]
 
     def ids(pairs):
         return frozenset(g.edge_id(u, v) for u, v in pairs)
@@ -128,7 +136,7 @@ def test_marked_edge_layers():
     t = cb.max_spanning_tree(g)
     marked = sorted(t.edge_ids)[0]
     certs = [cb.verify_induced_bipartite(g, s)
-             for s in layer_edge_sets(g, reroot_at_edge(g, t, marked), 4)]
+             for s in _layer_sets(g, reroot_at_edge(g, t, marked), 4)]
     for eid in t.edge_ids:
         want = 4 if eid == marked else 3
         assert sum(eid in c.edge_ids for c in certs) == want
@@ -203,7 +211,7 @@ def test_layer_sum_invariant():
         k = 3
         marked = sorted(t.edge_ids)[0]
         leveled = reroot_at_edge(g, t, marked)
-        sets = list(layer_edge_sets(g, leveled, k))
+        sets = _layer_sets(g, leveled, k)
         for eid in t.edge_ids:
             want = k if eid == marked else k - 1
             assert sum(eid in s for s in sets) == want

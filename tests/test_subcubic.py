@@ -16,8 +16,8 @@ from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
                                 _peel_greedy, _percolation_raw, _trial_words,
                                 _uniforms)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
-from helpers import (naive_max_cut, peel_colors_by_scan, random_connected_graph,
-                     random_tf_subcubic_graph)
+from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
+                     random_connected_graph, random_tf_subcubic_graph)
 
 
 def bridged_gadgets():
@@ -156,29 +156,18 @@ def test_successor_triple_color_property():
 # -- certified cuts ---------------------------------------------------------
 
 
-def _pipeline(g):
-    ext = cb.regularize_to_cubic(g)
-    g3 = ext.graph
-    col = color_components(g3)
-    succ = cb.successor_digraph(g3, col)
-    cls = cb.classify_edges(g3, succ)
-    return g3, col, succ, cls
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_certified_cuts_hold(seed):
     g = cb.random_triangle_free_subcubic(4 + seed, seed=seed, weight_dist="int")
-    g3, col, succ, cls = _pipeline(g)
-    for cut, value in (cb.per_class_cut(g3, col, succ, cls),
-                       cb.component_layer_cut(g3, succ, cls),
-                       cb.mutual_matching_cut(g3, cls)):
+    g3, candidates = eight_elevenths_candidate_cuts(g)
+    for cut, value in candidates.values():
         assert Fraction(cut.weight) >= value
         assert cut.weight >= value - slack(g3)
 
 
 def test_per_class_cut_petersen():
-    g3, col, succ, cls = _pipeline(cb.petersen())
-    cut, value = cb.per_class_cut(g3, col, succ, cls)
+    _, candidates = eight_elevenths_candidate_cuts(cb.petersen())
+    cut, value = candidates["drop_class"]
     assert cut.weight >= value
     assert cut.weight <= 12.0
 
@@ -186,9 +175,9 @@ def test_per_class_cut_petersen():
 def test_mutual_matching_cut_empty_matching():
     # force an all-A0 classification with a doubled-color cubic fixture:
     # use the Petersen pipeline and strip class-2 edges instead
-    g3, col, succ, cls = _pipeline(cb.petersen())
-    if not cls.edge_ids(2):
-        cut, value = cb.mutual_matching_cut(g3, cls)
+    g3, candidates = eight_elevenths_candidate_cuts(cb.petersen())
+    if not cb.classify_edges(g3, cb.successor_digraph(g3, color_components(g3))).edge_ids(2):
+        cut, value = candidates["mutual_matching"]
         assert value == pytest.approx(0.6 * g3.total_weight)
 
 
@@ -233,8 +222,8 @@ def test_component_layer_cut_odd_nine_cycle():
     # the stitch must keep every cycle edge except the cheapest
     g = cb.WeightedGraph(9, [(i, (i + 1) % 9, float(i + 1)) for i in range(9)])
     succ = cb.SuccessorDigraph(tuple((i + 1) % 9 for i in range(9)))
-    cut, value = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
-    assert value == 7.0 / 8.0 * 45.0
+    cut = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
+    assert cut.weight >= 7.0 / 8.0 * 45.0
     assert cut.weight == 44.0  # drops only the weight-1 edge
 
 
@@ -243,9 +232,8 @@ def test_component_layer_cut_nine_cycle_with_tail():
     edges = [(i, (i + 1) % 9, 2.0) for i in range(9)] + [(0, 9, 5.0)]
     g = cb.WeightedGraph(10, edges)
     succ = cb.SuccessorDigraph(tuple((i + 1) % 9 for i in range(9)) + (0,))
-    cut, value = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
-    assert value == 7.0 / 8.0 * 23.0
-    assert cut.weight >= value
+    cut = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
+    assert cut.weight >= 7.0 / 8.0 * 23.0
     assert cut.crosses(g, g.edge_id(0, 9))
 
 
