@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
+import numpy as np
 
 _EXACT_FLOAT_LIMIT = 2.0 ** 53
 
@@ -293,6 +294,16 @@ def triangle_free(g: WeightedGraph) -> bool:
         nbrs = [{u for u, _ in a} for a in g.adj]
         return all(nbrs[u].isdisjoint(nbrs[v]) for u, v, _ in g.edges)
     return _cached(g, "triangle_free", compute)
+
+
+def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints as a read-only (2, m) array, and the weights; memoized on ``g``."""
+    def compute():
+        ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2).T
+        weights = np.array([w for _, _, w in g.edges], dtype=float)
+        ends.flags.writeable = weights.flags.writeable = False
+        return ends, weights
+    return _cached(g, "edge_arrays", compute)
 
 
 def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, ...]], ...]:

@@ -25,10 +25,11 @@ import numpy as np
 
 from .bounds import BoundReport, MONTE_CARLO, _cached_report, _num, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
-from .cuts import Cut, _two_color, local_search_improve, place_blocks
+from .cuts import (Cut, _flip_gains, _two_color, flip_to_local_optimum,
+                   local_search_improve, place_blocks)
 from .generators import _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
-                    WeightedGraph, triangle_free)
+                    WeightedGraph, _edge_arrays, triangle_free)
 from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
                        layer_edge_sets, max_spanning_tree,
                        shortest_fundamental_odd_cycle)
@@ -718,18 +719,24 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
     seen: set[bytes] = set()
     for sides, weights in _percolation_raw_sides(g, t, p, trials, seed):
         raw_weights += weights
-        # local_search_improve is a function of the side vector alone, so a
+        # The local search is a function of the side vector alone, so a
         # repeated raw cut improves to a cut already compared with ``best``;
         # its weight cannot beat ``best`` under the strict >, so only the
         # first occurrence of each side vector is searched.
-        for key, row, w in zip(np.packbits(sides, axis=1), sides, weights):
+        fresh = []
+        for i, key in enumerate(np.packbits(sides, axis=1)):
             key = key.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            improved = local_search_improve(g, Cut(tuple(row.tolist()), w))
-            if best is None or improved.weight > best.weight:
-                best = improved
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        raw = sides[fresh]
+        for row, gain in zip(raw, _flip_gains(g, raw)):
+            row[:] = flip_to_local_optimum(g, row, gain)
+        for i, row, w in zip(fresh, raw, _side_weights(g, raw)):
+            if w < weights[i]:
+                raise AssertionError("local search decreased the cut weight")
+            if best is None or w > best.weight:
+                best = Cut(tuple(row.tolist()), w)
     value = percolation_expectation(g, t, p, r)
     details = {
         "p": p, "r": r, "trials": trials, "seed": seed,
@@ -897,21 +904,16 @@ def _trial_words(start: int, stop: int, length: int) -> np.ndarray:
     return words[:, :length]
 
 
-def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints as a (2, m) array, and the weights."""
-    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2).T
-    return ends, np.array([w for _, _, w in g.edges], dtype=float)
-
-
-def _side_weights(g: WeightedGraph, sides: np.ndarray, ends: np.ndarray,
-                  weights: np.ndarray) -> list[float]:
+def _side_weights(g: WeightedGraph, sides: np.ndarray) -> list[float]:
     """The weight of each row of ``sides``, exactly as ``Cut.from_side`` gives it."""
+    ends, weights = _edge_arrays(g)
+    crossing = sides[:, ends[0]] != sides[:, ends[1]]
     if g.integer_weights:
         # Every partial sum is an integer below 2^53, hence exact in any order.
-        return ((sides[:, ends[0]] != sides[:, ends[1]]) @ weights).tolist()
-    # Python's float sum (compensated since 3.12) sets the rounding, and no
-    # numpy summation order matches it.
-    return [Cut.from_side(g, row).weight for row in sides.tolist()]
+        return (crossing @ weights).tolist()
+    # Python's float sum (compensated since 3.12) sets the rounding; this adds
+    # each row's crossing weights in edge order, as ``Cut.from_side`` does.
+    return [float(sum(weights[row].tolist())) for row in crossing]
 
 
 def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
@@ -941,7 +943,6 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
             parent[v] = u
             parent_edge[v] = column[g.edge_id(u, v)]
     parity = (np.array(rooted.level) & 1).astype(np.int8)
-    ends, weights = _edge_arrays(g)
     for start, stop in _block_ranges(g, trials, seed):
         b = stop - start
         words = _trial_words(start, stop, 3 * n)
@@ -963,7 +964,7 @@ def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
         order = np.take_along_axis(np.cumsum(is_low, axis=1) - 1, low, axis=1)
         bits = (words[:, 2 * k:] >> 31).astype(np.int8)
         sides = parity ^ parity[low] ^ np.take_along_axis(bits, order, axis=1)
-        yield sides, _side_weights(g, sides, ends, weights)
+        yield sides, _side_weights(g, sides)
 
 
 def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
@@ -977,7 +978,7 @@ def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
     word at its rank among the tied or not-good vertices of its trial.
     """
     n = g.n
-    ends, weights = _edge_arrays(g)
+    ends, _ = _edge_arrays(g)
     degree = np.array([g.degree(v) for v in range(n)])
     for start, stop in _block_ranges(g, trials, seed):
         b = stop - start
@@ -993,4 +994,4 @@ def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
         past_ties = n - 1 + np.count_nonzero(tie, axis=1)[:, None]
         redraws = np.take_along_axis(bits, past_ties + np.cumsum(~good, axis=1), axis=1)
         sides = np.where(good, first, redraws)
-        yield sides, _side_weights(g, sides, ends, weights)
+        yield sides, _side_weights(g, sides)

@@ -476,6 +476,41 @@ def greedy_matching_by_loop(g: WeightedGraph) -> tuple[int, ...]:
     return _swap_pass(g, chosen)
 
 
+def flip_gains_by_loop(g: WeightedGraph, side) -> list[float]:
+    """What flipping each vertex adds to the cut, one edge at a time."""
+    gain = [0.0] * g.n
+    for u, v, w in g.edges:
+        if side[u] == side[v]:
+            gain[u] += w
+            gain[v] += w
+        else:
+            gain[u] -= w
+            gain[v] -= w
+    return gain
+
+
+def local_search_by_full_sweeps(g: WeightedGraph, side) -> list[int]:
+    """First-improvement flips as full sweeps over every vertex in ascending
+    id, repeated until a sweep flips nothing."""
+    side = list(side)
+    gain = flip_gains_by_loop(g, side)
+    improved = True
+    while improved:
+        improved = False
+        for v in range(g.n):
+            if gain[v] > 0:
+                side[v] ^= 1
+                gain[v] = -gain[v]
+                for u, eid in g.adj[v]:
+                    w = g.edges[eid][2]
+                    if side[u] == side[v]:
+                        gain[u] += 2 * w
+                    else:
+                        gain[u] -= 2 * w
+                improved = True
+    return side
+
+
 def pendant_graph(cycle_len: int, extra: int, rng: random.Random,
                   integer_weights: bool) -> WeightedGraph:
     """A forest (``cycle_len`` 0) or a cycle, with random pendant trees: each

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds import subcubic
-from cutbounds.bounds import slack
+from cutbounds.bounds import meets, slack
+from cutbounds.cuts import flip_to_local_optimum
 from cutbounds.graph import _component_split
 from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
                                 percolation_expectation,
@@ -173,12 +174,16 @@ def test_per_class_cut_petersen():
 
 
 def test_mutual_matching_cut_empty_matching():
-    # force an all-A0 classification with a doubled-color cubic fixture:
-    # use the Petersen pipeline and strip class-2 edges instead
-    g3, candidates = eight_elevenths_candidate_cuts(cb.petersen())
-    if not cb.classify_edges(g3, cb.successor_digraph(g3, color_components(g3))).edge_ids(2):
-        cut, value = candidates["mutual_matching"]
-        assert value == pytest.approx(0.6 * g3.total_weight)
+    # This cubic graph has no class-2 edge, so the mutual matching is empty
+    # and the certified value is (3/5)(w0 + w1) with nothing contracted.
+    g3, candidates = eight_elevenths_candidate_cuts(
+        cb.random_triangle_free_subcubic(6, seed=102, weight_dist="int"))
+    cls = cb.classify_edges(g3, cb.successor_digraph(g3, color_components(g3)))
+    assert cls.edge_ids(2) == ()
+    w0, w1, _ = cls.weights(g3)
+    cut, value = candidates["mutual_matching"]
+    assert value == Fraction(3, 5) * (Fraction(w0) + Fraction(w1))
+    assert meets(g3, cut.weight, value)
 
 
 def test_eight_elevenths_fixtures():
@@ -534,11 +539,11 @@ def test_local_search_runs_once_per_distinct_raw_cut(monkeypatch):
     g = _shapes_union(True)
     searched = []
 
-    def counting(h, cut):
-        searched.append((h.n, cut.side))
-        return cb.local_search_improve(h, cut)
+    def counting(h, side, gain):
+        searched.append((h.n, tuple(side.tolist())))
+        return flip_to_local_optimum(h, side, gain)
 
-    monkeypatch.setattr(subcubic, "local_search_improve", counting)
+    monkeypatch.setattr(subcubic, "flip_to_local_optimum", counting)
     _lifted_percolation(g, 256, 2)
     distinct = set()
     for sub, _ in _component_split(g):
