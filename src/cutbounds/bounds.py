@@ -36,9 +36,9 @@ class BoundReport:
     """Named bound with its certified value and constructed cut.
 
     mode "deterministic" guarantees cut.weight >= bound_value - slack(G);
-    mode "monte_carlo" bounds the expectation only.  ``bound_exact`` is the
-    rational bound value when the instance has integral weights and the
-    bound is deterministic.
+    mode "monte_carlo", which only ``shearer`` reports, bounds the
+    expectation only.  ``bound_exact`` is the rational bound value when the
+    instance has integral weights and the bound is deterministic.
     """
 
     name: str

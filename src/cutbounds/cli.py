@@ -66,12 +66,8 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
         ("vizing_classes", lambda: vizing_classes_bound(g)),
         ("two_thirds", lambda: subcubic.two_thirds_bound(g)),
         ("eight_elevenths", pc(subcubic.eight_elevenths_bound, "eight_elevenths")),
-        ("tree_percolation",
-         pc(lambda h: subcubic.tree_percolation_bound(h, trials=trials, seed=seed),
-            "tree_percolation")),
-        ("combined_tree",
-         pc(lambda h: subcubic.combined_tree_bound(h, trials=trials, seed=seed),
-            "combined_tree")),
+        ("tree_percolation", pc(subcubic.tree_percolation_bound, "tree_percolation")),
+        ("combined_tree", pc(subcubic.combined_tree_bound, "combined_tree")),
         ("shearer", lambda: subcubic.shearer_bound(g, trials=trials, seed=seed)),
     ]
 

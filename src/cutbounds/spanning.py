@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph
+from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph, _cached
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
 
 
@@ -153,7 +153,9 @@ def min_spanning_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
 
 
 def max_spanning_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
-    return _orient(g, _kruskal(g, maximize=True), (root,), "arbitrary")
+    """Maximum-weight spanning tree (Kruskal, ties by edge id), memoized on ``g``."""
+    return _cached(g, ("max_spanning_tree", root),
+                   lambda: _orient(g, _kruskal(g, maximize=True), (root,), "arbitrary"))
 
 
 def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,

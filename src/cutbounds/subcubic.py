@@ -6,8 +6,9 @@ orient every vertex toward the neighbor whose color is unique in its
 neighborhood (the successor digraph), classify edges by how many endpoints
 realize them as successor arcs, and build the one of three certified cuts
 from that structure whose certified value is largest.  Also hosts the 2/3
-coloring cut, the tree percolation sampler, its combination bound, and the
-two-stage random redistribution sampler.
+coloring cut, the tree percolation cut (derandomized by conditional
+expectations, with its sampler kept as a cross-check), its combination
+bound, and the two-stage random redistribution sampler.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ import numpy as np
 
 from .bounds import BoundReport, MONTE_CARLO, _cached_report, _num, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
-from .cuts import (Cut, _flip_gains, _two_color, flip_to_local_optimum,
-                   local_search_improve, place_blocks)
+from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .generators import _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, _edge_arrays, triangle_free)
 from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
-                       layer_edge_sets, max_spanning_tree,
-                       shortest_fundamental_odd_cycle)
+                       layer_edge_sets, max_spanning_tree)
 
 EIGHT_ELEVENTHS = Fraction(8, 11)
 PERCOLATION_P = 0.85
@@ -40,7 +39,7 @@ COMBINATION_WEIGHT_A = 0.46545  # on the percolation inequality (p = 0.85, r = 5
 COMBINATION_WEIGHT_B = 0.53455  # on the 8/11 inequality
 TREE_COEFFICIENT = 0.3193
 
-# A block of Monte Carlo trials spans about this many (trial, vertex) or
+# A block of redistribution trials spans about this many (trial, vertex) or
 # (trial, edge) cells, so batch memory stays small whatever the trial count.
 _BLOCK_CELLS = 1 << 14
 
@@ -628,7 +627,7 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
 
 
 # =====================================================================
-# tree percolation (Monte Carlo) and the combination bound
+# tree percolation and the combination bound
 # =====================================================================
 
 
@@ -689,84 +688,127 @@ def tree_percolation_sample(g: WeightedGraph, t: RootedSpanningTree, p: float,
 
 def tree_percolation_bound(g: WeightedGraph,
                            tree: Optional[RootedSpanningTree] = None,
-                           p: float = PERCOLATION_P, trials: int = 256,
-                           seed: int = 0) -> BoundReport:
-    """Monte Carlo percolation bound; the guarantee holds in expectation.
+                           p: float = PERCOLATION_P) -> BoundReport:
+    """Percolation bound (p+1)/2 w(T) + (1 - p^(r-1))/2 (w(G) - w(T)), with
+    the cut of the percolation process derandomized by conditional
+    expectations.
 
-    Requires max degree at most 3.  Returns the best locally improved
-    sample; details record the raw sample mean and standard deviation for
-    expectation validation.  The report is memoized on ``g``, keyed on
-    everything it depends on: p, trials, seed and the tree's edge set.
+    Requires max degree at most 3.  ``_percolation_cut`` decides every tree
+    edge so the conditional expectation never falls and orients the kept
+    forest with ``place_blocks``; one local search follows, and the cut is
+    checked against the bound.  Details record the process's exact
+    expectation and the cut's weight before the search.  The report is
+    memoized on ``g``, keyed on p and the tree's edge set.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if g.max_degree() > 3:
         raise NotSubcubicError("graph is not subcubic")
     if not g.is_connected():
         raise DisconnectedGraphError("percolation bound needs a spanning tree")
     t = tree if tree is not None else max_spanning_tree(g)
-    return _cached_report(g, ("tree_percolation", p, trials, seed, t.edge_ids),
-                          lambda: _tree_percolation(g, t, p, trials, seed))
+    return _cached_report(g, ("tree_percolation", p, t.edge_ids),
+                          lambda: _tree_percolation(g, t, p))
 
 
-def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                      trials: int, seed: int) -> BoundReport:
-    r = shortest_fundamental_odd_cycle(g, t)
-    best: Optional[Cut] = None
-    raw_weights: list[float] = []
-    seen: set[bytes] = set()
-    for sides, weights in _percolation_raw_sides(g, t, p, trials, seed):
-        raw_weights += weights
-        # The local search is a function of the side vector alone, so a
-        # repeated raw cut improves to a cut already compared with ``best``;
-        # its weight cannot beat ``best`` under the strict >, so only the
-        # first occurrence of each side vector is searched.
-        fresh = []
-        for i, key in enumerate(np.packbits(sides, axis=1)):
-            key = key.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        raw = sides[fresh]
-        for row, gain in zip(raw, _flip_gains(g, raw)):
-            row[:] = flip_to_local_optimum(g, row, gain)
-        for i, row, w in zip(fresh, raw, _side_weights(g, raw)):
-            if w < weights[i]:
-                raise AssertionError("local search decreased the cut weight")
-            if best is None or w > best.weight:
-                best = Cut(tuple(row.tolist()), w)
-    value = percolation_expectation(g, t, p, r)
-    details = {
-        "p": p, "r": r, "trials": trials, "seed": seed,
-        "tree_weight": t.weight,
-        "raw_mean": statistics.fmean(raw_weights),
-        "raw_std": statistics.stdev(raw_weights) if len(raw_weights) > 1 else 0.0,
-    }
-    return BoundReport("tree_percolation", value, best, MONTE_CARLO, None, details)
+def _tree_paths(g: WeightedGraph, t: RootedSpanningTree) -> list[tuple[int, list[int]]]:
+    """``(f, tree edge ids on the tree path of f)`` for every non-tree edge f."""
+    rooted = t if len(t.roots) == 1 else _orient(g, t.edge_ids, (0,), t.kind)
+    parent, level = rooted.parent, rooted.level
+    up = [None if u is None else g.edge_id(v, u) for v, u in enumerate(parent)]
+    paths = []
+    for f, (a, b, _) in enumerate(g.edges):
+        if f in t.edge_ids:
+            continue
+        path = []
+        while a != b:
+            if level[a] < level[b]:
+                a, b = b, a
+            path.append(up[a])
+            a = parent[a]
+        paths.append((f, path))
+    return paths
+
+
+def _percolation_cut(g: WeightedGraph, t: RootedSpanningTree, p: float,
+                     paths: list[tuple[int, list[int]]]) -> Cut:
+    """The percolation process derandomized by conditional expectations.
+
+    Kept tree edges cross; a non-tree edge f whose tree path of length L
+    is all kept crosses iff L is odd; every other edge joins two pieces of
+    the kept forest and crosses with probability 1/2 under a uniform
+    orientation.  Given the decided tree edges, f (sign s = +1 for odd L,
+    -1 for even) crosses with probability 1/2 + s p^u / 2 while its path
+    keeps every decided edge, u counting the undecided ones, and 1/2 once
+    one is dropped.  Tree edges are decided in ascending id: e is kept iff
+    keeping adds at least as much as dropping, w_e/2 + sum over such f
+    through e of s w_f p^(u-1) / 2 >= 0.  So the conditional expectation
+    never falls below the process's expectation, sum_e w_e (1+p)/2 +
+    sum_f w_f (1/2 + s p^L / 2), and ``place_blocks`` orients the kept
+    pieces at least as well as a uniform orientation.
+    """
+    through: dict[int, list[int]] = {e: [] for e in t.edge_ids}
+    signed, undecided = [], []
+    for i, (f, path) in enumerate(paths):
+        w = g.edges[f][2]
+        signed.append(w if len(path) % 2 else -w)
+        undecided.append(len(path))
+        for e in path:
+            through[e].append(i)
+    power = [p ** k for k in range(max(undecided, default=0))]
+    live = [True] * len(paths)
+    kept = []
+    for e in sorted(t.edge_ids):
+        fs = [i for i in through[e] if live[i]]
+        if g.edges[e][2] + sum(signed[i] * power[undecided[i] - 1] for i in fs) >= 0:
+            kept.append(e)
+            for i in fs:
+                undecided[i] -= 1
+        else:
+            for i in fs:
+                live[i] = False
+    return place_blocks(g, _two_color(g, kept))
+
+
+def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> BoundReport:
+    paths = _tree_paths(g, t)
+    r = min((len(path) + 1 for _, path in paths if len(path) % 2 == 0), default=None)
+    raw = _percolation_cut(g, t, p, paths)
+    cut = local_search_improve(g, raw)
+    value = _num(g, percolation_expectation(g, t, p, r))
+    if not meets(g, cut.weight, value):
+        raise ClaimViolationError(
+            f"percolation cut weight {cut.weight} below certified {value}")
+    # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
+    expectation = (p + 1.0) / 2.0 * t.weight + sum(
+        g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
+    details = {"p": p, "r": r, "tree_weight": t.weight,
+               "expectation": expectation, "raw_weight": raw.weight}
+    return _report("tree_percolation", g, value, cut, details)
 
 
 def combined_tree_bound(g: WeightedGraph,
-                        tree: Optional[RootedSpanningTree] = None,
-                        trials: int = 256, seed: int = 0) -> BoundReport:
+                        tree: Optional[RootedSpanningTree] = None) -> BoundReport:
     """w(G)/2 + 0.3193 w(T) for tf subcubic G and any spanning tree T.
 
     Mixing the p = 0.85 percolation inequality (worst case r = 5) with the
-    8/11 inequality at weights 0.46545 / 0.53455 yields the coefficient;
-    the returned cut is the better of the two branch cuts, and the
-    expectation-only percolation branch makes the mode Monte Carlo.  Both
-    branch reports are memoized on ``g``, so after a suite has run them
-    this costs one spanning tree.
+    8/11 inequality at weights 0.46545 / 0.53455 yields the coefficient.
+    Both branch cuts are certified, so the heavier one weighs at least the
+    mix and meets the bound; it is returned after a check.  Both branch
+    reports are memoized on ``g``, so after a suite has run them this costs
+    nothing but that check.
     """
     _require_tf_subcubic(g)
     if not g.is_connected():
         raise DisconnectedGraphError("combination bound needs a spanning tree")
     t = tree if tree is not None else max_spanning_tree(g)
     eight = eight_elevenths_bound(g)
-    perc = tree_percolation_bound(g, t, PERCOLATION_P, trials, seed)
+    perc = tree_percolation_bound(g, t, PERCOLATION_P)
     cut = max(eight.cut, perc.cut, key=lambda c: c.weight)
-    value = g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight
+    value = _num(g, g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight)
+    if not meets(g, cut.weight, value):
+        raise ClaimViolationError(
+            f"combined tree cut weight {cut.weight} below certified {value}")
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
              + COMBINATION_WEIGHT_B * float(EIGHT_ELEVENTHS))
     details = {
@@ -777,7 +819,7 @@ def combined_tree_bound(g: WeightedGraph,
         "mix_weight_eight_elevenths": COMBINATION_WEIGHT_B,
         "mixed_tree_coefficient": mixed - 0.5,
     }
-    return BoundReport("combined_tree", value, cut, MONTE_CARLO, None, details)
+    return _report("combined_tree", g, value, cut, details)
 
 
 # =====================================================================
@@ -834,14 +876,14 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
 
 
 # =====================================================================
-# batched trials of the Monte Carlo bounds
+# batched trials of the redistribution bound
 # =====================================================================
 #
-# Trial ``i`` of a bound draws from its own ``random.Random(seed + i)``,
-# exactly the values, in exactly the order, that ``_percolation_raw`` or
-# ``shearer_sample`` draw.  The batch reads those values as raw generator
-# words and does the per-vertex and per-edge work for a block of trials
-# with numpy, so every cut equals the one the per-sample function returns.
+# Trial ``i`` draws from its own ``random.Random(seed + i)``, exactly the
+# values, in exactly the order, that ``shearer_sample`` draws.  The batch
+# reads those values as raw generator words and does the per-vertex and
+# per-edge work for a block of trials with numpy, so every cut equals the
+# one the per-sample function returns.
 
 
 def _mt_words(rng: random.Random, k: int) -> np.ndarray:
@@ -851,20 +893,11 @@ def _mt_words(rng: random.Random, k: int) -> np.ndarray:
     ``getrandbits(32 * k)`` fills its result from the least significant
     32-bit word up, one generator output per word, so its little-endian
     bytes are the outputs in order.  ``getrandbits(1)`` consumes one output
-    ``a`` and returns ``a >> 31``.  ``random()`` consumes two, ``a`` then
-    ``b``, and returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` (see
-    ``_uniforms``).  So drawing ``k`` words leaves ``rng`` in the state that
-    the matching sequence of those calls would.
+    ``a`` and returns ``a >> 31``.  So drawing ``k`` words leaves ``rng`` in
+    the state that ``k`` calls of ``getrandbits(1)`` would.
     """
     return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"),
                          dtype="<u4")
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The ``random()`` values of consecutive word pairs along the last axis."""
-    hi = (words[..., 0::2] >> 5).astype(np.uint64)
-    lo = (words[..., 1::2] >> 6).astype(np.uint64)
-    return (hi * (1 << 26) + lo) / float(1 << 53)
 
 
 def _block_ranges(g: WeightedGraph, trials: int,
@@ -873,35 +906,6 @@ def _block_ranges(g: WeightedGraph, trials: int,
     rows = max(1, _BLOCK_CELLS // max(g.n, g.m, 1))
     for start in range(seed, seed + trials, rows):
         yield start, min(start + rows, seed + trials)
-
-
-# The last word matrix ``_trial_words`` drew, keyed on its ``(start, stop)``.
-_drawn_words: dict[tuple[int, int], np.ndarray] = {}
-_MIN_WORDS = 64
-
-
-def _trial_words(start: int, stop: int, length: int) -> np.ndarray:
-    """The first ``length`` words of ``random.Random(s)`` for each seed s in
-    ``[start, stop)``, one row per seed, read-only.
-
-    Each row is a prefix of its seed's stream, so a wider matrix serves any
-    narrower request.  The last matrix drawn is kept; it is at least
-    ``_MIN_WORDS`` wide, and a wider request for the same seeds at least
-    doubles it.  So the components ``per_component`` lifts a bound over,
-    sampled one after another with the same seeds, share one draw per
-    block, or a few for a wide mix of sizes, instead of one draw each.
-    """
-    width = max(length, _MIN_WORDS)
-    words = _drawn_words.get((start, stop))
-    if words is not None:
-        if words.shape[1] >= length:
-            return words[:, :length]
-        width = max(width, 2 * words.shape[1])
-    words = np.stack([_mt_words(random.Random(s), width) for s in range(start, stop)])
-    words.flags.writeable = False
-    _drawn_words.clear()
-    _drawn_words[(start, stop)] = words
-    return words[:, :length]
 
 
 def _side_weights(g: WeightedGraph, sides: np.ndarray) -> list[float]:
@@ -916,57 +920,6 @@ def _side_weights(g: WeightedGraph, sides: np.ndarray) -> list[float]:
     return [float(sum(weights[row].tolist())) for row in crossing]
 
 
-def _percolation_raw_sides(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                           trials: int, seed: int
-                           ) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """``_percolation_raw`` with ``random.Random(seed + i)`` for each trial i,
-    as blocks of side vectors (one row per trial) and their cut weights.
-
-    Trial i draws ``2k`` words for the keep decisions of the k tree edges,
-    then one word per kept-forest component for its orientation; both are
-    a prefix of its first ``2k + n <= 3n`` words, the prefix that
-    ``_shearer_raw_sides`` asks for, so both read one matrix.  Every kept edge
-    is a tree edge, so each kept-forest component is a subtree of ``t``
-    rooted at vertex 0.  Its top is found by pointer jumping along kept
-    parent edges, and the 2-color of v measured from the component's
-    lowest vertex s is the parity of level[v] + level[s].
-    """
-    n, tree = g.n, sorted(t.edge_ids)
-    k = len(tree)
-    rooted = _orient(g, t.edge_ids, (0,), t.kind)
-    column = {e: i for i, e in enumerate(tree)}
-    verts = np.arange(n)
-    parent = verts.copy()
-    parent_edge = np.full(n, k)  # column k of ``kept`` is never kept
-    for v, u in enumerate(rooted.parent):
-        if u is not None:
-            parent[v] = u
-            parent_edge[v] = column[g.edge_id(u, v)]
-    parity = (np.array(rooted.level) & 1).astype(np.int8)
-    for start, stop in _block_ranges(g, trials, seed):
-        b = stop - start
-        words = _trial_words(start, stop, 3 * n)
-        kept = np.zeros((b, k + 1), dtype=bool)
-        kept[:, :k] = _uniforms(words[:, :2 * k]) < p
-        top = np.where(kept[:, parent_edge], parent, verts)
-        while True:
-            jumped = np.take_along_axis(top, top, axis=1)
-            if np.array_equal(jumped, top):
-                break
-            top = jumped
-        rows = np.arange(b)[:, None]
-        lowest = np.full((b, n), n)
-        np.minimum.at(lowest, (rows, top), verts)
-        low = lowest[rows, top]
-        is_low = low == verts
-        # Components take their orientation bits in order of lowest vertex;
-        # a trial with c components reads only the first c of its n bits.
-        order = np.take_along_axis(np.cumsum(is_low, axis=1) - 1, low, axis=1)
-        bits = (words[:, 2 * k:] >> 31).astype(np.int8)
-        sides = parity ^ parity[low] ^ np.take_along_axis(bits, order, axis=1)
-        yield sides, _side_weights(g, sides)
-
-
 def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
                        ) -> Iterator[tuple[np.ndarray, list[float]]]:
     """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i,
@@ -974,15 +927,17 @@ def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
 
     Trial i draws n first-stage bits, then one bit per tied vertex, then
     one per vertex that is not good, each in vertex order: a prefix of the
-    first ``3n`` words of its stream.  A vertex's tie bit or redraw is the
-    word at its rank among the tied or not-good vertices of its trial.
+    first ``3n`` words of its stream, drawn once.  A vertex's tie bit or
+    redraw is the word at its rank among the tied or not-good vertices of
+    its trial.
     """
     n = g.n
     ends, _ = _edge_arrays(g)
     degree = np.array([g.degree(v) for v in range(n)])
     for start, stop in _block_ranges(g, trials, seed):
         b = stop - start
-        bits = (_trial_words(start, stop, 3 * n) >> 31).astype(np.int8)
+        words = np.stack([_mt_words(random.Random(s), 3 * n) for s in range(start, stop)])
+        bits = (words >> 31).astype(np.int8)
         first = bits[:, :n]
         crossing = first[:, ends[0]] != first[:, ends[1]]
         cells = n * np.arange(b)[:, None, None] + ends

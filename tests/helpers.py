@@ -7,6 +7,7 @@ remain a second route to the same quantities.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from cutbounds import WeightedGraph, verify_induced_bipartite
@@ -459,6 +460,12 @@ def reference_float_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
                 "drop_class": w0 + 2.0 * w1 / 3.0 + w2 / 3.0,
                 "layered_components": 0.5 * w0 + 7.0 * w1 / 8.0 + w2,
                 "mutual_matching": 0.6 * (w0 + w1) + w2}
+    if name == "tree_percolation":
+        p, r, wt = d["p"], d["r"], d["tree_weight"]
+        p_pow = p ** (r - 1) if r is not None else 0.0
+        return {name: (p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0 * (w - wt)}
+    if name == "combined_tree":
+        return {name: w / 2.0 + 0.3193 * d["tree_weight"]}
     raise KeyError(name)
 
 
@@ -598,3 +605,46 @@ def eight_elevenths_candidate_cuts(g: WeightedGraph):
             raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
         out[name] = (cut, value)
     return g3, out
+
+
+def tree_paths(g: WeightedGraph, t) -> dict[int, list[int]]:
+    """Tree edge ids on the tree path of every non-tree edge, by BFS over
+    the tree edges from one endpoint."""
+    paths = {}
+    for f, (u, v, _) in enumerate(g.edges):
+        if f in t.edge_ids:
+            continue
+        back = {u: None}
+        queue = [u]
+        for x in queue:
+            for y, eid in g.adj[x]:
+                if eid in t.edge_ids and y not in back:
+                    back[y] = (x, eid)
+                    queue.append(y)
+        path, x = [], v
+        while back[x] is not None:
+            x, eid = back[x]
+            path.append(eid)
+        paths[f] = path
+    return paths
+
+
+def percolation_conditional_expectation(g: WeightedGraph, p, paths: dict[int, list[int]],
+                                        state: dict) -> Fraction:
+    """The percolation process's expected cut weight before orientation,
+    over rationals with p = Fraction(p), given ``state[e]`` (True kept,
+    False dropped, None undecided) for every tree edge e.  With every edge
+    undecided this is sum_e w_e (1+p)/2 + sum_f w_f (1/2 + s_f p^L_f / 2),
+    s_f = +1 for odd path length L_f and -1 for even."""
+    p, total = Fraction(p), Fraction(0)
+    for e, kept in state.items():
+        w = Fraction(g.edges[e][2])
+        total += w if kept else w / 2 if kept is False else w * (1 + p) / 2
+    for f, path in paths.items():
+        w = Fraction(g.edges[f][2])
+        if any(state[e] is False for e in path):
+            total += w / 2
+        else:
+            sign = 1 if len(path) % 2 else -1
+            total += w * (1 + sign * p ** sum(state[e] is None for e in path)) / 2
+    return total

@@ -6,17 +6,26 @@ lines; every expected value is pinned here, exact in integer mode.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.bounds import slack
+from cutbounds import subcubic
+from cutbounds.bounds import meets, slack
 from cutbounds.cli import main as cli_main
 from cutbounds.coloring import vizing_classes_coefficient_exact
-from cutbounds.generators import petersen_spoke_ids
+from cutbounds.cuts import local_search_improve
+from cutbounds.generators import path, petersen_spoke_ids
+from cutbounds.graph import triangle_free
 from cutbounds.spanning import max_spanning_tree, shortest_fundamental_odd_cycle
-from cutbounds.subcubic import (COMBINATION_WEIGHT_A, COMBINATION_WEIGHT_B,
+from cutbounds.subcubic import (COMBINATION_WEIGHT_A, COMBINATION_WEIGHT_B, PERCOLATION_P,
                                 _percolation_raw, percolation_expectation)
-from helpers import (eight_elevenths_candidate_cuts, random_certificate_edges,
-                     random_connected_graph)
+from helpers import (eight_elevenths_candidate_cuts, percolation_conditional_expectation,
+                     random_certificate_edges, random_connected_graph,
+                     random_tf_subcubic_graph, tree_paths)
 
 
 def _verdict(num: int, label: str, ok: bool) -> None:
@@ -177,6 +186,49 @@ def test_acceptance_10_monte_carlo_expectations():
         if not ok:
             break
     _verdict(10, "Monte Carlo expectation checks on 20 fixed instances", ok)
+
+
+def _no_random(*args):
+    raise AssertionError("a deterministic bound built a random.Random")
+
+
+def _assert_percolation_certificate(g):
+    """The derandomized percolation cut, before local search, weighs at least
+    the process's exact expectation; both reports it feeds are certified and
+    no random generator is built."""
+    raw = []
+
+    def recording(h, cut):
+        raw.append(cut)
+        return local_search_improve(h, cut)
+
+    with mock.patch.object(subcubic, "random", SimpleNamespace(Random=_no_random)), \
+            mock.patch.object(subcubic, "local_search_improve", recording):
+        reports = [cb.tree_percolation_bound(g)]
+        if triangle_free(g):
+            reports.append(cb.combined_tree_bound(g))
+    t = max_spanning_tree(g)
+    exact = percolation_conditional_expectation(g, PERCOLATION_P, tree_paths(g, t),
+                                                dict.fromkeys(t.edge_ids))
+    (cut,) = raw
+    assert cut.weight == cut.recompute_weight(g) == reports[0].details["raw_weight"]
+    assert meets(g, cut.weight, exact if g.integer_weights else float(exact))
+    assert reports[0].details["expectation"] == pytest.approx(float(exact))
+    for rep in reports:
+        assert rep.mode == "deterministic" and rep.certified(g), rep.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10 ** 6), st.booleans())
+def test_percolation_cut_meets_its_exact_expectation(n, seed, integer_weights):
+    _assert_percolation_certificate(
+        random_tf_subcubic_graph(n, random.Random(seed), integer_weights))
+
+
+@pytest.mark.parametrize("g", [cb.cycle(5), cb.petersen(), cb.complete(4), path(9, 2.0),
+                               cb.petersen_c3(10, 1)], ids=repr)
+def test_percolation_cut_meets_its_exact_expectation_on_fixtures(g):
+    _assert_percolation_certificate(g)
 
 
 def test_acceptance_11_five_cycle_covers():

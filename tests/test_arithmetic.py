@@ -87,4 +87,4 @@ def test_float_values_match_the_float_formulas(n, seed, draws):
         for candidate, value in want.items():
             assert rep.details[candidate]["certified"] == value, candidate
         checked.add(rep.name)
-    assert len(checked) == 10
+    assert len(checked) == 12

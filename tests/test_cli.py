@@ -378,6 +378,28 @@ def test_certificate_failure_in_a_bound_exits_3(monkeypatch, capsys, command, er
     assert "bad certificate" in err and "Traceback" not in err
 
 
+def _zero_percolation_cut(monkeypatch):
+    monkeypatch.setattr(cb.subcubic, "_percolation_cut",
+                        lambda g, t, p, paths: cb.Cut.from_side(g, [0] * g.n))
+    monkeypatch.setattr(cb.subcubic, "local_search_improve", lambda g, cut: cut)
+    return "percolation cut weight 0.0 below certified"
+
+
+def _overstated_tree_coefficient(monkeypatch):
+    monkeypatch.setattr(cb.subcubic, "TREE_COEFFICIENT", 0.9)  # w/2 + 0.9 w(T) > w on C5
+    return "combined tree cut weight"
+
+
+@pytest.mark.parametrize("force", [_zero_percolation_cut, _overstated_tree_coefficient])
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_cut_below_its_certified_bound_exits_3(monkeypatch, capsys, command, force):
+    message = force(monkeypatch)
+    code, _ = run_cli([command, "--generate", "cycle", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: ") and message in err and "Traceback" not in err
+
+
 def test_skips_are_precondition_errors():
     for error in (cb.BoundPreconditionError, cb.TriangleFoundError,
                   cb.DisconnectedGraphError, cb.NotSubcubicError, cb.OddCycleError):

@@ -1,7 +1,10 @@
 """Per-graph memoization: cached results equal fresh ones and stay private."""
 
+import io
+
 import cutbounds as cb
-from cutbounds.cli import _bound_suite
+from cutbounds import spanning
+from cutbounds.cli import _bound_suite, main
 from cutbounds.graph import _component_split
 
 
@@ -15,20 +18,19 @@ def _two_pieces():
 def test_memoized_reports_repeat():
     g = cb.petersen_c3(3.0, 1.0)
     assert cb.eight_elevenths_bound(g) == cb.eight_elevenths_bound(g)
-    assert (cb.tree_percolation_bound(g, trials=16, seed=3)
-            == cb.tree_percolation_bound(g, trials=16, seed=3))
+    assert cb.tree_percolation_bound(g) == cb.tree_percolation_bound(g)
+    assert cb.max_spanning_tree(g) is cb.max_spanning_tree(g)
     assert cb.stats(g) is cb.stats(g)
 
 
 def test_percolation_memo_keys_on_every_input():
     g = cb.petersen()
-    base = cb.tree_percolation_bound(g, trials=16, seed=0)
+    base = cb.tree_percolation_bound(g)
     fresh = cb.petersen()
-    for kwargs in ({"trials": 16, "seed": 1}, {"trials": 8, "seed": 0},
-                   {"trials": 16, "seed": 0, "p": 0.5},
-                   {"trials": 16, "seed": 0, "tree": cb.min_spanning_tree(g, 3)}):
+    for kwargs in ({"p": 0.5}, {"tree": cb.min_spanning_tree(g, 3)},
+                   {"p": 0.5, "tree": cb.min_spanning_tree(g, 3)}):
         assert cb.tree_percolation_bound(g, **kwargs) == cb.tree_percolation_bound(fresh, **kwargs)
-    assert cb.tree_percolation_bound(g, trials=16, seed=0) == base
+    assert cb.tree_percolation_bound(g) == base
 
 
 def test_returned_details_are_private_copies():
@@ -38,9 +40,9 @@ def test_returned_details_are_private_copies():
     first.details["drop_class"]["cut_weight"] = -1.0
     first.details["class_weights"].append(99.0)
     assert cb.eight_elevenths_bound(g) == cb.eight_elevenths_bound(cb.petersen())
-    perc = cb.tree_percolation_bound(g, trials=8)
+    perc = cb.tree_percolation_bound(g)
     perc.details["r"] = 0
-    assert cb.tree_percolation_bound(g, trials=8).details["r"] == 5
+    assert cb.tree_percolation_bound(g).details["r"] == 5
 
 
 def test_equal_graphs_do_not_share_a_memo():
@@ -78,3 +80,19 @@ def test_connected_graph_is_its_own_piece():
     g = cb.petersen()
     assert _component_split(g) == ((g, tuple(range(10))),)
     assert _component_split(g)[0][0] is g
+
+
+def test_one_bounds_run_builds_each_max_spanning_tree_once(monkeypatch, tmp_path):
+    built = []
+    kruskal = spanning._kruskal
+
+    def counting(g, maximize):
+        if maximize:
+            built.append(g.n)
+        return kruskal(g, maximize)
+
+    monkeypatch.setattr(spanning, "_kruskal", counting)
+    path = tmp_path / "two_pieces.graph"
+    path.write_text(cb.save_graph(_two_pieces()))
+    assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
+    assert built == [10, 6]  # Petersen, then the 6-cycle

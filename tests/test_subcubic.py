@@ -2,6 +2,7 @@ import random
 import statistics
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,16 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 import cutbounds as cb
 from cutbounds import subcubic
 from cutbounds.bounds import meets, slack
-from cutbounds.cuts import flip_to_local_optimum
+from cutbounds.cuts import _two_color
 from cutbounds.graph import _component_split
 from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
                                 percolation_expectation,
                                 _assert_cycles_divisible, _mt_words,
-                                _peel_greedy, _percolation_raw, _trial_words,
-                                _uniforms)
+                                _peel_greedy, _percolation_raw)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
 from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
-                     random_connected_graph, random_tf_subcubic_graph)
+                     percolation_conditional_expectation, random_connected_graph,
+                     random_tf_subcubic_graph, tree_paths)
 
 
 def bridged_gadgets():
@@ -307,18 +308,13 @@ def test_percolation_c5_pinned_value():
     t = max_spanning_tree(g)
     value = percolation_expectation(g, t, 0.85, 5)
     assert value == pytest.approx(0.925 * 4 + 0.238996875, abs=1e-9)
-    r = cb.tree_percolation_bound(g, t, 0.85, trials=64, seed=0)
-    assert r.bound_value == pytest.approx(value)
-    assert r.mode == "monte_carlo"
+    r = cb.tree_percolation_bound(g, t, 0.85)
+    assert r.bound_value == value and r.bound_exact == Fraction(value)
+    assert r.mode == "deterministic" and r.certified(g)
     assert r.details["r"] == 5
-
-
-def test_percolation_empirical_mean():
-    g = cb.petersen()
-    r = cb.tree_percolation_bound(g, trials=1500, seed=1)
-    n = r.details["trials"]
-    se = r.details["raw_std"] / n ** 0.5
-    assert r.details["raw_mean"] >= r.bound_value - 3 * se
+    # C5's one non-tree edge closes the shortest odd cycle: the expectation is the bound
+    assert r.details["expectation"] == pytest.approx(value)
+    assert r.cut.weight == 4.0
 
 
 def test_percolation_rejects():
@@ -336,11 +332,61 @@ def test_percolation_sample_deterministic_per_seed():
     assert c1 == c2
 
 
+def test_percolation_keeps_every_tree_edge_on_bipartite_graphs():
+    # every non-tree edge closes an even cycle, so keeping a tree edge never loses
+    cube = cb.WeightedGraph(8, [(u, u ^ b, float(1 + u % 3)) for u in range(8)
+                                for b in (1, 2, 4) if u < u ^ b])
+    for g in (cb.cycle(8), cube):
+        r = cb.tree_percolation_bound(g)
+        assert r.details["raw_weight"] == r.cut.weight == g.total_weight
+
+
+@pytest.mark.parametrize("g", [cb.petersen(), cb.cycle(9), cb.gadget_k33_subdivided(),
+                               random_tf_subcubic_graph(40, random.Random(2), False)],
+                         ids=repr)
+def test_percolation_depends_on_the_tree_edges_only(g):
+    t = max_spanning_tree(g)
+    rerooted = reroot_at_edge(g, t, max(t.edge_ids))  # two roots
+    fresh = cb.WeightedGraph(g.n, g.edges)
+    assert cb.tree_percolation_bound(g, rerooted) == cb.tree_percolation_bound(fresh, t)
+    d = dfs_tree(g, g.n - 1)
+    rep = cb.tree_percolation_bound(g, d)
+    assert rep.mode == "deterministic" and rep.certified(g)
+    assert rep.details["tree_weight"] == d.weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10 ** 6),
+       st.sampled_from([0.85, 0.95]) | st.floats(0.0, 1.0))
+@example(n=13, seed=297, p=0.85)  # a dropped edge must retire the paths through it
+def test_percolation_decides_each_tree_edge_by_its_conditional_expectation(n, seed, p):
+    g = random_tf_subcubic_graph(n, random.Random(seed), True)
+    t = max_spanning_tree(g)
+    calls = []
+
+    def recording(h, edge_ids):
+        calls.append(list(edge_ids))
+        return _two_color(h, calls[-1])
+
+    with mock.patch.object(subcubic, "_two_color", recording):
+        cb.tree_percolation_bound(g, t, p)
+    (kept,) = calls
+    paths = tree_paths(g, t)
+    state = dict.fromkeys(t.edge_ids)
+    start = percolation_conditional_expectation(g, p, paths, state)
+    for e in sorted(t.edge_ids):
+        gain = (percolation_conditional_expectation(g, p, paths, {**state, e: True})
+                - percolation_conditional_expectation(g, p, paths, {**state, e: False}))
+        assert (gain >= 0) == (e in kept) or abs(gain) < 1e-9, (e, float(gain))
+        state[e] = e in kept
+    assert percolation_conditional_expectation(g, p, paths, state) >= start - Fraction(1, 10 ** 9)
+
+
 # -- combination bound --------------------------------------------------------
 
 
 def test_combined_tree_recombination_constants():
-    r = cb.combined_tree_bound(cb.petersen(), trials=16)
+    r = cb.combined_tree_bound(cb.petersen())
     assert round(r.details["mixed_tree_coefficient"] + 0.5, 4) == 0.8193
     assert round(r.details["mixed_tree_coefficient"], 4) == 0.3193
 
@@ -348,15 +394,17 @@ def test_combined_tree_recombination_constants():
 def test_combined_tree_petersen():
     g = cb.petersen()
     t = max_spanning_tree(g)
-    r = cb.combined_tree_bound(g, t, trials=32)
+    r = cb.combined_tree_bound(g, t)
     assert r.bound_value == pytest.approx(7.5 + 0.3193 * 9.0)
+    assert r.mode == "deterministic" and r.certified(g)
     assert r.cut.weight <= 12.0
-    assert r.cut.weight >= r.bound_value  # holds here since mac = 12
+    assert r.cut == max(cb.eight_elevenths_bound(g).cut, cb.tree_percolation_bound(g, t).cut,
+                        key=lambda c: c.weight)
 
 
 def test_combined_tree_bipartite():
     g = cb.cycle(8)
-    r = cb.combined_tree_bound(g, trials=16)
+    r = cb.combined_tree_bound(g)
     assert r.cut.weight == 8.0
 
 
@@ -394,35 +442,15 @@ def test_monte_carlo_determinism():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 64), st.lists(st.booleans(), max_size=40))
-@example(seed=0, calls=[])
+@given(st.integers(0, 2 ** 64), st.integers(0, 80))
+@example(seed=0, calls=0)
 def test_mt_words_match_rng_calls(seed, calls):
-    """True draws random(), False draws getrandbits(1)."""
+    """``calls`` draws of getrandbits(1)."""
     ref = random.Random(seed)
-    want = [ref.random() if c else ref.getrandbits(1) for c in calls]
+    want = [ref.getrandbits(1) for _ in range(calls)]
     rng = random.Random(seed)
-    words = _mt_words(rng, sum(2 if c else 1 for c in calls))
-    got, i = [], 0
-    for c in calls:
-        if c:
-            got.append(float(_uniforms(words[i:i + 2])[0]))
-            i += 2
-        else:
-            got.append(int(words[i] >> 31))
-            i += 1
-    assert got == want
+    assert (_mt_words(rng, calls) >> 31).tolist() == want
     assert rng.getstate() == ref.getstate()
-
-
-def _reference_percolation(g, t, p, trials, seed):
-    best, raw_weights = None, []
-    for trial in range(trials):
-        raw = _percolation_raw(g, t, p, random.Random(seed + trial))
-        raw_weights.append(raw.weight)
-        improved = cb.local_search_improve(g, raw)
-        if best is None or improved.weight > best.weight:
-            best = improved
-    return best, raw_weights
 
 
 def _reference_shearer(g, trials, seed):
@@ -447,21 +475,13 @@ def _batch_corpus():
         rng = random.Random(seed)
         yield random_tf_subcubic_graph(rng.randint(1, 40), rng, seed % 2 == 0)
     yield cb.petersen()
-    yield cb.cycle(301)  # tree levels past the int8 range
+    yield cb.cycle(301)
 
 
 @pytest.mark.parametrize("g", list(_batch_corpus()), ids=repr)
 def test_batched_bounds_equal_per_sample_loop(g):
-    t = max_spanning_tree(g)
-    trees = [t, dfs_tree(g)]
-    if t.edge_ids:
-        trees.append(reroot_at_edge(g, t, max(t.edge_ids)))
-    for tree, p, trials in zip(trees, (1.0, 0.5, 0.85), (1, 37, 20)):
-        rep = cb.tree_percolation_bound(g, tree, p, trials=trials, seed=3)
-        _assert_matches_reference(rep, *_reference_percolation(g, tree, p, trials, 3))
-    if g.m:
-        rep = cb.shearer_bound(g, trials=29, seed=7)
-        _assert_matches_reference(rep, *_reference_shearer(g, 29, 7))
+    rep = cb.shearer_bound(g, trials=29, seed=7)
+    _assert_matches_reference(rep, *_reference_shearer(g, 29, 7))
 
 
 def test_batched_shearer_equals_per_sample_loop_above_degree_three():
@@ -477,23 +497,32 @@ def test_batched_bounds_equal_per_sample_loop_over_blocks(integer_weights):
     assert g.integer_weights == integer_weights
     rows = _BLOCK_CELLS // max(g.n, g.m)
     trials = 2 * rows + 1  # three blocks, the last one partial
-    t = max_spanning_tree(g)
-    rep = cb.tree_percolation_bound(g, t, trials=trials, seed=11)
-    _assert_matches_reference(rep, *_reference_percolation(g, t, 0.85, trials, 11))
     rep = cb.shearer_bound(g, trials=trials, seed=11)
     _assert_matches_reference(rep, *_reference_shearer(g, trials, 11))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_monte_carlo_bounds_reject_trials_below_one(trials):
-    g = cb.petersen()
     with pytest.raises(ValueError, match="trials"):
-        cb.tree_percolation_bound(g, trials=trials)
-    with pytest.raises(ValueError, match="trials"):
-        cb.shearer_bound(g, trials=trials)
+        cb.shearer_bound(cb.petersen(), trials=trials)
 
 
-# -- per-component sampling: one draw per block, one search per raw cut ------
+def test_shearer_seeds_each_trial_stream_once(monkeypatch):
+    g = random_tf_subcubic_graph(200, random.Random(3), True)
+    assert _BLOCK_CELLS // max(g.n, g.m) < 256  # several blocks
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
+    cb.shearer_bound(g, trials=256, seed=5)
+    assert sorted(seeded) == list(range(5, 5 + 256))
+
+
+# -- per-component lifting ----------------------------------------------------
 
 
 def _shapes_union(integer_weights, extra=()):
@@ -514,117 +543,57 @@ def _shapes_union(integer_weights, extra=()):
     return g
 
 
-def _lifted_percolation(g, trials, seed):
-    return cb.per_component(
-        g, lambda h: cb.tree_percolation_bound(h, trials=trials, seed=seed))
-
-
 @pytest.mark.parametrize("extra", [(), (cb.cycle(41),)], ids=["shapes", "with_c41"])
 @pytest.mark.parametrize("integer_weights", [True, False])
-def test_per_component_percolation_equals_reference_loop(integer_weights, extra):
+def test_per_component_percolation_stitches_certified_component_cuts(integer_weights,
+                                                                     extra):
     g = _shapes_union(integer_weights, extra)
-    rep = _lifted_percolation(g, 256, 9)
-    side = [0] * g.n
-    for sub, orig_v in _component_split(g):
-        t = max_spanning_tree(sub)
-        best, raw_weights = _reference_percolation(sub, t, 0.85, 256, 9)
-        _assert_matches_reference(cb.tree_percolation_bound(sub, trials=256, seed=9),
-                                  best, raw_weights)
-        for i, s in enumerate(best.side):
-            side[orig_v[i]] = s
-    assert rep.cut == cb.Cut.from_side(g, side)
+    for name, fn in (("tree_percolation", cb.tree_percolation_bound),
+                     ("combined_tree", cb.combined_tree_bound)):
+        rep = cb.per_component(g, fn, name)
+        assert rep.mode == "deterministic" and rep.certified(g)
+        side = [0] * g.n
+        exact = Fraction(0)
+        for sub, orig_v in _component_split(g):
+            part = fn(sub)
+            assert part.certified(sub)
+            exact += part.bound_exact if integer_weights else 0
+            for i, s in enumerate(part.cut.side):
+                side[orig_v[i]] = s
+        assert rep.cut == cb.Cut.from_side(g, side)
+        assert rep.bound_exact == (exact if integer_weights else None)
 
 
-def test_local_search_runs_once_per_distinct_raw_cut(monkeypatch):
-    g = _shapes_union(True)
+def test_local_search_runs_once_per_component(monkeypatch):
+    g = _shapes_union(True, (cb.cycle(41),))
     searched = []
 
-    def counting(h, side, gain):
-        searched.append((h.n, tuple(side.tolist())))
-        return flip_to_local_optimum(h, side, gain)
+    def counting(h, cut):
+        searched.append(h.n)
+        return cb.local_search_improve(h, cut)
 
-    monkeypatch.setattr(subcubic, "flip_to_local_optimum", counting)
-    _lifted_percolation(g, 256, 2)
-    distinct = set()
-    for sub, _ in _component_split(g):
-        t = max_spanning_tree(sub)
-        distinct |= {(sub.n, _percolation_raw(sub, t, 0.85, random.Random(2 + i)).side)
-                     for i in range(256)}
-    assert len(searched) == len(set(searched)) == len(distinct)
-    assert set(searched) == distinct
-    assert len(searched) < 5 * 256
+    monkeypatch.setattr(subcubic, "local_search_improve", counting)
+    cb.per_component(g, cb.tree_percolation_bound, "tree_percolation")
+    assert searched == [sub.n for sub, _ in _component_split(g)]
 
 
-def test_trial_generators_are_seeded_once_per_suite(monkeypatch):
-    seeded = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
-    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
-    _lifted_percolation(_shapes_union(True), 256, 4)
-    assert sorted(seeded) == list(range(4, 4 + 256))
-
-
-def test_trial_words_are_read_only_prefixes_of_each_stream(monkeypatch):
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
-    wide = _trial_words(10, 14, 200)
-    narrow = _trial_words(10, 14, 7)
-    for words in (wide, narrow):
-        assert not words.flags.writeable
-        with pytest.raises(ValueError):
-            words[0, 0] = 1
-    for row, s in zip(wide, range(10, 14)):
-        assert row.tolist() == _mt_words(random.Random(s), 200).tolist()
-    assert narrow.tolist() == wide[:, :7].tolist()
-
-
-# -- shearer reads the same word matrix as percolation ----------------------
+# -- shearer on disconnected graphs and next to percolation -----------------
 
 
 @pytest.mark.parametrize("integer_weights", [True, False])
-def test_shearer_equals_per_sample_loop_on_a_disconnected_union(monkeypatch,
-                                                                integer_weights):
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
+def test_shearer_equals_per_sample_loop_on_a_disconnected_union(integer_weights):
     g = _shapes_union(integer_weights)
     _assert_matches_reference(cb.shearer_bound(g, trials=64, seed=3),
                               *_reference_shearer(g, 64, 3))
 
 
-def test_shearer_equals_per_sample_loop_after_and_before_percolation(monkeypatch):
+def test_shearer_equals_per_sample_loop_after_and_before_percolation():
     g = random_tf_subcubic_graph(15, random.Random(12), True)
     assert g.is_connected()
     want = _reference_shearer(g, 100, 5)
-    # percolation draws first and caches a matrix wider than shearer asks for
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
-    cb.tree_percolation_bound(g, trials=100, seed=5)
-    assert subcubic._drawn_words[(5, 105)].shape[1] > 3 * g.n
+    perc = cb.tree_percolation_bound(g)
     _assert_matches_reference(cb.shearer_bound(g, trials=100, seed=5), *want)
-    # shearer draws first, on a fresh graph so nothing is memoized
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
+    # shearer first, on a fresh graph so nothing is memoized
     h = cb.WeightedGraph(g.n, g.edges)
     _assert_matches_reference(cb.shearer_bound(h, trials=100, seed=5), *want)
-    t = max_spanning_tree(h)
-    _assert_matches_reference(cb.tree_percolation_bound(h, t, trials=100, seed=5),
-                              *_reference_percolation(h, t, 0.85, 100, 5))
-
-
-def test_shearer_after_percolation_seeds_no_generator(monkeypatch):
-    g = random_tf_subcubic_graph(40, random.Random(3), True)
-    assert g.is_connected() and max(g.n, g.m) * 256 <= _BLOCK_CELLS
-    seeded = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(subcubic, "_drawn_words", {})
-    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
-    cb.tree_percolation_bound(g, trials=256, seed=0)
-    assert sorted(seeded) == list(range(256))
-    cb.shearer_bound(g, trials=256, seed=0)
-    assert len(seeded) == 256
+    assert cb.tree_percolation_bound(h) == perc
