@@ -1,9 +1,9 @@
 """Deterministic certified lower bounds for the maximum weighted cut.
 
 Every operation returns a BoundReport whose cut was constructed by the
-conditional-expectation derandomizer, so `cut.weight >= bound_value` holds
-up to floating-point slack, and exactly (over rationals) for graphs with
-integral weights.
+conditional-expectation derandomizer.  Each bound value is a ``Fraction``
+built from the graph's exact weights, and `cut.exact_weight >= bound_exact`
+holds exactly, over rationals, for every finite weight.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
 from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
-                    WeightedGraph, _cached, _component_split, stats)
+                    WeightedGraph, _cached, _component_split, _exact_weights, stats)
 from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree, layer_edge_sets,
                        max_spanning_tree, min_spanning_tree, reroot_at_edge,
                        shortest_fundamental_odd_cycle)
@@ -35,10 +35,10 @@ class BoundPreconditionError(PreconditionError):
 class BoundReport:
     """Named bound with its certified value and constructed cut.
 
-    mode "deterministic" guarantees cut.weight >= bound_value - slack(G);
+    mode "deterministic" guarantees cut.exact_weight >= bound_exact, the
+    exact bound value, of which ``bound_value`` is the rounded float;
     mode "monte_carlo", which only ``shearer`` reports, bounds the
-    expectation only.  ``bound_exact`` is the rational bound value when the
-    instance has integral weights and the bound is deterministic.
+    expectation only and has no ``bound_exact``.
     """
 
     name: str
@@ -48,46 +48,18 @@ class BoundReport:
     bound_exact: Optional[Fraction] = None
     details: dict = field(default_factory=dict)
 
-    def certified(self, g: WeightedGraph) -> bool:
-        if self.mode != DETERMINISTIC:
-            return True
-        exact = self.bound_exact is not None and g.integer_weights
-        return meets(g, self.cut.weight, self.bound_exact if exact else self.bound_value)
+    def certified(self) -> bool:
+        return self.mode != DETERMINISTIC or meets(self.cut, self.bound_exact)
 
 
-def slack(g: WeightedGraph) -> float:
-    """Absolute comparison slack absorbing float rounding only."""
-    return 1e-9 * max(1.0, g.total_weight)
+def meets(cut: Cut, value: Fraction) -> bool:
+    """Whether ``cut`` weighs at least ``value``, compared exactly."""
+    return cut.exact_weight >= value
 
 
-def meets(g: WeightedGraph, weight: float, value) -> bool:
-    """Whether a cut of ``weight`` reaches a bound ``value`` on ``g``.
-
-    A ``Fraction`` value is compared exactly; a float one up to ``slack``.
-    """
-    if isinstance(value, Fraction):
-        return Fraction(weight) >= value
-    return weight >= value - slack(g)
-
-
-def _num(g: WeightedGraph, x: float):
-    """``x`` in the arithmetic of ``g``: a ``Fraction`` when its weights are
-    integral, else the float itself.
-
-    Every sum of integral weights below 2^53 is an exact float, so the
-    ``Fraction`` of such a sum is its exact value.
-    """
-    return Fraction(x) if g.integer_weights else x
-
-
-def _report(name, g, value, cut, details) -> BoundReport:
-    """A deterministic report of ``value``, computed in the arithmetic of ``g``."""
-    if isinstance(value, Fraction) != g.integer_weights:
-        raise AssertionError(f"{name}: bound value {value!r} is not in the "
-                             f"arithmetic of the graph (integer weights: "
-                             f"{g.integer_weights})")
-    exact = value if g.integer_weights else None
-    return BoundReport(name, float(value), cut, DETERMINISTIC, exact, details)
+def _report(name: str, value: Fraction, cut: Cut, details: dict) -> BoundReport:
+    """A deterministic report of the exact ``value``."""
+    return BoundReport(name, float(value), cut, DETERMINISTIC, value, details)
 
 
 def _cached_report(g: WeightedGraph, key,
@@ -118,7 +90,7 @@ def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     return max((dfs_tree(g, r) for r in _dfs_root_policy(g, root, sweep)),
-               key=lambda t: t.weight)
+               key=lambda t: t.exact_weight)
 
 
 def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:
@@ -139,10 +111,10 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g, root, sweep)
     cut = _layer_cut(g, d, 2)[0]
-    value = _num(g, g.total_weight) / 2 + _num(g, tmin.weight) / 4
+    value = _exact_weights(g).total / 2 + tmin.exact_weight / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
-    return _report("poljak_turzik", g, value, cut, details)
+    return _report("poljak_turzik", value, cut, details)
 
 
 def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
@@ -150,9 +122,9 @@ def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
     d = _best_dfs_tree(g, root, sweep)
     cut = _layer_cut(g, d, 2)[0]
-    value = _num(g, g.total_weight) / 2 + _num(g, d.weight) / 4
+    value = _exact_weights(g).total / 2 + d.exact_weight / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
-    return _report("dfs_tree", g, value, cut, details)
+    return _report("dfs_tree", value, cut, details)
 
 
 # -- matching bounds -----------------------------------------------------
@@ -256,11 +228,12 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
         m_ids = best_matching(g, strategy)
     cert = verify_induced_bipartite(g, m_ids)
     cut = derandomized_cut(g, cert)
-    wm = float(sum(g.edges[e][2] for e in m_ids))
-    value = (_num(g, g.total_weight) + _num(g, wm)) / 2
-    details = {"matching_size": len(m_ids), "matching_weight": wm,
+    ex = _exact_weights(g)
+    wm = ex.weight(m_ids)
+    value = (ex.total + wm) / 2
+    details = {"matching_size": len(m_ids), "matching_weight": float(wm),
                "strategy": strategy}
-    return _report("matching", g, value, cut, details)
+    return _report("matching", value, cut, details)
 
 
 # -- girth-family bounds --------------------------------------------------
@@ -290,10 +263,10 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
     d = _best_dfs_tree(g, root, sweep)
     cut, best_j = _layer_cut(g, d, k)
-    value = _num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, d.weight)
+    value = _exact_weights(g).total / 2 + Fraction(k - 1, 2 * k) * d.exact_weight
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight, "best_layer": best_j}
-    return _report("girth_layers", g, value, cut, details)
+    return _report("girth_layers", value, cut, details)
 
 
 def triangle_free_tree_bound(g: WeightedGraph,
@@ -311,9 +284,9 @@ def triangle_free_tree_bound(g: WeightedGraph,
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
     cut = _layer_cut(g, t, 2)[0]
-    value = _num(g, g.total_weight) / 2 + _num(g, t.weight) / 4
+    value = _exact_weights(g).total / 2 + t.exact_weight / 4
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
-    return _report("triangle_free_tree", g, value, cut, details)
+    return _report("triangle_free_tree", value, cut, details)
 
 
 def edge_rooted_tree_bound(g: WeightedGraph,
@@ -343,13 +316,14 @@ def edge_rooted_tree_bound(g: WeightedGraph,
     if r is not None and r <= 2 * k - 1:
         raise OddCycleError(f"odd cycle of length {r} <= 2k-1 = {2 * k - 1} through the tree")
     cut, best_j = _layer_cut(g, leveled, k)
+    ex = _exact_weights(g)
     we_star = g.edges[marked_eid][2]
-    value = (_num(g, g.total_weight) / 2 + Fraction(k - 1, 2 * k) * _num(g, t.weight)
-             + _num(g, we_star) / (2 * k))
+    value = (ex.total / 2 + Fraction(k - 1, 2 * k) * t.exact_weight
+             + ex.weight((marked_eid,)) / (2 * k))
     details = {"k": k, "marked_edge": list(g.edges[marked_eid][:2]),
                "marked_weight": we_star, "tree_weight": t.weight,
                "shortest_fundamental_odd_cycle": r, "best_layer": best_j}
-    return _report("edge_rooted_tree", g, value, cut, details)
+    return _report("edge_rooted_tree", value, cut, details)
 
 
 # -- disconnected inputs --------------------------------------------------
@@ -357,10 +331,10 @@ def edge_rooted_tree_bound(g: WeightedGraph,
 
 def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
                   name: Optional[str] = None) -> BoundReport:
-    """Apply a bound per connected component and add up.
+    """Apply a deterministic bound per connected component and add up.
 
-    The maximum cut decomposes over components, so summed bounds stay
-    valid; cuts are merged through the component embeddings.
+    The maximum cut decomposes over components, so the summed exact
+    bounds stay valid; cuts are merged through the component embeddings.
     """
     split = _component_split(g)
     if len(split) <= 1:
@@ -372,14 +346,7 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
         reports.append(rep)
         for i, s in enumerate(rep.cut.side):
             side[orig_v[i]] = s
-    cut = Cut.from_side(g, side)
-    exact = g.integer_weights and all(r.bound_exact is not None for r in reports)
-    total = Fraction(0) if exact else 0.0
-    for r in reports:  # left to right: sum() rounds differently on 3.12+
-        total += r.bound_exact if exact else r.bound_value
-    mode = (DETERMINISTIC if all(r.mode == DETERMINISTIC for r in reports)
-            else MONTE_CARLO)
+    total = sum((r.bound_exact for r in reports), Fraction(0))
     details = {"components": len(split),
                "component_bounds": [r.bound_value for r in reports]}
-    return BoundReport(name or reports[0].name, float(total), cut, mode,
-                       total if exact else None, details)
+    return _report(name or reports[0].name, total, Cut.from_side(g, side), details)

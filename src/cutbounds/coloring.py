@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _num, _report
+from .bounds import BoundReport, _report
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
-from .graph import TriangleFoundError, WeightedGraph, triangle_free
+from .graph import TriangleFoundError, WeightedGraph, _exact_weights, triangle_free
 
 
 @dataclass(frozen=True)
@@ -210,25 +210,27 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
     2*max_degree - 1), so the reported bound is at least the worst-case
     max_degree/(2*max_degree-1) * (w(G)-w(M)) + w(M) form.  The one cut
     derandomizes M joined with the heaviest lifted class (the first on
-    ties), which weighs at least (w(G)-w(M))/c.
+    ties, weighed exactly on G), which weighs at least (w(G)-w(M))/c.
     """
     con = contract_matching(g, matching)
     m_ids = con.matching
     classes = vizing_edge_coloring(con.base).classes() if con.base.m else [[]]
     c = len(classes)
-    best_class = max(range(c), key=lambda i: sum(con.base.edges[k][2] for k in classes[i]))
-    ids = set(m_ids) | set(con.lift_matching(classes[best_class]))
+    ex = _exact_weights(g)
+    lifted = [con.lift_matching(cls) for cls in classes]
+    best_class = max(range(c), key=lambda i: ex.weight(lifted[i]))
+    ids = set(m_ids) | set(lifted[best_class])
     best = derandomized_cut(g, verify_induced_bipartite(g, ids))
-    wm_f = float(sum(g.edges[e][2] for e in m_ids))
-    w, wm = _num(g, g.total_weight), _num(g, wm_f)
+    w, wm = ex.total, ex.weight(m_ids)
     value = (w + wm) / 2 + (w - wm) / (2 * c)
+    wm_f = float(wm)
     delta = g.max_degree()
     worst = (delta / (2 * delta - 1) * (g.total_weight - wm_f) + wm_f
              if delta >= 1 else wm_f)
     details = {"color_count": c, "matching_weight": wm_f,
                "matching_size": len(m_ids), "best_class": best_class,
                "worst_case_bound": worst}
-    return _report("matching_vizing", g, value, best, details)
+    return _report("matching_vizing", value, best, details)
 
 
 # -- degree-driven coefficients -------------------------------------------
@@ -256,23 +258,23 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     """Coefficient bound t * w(G) for triangle-free graphs.
 
     Runs the matching-contraction bound once, on the heaviest class M of a
-    (delta+1)-edge-coloring of G, the first on ties.  That bound rises with
-    w(M) >= w(G)/(delta+1) and falls with its color count c <= 2*delta - 1;
-    at both worst cases it equals t * w(G), so the one cut meets t * w(G).
+    (delta+1)-edge-coloring of G (weighed exactly, the first on ties).  That
+    bound rises with w(M) >= w(G)/(delta+1) and falls with its color count
+    c <= 2*delta - 1; at both worst cases it equals t * w(G), so the one cut
+    meets t * w(G).
     """
     if not triangle_free(g):
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
     if g.m == 0:
         cut = derandomized_cut(g, verify_induced_bipartite(g, ()))
-        return _report("vizing_classes", g, _num(g, 0.0), cut,
-                       {"delta": 0, "class_count": 0})
+        return _report("vizing_classes", Fraction(0), cut, {"delta": 0, "class_count": 0})
+    ex = _exact_weights(g)
     delta = g.max_degree()
     coloring = vizing_edge_coloring(g)
     best_class, heaviest = max(enumerate(coloring.classes()),
-                               key=lambda ic: sum(g.edges[e][2] for e in ic[1]))
+                               key=lambda ic: ex.weight(ic[1]))
     best = matching_vizing_bound(g, heaviest)
     coeff = vizing_classes_coefficient_exact(delta)
-    value = coeff * _num(g, g.total_weight)
     details = {"delta": delta, "class_count": coloring.color_count,
                "best_class": best_class, "coefficient": float(coeff)}
-    return _report("vizing_classes", g, value, best.cut, details)
+    return _report("vizing_classes", coeff * ex.total, best.cut, details)

@@ -5,6 +5,7 @@ The certificate class consists of edge subsets whose connected components
 are induced bipartite subgraphs of the host graph.  Coloring every
 component consistently and orienting components greedily yields a cut of
 weight at least (w(G) + w(R)) / 2, exactly, with no randomness left.
+Every weight here is summed and compared on the graph's exact view.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .graph import WeightedGraph, _edge_arrays
+from .graph import WeightedGraph, _exact_weights
 
 
 class NotInducedError(Exception):
@@ -33,25 +33,31 @@ class NotAMatchingError(Exception):
 
 @dataclass(frozen=True)
 class Cut:
-    """Two-sided vertex partition with cached weight.
+    """Two-sided vertex partition with its exact weight.
 
-    ``side[v]`` is 0 or 1.  The cached weight always equals the recomputed
-    crossing weight; ``recompute_weight`` is the check.
+    ``side[v]`` is 0 or 1.  ``exact_weight`` is the crossing weight over
+    rationals, and ``weight`` is that value rounded once to a float;
+    ``recompute_weight`` is the check.
     """
 
     side: tuple[int, ...]
-    weight: float
+    exact_weight: Fraction
+
+    @property
+    def weight(self) -> float:
+        return float(self.exact_weight)
 
     @classmethod
     def from_side(cls, g: WeightedGraph, side: Sequence[int]) -> "Cut":
         side = tuple(int(s) for s in side)
         if len(side) != g.n:
             raise ValueError("side vector length must equal vertex count")
-        w = sum(we for u, v, we in g.edges if side[u] != side[v])
-        return cls(side, float(w))
+        ex = _exact_weights(g)
+        return cls(side, ex.value(sum(q for (u, v, _), q in zip(g.edges, ex.ints)
+                                      if side[u] != side[v])))
 
-    def recompute_weight(self, g: WeightedGraph) -> float:
-        return float(sum(w for u, v, w in g.edges if self.side[u] != self.side[v]))
+    def recompute_weight(self, g: WeightedGraph) -> Fraction:
+        return Cut.from_side(g, self.side).exact_weight
 
     def crosses(self, g: WeightedGraph, eid: int) -> bool:
         u, v, _ = g.edges[eid]
@@ -83,8 +89,8 @@ class InducedBipartiteSubgraph:
     edge_ids: frozenset[int]
     components: tuple[BipartiteComponent, ...]
 
-    def weight(self, g: WeightedGraph) -> float:
-        return float(sum(g.edges[e][2] for e in self.edge_ids))
+    def weight(self, g: WeightedGraph) -> Fraction:
+        return _exact_weights(g).weight(self.edge_ids)
 
 
 def _two_color(g: WeightedGraph, edge_ids: Iterable[int]) -> list[dict[int, int]]:
@@ -168,28 +174,28 @@ def place_blocks(g: WeightedGraph, blocks: Sequence[Mapping[int, int]]) -> Cut:
             owner[v] = len(all_blocks)
             all_blocks.append({v: 0})
 
-    outside = [0.0] * len(all_blocks)
-    for u, v, w in g.edges:
+    ints = _exact_weights(g).ints
+    outside = [0] * len(all_blocks)
+    for (u, v, _), q in zip(g.edges, ints):
         if owner[u] != owner[v]:
-            outside[owner[u]] += w
-            outside[owner[v]] += w
+            outside[owner[u]] += q
+            outside[owner[v]] += q
     order = sorted(range(len(all_blocks)), key=lambda i: (-outside[i], i))
 
     side = [-1] * g.n
     for bi in order:
         blk = all_blocks[bi]
-        keep = 0.0
-        flip = 0.0
+        keep = 0
+        flip = 0
         for v, c in blk.items():
             for u, eid in g.adj[v]:
                 su = side[u]
                 if su < 0:
                     continue
-                w = g.edges[eid][2]
                 if c != su:
-                    keep += w
+                    keep += ints[eid]
                 else:
-                    flip += w
+                    flip += ints[eid]
         orient = 0 if keep >= flip else 1
         for v, c in blk.items():
             side[v] = c ^ orient
@@ -200,32 +206,32 @@ def derandomized_cut(g: WeightedGraph, cert: InducedBipartiteSubgraph) -> Cut:
     """Explicit cut of weight >= (w(G) + w(cert)) / 2.
 
     Every certificate edge ends up crossing the returned cut; the
-    inequality is exact (no tolerance) because the greedy placement never
-    drops below the conditional expectation.
+    inequality is exact for every weight (no tolerance) because the greedy
+    placement compares exact sums and so never drops below the conditional
+    expectation.
     """
     return place_blocks(g, [c.color_of() for c in cert.components])
 
 
-def _flip_gains(g: WeightedGraph, sides: np.ndarray) -> np.ndarray:
-    """What flipping each vertex adds to each row's cut, one row per side vector.
+def local_search_improve(g: WeightedGraph, cut: Cut) -> Cut:
+    """First-improvement single-vertex flips, ascending vertex id, to a local optimum.
 
-    ``np.bincount`` over the interleaved ends ``u0, v0, u1, v1, ...`` adds each
-    edge's +w (uncut) or -w (cut) in edge order, rounding as a Python loop would."""
-    ends, w = _edge_arrays(g)
-    b = len(sides)
-    signed = np.where(sides[:, ends[0]] == sides[:, ends[1]], w, -w)
-    cells = ends.T.ravel() + g.n * np.arange(b)[:, None]
-    return np.bincount(cells.ravel(), np.repeat(signed, 2, axis=1).ravel(),
-                       minlength=b * g.n).reshape(b, g.n)
-
-
-def flip_to_local_optimum(g: WeightedGraph, side: np.ndarray,
-                          gain: np.ndarray) -> list[int]:
-    """``local_search_improve``'s search on ``side``, whose row of
-    ``_flip_gains`` is ``gain``; returns the improved side vector."""
-    edges, adj = g.edges, g.adj
-    heap = [(0, v) for v in np.flatnonzero(gain > 0).tolist()]
-    side, gain = side.tolist(), gain.tolist()
+    Full ascending sweeps would flip each v whose gain is positive when the
+    sweep reaches it.  This flips the same vertices in the same order, with
+    exact gains, but pops only candidates from a heap of (sweep, vertex): at
+    first every vertex of positive gain, then each neighbour u that a flip
+    of v raises above 0, in the next sweep if u < v.  Cost: O(m + flips *
+    degree * log n) instead of O(sweeps * n).  Raises AssertionError if the
+    weight fell.
+    """
+    ints, adj = _exact_weights(g).ints, g.adj
+    side = list(cut.side)
+    gain = [0] * g.n  # what flipping each vertex adds to the cut
+    for (u, v, _), q in zip(g.edges, ints):
+        d = q if side[u] == side[v] else -q
+        gain[u] += d
+        gain[v] += d
+    heap = [(0, v) for v in range(g.n) if gain[v] > 0]  # ascending, so a heap
     while heap:
         sweep, v = heapq.heappop(heap)
         if gain[v] <= 0:
@@ -233,30 +239,14 @@ def flip_to_local_optimum(g: WeightedGraph, side: np.ndarray,
         sv = side[v] = side[v] ^ 1
         gain[v] = -gain[v]
         for u, eid in adj[v]:
-            w = edges[eid][2]
             if side[u] != sv:
-                gain[u] -= 2 * w
+                gain[u] -= 2 * ints[eid]
             else:
-                gain[u] += 2 * w
+                gain[u] += 2 * ints[eid]
                 if gain[u] > 0:
                     heapq.heappush(heap, (sweep + (u < v), u))
-    return side
-
-
-def local_search_improve(g: WeightedGraph, cut: Cut) -> Cut:
-    """First-improvement single-vertex flips, ascending vertex id, to a local optimum.
-
-    Full ascending sweeps would flip each v whose gain is positive when the
-    sweep reaches it.  ``flip_to_local_optimum`` flips the same vertices in
-    the same order with the same float updates, but pops only candidates from
-    a heap of (sweep, vertex): at first every vertex of positive gain, then
-    each neighbour u that a flip of v raises above 0, in the next sweep if
-    u < v.  Cost: O(m + flips * degree * log n) instead of O(sweeps * n).
-    Raises AssertionError if the weight fell.
-    """
-    side = np.array(cut.side, dtype=np.int8)
-    out = Cut.from_side(g, flip_to_local_optimum(g, side, _flip_gains(g, side[None])[0]))
-    if out.weight < cut.weight:
+    out = Cut.from_side(g, side)
+    if out.exact_weight < cut.exact_weight:
         raise AssertionError("local search decreased the cut weight")
     return out
 

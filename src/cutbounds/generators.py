@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
+
 from .graph import MAX_VERTICES, WeightedGraph
 
 # Petersen on 10 vertices: outer 5-cycle 0..4, inner 5-cycle 5..9, and the
@@ -110,6 +112,10 @@ def random_triangle_free_subcubic(n: int, seed: int = 0,
     addable pair (both endpoints of degree < 3, not adjacent, no common
     neighbor) until none remains.  Deterministic in (n, seed, weight_dist).
 
+    The addable pairs u < v are a mask in row-major order with a count per
+    row, which finds the k-th pair; each new edge clears only the pairs it
+    blocks.  O(n^2) time and memory.
+
     weight_dist: "unit" (all 1), "uniform" (floats in [0,1)), or
     "int" (integers in 0..10).
     """
@@ -118,31 +124,41 @@ def random_triangle_free_subcubic(n: int, seed: int = 0,
     if weight_dist not in WEIGHT_DISTS:
         raise ValueError(f"unknown weight_dist {weight_dist!r}")
     rng = random.Random(seed)
+    addable = np.triu(np.ones((n, n), dtype=bool), 1)
+    count = addable.sum(axis=1)
     nbrs: list[set[int]] = [set() for _ in range(n)]
     edges: list[tuple[int, int, float]] = []
-    while True:
-        candidates = []
-        for u in range(n):
-            if len(nbrs[u]) >= 3:
-                continue
-            for v in range(u + 1, n):
-                if len(nbrs[v]) >= 3 or v in nbrs[u]:
-                    continue
-                if nbrs[u] & nbrs[v]:
-                    continue
-                candidates.append((u, v))
-        if not candidates:
-            break
-        u, v = candidates[rng.randrange(len(candidates))]
+
+    def block(a: int, b: int) -> None:
+        a, b = min(a, b), max(a, b)
+        if addable[a, b]:
+            addable[a, b] = False
+            count[a] -= 1
+
+    while total := int(count.sum()):
+        before = np.cumsum(count) - count  # pairs in earlier rows
+        k = rng.randrange(total)
+        u = int(np.searchsorted(before, k, side="right")) - 1
+        v = int(np.flatnonzero(addable[u])[k - before[u]])
         if weight_dist == "unit":
             w = 1.0
         elif weight_dist == "uniform":
             w = rng.random()
         else:
             w = float(rng.randint(0, 10))
+        block(u, v)
+        for x in nbrs[u]:  # v and x now share the neighbour u
+            block(v, x)
+        for x in nbrs[v]:
+            block(u, x)
         nbrs[u].add(v)
         nbrs[v].add(u)
         edges.append((u, v, w))
+        for z in (u, v):
+            if len(nbrs[z]) == 3:
+                count[:z] -= addable[:z, z]
+                addable[:z, z] = addable[z] = False
+                count[z] = 0
     return WeightedGraph(n, edges)
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
-
-_EXACT_FLOAT_LIMIT = 2.0 ** 53
 
 # Most vertices a file header may declare, checked before anything is allocated.
 MAX_VERTICES = 2 ** 20
@@ -72,9 +71,10 @@ class WeightedGraph:
     split, some bound reports) are memoized per instance on first use;
     equality ignores the memo.
 
-    ``integer_weights`` is True when every weight is integral and the total
-    weight is below 2^53, so that every sum of weights is an exact float;
-    downstream bound arithmetic is then carried out exactly over rationals.
+    ``total_weight`` is the exact total rounded once to a float.  Bound
+    arithmetic runs on the exact view ``_exact_weights``; ``integer_weights``
+    (every weight integral, at any size) only picks how weights are written
+    and the oracle's GEMM shortcut.
     """
 
     __slots__ = ("n", "edges", "adj", "total_weight", "integer_weights", "_ids",
@@ -109,13 +109,11 @@ class WeightedGraph:
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.total_weight = float(sum(w for _, _, w in self.edges))
-        if not math.isfinite(self.total_weight):
-            raise NonFiniteWeightError("total edge weight overflows to infinity")
-        # Below 2^53 every partial sum of integral weights is an exact
-        # float, and a float total below 2^53 means the true total is too.
-        self.integer_weights = (self.total_weight < _EXACT_FLOAT_LIMIT
-                                and all(w.is_integer() for _, _, w in self.edges))
+        try:  # fsum rounds the exact sum once
+            self.total_weight = math.fsum(w for _, _, w in self.edges)
+        except OverflowError:
+            raise NonFiniteWeightError("total edge weight overflows to infinity") from None
+        self.integer_weights = all(w.is_integer() for _, _, w in self.edges)
         self._memo: dict = {}
 
     # -- basic queries -------------------------------------------------
@@ -296,11 +294,45 @@ def triangle_free(g: WeightedGraph) -> bool:
     return _cached(g, "triangle_free", compute)
 
 
+@dataclass(frozen=True)
+class ExactWeights:
+    """A graph's weights as integers over one power of two.
+
+    Every finite float is m * 2^e, so edge ``e`` weighs exactly
+    ``ints[e] / 2**scale``; ``scale`` is 0 when every weight is integral.
+    Sums of ``ints`` are exact at any size; ``value`` reads one as a ``Fraction``.
+    """
+
+    ints: tuple[int, ...]
+    scale: int
+    total: Fraction
+
+    def value(self, x: int) -> Fraction:
+        return Fraction(x, 1 << self.scale)
+
+    def weight(self, edge_ids: Iterable[int]) -> Fraction:
+        """The exact weight of an edge set."""
+        return self.value(sum(map(self.ints.__getitem__, edge_ids)))
+
+
+def _exact_weights(g: WeightedGraph) -> ExactWeights:
+    """The exact view of ``g``'s weights; memoized on ``g``."""
+    def compute():
+        ratios = [w.as_integer_ratio() for _, _, w in g.edges]
+        scale = max((d.bit_length() - 1 for _, d in ratios), default=0)
+        ints = tuple(m << (scale + 1 - d.bit_length()) for m, d in ratios)
+        return ExactWeights(ints, scale, Fraction(sum(ints), 1 << scale))
+    return _cached(g, "exact_weights", compute)
+
+
 def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints as a read-only (2, m) array, and the weights; memoized on ``g``."""
+    """Endpoints as a read-only (2, m) array, and the ints of the exact
+    view as an array: int64 when their total is below 2^63, so no sum of
+    them overflows, else Python ints.  Memoized on ``g``."""
     def compute():
         ends = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2).T
-        weights = np.array([w for _, _, w in g.edges], dtype=float)
+        ints = _exact_weights(g).ints
+        weights = np.array(ints, dtype=np.int64 if sum(ints) < 2 ** 63 else object)
         ends.flags.writeable = weights.flags.writeable = False
         return ends, weights
     return _cached(g, "edge_arrays", compute)
@@ -325,12 +357,6 @@ def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, 
 # -- file format -------------------------------------------------------
 
 
-def _format_weight(w: float, integer_mode: bool) -> str:
-    if integer_mode:
-        return str(int(w))
-    return repr(w)
-
-
 def save_graph(g: WeightedGraph) -> str:
     """Canonical text form: header, then edges sorted by (u, v).
 
@@ -339,7 +365,7 @@ def save_graph(g: WeightedGraph) -> str:
     """
     lines = [f"p {g.n} {g.m}"]
     for u, v, w in sorted(g.edges):
-        lines.append(f"e {u} {v} {_format_weight(w, g.integer_weights)}")
+        lines.append(f"e {u} {v} {int(w) if g.integer_weights else repr(w)}")
     return "\n".join(lines) + "\n"
 
 

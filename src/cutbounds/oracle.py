@@ -5,13 +5,15 @@ maximum DFS-tree weight, and exact one-edge-per-five-cycle covers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import best_matching, slack
+from .bounds import best_matching
 from .cuts import Cut
-from .graph import DisconnectedGraphError, WeightedGraph, stats
+from .graph import (DisconnectedGraphError, WeightedGraph, _edge_arrays, _exact_weights,
+                    stats)
 from .spanning import max_spanning_tree
 
 MAX_CUT_GUARD = 30
@@ -37,6 +39,12 @@ class OracleResult:
     exact: bool = True
 
 
+def _oracle_value(x: Fraction):
+    """An exact weight as an oracle reports it: an int when integral, else
+    the float nearest to it."""
+    return int(x) if x.denominator == 1 else float(x)
+
+
 def exact_max_cut(g: WeightedGraph, max_n: int = MAX_CUT_GUARD) -> OracleResult:
     """Exact maximum cut by enumerating all side assignments.
 
@@ -46,14 +54,13 @@ def exact_max_cut(g: WeightedGraph, max_n: int = MAX_CUT_GUARD) -> OracleResult:
     weighted degrees and Q[u, v] = -2w, so a block of masks is one float64
     GEMM of a ``hi`` factor against a ``lo`` factor.  Masks whose GEMM
     value lies within rounding distance of the block maximum are summed
-    again in edge order (int64 in integer mode, float64 otherwise), so the
-    value is bit-for-bit that per-mask sum.  Witness: the optimal cut of
-    the smallest optimal mask.
+    again exactly, so the value is the exact maximum.  Witness: the optimal
+    cut of the smallest optimal mask.
     """
     if g.n > max_n:
         raise SizeGuardError(f"max cut enumeration guarded at n <= {max_n}")
     if g.n == 0:
-        return OracleResult("max_cut", 0, Cut((), 0.0))
+        return OracleResult("max_cut", 0, Cut((), Fraction(0)))
     nfree = g.n - 1
     low, high = nfree // 2, nfree - nfree // 2
     c = np.zeros(nfree)
@@ -73,38 +80,38 @@ def exact_max_cut(g: WeightedGraph, max_n: int = MAX_CUT_GUARD) -> OracleResult:
     # c entries, themselves sums of 2m weights, and the m entries of Q)
     # whose magnitudes add up to at most 4w(G); every intermediate is a
     # sum of a subset of them.  Each of the < 3m roundings is at most
-    # 2^-53 * 4w(G), and the edge-order sum of at most m weights is off by
-    # at most m * 2^-53 * w(G).  So the GEMM value and the edge-order sum
-    # of a mask differ by e <= 13m * 2^-53 * w(G) to first order, and
-    # tol = 16(n+m) * 2^-52 * max(1, w(G)) exceeds 2e: the block's optimal
-    # masks all lie within tol of its GEMM maximum.  With integral weights and 8w(G) <
-    # 2^53 every intermediate is an exact integer: the GEMM value is the
-    # edge-order sum, and the first GEMM maximum is the answer.
+    # 2^-53 * 4w(G), so the GEMM value and the exact weight of a mask differ
+    # by e <= 12m * 2^-53 * w(G) to first order, and tol = 16(n+m) * 2^-52 *
+    # max(1, w(G)) exceeds 2e plus the rounding of a float best: the block's
+    # optimal masks lie within tol of its GEMM maximum, and a block whose
+    # maximum is tol below the best holds no better mask.  With integral
+    # weights and 8w(G) < 2^53 every intermediate is an exact integer, so
+    # the first GEMM maximum is the answer.
+    ex = _exact_weights(g)
     exact = g.integer_weights and 8.0 * g.total_weight < 2.0 ** 53
     tol = 0.0 if exact else 16 * (g.n + g.m) * 2.0 ** -52 * max(1.0, g.total_weight)
-    best_val = None
+    best_val = None  # exact, in units of 2^-scale
     best_mask = 0
     rows = max(1, _BLOCK_CELLS >> low)
     for h0 in range(0, 1 << high, rows):
         block = left[h0:h0 + rows] @ right
         top = block.max()
-        if best_val is not None and top + tol <= best_val:
+        if best_val is not None and top + tol <= float(ex.value(best_val)):
             continue
         if exact:
-            mask, val = (h0 << low) + int(block.argmax()), top
+            mask, val = (h0 << low) + int(block.argmax()), int(top)
         else:
             masks = (h0 << low) + np.flatnonzero(block >= top - tol)
-            vals = _edge_order_cut_values(g, masks)
+            vals = _exact_cut_values(g, masks)
             i = int(np.argmax(vals))
-            mask, val = int(masks[i]), vals[i]
+            mask, val = int(masks[i]), int(vals[i])
         if best_val is None or val > best_val:
             best_val, best_mask = val, mask
     side = [(best_mask >> v) & 1 for v in range(nfree)] + [0]
     cut = Cut.from_side(g, side)
-    value = int(best_val) if g.integer_weights else float(best_val)
-    if abs(cut.weight - float(value)) > slack(g):
+    if cut.exact_weight != ex.value(best_val):
         raise AssertionError("optimal cut witness does not re-evaluate to the value")
-    return OracleResult("max_cut", value, cut)
+    return OracleResult("max_cut", _oracle_value(cut.exact_weight), cut)
 
 
 def _bit_rows(k: int) -> np.ndarray:
@@ -112,18 +119,15 @@ def _bit_rows(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
-def _edge_order_cut_values(g: WeightedGraph, masks: np.ndarray) -> np.ndarray:
-    """Cut weights of side masks (last vertex on side 0), accumulated edge
-    by edge: int64 in integer mode, float64 otherwise."""
+def _exact_cut_values(g: WeightedGraph, masks: np.ndarray) -> np.ndarray:
+    """Exact cut weights of side masks (last vertex on side 0), in units of
+    2^-scale, in the dtype of ``_edge_arrays``' ints."""
     nfree = g.n - 1
-    int_mode = g.integer_weights
-    acc = np.zeros(len(masks), dtype=np.int64 if int_mode else np.float64)
-    for u, v, w in g.edges:
+    _, ints = _edge_arrays(g)
+    acc = np.zeros(len(masks), dtype=ints.dtype)
+    for (u, v, _), q in zip(g.edges, ints):
         bits = (masks >> u if v == nfree else (masks >> u) ^ (masks >> v)) & 1
-        if int_mode:
-            acc += bits * int(w)
-        else:
-            acc += bits.astype(np.float64) * w
+        acc += bits.astype(ints.dtype) * q
     return acc
 
 
@@ -136,8 +140,8 @@ def max_induced_bipartite(g: WeightedGraph,
     each inducing a connected bipartite subgraph; the value is the sum of
     the induced weights.  Solved by subset DP over vertex sets: either the
     lowest vertex of the remaining set is unused, or its part is one of
-    the connected bipartite induced subsets through it.  Witness: the edge
-    ids of an optimal family.
+    the connected bipartite induced subsets through it, on exact weights.
+    Witness: the edge ids of an optimal family.
     """
     if g.n > max_n:
         raise SizeGuardError(f"bipartite family enumeration guarded at n <= {max_n}")
@@ -147,7 +151,7 @@ def max_induced_bipartite(g: WeightedGraph,
     full = (1 << n) - 1
     parts, part_weight = _bipartite_parts(g)
     part_low = parts & -parts
-    value = np.zeros(full + 1)
+    value = np.zeros(full + 1, dtype=part_weight.dtype)
     choice = np.zeros(full + 1, dtype=np.int64)
     # Layer v holds the masks whose lowest vertex is v; they read only
     # masks whose lowest vertex is above v.  Parts are tried in descending
@@ -179,15 +183,14 @@ def max_induced_bipartite(g: WeightedGraph,
             mask ^= s
         else:
             mask ^= mask & -mask
-    out = float(value[full])
-    result = int(round(out)) if g.integer_weights else out
-    return OracleResult("max_induced_bipartite", result, tuple(sorted(witness_edges)))
+    top = _exact_weights(g).value(int(value[full]))
+    return OracleResult("max_induced_bipartite", _oracle_value(top), tuple(sorted(witness_edges)))
 
 
 def _bipartite_parts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Vertex masks (ascending) that induce a connected bipartite subgraph
-    of positive weight on at least two vertices, with their induced
-    weights summed in edge order.
+    of positive weight on at least two vertices, with their exact induced
+    weights in the dtype of ``_edge_arrays``' ints.
 
     For every mask at once, grows the vertices at even and odd distance
     from its lowest vertex to a fixpoint; the mask qualifies when the two
@@ -215,10 +218,11 @@ def _bipartite_parts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
             break
         even = grown
     parts = masks[((even & odd) == 0) & ((even | odd) == masks) & (odd != 0)]
-    weight = np.zeros(len(parts))
-    for u, v, w in g.edges:
-        weight += (parts >> u & parts >> v & 1) * w
-    keep = weight > 0.0
+    _, ints = _edge_arrays(g)
+    weight = np.zeros(len(parts), dtype=ints.dtype)
+    for (u, v, _), q in zip(g.edges, ints):
+        weight += (parts >> u & parts >> v & 1).astype(ints.dtype) * q
+    keep = weight > 0
     return parts[keep], weight[keep]
 
 
@@ -233,25 +237,26 @@ def _union_table(sets: list[int]) -> np.ndarray:
 def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> OracleResult:
     """Exact maximum weight of a DFS tree, over all roots and visit orders.
 
-    Memoized branching over (visited set, DFS stack) states.  Witness: the
-    edge ids of a maximizing tree.
+    Memoized branching over (visited set, DFS stack) states, on exact
+    weights.  Witness: the edge ids of a maximizing tree.
     """
     if g.n > max_n:
         raise SizeGuardError(f"DFS tree enumeration guarded at n <= {max_n}")
     if not g.is_connected():
         raise DisconnectedGraphError("DFS trees need a connected graph")
     if g.n == 0:
-        return OracleResult("max_dfs_tree_weight", 0.0, ())
-    memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
+        return OracleResult("max_dfs_tree_weight", 0, ())
+    ex = _exact_weights(g)
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
-    def explore(mask: int, stack: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+    def explore(mask: int, stack: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         while stack:
             u = stack[-1]
             if any(not mask >> v & 1 for v, _ in g.adj[u]):
                 break
             stack = stack[:-1]
         if not stack:
-            return 0.0, ()
+            return 0, ()
         key = (mask, stack)
         hit = memo.get(key)
         if hit is not None:
@@ -262,7 +267,7 @@ def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> Orac
             if mask >> v & 1:
                 continue
             sub_w, sub_e = explore(mask | (1 << v), stack + (v,))
-            cand = (g.edges[eid][2] + sub_w, (eid,) + sub_e)
+            cand = (ex.ints[eid] + sub_w, (eid,) + sub_e)
             if best is None or cand[0] > best[0]:
                 best = cand
         memo[key] = best
@@ -270,8 +275,8 @@ def max_dfs_tree_weight(g: WeightedGraph, max_n: int = DFS_WEIGHT_GUARD) -> Orac
 
     best_val, best_edges = max((explore(1 << root, (root,)) for root in range(g.n)),
                                key=lambda cand: cand[0])
-    value = int(round(best_val)) if g.integer_weights else best_val
-    return OracleResult("max_dfs_tree_weight", value, tuple(sorted(best_edges)))
+    return OracleResult("max_dfs_tree_weight", _oracle_value(ex.value(best_val)),
+                        tuple(sorted(best_edges)))
 
 
 # -- five-cycle covers ----------------------------------------------------
@@ -396,32 +401,32 @@ def conjecture_report(g: WeightedGraph, max_n: int = 20) -> ConjectureReport:
     the heaviest matching.  ``best_matching`` is a maximum-weight matching
     up to ``EXACT_MATCHING_MAX_EDGES`` edges; above that it is the greedy
     matching plus one swap pass, and the ratio only bounds the minimum
-    from above.
+    from above.  Every flag compares exact values.
     """
     st = stats(g)
-    mac = float(exact_max_cut(g, max_n).value)
-    w = g.total_weight
-    eps = slack(g)
+    ex = _exact_weights(g)
+    mac = exact_max_cut(g, max_n).witness.exact_weight
+    w = ex.total
     flags: list[str] = []
 
-    cut_ratio = mac / w if w > 0 else None
+    cut_ratio = float(mac / w) if w > 0 else None
 
     theta_ratio = theta_tree_w = None
     if st.connected and g.n >= 2:
-        tw = max_spanning_tree(g).weight
+        tw = max_spanning_tree(g).exact_weight
         if tw > 0:
-            theta_ratio, theta_tree_w = (mac - w / 2.0) / tw, tw
-            if st.triangle_free and mac + eps < w / 2.0 + 0.375 * tw:
+            theta_ratio, theta_tree_w = float((mac - w / 2) / tw), float(tw)
+            if st.triangle_free and mac < w / 2 + Fraction(3, 8) * tw:
                 flags.append("tree_three_eighths")
 
     matching_ratio = matching_w = None
-    wm = sum(g.edges[e][2] for e in best_matching(g))
+    wm = ex.weight(best_matching(g))
     if w - wm > 0:
-        matching_ratio, matching_w = (mac - wm) / (w - wm), wm
+        matching_ratio, matching_w = float((mac - wm) / (w - wm)), float(wm)
         if st.triangle_free:
-            if mac + eps < 0.5 * (w - wm) + wm:
+            if mac < (w - wm) / 2 + wm:
                 flags.append("matching_coefficient_half")
-            if st.max_degree <= 3 and mac + eps < 0.6 * (w - wm) + wm:
+            if st.max_degree <= 3 and mac < Fraction(3, 5) * (w - wm) + wm:
                 flags.append("matching_coefficient_c3")
 
     five_applicable = st.triangle_free and st.max_degree <= 3 and g.n <= FIVE_CYCLE_GUARD
@@ -432,11 +437,11 @@ def conjecture_report(g: WeightedGraph, max_n: int = 20) -> ConjectureReport:
             flags.append("five_cycle_cover_missing")
         else:
             five_size = int(found.value)
-        if st.max_degree <= 3 and mac + eps < 0.8 * w:
+        if st.max_degree <= 3 and mac < Fraction(4, 5) * w:
             flags.append("four_fifths_subcubic")
 
     return ConjectureReport(
-        n=g.n, m=g.m, total_weight=w, max_cut=mac,
+        n=g.n, m=g.m, total_weight=g.total_weight, max_cut=float(mac),
         cut_ratio=cut_ratio, theta_ratio=theta_ratio,
         theta_tree_weight=theta_tree_w, matching_ratio=matching_ratio,
         matching_weight=matching_w, five_cycle_cover_size=five_size,

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graph import DisconnectedGraphError, PreconditionError, WeightedGraph, _cached
+from .graph import (DisconnectedGraphError, PreconditionError, WeightedGraph, _cached,
+                    _exact_weights)
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
 
 
@@ -24,7 +26,8 @@ class RootedSpanningTree:
     ``roots`` has one vertex, or two tree-adjacent vertices when levels are
     measured from a marked tree edge (both endpoints at level 0).  ``kind``
     is "dfs" for trees with the no-cross-edge property, "arbitrary"
-    otherwise.
+    otherwise.  ``exact_weight`` is the tree's weight over rationals, and
+    ``weight`` is that value rounded once to a float.
     """
 
     parent: tuple[Optional[int], ...]
@@ -32,7 +35,11 @@ class RootedSpanningTree:
     level: tuple[int, ...]
     edge_ids: frozenset[int]
     kind: str
-    weight: float
+    exact_weight: Fraction
+
+    @property
+    def weight(self) -> float:
+        return float(self.exact_weight)
 
     def validate(self, g: WeightedGraph) -> None:
         n = len(self.parent)
@@ -74,9 +81,8 @@ def _orient(g: WeightedGraph, edge_ids: frozenset[int], roots: Sequence[int],
                 queue.append(v)
     if any(l < 0 for l in level):
         raise DisconnectedGraphError("edge set does not span the graph")
-    w = float(sum(g.edges[e][2] for e in edge_ids))
     return RootedSpanningTree(tuple(parent), tuple(roots), tuple(level),
-                              edge_ids, kind, w)
+                              edge_ids, kind, _exact_weights(g).weight(edge_ids))
 
 
 def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
@@ -103,9 +109,8 @@ def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
             stack.pop()
     if any(l < 0 for l in level):
         raise DisconnectedGraphError("graph is not connected")
-    w = float(sum(g.edges[e][2] for e in edge_ids))
-    return RootedSpanningTree(tuple(parent), (root,), tuple(level),
-                              frozenset(edge_ids), "dfs", w)
+    return RootedSpanningTree(tuple(parent), (root,), tuple(level), frozenset(edge_ids),
+                              "dfs", _exact_weights(g).weight(edge_ids))
 
 
 def cross_edges(g: WeightedGraph, t: RootedSpanningTree) -> list[int]:
@@ -173,7 +178,7 @@ def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,
 
 def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[int, list[int]]:
     """Of the k layered edge sets of a leveled tree, the one that drops the
-    least tree weight (the first on ties), and its index j.
+    least tree weight (the first on ties, compared exactly), and its index j.
 
     Set j keeps every tree edge except those between levels i and i+1 with
     i = j (mod k), then adds every non-tree edge whose endpoints fall in
@@ -183,14 +188,15 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[in
     on a single-rooted tree these are the parity layers, odd upper level
     first.  Only set j is built.
     """
+    ints = _exact_weights(g).ints
     layer: dict[int, int] = {}
-    dropped = [0.0] * k
+    dropped = [0] * k
     for eid in sorted(t.edge_ids):
-        u, v, w = g.edges[eid]
+        u, v, _ = g.edges[eid]
         lu, lv = t.level[u], t.level[v]
         if lu != lv:
             layer[eid] = min(lu, lv) % k
-            dropped[layer[eid]] += w
+            dropped[layer[eid]] += ints[eid]
     j = min(range(k), key=dropped.__getitem__)
     kept = [eid for eid in sorted(t.edge_ids) if layer.get(eid) != j]
     par = list(range(g.n))

@@ -24,13 +24,13 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .bounds import BoundReport, MONTE_CARLO, _cached_report, _num, _report, meets
+from .bounds import BoundReport, MONTE_CARLO, _cached_report, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .generators import _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
-                    WeightedGraph, _edge_arrays, triangle_free)
-from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
+                    WeightedGraph, _edge_arrays, _exact_weights, triangle_free)
+from .spanning import (RootedSpanningTree, _find, _orient, fundamental_cycle_lengths,
                        layer_edge_sets, max_spanning_tree)
 
 EIGHT_ELEVENTHS = Fraction(8, 11)
@@ -328,11 +328,13 @@ class EdgeClassification:
     def edge_ids(self, cls: int) -> tuple[int, ...]:
         return tuple(e for e, c in enumerate(self.class_of_edge) if c == cls)
 
-    def weights(self, g: WeightedGraph) -> tuple[float, float, float]:
-        w = [0.0, 0.0, 0.0]
-        for e, c in enumerate(self.class_of_edge):
-            w[c] += g.edges[e][2]
-        return (w[0], w[1], w[2])
+    def weights(self, g: WeightedGraph) -> tuple[Fraction, Fraction, Fraction]:
+        """The exact weight of each class."""
+        ex = _exact_weights(g)
+        w = [0, 0, 0]
+        for c, q in zip(self.class_of_edge, ex.ints):
+            w[c] += q
+        return tuple(ex.value(x) for x in w)
 
 
 def successor_digraph(g: WeightedGraph, coloring: VertexColoring3) -> SuccessorDigraph:
@@ -378,7 +380,7 @@ def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassificati
 
 def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
                   succ: SuccessorDigraph) -> Cut:
-    """The drop-one-class cut that drops the least weight, first on ties.
+    """The drop-one-class cut that drops the least exact weight, first on ties.
 
     Dropping every successor edge owned by one color class leaves each of
     that class's vertices attached to a single other class, so the residue
@@ -389,7 +391,8 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     for v, s in enumerate(succ.succ):
         if s is not None:
             dropped[coloring.class_of[v]].add(g.edge_id(v, s))
-    least = min((1, 2, 3), key=lambda c: sum(g.edges[e][2] for e in sorted(dropped[c])))
+    ex = _exact_weights(g)
+    least = min((1, 2, 3), key=lambda c: ex.weight(dropped[c]))
     return place_blocks(g, _two_color(g, (e for e in range(g.m) if e not in dropped[least])))
 
 
@@ -533,12 +536,12 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
 
 def _eight_elevenths_candidates(g: WeightedGraph, coloring: VertexColoring3,
                                 succ: SuccessorDigraph, cls: EdgeClassification
-                                ) -> dict[str, tuple[Fraction | float, Callable[[], Cut]]]:
+                                ) -> dict[str, tuple[Fraction, Callable[[], Cut]]]:
     """The three certified cuts on the cubic graph ``g``, by name: each
     one's certified value, known from the edge-class weights alone, and a
     function that builds its cut.  With weights 9/22, 8/22 and 5/22 the
     values add up to (8/11) w, so the largest alone meets the bound."""
-    w0, w1, w2 = (_num(g, w) for w in cls.weights(g))
+    w0, w1, w2 = cls.weights(g)
     return {
         "drop_class": (w0 + 2 * w1 / 3 + w2 / 3,
                        lambda: per_class_cut(g, coloring, succ)),
@@ -576,7 +579,7 @@ def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
 
 def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     if g.n == 0:
-        return _report("eight_elevenths", g, _num(g, 0.0), Cut((), 0.0), {})
+        return _report("eight_elevenths", Fraction(0), Cut((), Fraction(0)), {})
     ext = regularize_to_cubic(g)
     g3 = ext.graph
     coloring = color_components(g3)
@@ -586,14 +589,15 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     winner = max(candidates, key=lambda name: candidates[name][0])
     value, build = candidates[winner]
     cut = build()
-    if not meets(g3, cut.weight, value):
+    if not meets(cut, value):
         raise ClaimViolationError(
             f"{winner} cut weight {cut.weight} below certified {value}")
-    details = {"gadgets": ext.gadget_count, "class_weights": list(cls.weights(g3)),
+    details = {"gadgets": ext.gadget_count,
+               "class_weights": [float(w) for w in cls.weights(g3)],
                **{name: {"certified": float(v)} for name, (v, _) in candidates.items()},
                "winner": winner}
     details[winner]["cut_weight"] = cut.weight
-    return _report("eight_elevenths", g, EIGHT_ELEVENTHS * _num(g, g.total_weight),
+    return _report("eight_elevenths", EIGHT_ELEVENTHS * _exact_weights(g).total,
                    ext.restrict(cut), details)
 
 
@@ -601,29 +605,28 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
     """Cut of weight at least (2/3) w(G) from a proper 3-coloring.
 
     Keeps the heaviest class pair apart and moves each third-class vertex
-    to whichever side captures more of its incident weight.
+    to whichever side captures more of its incident weight, compared exactly.
     """
     _require_tf_subcubic(g)
     if g.n == 0:
-        return _report("two_thirds", g, _num(g, 0.0), Cut((), 0.0), {})
+        return _report("two_thirds", Fraction(0), Cut((), Fraction(0)), {})
     coloring = color_components(g)
-    pair_w = {(i, j): 0.0 for i, j in combinations((1, 2, 3), 2)}
-    for u, v, w in g.edges:
+    ex = _exact_weights(g)
+    pair_w = {(i, j): 0 for i, j in combinations((1, 2, 3), 2)}
+    for (u, v, _), q in zip(g.edges, ex.ints):
         cu, cv = sorted((coloring.class_of[u], coloring.class_of[v]))
-        pair_w[(cu, cv)] += w
+        pair_w[(cu, cv)] += q
     (i, j) = max(pair_w, key=lambda p: (pair_w[p], -p[0], -p[1]))
     k = ({1, 2, 3} - {i, j}).pop()
     side = [int(c == j) for c in coloring.class_of]
     for v in range(g.n):
         if coloring.class_of[v] == k:
-            wi = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == i)
-            wj = sum(g.edges[e][2] for u, e in g.adj[v] if coloring.class_of[u] == j)
+            wi = sum(ex.ints[e] for u, e in g.adj[v] if coloring.class_of[u] == i)
+            wj = sum(ex.ints[e] for u, e in g.adj[v] if coloring.class_of[u] == j)
             side[v] = 0 if wj >= wi else 1
-    cut = Cut.from_side(g, side)
-    value = 2 * _num(g, g.total_weight) / 3
     details = {"kept_pair": [i, j], "moved_class": k,
-               "pair_weight": pair_w[(i, j)]}
-    return _report("two_thirds", g, value, cut, details)
+               "pair_weight": float(ex.value(pair_w[(i, j)]))}
+    return _report("two_thirds", 2 * ex.total / 3, Cut.from_side(g, side), details)
 
 
 # =====================================================================
@@ -633,7 +636,8 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
 
 def percolation_expectation(g: WeightedGraph, t: RootedSpanningTree, p: float,
                             r: Optional[int]) -> float:
-    """(p+1)/2 w(T) + (1 - p^(r-1))/2 (w(G) - w(T))."""
+    """(p+1)/2 w(T) + (1 - p^(r-1))/2 (w(G) - w(T)), in float: p is one of the
+    paper's decimal constants, and the report reads the value as a ``Fraction``."""
     w, wt = g.total_weight, t.weight
     p_pow = p ** (r - 1) if r is not None else 0.0
     return (p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0 * (w - wt)
@@ -643,22 +647,15 @@ def _percolation_raw(g: WeightedGraph, t: RootedSpanningTree, p: float,
                      rng: random.Random) -> Cut:
     kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
     par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
     kept_adj: dict[int, list[int]] = {}
     for e in kept:
         u, v, _ = g.edges[e]
-        par[find(u)] = find(v)
+        par[_find(par, u)] = _find(par, v)
         kept_adj.setdefault(u, []).append(v)
         kept_adj.setdefault(v, []).append(u)
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(par, v), []).append(v)
     side = [0] * g.n
     for root in sorted(groups, key=lambda r2: min(groups[r2])):
         members = groups[root]
@@ -775,8 +772,8 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> Boun
     r = min((len(path) + 1 for _, path in paths if len(path) % 2 == 0), default=None)
     raw = _percolation_cut(g, t, p, paths)
     cut = local_search_improve(g, raw)
-    value = _num(g, percolation_expectation(g, t, p, r))
-    if not meets(g, cut.weight, value):
+    value = Fraction(percolation_expectation(g, t, p, r))
+    if not meets(cut, value):
         raise ClaimViolationError(
             f"percolation cut weight {cut.weight} below certified {value}")
     # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
@@ -784,7 +781,7 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> Boun
         g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
     details = {"p": p, "r": r, "tree_weight": t.weight,
                "expectation": expectation, "raw_weight": raw.weight}
-    return _report("tree_percolation", g, value, cut, details)
+    return _report("tree_percolation", value, cut, details)
 
 
 def combined_tree_bound(g: WeightedGraph,
@@ -794,7 +791,8 @@ def combined_tree_bound(g: WeightedGraph,
     Mixing the p = 0.85 percolation inequality (worst case r = 5) with the
     8/11 inequality at weights 0.46545 / 0.53455 yields the coefficient.
     Both branch cuts are certified, so the heavier one weighs at least the
-    mix and meets the bound; it is returned after a check.  Both branch
+    mix and meets the bound; it is checked exactly against the float value
+    of w/2 + 0.3193 w(T), read as a ``Fraction``.  Both branch
     reports are memoized on ``g``, so after a suite has run them this costs
     nothing but that check.
     """
@@ -804,9 +802,9 @@ def combined_tree_bound(g: WeightedGraph,
     t = tree if tree is not None else max_spanning_tree(g)
     eight = eight_elevenths_bound(g)
     perc = tree_percolation_bound(g, t, PERCOLATION_P)
-    cut = max(eight.cut, perc.cut, key=lambda c: c.weight)
-    value = _num(g, g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight)
-    if not meets(g, cut.weight, value):
+    cut = max(eight.cut, perc.cut, key=lambda c: c.exact_weight)
+    value = Fraction(g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight)
+    if not meets(cut, value):
         raise ClaimViolationError(
             f"combined tree cut weight {cut.weight} below certified {value}")
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
@@ -819,7 +817,7 @@ def combined_tree_bound(g: WeightedGraph,
         "mix_weight_eight_elevenths": COMBINATION_WEIGHT_B,
         "mixed_tree_coefficient": mixed - 0.5,
     }
-    return _report("combined_tree", g, value, cut, details)
+    return _report("combined_tree", value, cut, details)
 
 
 # =====================================================================
@@ -857,14 +855,15 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
     if g.m == 0:
         return BoundReport("shearer", 0.0, Cut.from_side(g, [0] * g.n),
                            MONTE_CARLO, None, {"delta": delta})
-    best_raw: Optional[Cut] = None
+    ex = _exact_weights(g)
+    best_side, best = None, None
     raw_weights: list[float] = []
     for sides, weights in _shearer_raw_sides(g, trials, seed):
-        raw_weights += weights
+        raw_weights += [float(ex.value(x)) for x in weights]
         i = max(range(len(weights)), key=weights.__getitem__)
-        if best_raw is None or weights[i] > best_raw.weight:
-            best_raw = Cut(tuple(sides[i].tolist()), weights[i])
-    cut = local_search_improve(g, best_raw)
+        if best is None or weights[i] > best:
+            best_side, best = sides[i], weights[i]
+    cut = local_search_improve(g, Cut.from_side(g, best_side))
     value = shearer_coefficient(delta) * g.total_weight
     details = {
         "delta": delta, "trials": trials, "seed": seed,
@@ -908,22 +907,11 @@ def _block_ranges(g: WeightedGraph, trials: int,
         yield start, min(start + rows, seed + trials)
 
 
-def _side_weights(g: WeightedGraph, sides: np.ndarray) -> list[float]:
-    """The weight of each row of ``sides``, exactly as ``Cut.from_side`` gives it."""
-    ends, weights = _edge_arrays(g)
-    crossing = sides[:, ends[0]] != sides[:, ends[1]]
-    if g.integer_weights:
-        # Every partial sum is an integer below 2^53, hence exact in any order.
-        return (crossing @ weights).tolist()
-    # Python's float sum (compensated since 3.12) sets the rounding; this adds
-    # each row's crossing weights in edge order, as ``Cut.from_side`` does.
-    return [float(sum(weights[row].tolist())) for row in crossing]
-
-
 def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
                        ) -> Iterator[tuple[np.ndarray, list[float]]]:
     """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i,
-    as blocks of side vectors (one row per trial) and their cut weights.
+    as blocks of side vectors (one row per trial) and their exact cut
+    weights in units of 2^-scale.
 
     Trial i draws n first-stage bits, then one bit per tied vertex, then
     one per vertex that is not good, each in vertex order: a prefix of the
@@ -932,7 +920,7 @@ def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
     its trial.
     """
     n = g.n
-    ends, _ = _edge_arrays(g)
+    ends, weights = _edge_arrays(g)
     degree = np.array([g.degree(v) for v in range(n)])
     for start, stop in _block_ranges(g, trials, seed):
         b = stop - start
@@ -949,4 +937,4 @@ def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
         past_ties = n - 1 + np.count_nonzero(tie, axis=1)[:, None]
         redraws = np.take_along_axis(bits, past_ties + np.cumsum(~good, axis=1), axis=1)
         sides = np.where(good, first, redraws)
-        yield sides, _side_weights(g, sides)
+        yield sides, ((sides[:, ends[0]] != sides[:, ends[1]]) @ weights).tolist()

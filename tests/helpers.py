@@ -304,53 +304,62 @@ def random_tf_subcubic_graph(n: int, rng: random.Random,
     return WeightedGraph(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
 
 
+def _exact_number(x: Fraction):
+    """An exact weight typed as the oracles report it: an int when integral,
+    else the nearest float."""
+    return int(x) if x.denominator == 1 else float(x)
+
+
 def max_cut_by_edge_passes(g: WeightedGraph, chunk_bits: int = 22):
     """Exact max cut by one numpy pass per edge over all 2^(n-1) masks.
 
-    The last vertex sits on side 0.  Returns ``(value, side)``: the value
-    is accumulated in edge order (int64 in integer mode, float64
-    otherwise) and the side list belongs to the smallest optimal mask.
+    The last vertex sits on side 0.  Each weight is scaled to an integer by
+    the largest denominator of the weights as fractions, and the sums run
+    over int64 when the scaled total fits, else over Python ints.  Returns
+    ``(value, side)``: the value typed as the oracle reports it, and the
+    side list of the smallest optimal mask.
     """
     import numpy as np
     if g.n == 0:
         return 0, []
     nfree = g.n - 1
     total_masks = 1 << nfree
-    int_mode = g.integer_weights
+    den = max((Fraction(w).denominator for _, _, w in g.edges), default=1)
+    scaled = [int(Fraction(w) * den) for _, _, w in g.edges]
     best_val = None
     best_mask = 0
     for start in range(0, total_masks, 1 << chunk_bits):
         end = min(start + (1 << chunk_bits), total_masks)
         masks = np.arange(start, end, dtype=np.uint64)
-        acc = np.zeros(end - start, dtype=np.int64 if int_mode else np.float64)
-        for u, v, w in g.edges:
+        acc = np.zeros(end - start, dtype=np.int64 if sum(scaled) < 2 ** 63 else object)
+        for (u, v, _), q in zip(g.edges, scaled):
             if v == nfree:
                 bits = (masks >> np.uint64(u)) & np.uint64(1)
             else:
                 bits = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-            if int_mode:
-                acc += bits.astype(np.int64) * int(w)
-            else:
-                acc += bits.astype(np.float64) * w
+            acc += bits.astype(acc.dtype) * q
         i = int(np.argmax(acc))
-        val = acc[i]
+        val = int(acc[i])
         if best_val is None or val > best_val:
             best_val = val
             best_mask = start + i
     side = [(best_mask >> v) & 1 for v in range(nfree)] + [0]
-    return (int(best_val) if int_mode else float(best_val)), side
+    return _exact_number(Fraction(best_val, den)), side
 
 
 def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
     """Max induced-bipartite family by a BFS per vertex mask and a subset
-    DP over explicit submask loops.  Returns ``(value, witness_edge_ids)``
-    with the value typed as the library reports it."""
+    DP over explicit submask loops, on weights scaled to integers by the
+    largest denominator of the weights as fractions.  Returns ``(value,
+    witness_edge_ids)`` with the value typed as the library reports it."""
     from collections import deque
     n = g.n
     if n == 0:
         return 0, ()
     full = (1 << n) - 1
-    part_weight: dict[int, float] = {}
+    den = max((Fraction(w).denominator for _, _, w in g.edges), default=1)
+    scaled = [int(Fraction(w) * den) for _, _, w in g.edges]
+    part_weight: dict[int, int] = {}
     for mask in range(1, full + 1):
         vs = [v for v in range(n) if mask >> v & 1]
         if len(vs) == 1:
@@ -368,7 +377,7 @@ def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
         color = {vs[0]: 0}
         queue = deque([vs[0]])
         ok = True
-        weight = 0.0
+        weight = 0
         while queue and ok:
             u = queue.popleft()
             for v, eid in g.adj[u]:
@@ -382,13 +391,13 @@ def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
                     break
         if not ok:
             continue
-        for u, v, w in g.edges:
+        for (u, v, _), q in zip(g.edges, scaled):
             if mask >> u & 1 and mask >> v & 1:
-                weight += w
-        if weight > 0.0:
+                weight += q
+        if weight > 0:
             part_weight[mask] = weight
 
-    value = [0.0] * (full + 1)
+    value = [0] * (full + 1)
     choice = [0] * (full + 1)
     for mask in range(1, full + 1):
         low = mask & -mask
@@ -420,52 +429,69 @@ def max_induced_bipartite_by_mask_bfs(g: WeightedGraph):
             mask ^= s
         else:
             mask ^= mask & -mask
-    out = value[full]
-    result = int(round(out)) if g.integer_weights else out
-    return result, tuple(sorted(witness_edges))
+    return _exact_number(Fraction(value[full], den)), tuple(sorted(witness_edges))
 
 
-def reference_float_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
-    """Each deterministic bound's formula written out in float arithmetic.
+def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
+    """Each deterministic bound's formula over rationals, for a connected graph.
 
-    Values are rebuilt from the quantities a report's ``details`` record,
-    with float constants in the formula's natural operation order.  Returns
-    ``{key: value}``: the bound itself under ``name``, and for
-    ``eight_elevenths`` also its three candidate cuts' certified values.
+    Every weight is ``Fraction(w)`` of its float.  Tree, matching and edge
+    class weights are summed again over the structure the report's
+    ``details`` name or the library's own step picks; the two formulas with
+    a decimal constant (percolation's p and the 0.3193 coefficient) are
+    evaluated in float, as the report defines them, and read as a
+    ``Fraction``.  Returns ``{key: value}``: the bound itself under
+    ``name``, and for ``eight_elevenths`` also its three candidate cuts'
+    certified values.
     """
-    w, d = g.total_weight, details
-    if name in ("poljak_turzik", "dfs_tree", "triangle_free_tree"):
-        tree = {"poljak_turzik": "min_tree_weight", "dfs_tree": "dfs_tree_weight",
-                "triangle_free_tree": "tree_weight"}[name]
-        return {name: w / 2 + d[tree] / 4}
-    if name == "matching":
-        return {name: (w + d["matching_weight"]) / 2}
-    if name == "girth_layers":
+    from cutbounds.bounds import best_matching
+    from cutbounds.spanning import dfs_tree, max_spanning_tree, min_spanning_tree
+    from cutbounds.subcubic import (classify_edges, color_components,
+                                    regularize_to_cubic, successor_digraph)
+
+    def weight(h, ids):
+        return sum((Fraction(h.edges[e][2]) for e in ids), Fraction(0))
+
+    w, d = weight(g, range(g.m)), details
+    if name in ("poljak_turzik", "dfs_tree", "girth_layers"):
+        dfs = weight(g, dfs_tree(g, d["dfs_root"]).edge_ids)
+        if name == "poljak_turzik":
+            return {name: w / 2 + weight(g, min_spanning_tree(g).edge_ids) / 4}
+        k = d.get("k", 2)
+        return {name: w / 2 + Fraction(k - 1, 2 * k) * dfs}
+    if name in ("triangle_free_tree", "edge_rooted_tree"):
+        tree = weight(g, max_spanning_tree(g).edge_ids)
+        if name == "triangle_free_tree":
+            return {name: w / 2 + tree / 4}
         k = d["k"]
-        return {name: w / 2 + (k - 1) / (2 * k) * d["dfs_tree_weight"]}
-    if name == "edge_rooted_tree":
-        k = d["k"]
-        return {name: (w / 2 + (k - 1) / (2 * k) * d["tree_weight"]
-                       + d["marked_weight"] / (2 * k))}
-    if name == "matching_vizing":
-        wm, c = d["matching_weight"], d["color_count"]
-        return {name: (w + wm) / 2 + (w - wm) / (2 * c)}
+        marked = weight(g, [g.edge_id(*d["marked_edge"])])
+        return {name: w / 2 + Fraction(k - 1, 2 * k) * tree + marked / (2 * k)}
+    if name in ("matching", "matching_vizing"):
+        wm = weight(g, best_matching(g))
+        if name == "matching":
+            return {name: (w + wm) / 2}
+        return {name: (w + wm) / 2 + (w - wm) / (2 * d["color_count"])}
     if name == "vizing_classes":
-        return {name: d["coefficient"] * w}
+        delta = d["delta"]
+        return {name: (Fraction(1, 2) + Fraction(3 * delta - 1, 4 * delta ** 2 + 2 * delta - 2))
+                * w}
     if name == "two_thirds":
-        return {name: 2.0 * w / 3.0}
+        return {name: 2 * w / 3}
     if name == "eight_elevenths":
-        w0, w1, w2 = d["class_weights"]
-        return {name: (8 / 11) * w,
-                "drop_class": w0 + 2.0 * w1 / 3.0 + w2 / 3.0,
-                "layered_components": 0.5 * w0 + 7.0 * w1 / 8.0 + w2,
-                "mutual_matching": 0.6 * (w0 + w1) + w2}
+        g3 = regularize_to_cubic(g).graph
+        cls = classify_edges(g3, successor_digraph(g3, color_components(g3))).class_of_edge
+        w0, w1, w2 = (weight(g3, [e for e in range(g3.m) if cls[e] == c]) for c in (0, 1, 2))
+        return {name: Fraction(8, 11) * w,
+                "drop_class": w0 + 2 * w1 / 3 + w2 / 3,
+                "layered_components": w0 / 2 + 7 * w1 / 8 + w2,
+                "mutual_matching": Fraction(3, 5) * (w0 + w1) + w2}
     if name == "tree_percolation":
         p, r, wt = d["p"], d["r"], d["tree_weight"]
         p_pow = p ** (r - 1) if r is not None else 0.0
-        return {name: (p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0 * (w - wt)}
+        return {name: Fraction((p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0
+                               * (g.total_weight - wt))}
     if name == "combined_tree":
-        return {name: w / 2.0 + 0.3193 * d["tree_weight"]}
+        return {name: Fraction(g.total_weight / 2.0 + 0.3193 * d["tree_weight"])}
     raise KeyError(name)
 
 
@@ -483,22 +509,22 @@ def greedy_matching_by_loop(g: WeightedGraph) -> tuple[int, ...]:
     return _swap_pass(g, chosen)
 
 
-def flip_gains_by_loop(g: WeightedGraph, side) -> list[float]:
-    """What flipping each vertex adds to the cut, one edge at a time."""
-    gain = [0.0] * g.n
+def flip_gains_by_loop(g: WeightedGraph, side) -> list[Fraction]:
+    """What flipping each vertex adds to the cut, one edge at a time, exactly."""
+    gain = [Fraction(0)] * g.n
     for u, v, w in g.edges:
         if side[u] == side[v]:
-            gain[u] += w
-            gain[v] += w
+            gain[u] += Fraction(w)
+            gain[v] += Fraction(w)
         else:
-            gain[u] -= w
-            gain[v] -= w
+            gain[u] -= Fraction(w)
+            gain[v] -= Fraction(w)
     return gain
 
 
 def local_search_by_full_sweeps(g: WeightedGraph, side) -> list[int]:
     """First-improvement flips as full sweeps over every vertex in ascending
-    id, repeated until a sweep flips nothing."""
+    id, repeated until a sweep flips nothing; gains are exact."""
     side = list(side)
     gain = flip_gains_by_loop(g, side)
     improved = True
@@ -509,7 +535,7 @@ def local_search_by_full_sweeps(g: WeightedGraph, side) -> list[int]:
                 side[v] ^= 1
                 gain[v] = -gain[v]
                 for u, eid in g.adj[v]:
-                    w = g.edges[eid][2]
+                    w = Fraction(g.edges[eid][2])
                     if side[u] == side[v]:
                         gain[u] += 2 * w
                     else:
@@ -601,7 +627,7 @@ def eight_elevenths_candidate_cuts(g: WeightedGraph):
     for name, (value, build) in _eight_elevenths_candidates(
             g3, coloring, succ, classify_edges(g3, succ)).items():
         cut = build()
-        if not meets(g3, cut.weight, value):
+        if not meets(cut, value):
             raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
         out[name] = (cut, value)
     return g3, out
@@ -648,3 +674,36 @@ def percolation_conditional_expectation(g: WeightedGraph, p, paths: dict[int, li
             sign = 1 if len(path) % 2 else -1
             total += w * (1 + sign * p ** sum(state[e] is None for e in path)) / 2
     return total
+
+
+def random_triangle_free_subcubic_by_scan(n: int, seed: int = 0,
+                                          weight_dist: str = "unit") -> WeightedGraph:
+    """The generator's reference: rescan every vertex pair for each edge,
+    listing the addable pairs in row-major order, and pick one uniformly."""
+    rng = random.Random(seed)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    edges: list[tuple[int, int, float]] = []
+    while True:
+        candidates = []
+        for u in range(n):
+            if len(nbrs[u]) >= 3:
+                continue
+            for v in range(u + 1, n):
+                if len(nbrs[v]) >= 3 or v in nbrs[u]:
+                    continue
+                if nbrs[u] & nbrs[v]:
+                    continue
+                candidates.append((u, v))
+        if not candidates:
+            break
+        u, v = candidates[rng.randrange(len(candidates))]
+        if weight_dist == "unit":
+            w = 1.0
+        elif weight_dist == "uniform":
+            w = rng.random()
+        else:
+            w = float(rng.randint(0, 10))
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        edges.append((u, v, w))
+    return WeightedGraph(n, edges)

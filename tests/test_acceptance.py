@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds import subcubic
-from cutbounds.bounds import meets, slack
+from cutbounds.bounds import meets
 from cutbounds.cli import main as cli_main
 from cutbounds.coloring import vizing_classes_coefficient_exact
 from cutbounds.cuts import local_search_improve
@@ -96,14 +96,13 @@ def test_acceptance_06_eight_elevenths_corpus():
         g = cb.random_triangle_free_subcubic(n, seed=rng.randrange(10 ** 9),
                                              weight_dist="int")
         rep = cb.eight_elevenths_bound(g)  # claim checks run inside, exact
-        ok &= Fraction(rep.cut.weight) >= rep.bound_exact
-        mac = cb.exact_max_cut(g).value
-        ok &= rep.cut.weight <= float(mac) + 1e-9
+        ok &= rep.cut.exact_weight >= rep.bound_exact
+        ok &= rep.cut.exact_weight <= cb.exact_max_cut(g).witness.exact_weight
         # the report builds only the winner; build and check all three
         _, candidates = eight_elevenths_candidate_cuts(g)
         for claim in ("drop_class", "layered_components", "mutual_matching"):
             cut, value = candidates[claim]
-            ok &= cut.weight >= float(value) - 1e-9
+            ok &= meets(cut, value)
         if not ok:
             break
     _verdict(6, "8/11 pipeline on 500 random instances", ok)
@@ -130,7 +129,7 @@ def test_acceptance_08_dfs_dominates_pt():
     ok = True
     for _ in range(1000):
         g = random_connected_graph(rng.randint(2, 12), rng.randint(0, 10), rng)
-        ok &= cb.dfs_bound(g).bound_value >= cb.poljak_turzik(g).bound_value - slack(g)
+        ok &= cb.dfs_bound(g).bound_exact >= cb.poljak_turzik(g).bound_exact
         if not ok:
             break
     _verdict(8, "DFS bound dominates Poljak-Turzik on 1000 instances", ok)
@@ -211,11 +210,12 @@ def _assert_percolation_certificate(g):
     exact = percolation_conditional_expectation(g, PERCOLATION_P, tree_paths(g, t),
                                                 dict.fromkeys(t.edge_ids))
     (cut,) = raw
-    assert cut.weight == cut.recompute_weight(g) == reports[0].details["raw_weight"]
-    assert meets(g, cut.weight, exact if g.integer_weights else float(exact))
+    assert cut.exact_weight == cut.recompute_weight(g)
+    assert cut.weight == reports[0].details["raw_weight"]
+    assert meets(cut, exact)
     assert reports[0].details["expectation"] == pytest.approx(float(exact))
     for rep in reports:
-        assert rep.mode == "deterministic" and rep.certified(g), rep.name
+        assert rep.mode == "deterministic" and rep.certified(), rep.name
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
-"""Each deterministic bound is computed once, in the arithmetic of its graph:
-over ``Fraction`` when the weights are integral, over float otherwise."""
+"""Each deterministic bound is computed once, from the exact weights of its
+graph: every ``bound_exact`` is a ``Fraction`` and ``bound_value`` is it
+rounded once, whatever the weights."""
 
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import cutbounds as cb
 from cutbounds import bounds
 from cutbounds.cli import _bound_suite, _run_bound
 from cutbounds.generators import path
-from helpers import random_tf_subcubic_graph, reference_float_bounds
+from helpers import random_tf_subcubic_graph, reference_exact_bounds
 
 
 def _with_weights(g, weight_of):
@@ -44,47 +45,40 @@ def _deterministic_reports(g):
 
 
 @pytest.mark.parametrize("g", _integer_corpus() + _float_corpus(), ids=repr)
-def test_exact_value_exactly_in_integer_mode(g):
+def test_every_deterministic_value_is_exact(g):
     reports = list(_deterministic_reports(g))
     assert reports
     for rep in reports:
-        assert (type(rep.bound_exact) is Fraction) == g.integer_weights, rep.name
-        if rep.bound_exact is not None:
-            assert rep.bound_value == float(rep.bound_exact), rep.name
-        assert rep.certified(g), rep.name
-
-
-def test_report_rejects_the_wrong_arithmetic():
-    g = cb.cycle(5)
-    cut = cb.Cut.from_side(g, [0, 1, 0, 1, 0])
-    with pytest.raises(AssertionError):
-        bounds._report("poljak_turzik", g, 3.5, cut, {})
-    h = cb.cycle(5, 1.5)
-    with pytest.raises(AssertionError):
-        bounds._report("poljak_turzik", h, Fraction(21, 4), cb.Cut.from_side(h, cut.side), {})
-    assert bounds._report("poljak_turzik", g, Fraction(7, 2), cut, {}).bound_exact == Fraction(7, 2)
+        assert type(rep.bound_exact) is Fraction, rep.name
+        assert rep.bound_value == float(rep.bound_exact), rep.name
+        assert rep.certified(), rep.name
 
 
 def test_meets_compares_fractions_exactly():
     g = cb.cycle(5)
-    assert bounds.meets(g, 4.0, Fraction(4))
-    assert not bounds.meets(g, 4.0, Fraction(4) + Fraction(1, 10 ** 12))
-    assert bounds.meets(g, 4.0, 4.0 + 1e-12)  # a float bound gets the slack
+    cut = cb.Cut.from_side(g, [0, 1, 0, 1, 1])
+    assert bounds.meets(cut, Fraction(4))
+    assert not bounds.meets(cut, Fraction(4) + Fraction(1, 10 ** 12))
+    h = cb.cycle(5, 0.1)  # four edges of 0.1 weigh exactly 4 * Fraction(0.1)
+    cut = cb.Cut.from_side(h, cut.side)
+    assert cut.exact_weight == 4 * Fraction(0.1) and cut.weight == float(4 * Fraction(0.1))
+    assert bounds.meets(cut, 4 * Fraction(0.1))
+    assert not bounds.meets(cut, Fraction(cut.weight) + Fraction(1, 2 ** 80))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 16), st.integers(0, 10 ** 6),
        st.lists(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
                 min_size=24, max_size=24))
-def test_float_values_match_the_float_formulas(n, seed, draws):
+def test_float_values_match_the_exact_formulas(n, seed, draws):
     base = random_tf_subcubic_graph(n, random.Random(seed), integer_weights=True)
     g = _with_weights(base, lambda eid, w: draws[eid % len(draws)])
     assume(not g.integer_weights)
     checked = set()
     for rep in _deterministic_reports(g):
-        want = reference_float_bounds(g, rep.name, rep.details)
-        assert rep.bound_value == want.pop(rep.name), rep.name
+        want = reference_exact_bounds(g, rep.name, rep.details)
+        assert rep.bound_exact == want.pop(rep.name), rep.name
         for candidate, value in want.items():
-            assert rep.details[candidate]["certified"] == value, candidate
+            assert rep.details[candidate]["certified"] == float(value), candidate
         checked.add(rep.name)
     assert len(checked) == 12

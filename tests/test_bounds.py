@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import cutbounds as cb
-from cutbounds.bounds import exact_matching_small, greedy_matching, slack
+from cutbounds.bounds import exact_matching_small, greedy_matching
 from cutbounds.generators import petersen_spoke_ids
 from helpers import naive_max_cut, random_connected_graph
 
@@ -118,9 +118,9 @@ def test_dominance_dfs_over_pt_corpus():
     rng = random.Random(6)
     for _ in range(120):
         g = random_connected_graph(rng.randint(2, 12), rng.randint(0, 10), rng)
-        dfs = cb.dfs_bound(g).bound_value
-        pt = cb.poljak_turzik(g).bound_value
-        assert dfs >= pt - slack(g)
+        dfs = cb.dfs_bound(g).bound_exact
+        pt = cb.poljak_turzik(g).bound_exact
+        assert dfs >= pt
 
 
 def test_bounds_below_exact_max_cut():
@@ -130,9 +130,9 @@ def test_bounds_below_exact_max_cut():
         mac = naive_max_cut(g)
         for fn in (cb.poljak_turzik, cb.dfs_bound, cb.matching_bound):
             r = fn(g)
-            assert r.bound_value <= mac + slack(g)
-            assert r.cut.weight <= mac + slack(g)
-            assert r.certified(g)
+            assert r.bound_exact <= mac
+            assert r.cut.exact_weight <= mac
+            assert r.certified()
 
 
 def test_per_component():

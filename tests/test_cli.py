@@ -197,10 +197,13 @@ def test_verify_integer_weights_above_2_53(tmp_path):
     code, text = run_cli(["verify", "--input", str(path)])
     assert code == 0 and "all sound" in text
     g = cb.load_graph(path.read_text())
-    assert not g.integer_weights
+    assert g.integer_weights  # integral at any size
     for rep in (cb.matching_bound(g), cb.edge_rooted_tree_bound(g),
                 cb.matching_vizing_bound(g, cb.best_matching(g))):
-        assert rep.certified(g)
+        assert rep.certified()
+    # 2^53 + 1 is no float: the file's weight parses to 2^53, and w = 2^53 + 1
+    # exactly, which no float holds
+    assert cb.matching_bound(g).bound_exact == Fraction(2 ** 54 + 1, 2)
 
 
 @pytest.mark.parametrize("max_n", ["2", "0", "-1"])
@@ -458,7 +461,7 @@ def test_verify_cross_checks_integer_weights_exactly(monkeypatch):
     # C5 of weight 10^9: max cut 4 * 10^9, float slack 5
     def one_above(g):
         over = Fraction(4 * 10 ** 9 + 1)
-        return cb.bounds._report("two_thirds", g, over, cb.Cut((0,) * g.n, float(over)), {})
+        return cb.bounds._report("two_thirds", over, cb.Cut((0,) * g.n, over), {})
 
     monkeypatch.setattr(cb.subcubic, "two_thirds_bound", one_above)
     code, text = run_cli(["verify", "--generate", "cycle", "5", "1000000000"])

@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.cuts import _flip_gains, _two_color, flip_to_local_optimum, place_blocks
-from helpers import (flip_gains_by_loop, local_search_by_full_sweeps,
-                     random_certificate_edges, random_connected_graph, two_color_blocks)
+from cutbounds.cuts import _two_color, place_blocks
+from helpers import (local_search_by_full_sweeps, random_certificate_edges,
+                     random_connected_graph, two_color_blocks)
 
 
 def test_verify_single_edge():
@@ -64,7 +63,7 @@ def test_certificate_edges_cross():
         cut = cb.derandomized_cut(g, cert)
         for e in ids:
             assert cut.crosses(g, e)
-        assert cut.weight == cut.recompute_weight(g)
+        assert cut.exact_weight == cut.recompute_weight(g)
 
 
 def test_derandomizer_exact_guarantee_integer_mode():
@@ -110,11 +109,12 @@ def test_local_search_monotone():
         for v in range(g.n):
             flipped = list(out.side)
             flipped[v] ^= 1
-            assert cb.Cut.from_side(g, flipped).weight <= out.weight + 1e-9
+            assert cb.Cut.from_side(g, flipped).exact_weight <= out.exact_weight
 
 
 # Integer weights 0..2 give zero-weight edges and gains of exactly 0; the
-# float weights include 0.1, 0.2 and 0.3, whose sums round by order.
+# float weights include 0.1, 0.2 and 0.3, whose float sums would round by
+# order, so only exact gains flip where the sweeps do.
 _SEARCH_WEIGHTS = {True: (0.0, 1.0, 2.0), False: (0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 1.9)}
 
 
@@ -125,18 +125,10 @@ def test_worklist_search_equals_full_sweeps(n, density, integer, seed):
     g = cb.WeightedGraph(n, [(u, v, rng.choice(_SEARCH_WEIGHTS[integer]))
                              for u in range(n) for v in range(u + 1, n)
                              if rng.random() < density])
-    sides = np.array([[rng.getrandbits(1) for _ in range(n)]
-                      for _ in range(rng.randint(1, 4))], dtype=np.int8)
-    for row, gain in zip(sides, _flip_gains(g, sides)):
-        side = row.tolist()
-        # float(): with no edges, np.bincount returns integer zeros
-        assert ([float(x).hex() for x in gain.tolist()]
-                == [x.hex() for x in flip_gains_by_loop(g, side)])
+    for _ in range(rng.randint(1, 4)):
+        side = [rng.getrandbits(1) for _ in range(n)]
         want = cb.Cut.from_side(g, local_search_by_full_sweeps(g, side))
-        assert flip_to_local_optimum(g, row, gain) == list(want.side)
-        out = cb.local_search_improve(g, cb.Cut.from_side(g, side))
-        assert out.side == want.side
-        assert out.weight.hex() == want.weight.hex()
+        assert cb.local_search_improve(g, cb.Cut.from_side(g, side)) == want
 
 
 def test_check_matching():
@@ -156,7 +148,7 @@ def test_derandomizer_guarantee_property(n, extra, seed):
     assert Fraction(cut.weight) >= (Fraction(int(g.total_weight))
                                     + Fraction(int(cert.weight(g)))) / 2
     assert all(cut.crosses(g, e) for e in cert.edge_ids)
-    assert cut.weight == cut.recompute_weight(g)
+    assert cut.exact_weight == cut.recompute_weight(g)
 
 
 def test_empty_and_single_vertex_graphs():

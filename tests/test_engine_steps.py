@@ -144,7 +144,7 @@ def test_vizing_classes_colors_twice(monkeypatch):
     _counted(monkeypatch, coloring, "vizing_edge_coloring", colorings)
     for g in (cb.petersen(), random_tf_subcubic_graph(40, random.Random(3), True)):
         colorings.clear()
-        assert cb.vizing_classes_bound(g).certified(g)
+        assert cb.vizing_classes_bound(g).certified()
         assert len(colorings) == 2
 
 
@@ -193,7 +193,7 @@ def test_long_odd_cycle_layer_bounds_check_one_set(monkeypatch):
     for bound in (cb.girth_bound, cb.edge_rooted_tree_bound):
         checked.clear()
         rep = bound(g)
-        assert rep.details["k"] >= 500 and rep.certified(g)
+        assert rep.details["k"] >= 500 and rep.certified()
         assert len(checked) == 1
 
 

@@ -2,7 +2,7 @@ import pytest
 
 import cutbounds as cb
 from cutbounds.generators import build, petersen_spoke_ids
-from helpers import has_triangle_scan
+from helpers import has_triangle_scan, random_triangle_free_subcubic_by_scan
 
 
 def test_star_counterexample_k7():
@@ -64,6 +64,20 @@ def test_random_tfs_saturated():
         for v in range(u + 1, g.n):
             if g.degree(u) < 3 and g.degree(v) < 3 and v not in nbrs[u]:
                 assert nbrs[u] & nbrs[v], (u, v)
+
+
+@pytest.mark.parametrize("n, seed, dist", [(1, 0, "unit"), (2, 5, "int"), (7, 1, "uniform"),
+                                           (23, 4, "int"), (64, 9, "uniform"),
+                                           (121, 2, "unit"), (160, 13, "int")])
+def test_random_tfs_equals_the_rescanning_reference(n, seed, dist):
+    got = cb.random_triangle_free_subcubic(n, seed, dist)
+    assert got.edges == random_triangle_free_subcubic_by_scan(n, seed, dist).edges
+
+
+def test_random_tfs_at_the_generate_limit():
+    # n = 1448 is the largest size --generate admits
+    g = build("random_triangle_free_subcubic", ["1448", "0"])
+    assert g.n == 1448 and g.max_degree() <= 3 and cb.triangle_free(g)
 
 
 def test_param_validation():

@@ -1,7 +1,8 @@
 """The exact oracles against the per-edge-pass and per-mask-BFS references
-in ``helpers``: same value, same value type, same witness."""
+in ``helpers``: same exact value, same value type, same witness."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -57,13 +58,16 @@ def test_max_induced_bipartite_matches_mask_bfs_reference(g):
     assert res.witness == witness
 
 
-def test_exact_max_cut_value_is_the_edge_order_sum():
-    # 0.1 + 0.2 > 0.3 in float64: the optimum, summed in edge order, is
-    # 1.7000000000000002, and the GEMM maximum alone picks another mask.
+def test_exact_max_cut_value_is_the_exact_optimum():
+    # 0.1 + 0.2 > 0.3 in float64: float sums in edge order rank the masks
+    # 19, 23, 83 and 87 first, at 1.7000000000000002, yet over rationals
+    # the masks 73 and 77 weigh 2^-55 more.  Their exact weight rounds to 1.7.
     g = cb.WeightedGraph(8, [(0, 4, 0.2), (0, 5, 0.3), (0, 7, 0.3), (1, 3, 0.2),
                              (1, 5, 0.3), (1, 6, 0.2), (3, 4, 0.3), (4, 5, 0.1),
                              (5, 6, 0.2)])
-    assert cb.exact_max_cut(g).value == 1.7000000000000002
+    res = cb.exact_max_cut(g)
+    assert res.witness.exact_weight == Fraction(30624477466119373, 2 ** 54)
+    assert res.value == 1.7 and res.witness.bitstring() == "10010010"  # mask 73
     assert_max_cut_matches_reference(g)
 
 

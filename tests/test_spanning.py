@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,7 +93,7 @@ def test_parity_layers_k4_star_tree_fails():
     star = cb.spanning.RootedSpanningTree(
         parent=(None, 0, 0, 0), roots=(0,), level=(0, 1, 1, 1),
         edge_ids=frozenset({g.edge_id(0, 1), g.edge_id(0, 2), g.edge_id(0, 3)}),
-        kind="arbitrary", weight=3.0)
+        kind="arbitrary", exact_weight=Fraction(3))
     # the second set joins the star to the triangle on its leaves: K4 itself
     with pytest.raises(cb.NotBipartiteError):
         for s in _layer_sets(g, star, 2):
