@@ -76,21 +76,17 @@ def _cached_report(g: WeightedGraph, key,
 # -- spanning-tree based bounds -----------------------------------------
 
 
-def _dfs_root_policy(g: WeightedGraph, root: Optional[int],
-                     sweep: Optional[bool]) -> list[int]:
-    if root is not None:
-        return [root]
-    if sweep is None:
-        sweep = g.n <= ROOT_SWEEP_MAX_N
-    return list(range(g.n)) if sweep else [0]
-
-
 def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
-    """DFS tree maximizing tree weight over the swept roots (ties: lowest root)."""
+    """DFS tree maximizing tree weight over ``root`` alone, else every root
+    when ``sweep`` (default: n <= ROOT_SWEEP_MAX_N), else root 0; ties go to
+    the lowest root.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    return max((dfs_tree(g, r) for r in _dfs_root_policy(g, root, sweep)),
-               key=lambda t: t.exact_weight)
+    if sweep is None:
+        sweep = g.n <= ROOT_SWEEP_MAX_N
+    roots = [root] if root is not None else range(g.n) if sweep else [0]
+    return _cached(g, ("best_dfs_tree", root, sweep),
+                   lambda: max((dfs_tree(g, r) for r in roots), key=lambda t: t.exact_weight))
 
 
 def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:
@@ -169,19 +165,21 @@ def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:
 
 
 def exact_matching_small(g: WeightedGraph) -> tuple[int, ...]:
-    """Exhaustive maximum-weight matching, branch and bound over edges."""
+    """Exhaustive maximum-weight matching, branch and bound over edges,
+    on the exact weights."""
     if g.m > EXACT_MATCHING_MAX_EDGES:
         raise ValueError(f"exact matching limited to {EXACT_MATCHING_MAX_EDGES} edges")
-    order = sorted(range(g.m), key=lambda e: (-g.edges[e][2], e))
-    suffix = [0.0] * (g.m + 1)
+    ints = _exact_weights(g).ints
+    order = sorted(range(g.m), key=lambda e: (-ints[e], e))
+    suffix = [0] * (g.m + 1)
     for i in range(g.m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + g.edges[order[i]][2]
-    best_w = -1.0
+        suffix[i] = suffix[i + 1] + ints[order[i]]
+    best_w = -1
     best: tuple[int, ...] = ()
     used = [False] * g.n
     chosen: list[int] = []
 
-    def recurse(i: int, cur: float) -> None:
+    def recurse(i: int, cur: int) -> None:
         nonlocal best_w, best
         if cur + suffix[i] <= best_w:
             return
@@ -191,27 +189,27 @@ def exact_matching_small(g: WeightedGraph) -> tuple[int, ...]:
                 best = tuple(sorted(chosen))
             return
         eid = order[i]
-        u, v, w = g.edges[eid]
+        u, v, _ = g.edges[eid]
         if not used[u] and not used[v]:
             used[u] = used[v] = True
             chosen.append(eid)
-            recurse(i + 1, cur + w)
+            recurse(i + 1, cur + ints[eid])
             chosen.pop()
             used[u] = used[v] = False
         recurse(i + 1, cur)
 
-    recurse(0, 0.0)
+    recurse(0, 0)
     return best
 
 
 def best_matching(g: WeightedGraph, strategy: str = "auto") -> tuple[int, ...]:
+    """The matching of ``strategy``; memoized on ``g``."""
     if strategy == "auto":
         strategy = "exact_small" if g.m <= EXACT_MATCHING_MAX_EDGES else "greedy"
-    if strategy == "exact_small":
-        return exact_matching_small(g)
-    if strategy == "greedy":
-        return greedy_matching(g)
-    raise ValueError(f"unknown matching strategy {strategy!r}")
+    build = {"exact_small": exact_matching_small, "greedy": greedy_matching}.get(strategy)
+    if build is None:
+        raise ValueError(f"unknown matching strategy {strategy!r}")
+    return _cached(g, ("best_matching", strategy), lambda: build(g))
 
 
 def matching_bound(g: WeightedGraph, strategy: str = "auto",

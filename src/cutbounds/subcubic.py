@@ -8,7 +8,8 @@ realize them as successor arcs, and build the one of three certified cuts
 from that structure whose certified value is largest.  Also hosts the 2/3
 coloring cut, the tree percolation cut (derandomized by conditional
 expectations, with its sampler kept as a cross-check), its combination
-bound, and the two-stage random redistribution sampler.
+bound, and the two-stage random redistribution bound, whose trials draw
+every coin up front from one seeded stream and run as one numpy kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .generators import _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, _edge_arrays, _exact_weights, triangle_free)
-from .spanning import (RootedSpanningTree, _find, _orient, fundamental_cycle_lengths,
+from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
                        layer_edge_sets, max_spanning_tree)
 
 EIGHT_ELEVENTHS = Fraction(8, 11)
@@ -535,13 +536,15 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
 
 
 def _eight_elevenths_candidates(g: WeightedGraph, coloring: VertexColoring3,
-                                succ: SuccessorDigraph, cls: EdgeClassification
+                                succ: SuccessorDigraph, cls: EdgeClassification,
+                                class_weights: tuple[Fraction, Fraction, Fraction]
                                 ) -> dict[str, tuple[Fraction, Callable[[], Cut]]]:
     """The three certified cuts on the cubic graph ``g``, by name: each
-    one's certified value, known from the edge-class weights alone, and a
-    function that builds its cut.  With weights 9/22, 8/22 and 5/22 the
-    values add up to (8/11) w, so the largest alone meets the bound."""
-    w0, w1, w2 = cls.weights(g)
+    one's certified value, known from the edge-class weights
+    ``cls.weights(g)`` alone, and a function that builds its cut.  With
+    weights 9/22, 8/22 and 5/22 the values add up to (8/11) w, so the
+    largest alone meets the bound."""
+    w0, w1, w2 = class_weights
     return {
         "drop_class": (w0 + 2 * w1 / 3 + w2 / 3,
                        lambda: per_class_cut(g, coloring, succ)),
@@ -585,7 +588,8 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     coloring = color_components(g3)
     succ = successor_digraph(g3, coloring)
     cls = classify_edges(g3, succ)
-    candidates = _eight_elevenths_candidates(g3, coloring, succ, cls)
+    class_weights = cls.weights(g3)
+    candidates = _eight_elevenths_candidates(g3, coloring, succ, cls, class_weights)
     winner = max(candidates, key=lambda name: candidates[name][0])
     value, build = candidates[winner]
     cut = build()
@@ -593,7 +597,7 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
         raise ClaimViolationError(
             f"{winner} cut weight {cut.weight} below certified {value}")
     details = {"gadgets": ext.gadget_count,
-               "class_weights": [float(w) for w in cls.weights(g3)],
+               "class_weights": [float(w) for w in class_weights],
                **{name: {"certified": float(v)} for name, (v, _) in candidates.items()},
                "winner": winner}
     details[winner]["cut_weight"] = cut.weight
@@ -646,31 +650,14 @@ def percolation_expectation(g: WeightedGraph, t: RootedSpanningTree, p: float,
 def _percolation_raw(g: WeightedGraph, t: RootedSpanningTree, p: float,
                      rng: random.Random) -> Cut:
     kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
-    par = list(range(g.n))
-    kept_adj: dict[int, list[int]] = {}
-    for e in kept:
-        u, v, _ = g.edges[e]
-        par[_find(par, u)] = _find(par, v)
-        kept_adj.setdefault(u, []).append(v)
-        kept_adj.setdefault(v, []).append(u)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(_find(par, v), []).append(v)
+    block_of = {v: block for block in _two_color(g, kept) for v in block}
     side = [0] * g.n
-    for root in sorted(groups, key=lambda r2: min(groups[r2])):
-        members = groups[root]
-        start = min(members)
-        color = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in kept_adj.get(u, ()):
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-        orient = rng.getrandbits(1)
-        for v in members:
-            side[v] = color[v] ^ orient
+    for v in range(g.n):  # orient each piece, a lone vertex too, at its minimum vertex
+        block = block_of.get(v, {v: 0})
+        if next(iter(block)) == v:
+            orient = rng.getrandbits(1)
+            for u, c in block.items():
+                side[u] = c ^ orient
     return Cut.from_side(g, side)
 
 
@@ -846,7 +833,15 @@ def shearer_sample(g: WeightedGraph, rng: random.Random) -> Cut:
 
 def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundReport:
     """Monte Carlo coefficient bound s * w(G) for triangle-free graphs,
-    s = 1/2 + 1/(4 sqrt(2 max_degree))."""
+    s = 1/2 + 1/(4 sqrt(2 max_degree)).
+
+    Runs ``trials`` samples of the ``shearer_sample`` process with every
+    coin drawn up front from one ``random.Random(seed)``: for each block of
+    trials, a (b, n) bit block of first-stage sides, then one of tie bits,
+    then one of redraws.  Trials are ranked on float64 cut weights; only
+    the heaviest (the first on ties) becomes a ``Cut``, and one local
+    search improves it.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not triangle_free(g):
@@ -855,15 +850,20 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
     if g.m == 0:
         return BoundReport("shearer", 0.0, Cut.from_side(g, [0] * g.n),
                            MONTE_CARLO, None, {"delta": delta})
-    ex = _exact_weights(g)
-    best_side, best = None, None
-    raw_weights: list[float] = []
-    for sides, weights in _shearer_raw_sides(g, trials, seed):
-        raw_weights += [float(ex.value(x)) for x in weights]
-        i = max(range(len(weights)), key=weights.__getitem__)
-        if best is None or weights[i] > best:
-            best_side, best = sides[i], weights[i]
-    cut = local_search_improve(g, Cut.from_side(g, best_side))
+    rng = random.Random(seed)
+    ends, _ = _edge_arrays(g)
+    weights = np.array([w for _, _, w in g.edges])
+    rows = max(1, _BLOCK_CELLS // max(g.n, g.m))
+    best_side, best, raw_weights = None, None, []
+    for start in range(0, trials, rows):
+        b = min(rows, trials - start)
+        sides = _shearer_sides(g, *(_bits(rng, b, g.n) for _ in range(3)))
+        cut_weights = (sides[:, ends[0]] != sides[:, ends[1]]) @ weights
+        i = int(np.argmax(cut_weights))
+        if best is None or cut_weights[i] > best:
+            best_side, best = sides[i], cut_weights[i]
+        raw_weights += cut_weights.tolist()
+    cut = local_search_improve(g, Cut.from_side(g, best_side.tolist()))
     value = shearer_coefficient(delta) * g.total_weight
     details = {
         "delta": delta, "trials": trials, "seed": seed,
@@ -874,67 +874,29 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
     return BoundReport("shearer", value, cut, MONTE_CARLO, None, details)
 
 
-# =====================================================================
-# batched trials of the redistribution bound
-# =====================================================================
-#
-# Trial ``i`` draws from its own ``random.Random(seed + i)``, exactly the
-# values, in exactly the order, that ``shearer_sample`` draws.  The batch
-# reads those values as raw generator words and does the per-vertex and
-# per-edge work for a block of trials with numpy, so every cut equals the
-# one the per-sample function returns.
+def _bits(rng: random.Random, b: int, n: int) -> np.ndarray:
+    """A (b, n) block of fair bits drawn from ``rng``."""
+    k = b * n
+    raw = np.frombuffer(rng.getrandbits(k).to_bytes((k + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=k, bitorder="little").reshape(b, n)
 
 
-def _mt_words(rng: random.Random, k: int) -> np.ndarray:
-    """The next ``k`` 32-bit outputs of ``rng``'s generator, in draw order.
+def _shearer_sides(g: WeightedGraph, first: np.ndarray, tie: np.ndarray,
+                   redraw: np.ndarray) -> np.ndarray:
+    """The side vectors of b trials of ``shearer_sample``, from their coins.
 
-    This rests on how CPython's Mersenne Twister serves its methods.
-    ``getrandbits(32 * k)`` fills its result from the least significant
-    32-bit word up, one generator output per word, so its little-endian
-    bytes are the outputs in order.  ``getrandbits(1)`` consumes one output
-    ``a`` and returns ``a >> 31``.  So drawing ``k`` words leaves ``rng`` in
-    the state that ``k`` calls of ``getrandbits(1)`` would.
+    ``first``, ``tie`` and ``redraw`` are (b, n) bit blocks: row i holds
+    trial i's first-stage sides and each vertex's tie bit and redraw.  A
+    vertex keeps its first-stage side when more than half of its neighbours
+    are on the other side, or on a tie when its tie bit is 1; otherwise it
+    takes its redraw.
     """
-    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"),
-                         dtype="<u4")
-
-
-def _block_ranges(g: WeightedGraph, trials: int,
-                  seed: int) -> Iterator[tuple[int, int]]:
-    """The seeds ``seed .. seed + trials - 1`` as ``[start, stop)`` blocks."""
-    rows = max(1, _BLOCK_CELLS // max(g.n, g.m, 1))
-    for start in range(seed, seed + trials, rows):
-        yield start, min(start + rows, seed + trials)
-
-
-def _shearer_raw_sides(g: WeightedGraph, trials: int, seed: int
-                       ) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """``shearer_sample`` with ``random.Random(seed + i)`` for each trial i,
-    as blocks of side vectors (one row per trial) and their exact cut
-    weights in units of 2^-scale.
-
-    Trial i draws n first-stage bits, then one bit per tied vertex, then
-    one per vertex that is not good, each in vertex order: a prefix of the
-    first ``3n`` words of its stream, drawn once.  A vertex's tie bit or
-    redraw is the word at its rank among the tied or not-good vertices of
-    its trial.
-    """
-    n = g.n
-    ends, weights = _edge_arrays(g)
-    degree = np.array([g.degree(v) for v in range(n)])
-    for start, stop in _block_ranges(g, trials, seed):
-        b = stop - start
-        words = np.stack([_mt_words(random.Random(s), 3 * n) for s in range(start, stop)])
-        bits = (words >> 31).astype(np.int8)
-        first = bits[:, :n]
-        crossing = first[:, ends[0]] != first[:, ends[1]]
-        cells = n * np.arange(b)[:, None, None] + ends
-        other = np.bincount(cells[np.broadcast_to(crossing[:, None], cells.shape)],
-                            minlength=b * n).reshape(b, n)
-        tie = 2 * other == degree
-        tie_bits = np.take_along_axis(bits, n - 1 + np.cumsum(tie, axis=1), axis=1)
-        good = (2 * other > degree) | (tie & (tie_bits == 1))
-        past_ties = n - 1 + np.count_nonzero(tie, axis=1)[:, None]
-        redraws = np.take_along_axis(bits, past_ties + np.cumsum(~good, axis=1), axis=1)
-        sides = np.where(good, first, redraws)
-        yield sides, ((sides[:, ends[0]] != sides[:, ends[1]]) @ weights).tolist()
+    b, n = first.shape
+    ends, _ = _edge_arrays(g)
+    crossing = first[:, ends[0]] != first[:, ends[1]]
+    cells = n * np.arange(b)[:, None, None] + ends
+    other = np.bincount(cells[np.broadcast_to(crossing[:, None], cells.shape)],
+                        minlength=b * n).reshape(b, n)
+    degree = np.bincount(ends.ravel(), minlength=n)
+    good = (2 * other > degree) | ((2 * other == degree) & (tie == 1))
+    return np.where(good, first, redraw)

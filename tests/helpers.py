@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from cutbounds import WeightedGraph, verify_induced_bipartite
 from cutbounds.cuts import NotBipartiteError, NotInducedError
@@ -623,9 +623,10 @@ def eight_elevenths_candidate_cuts(g: WeightedGraph):
     g3 = regularize_to_cubic(g).graph
     coloring = color_components(g3)
     succ = successor_digraph(g3, coloring)
+    cls = classify_edges(g3, succ)
     out = {}
     for name, (value, build) in _eight_elevenths_candidates(
-            g3, coloring, succ, classify_edges(g3, succ)).items():
+            g3, coloring, succ, cls, cls.weights(g3)).items():
         cut = build()
         if not meets(cut, value):
             raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
@@ -707,3 +708,40 @@ def random_triangle_free_subcubic_by_scan(n: int, seed: int = 0,
         nbrs[v].add(u)
         edges.append((u, v, w))
     return WeightedGraph(n, edges)
+
+
+def shearer_sides_by_loop(g: WeightedGraph, first, tie, redraw) -> list[list[int]]:
+    """``shearer_sample``'s second stage, vertex by vertex, on given coins:
+    row i of each (b, n) bit block is trial i's first-stage sides, tie
+    bits and redraws."""
+    out = []
+    for f, t, r in zip(first.tolist(), tie.tolist(), redraw.tolist()):
+        side = []
+        for v in range(g.n):
+            other = sum(1 for u, _ in g.adj[v] if f[u] != f[v])
+            d = len(g.adj[v])
+            good = 2 * other > d or (2 * other == d and t[v] == 1)
+            side.append(f[v] if good else r[v])
+        out.append(side)
+    return out
+
+
+def shearer_expectation(g: WeightedGraph) -> Fraction:
+    """The exact expected cut weight of the ``shearer_sample`` process.
+
+    Over the 2^n equally likely first-stage sides: a vertex with more than
+    half of its neighbours across keeps its side, a tied one keeps it with
+    probability 1/2, and every other outcome is a fair redraw; given the
+    first stage, vertices end independently.
+    """
+    total = Fraction(0)
+    for bits in product((0, 1), repeat=g.n):
+        p_one = []
+        for v in range(g.n):
+            other = sum(1 for u, _ in g.adj[v] if bits[u] != bits[v])
+            d = len(g.adj[v])
+            keep = 1 if 2 * other > d else Fraction(1, 2) if 2 * other == d else 0
+            p_one.append(keep * bits[v] + (1 - keep) * Fraction(1, 2))
+        total += sum(Fraction(w) * (p_one[u] * (1 - p_one[v]) + p_one[v] * (1 - p_one[u]))
+                     for u, v, w in g.edges)
+    return total / 2 ** g.n

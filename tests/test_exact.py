@@ -6,6 +6,7 @@ the library's own exact view."""
 
 import io
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,19 @@ def test_matching_cut_meets_its_bound_exactly():
     assert _crossing(g, rep.cut.side) >= need
     assert rep.cut.exact_weight == _crossing(g, rep.cut.side)
     assert rep.certified()
+
+
+def test_exact_matching_small_finds_the_exact_maximum():
+    # On float sums the matching {2-3} (0.7) ties {0-3, 2-4} (0.1 + 0.6),
+    # which weighs 2^-55 more.
+    g = cb.WeightedGraph(5, [(0, 2, 0.1), (0, 3, 0.1), (1, 2, 0.3), (2, 3, 0.7),
+                             (2, 4, 0.6), (3, 4, 0.2)])
+    matchings = [ids for k in range(3) for ids in combinations(range(g.m), k)
+                 if len({x for e in ids for x in g.edges[e][:2]}) == 2 * k]
+    heaviest = max(_exact(g, ids) for ids in matchings)
+    found = bounds.exact_matching_small(g)
+    assert found == (1, 4) and _exact(g, found) == heaviest
+    assert cb.matching_bound(g).bound_exact == (_exact(g, range(g.m)) + heaviest) / 2
 
 
 def test_place_blocks_takes_the_exactly_heavier_side():

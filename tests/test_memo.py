@@ -3,9 +3,10 @@
 import io
 
 import cutbounds as cb
-from cutbounds import spanning
+from cutbounds import bounds, spanning
 from cutbounds.cli import _bound_suite, main
 from cutbounds.graph import _component_split
+from cutbounds.oracle import conjecture_report
 
 
 def _two_pieces():
@@ -96,3 +97,35 @@ def test_one_bounds_run_builds_each_max_spanning_tree_once(monkeypatch, tmp_path
     path.write_text(cb.save_graph(_two_pieces()))
     assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
     assert built == [10, 6]  # Petersen, then the 6-cycle
+
+
+def test_one_graph_finds_its_best_matching_once(monkeypatch):
+    searched = []
+    exact = bounds.exact_matching_small
+
+    def counting(g):
+        searched.append(g.n)
+        return exact(g)
+
+    monkeypatch.setattr(bounds, "exact_matching_small", counting)
+    g = cb.petersen()
+    for _, run in _bound_suite(g, seed=0, trials=16, root=None, sweep=None):
+        run()
+    conjecture_report(g)
+    assert searched == [10]  # matching, matching_vizing and the lab share it
+
+
+def test_one_bounds_run_sweeps_the_dfs_roots_once(monkeypatch, tmp_path):
+    built = []
+    dfs_tree = bounds.dfs_tree
+
+    def counting(g, root):
+        built.append(g.n)
+        return dfs_tree(g, root)
+
+    monkeypatch.setattr(bounds, "dfs_tree", counting)
+    path = tmp_path / "two_pieces.graph"
+    path.write_text(cb.save_graph(_two_pieces()))
+    assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
+    # poljak_turzik, dfs_tree and girth_layers share one sweep per component
+    assert built == [10] * 10 + [6] * 6

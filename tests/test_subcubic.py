@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,12 +15,13 @@ from cutbounds.cuts import _two_color
 from cutbounds.graph import _component_split
 from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
                                 percolation_expectation,
-                                _assert_cycles_divisible, _mt_words,
+                                _assert_cycles_divisible,
                                 _peel_greedy, _percolation_raw)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
 from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
                      percolation_conditional_expectation, random_connected_graph,
-                     random_tf_subcubic_graph, tree_paths)
+                     random_tf_subcubic_graph, shearer_expectation, shearer_sides_by_loop,
+                     tree_paths)
 
 
 def bridged_gadgets():
@@ -437,91 +439,33 @@ def test_monte_carlo_determinism():
     assert r1.cut == r2.cut and r1.details == r2.details
 
 
-# -- batched trials against the per-sample references -------------------------
+# -- the sampling kernel against the process ----------------------------------
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 64), st.integers(0, 80))
-@example(seed=0, calls=0)
-def test_mt_words_match_rng_calls(seed, calls):
-    """``calls`` draws of getrandbits(1)."""
-    ref = random.Random(seed)
-    want = [ref.getrandbits(1) for _ in range(calls)]
-    rng = random.Random(seed)
-    assert (_mt_words(rng, calls) >> 31).tolist() == want
-    assert rng.getstate() == ref.getstate()
+def _small_graphs():
+    """Graphs on at most four vertices: a single edge, paths, a star, C4, K4
+    minus an edge (Delta = 3 with triangles), isolated vertices, float weights."""
+    yield cb.WeightedGraph(2, [(0, 1, 1.0)])
+    yield cb.WeightedGraph(3, [(0, 1, 2.0), (1, 2, 5.0)])
+    yield cb.WeightedGraph(4, [(0, 1, 0.1), (1, 2, 0.7), (2, 3, 0.3)])
+    yield cb.WeightedGraph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 4.0)])
+    yield cb.WeightedGraph(4, [(0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.0), (0, 3, 1.0)])
+    yield cb.WeightedGraph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 0.6), (1, 2, 0.2),
+                               (2, 3, 7.0)])
+    yield cb.WeightedGraph(4, [(1, 2, 0.1)])
 
 
-def _reference_shearer(g, trials, seed):
-    best, raw_weights = None, []
-    for trial in range(trials):
-        raw = cb.shearer_sample(g, random.Random(seed + trial))
-        raw_weights.append(raw.weight)
-        if best is None or raw.weight > best.weight:
-            best = raw
-    return cb.local_search_improve(g, best), raw_weights
-
-
-def _assert_matches_reference(rep, best, raw_weights):
-    assert rep.cut == best
-    assert rep.details["raw_mean"] == statistics.fmean(raw_weights)
-    assert rep.details["raw_std"] == (statistics.stdev(raw_weights)
-                                      if len(raw_weights) > 1 else 0.0)
-
-
-def _batch_corpus():
-    for seed in range(8):
-        rng = random.Random(seed)
-        yield random_tf_subcubic_graph(rng.randint(1, 40), rng, seed % 2 == 0)
-    yield cb.petersen()
-    yield cb.cycle(301)
-
-
-@pytest.mark.parametrize("g", list(_batch_corpus()), ids=repr)
-def test_batched_bounds_equal_per_sample_loop(g):
-    rep = cb.shearer_bound(g, trials=29, seed=7)
-    _assert_matches_reference(rep, *_reference_shearer(g, 29, 7))
-
-
-def test_batched_shearer_equals_per_sample_loop_above_degree_three():
-    rng = random.Random(4)
-    g = cb.WeightedGraph(9, [(u, v, rng.random()) for u in range(4) for v in range(4, 9)])
-    rep = cb.shearer_bound(g, trials=50, seed=1)
-    _assert_matches_reference(rep, *_reference_shearer(g, 50, 1))
-
-
-@pytest.mark.parametrize("integer_weights", [True, False])
-def test_batched_bounds_equal_per_sample_loop_over_blocks(integer_weights):
-    g = random_tf_subcubic_graph(2000, random.Random(5), integer_weights)
-    assert g.integer_weights == integer_weights
-    rows = _BLOCK_CELLS // max(g.n, g.m)
-    trials = 2 * rows + 1  # three blocks, the last one partial
-    rep = cb.shearer_bound(g, trials=trials, seed=11)
-    _assert_matches_reference(rep, *_reference_shearer(g, trials, 11))
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_monte_carlo_bounds_reject_trials_below_one(trials):
-    with pytest.raises(ValueError, match="trials"):
-        cb.shearer_bound(cb.petersen(), trials=trials)
-
-
-def test_shearer_seeds_each_trial_stream_once(monkeypatch):
-    g = random_tf_subcubic_graph(200, random.Random(3), True)
-    assert _BLOCK_CELLS // max(g.n, g.m) < 256  # several blocks
-    seeded = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
-    cb.shearer_bound(g, trials=256, seed=5)
-    assert sorted(seeded) == list(range(5, 5 + 256))
-
-
-# -- per-component lifting ----------------------------------------------------
+@pytest.mark.parametrize("g", list(_small_graphs()), ids=repr)
+def test_shearer_kernel_mean_is_the_exact_expectation(g):
+    """Over all 2^(3n) coin patterns, the kernel's mean cut weight is the
+    process's expectation, computed from its definition."""
+    n = g.n
+    patterns = (np.arange(2 ** (3 * n))[:, None] >> np.arange(3 * n)) & 1
+    sides = subcubic._shearer_sides(g, *np.split(patterns, 3, axis=1))
+    weights = [Fraction(w) for _, _, w in g.edges]
+    total = sum(sum(w for (u, v, _), w in zip(g.edges, weights) if s[u] != s[v])
+                for s in sides.tolist())
+    assert Fraction(total) / 2 ** (3 * n) == shearer_expectation(g)
 
 
 def _shapes_union(integer_weights, extra=()):
@@ -540,6 +484,106 @@ def _shapes_union(integer_weights, extra=()):
     g = cb.WeightedGraph(base, edges)
     assert g.integer_weights == integer_weights and len(g.components()) == len(shapes)
     return g
+
+
+def _coin_corpus():
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield random_tf_subcubic_graph(rng.randint(1, 40), rng, seed % 2 == 0)
+    yield cb.petersen()
+    yield cb.cycle(301)
+    rng = random.Random(4)  # K4,5: Delta = 5, float weights
+    yield cb.WeightedGraph(9, [(u, v, rng.random()) for u in range(4) for v in range(4, 9)])
+    yield _shapes_union(True)  # disconnected
+    yield _shapes_union(False)
+    yield cb.WeightedGraph(6, [(1, 4, 2.0)])
+
+
+@pytest.mark.parametrize("g", list(_coin_corpus()), ids=repr)
+def test_shearer_kernel_follows_the_process_vertex_by_vertex(g):
+    rng = np.random.default_rng(g.n)
+    first, tie, redraw = rng.integers(0, 2, size=(3, 37, g.n), dtype=np.uint8)
+    sides = subcubic._shearer_sides(g, first, tie, redraw)
+    assert sides.tolist() == shearer_sides_by_loop(g, first, tie, redraw)
+
+
+def _recording_kernel(monkeypatch):
+    """Every block of sides ``shearer_bound`` draws, each checked against the
+    vertex-by-vertex reference."""
+    blocks = []
+    kernel = subcubic._shearer_sides
+
+    def recording(g, first, tie, redraw):
+        sides = kernel(g, first, tie, redraw)
+        assert sides.tolist() == shearer_sides_by_loop(g, first, tie, redraw)
+        blocks.append(sides)
+        return sides
+
+    monkeypatch.setattr(subcubic, "_shearer_sides", recording)
+    return blocks
+
+
+def _assert_best_of_samples(g, rep, samples):
+    """The report's cut is the local optimum reached from the heaviest sample
+    (the first on ties) and its statistics are those of the samples; float
+    rankings may swap samples whose weights differ in the last bits."""
+    raw = [cb.Cut.from_side(g, s) for s in samples]
+    weights = [c.weight for c in raw]
+    assert len(raw) == rep.details["trials"]
+    if g.integer_weights:
+        assert rep.cut == cb.local_search_improve(g, raw[weights.index(max(weights))])
+        assert rep.details["raw_mean"] == statistics.fmean(weights)
+        assert rep.details["raw_std"] == (statistics.stdev(weights) if len(raw) > 1 else 0.0)
+    else:
+        near = [c for c in raw if c.weight >= max(weights) * (1 - 1e-12)]
+        assert rep.cut in [cb.local_search_improve(g, c) for c in near]
+        assert rep.details["raw_mean"] == pytest.approx(statistics.fmean(weights), rel=1e-12)
+        assert rep.details["raw_std"] == pytest.approx(
+            statistics.stdev(weights) if len(raw) > 1 else 0.0, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("g", list(_coin_corpus()), ids=repr)
+def test_shearer_bound_keeps_the_best_kernel_sample(monkeypatch, g):
+    blocks = _recording_kernel(monkeypatch)
+    rep = cb.shearer_bound(g, trials=29, seed=7)
+    if g.m:
+        _assert_best_of_samples(g, rep, [s for block in blocks for s in block.tolist()])
+
+
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_shearer_bound_over_several_blocks(monkeypatch, integer_weights):
+    g = random_tf_subcubic_graph(2000, random.Random(5), integer_weights)
+    assert g.integer_weights == integer_weights
+    rows = _BLOCK_CELLS // max(g.n, g.m)
+    trials = 2 * rows + 1  # three blocks, the last one partial
+    blocks = _recording_kernel(monkeypatch)
+    rep = cb.shearer_bound(g, trials=trials, seed=11)
+    assert [len(block) for block in blocks] == [rows, rows, 1]
+    _assert_best_of_samples(g, rep, [s for block in blocks for s in block.tolist()])
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_bounds_reject_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials"):
+        cb.shearer_bound(cb.petersen(), trials=trials)
+
+
+def test_shearer_seeds_one_stream_per_call(monkeypatch):
+    g = random_tf_subcubic_graph(200, random.Random(3), True)
+    assert _BLOCK_CELLS // max(g.n, g.m) < 256  # several blocks
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
+    cb.shearer_bound(g, trials=256, seed=5)
+    assert seeded == [5]
+
+
+# -- per-component lifting ----------------------------------------------------
 
 
 @pytest.mark.parametrize("extra", [(), (cb.cycle(41),)], ids=["shapes", "with_c41"])
@@ -576,23 +620,15 @@ def test_local_search_runs_once_per_component(monkeypatch):
     assert searched == [sub.n for sub, _ in _component_split(g)]
 
 
-# -- shearer on disconnected graphs and next to percolation -----------------
+# -- shearer next to percolation ---------------------------------------------
 
 
-@pytest.mark.parametrize("integer_weights", [True, False])
-def test_shearer_equals_per_sample_loop_on_a_disconnected_union(integer_weights):
-    g = _shapes_union(integer_weights)
-    _assert_matches_reference(cb.shearer_bound(g, trials=64, seed=3),
-                              *_reference_shearer(g, 64, 3))
-
-
-def test_shearer_equals_per_sample_loop_after_and_before_percolation():
+def test_shearer_is_independent_of_a_prior_percolation_run():
     g = random_tf_subcubic_graph(15, random.Random(12), True)
     assert g.is_connected()
-    want = _reference_shearer(g, 100, 5)
     perc = cb.tree_percolation_bound(g)
-    _assert_matches_reference(cb.shearer_bound(g, trials=100, seed=5), *want)
+    after = cb.shearer_bound(g, trials=100, seed=5)
     # shearer first, on a fresh graph so nothing is memoized
     h = cb.WeightedGraph(g.n, g.edges)
-    _assert_matches_reference(cb.shearer_bound(h, trials=100, seed=5), *want)
+    assert cb.shearer_bound(h, trials=100, seed=5) == after
     assert cb.tree_percolation_bound(h) == perc
