@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
 from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
                     WeightedGraph, _cached, _component_split, _exact_weights, stats)
-from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree, layer_edge_sets,
+from .spanning import (OddCycleError, RootedSpanningTree, _dfs, dfs_tree, layer_edge_sets,
                        max_spanning_tree, min_spanning_tree, reroot_at_edge,
                        shortest_fundamental_odd_cycle)
 
@@ -79,14 +79,17 @@ def _cached_report(g: WeightedGraph, key,
 def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
     """DFS tree maximizing tree weight over ``root`` alone, else every root
     when ``sweep`` (default: n <= ROOT_SWEEP_MAX_N), else root 0; ties go to
-    the lowest root.  Memoized on ``g``."""
+    the lowest root.  Roots are ranked on exact integer tree weights and
+    only the winner's tree is built.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     if sweep is None:
         sweep = g.n <= ROOT_SWEEP_MAX_N
     roots = [root] if root is not None else range(g.n) if sweep else [0]
-    return _cached(g, ("best_dfs_tree", root, sweep),
-                   lambda: max((dfs_tree(g, r) for r in roots), key=lambda t: t.exact_weight))
+    ints = _exact_weights(g).ints
+    return _cached(g, ("best_dfs_tree", root, sweep), lambda: dfs_tree(
+        g, roots[0] if len(roots) == 1 else
+        max(roots, key=lambda r: sum(map(ints.__getitem__, _dfs(g, r)[2])))))
 
 
 def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:

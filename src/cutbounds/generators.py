@@ -4,7 +4,7 @@ and a seeded random triangle-free subcubic family."""
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,14 +91,23 @@ def gadget_k33_subdivided(weight: float = 1.0) -> WeightedGraph:
     return WeightedGraph(7, edges)
 
 
-def _gadget_pairs(base: int) -> list[tuple[int, int]]:
-    # parts {0,1,2} and {3,4,5} with edge 0-3 replaced by the path 0-6-3
+def _gadget_pairs(base: int, host: Optional[int] = None) -> list[tuple[int, int]]:
+    # parts {0,1,2} and {3,4,5} with edge 0-3 replaced by the path 0-6-3;
+    # a host, when given, hangs from the subdivision vertex 6
     a0, a1, a2, b0, b1, b2, mid = range(base, base + 7)
     pairs = [(a0, b1), (a0, b2),
              (a1, b0), (a1, b1), (a1, b2),
              (a2, b0), (a2, b1), (a2, b2),
              (a0, mid), (b0, mid)]
-    return pairs
+    return pairs if host is None else pairs + [(host, mid)]
+
+
+def _gadget_colors(host_color: int) -> tuple[int, ...]:
+    """Colors of ``_gadget_pairs``' vertices hung from a vertex of color c:
+    c mod 3 + 1 on the subdivision vertex, c on b0-b2 and the third color on
+    a0-a2, so the gadget and its host edge are colored properly."""
+    mid = host_color % 3 + 1
+    return (6 - host_color - mid,) * 3 + (host_color,) * 3 + (mid,)
 
 
 WEIGHT_DISTS = ("unit", "uniform", "int")

@@ -85,10 +85,9 @@ def _orient(g: WeightedGraph, edge_ids: frozenset[int], roots: Sequence[int],
                               edge_ids, kind, _exact_weights(g).weight(edge_ids))
 
 
-def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
-    """Depth-first search tree; neighbors explored in ascending vertex id."""
-    if g.n == 0:
-        raise DisconnectedGraphError("empty graph has no spanning tree")
+def _dfs(g: WeightedGraph, root: int) -> tuple[list[Optional[int]], list[int], set[int]]:
+    """Parent, level (-1 where unreached) and tree edge ids of the depth-first
+    search from ``root``, neighbors explored in ascending vertex id."""
     parent: list[Optional[int]] = [None] * g.n
     level = [-1] * g.n
     level[root] = 0
@@ -107,6 +106,14 @@ def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
                 break
         if not advanced:
             stack.pop()
+    return parent, level, edge_ids
+
+
+def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
+    """Depth-first search tree; neighbors explored in ascending vertex id."""
+    if g.n == 0:
+        raise DisconnectedGraphError("empty graph has no spanning tree")
+    parent, level, edge_ids = _dfs(g, root)
     if any(l < 0 for l in level):
         raise DisconnectedGraphError("graph is not connected")
     return RootedSpanningTree(tuple(parent), (root,), tuple(level), frozenset(edge_ids),
@@ -226,23 +233,31 @@ def fundamental_cycle_lengths(g: WeightedGraph,
     """``(eid, d_T(u, v) + 1)`` for every non-tree edge e = (u, v), by edge id.
 
     T is the spanning tree with edge set ``edge_ids``; the second entry is
-    the length of the cycle e closes in T + e.  The tree is oriented from
-    vertex 0 whatever its roots were, and each lowest common ancestor is
-    found by binary lifting, so the pass costs O((n + m) log n).  Raises
-    DisconnectedGraphError when the edge set does not span the graph.
+    the length of the cycle e closes in T + e.  Raises DisconnectedGraphError
+    when the edge set does not span the graph.
     """
-    non_tree = [e for e in range(g.m) if e not in edge_ids]
-    if not non_tree:
+    if all(e in edge_ids for e in range(g.m)):
         return []
-    t = _orient(g, edge_ids, (0,), "arbitrary")
+    return _forest_cycle_lengths(g, _orient(g, edge_ids, (0,), "arbitrary"))
+
+
+def _forest_cycle_lengths(g: WeightedGraph,
+                          t: RootedSpanningTree) -> list[tuple[int, Optional[int]]]:
+    """``(eid, d_F(u, v) + 1)`` for every edge e = (u, v) outside the leveled
+    forest ``t``, by edge id: the length of the cycle e closes in F + e, or
+    None when u and v lie in different trees.  Two roots joined by a forest
+    edge (the ends of a marked edge) share one tree.  Each lowest common
+    ancestor is found by binary lifting, so the pass costs O((n + m) log n).
+    """
     depth = t.level
     up = [[v if p is None else p for v, p in enumerate(t.parent)]]
-    for _ in range(1, max(depth).bit_length()):
+    for _ in range(1, max(depth, default=0).bit_length()):
         prev = up[-1]
         up.append([prev[x] for x in prev])
-    out = []
-    for eid in non_tree:
-        u, v, _ = g.edges[eid]
+    out: list[tuple[int, Optional[int]]] = []
+    for eid, (u, v, _) in enumerate(g.edges):
+        if eid in t.edge_ids:
+            continue
         a, b = (u, v) if depth[u] >= depth[v] else (v, u)
         diff, j = depth[a] - depth[b], 0
         while diff:
@@ -254,6 +269,10 @@ def fundamental_cycle_lengths(g: WeightedGraph,
             for jump in reversed(up):
                 if jump[a] != jump[b]:
                     a, b = jump[a], jump[b]
+            if up[0][a] != up[0][b]:  # a and b are two roots
+                joined = g.edge_id(a, b) in t.edge_ids
+                out.append((eid, depth[u] + depth[v] + 2 if joined else None))
+                continue
             a = up[0][a]
         out.append((eid, depth[u] + depth[v] - 2 * depth[a] + 1))
     return out
@@ -264,5 +283,4 @@ def shortest_fundamental_odd_cycle(g: WeightedGraph, t: RootedSpanningTree) -> O
 
     The cycle closed by e = (u, v) has d_T(u, v) + 1 edges.
     """
-    return min((c for _, c in fundamental_cycle_lengths(g, t.edge_ids) if c % 2 == 1),
-               default=None)
+    return min((c for _, c in _forest_cycle_lengths(g, t) if c % 2 == 1), default=None)

@@ -1,15 +1,16 @@
 """Constructive cut machinery for triangle-free subcubic graphs.
 
 Pipeline for the 8/11 coefficient bound: pad the graph to a 3-regular
-triangle-free supergraph with zero-weight gadgets, 3-color it (Brooks),
-orient every vertex toward the neighbor whose color is unique in its
-neighborhood (the successor digraph), classify edges by how many endpoints
-realize them as successor arcs, and build the one of three certified cuts
-from that structure whose certified value is largest.  Also hosts the 2/3
-coloring cut, the tree percolation cut (derandomized by conditional
-expectations, with its sampler kept as a cross-check), its combination
-bound, and the two-stage random redistribution bound, whose trials draw
-every coin up front from one seeded stream and run as one numpy kernel.
+triangle-free supergraph with zero-weight gadgets, extend the graph's Brooks
+3-coloring over them by a fixed rule, orient every vertex toward the
+neighbor whose color is unique in its neighborhood (the successor digraph),
+classify edges by how many endpoints realize them as successor arcs, and
+build the one of three certified cuts, each one edge set derandomized once,
+whose certified value is largest.  Also hosts the 2/3 coloring cut, the tree
+percolation cut (derandomized by conditional expectations, with its sampler
+kept as a cross-check), its combination bound, and the two-stage random
+redistribution bound, whose trials draw every coin up front from one seeded
+stream and run as one numpy kernel.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import numpy as np
 from .bounds import BoundReport, MONTE_CARLO, _cached_report, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
-from .generators import _gadget_pairs
+from .generators import _gadget_colors, _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
-                    WeightedGraph, _edge_arrays, _exact_weights, triangle_free)
-from .spanning import (RootedSpanningTree, _orient, fundamental_cycle_lengths,
+                    WeightedGraph, _cached, _component_split, _edge_arrays,
+                    _exact_weights, triangle_free)
+from .spanning import (RootedSpanningTree, _forest_cycle_lengths, _orient,
                        layer_edge_sets, max_spanning_tree)
 
 EIGHT_ELEVENTHS = Fraction(8, 11)
@@ -234,19 +236,17 @@ def _bfs_without(g: WeightedGraph, src: int, banned: tuple[int, ...]) -> list[in
 
 
 def color_components(g: WeightedGraph) -> VertexColoring3:
-    """Proper 3-coloring of a (possibly disconnected) tf subcubic graph."""
-    color = [0] * max(g.n, 1)
-    comps = g.components()
-    for comp in comps:
-        # a connected graph is colored itself, so its memoized triangle
-        # check serves; pieces of a disconnected one are not kept once colored
-        sub, orig_v = (g, comp) if len(comps) == 1 else g.induced(comp)[:2]
-        piece = brooks_3_coloring(sub)
-        for i, v in enumerate(orig_v):
-            color[v] = piece.class_of[i]
-    out = VertexColoring3(tuple(color[: g.n]))
-    out.validate(g)
-    return out
+    """Proper 3-coloring of a (possibly disconnected) tf subcubic graph, by
+    Brooks on each piece of ``_component_split``; memoized on ``g`` and on each
+    piece, so bounds on the whole graph and per component share it."""
+    def compute() -> VertexColoring3:
+        split = _component_split(g)
+        if len(split) == 1:
+            return brooks_3_coloring(g)
+        color = {v: c for sub, orig_v in split
+                 for v, c in zip(orig_v, color_components(sub).class_of)}
+        return VertexColoring3(tuple(color[v] for v in range(g.n)))
+    return _cached(g, "coloring", compute)
 
 
 # =====================================================================
@@ -271,6 +271,11 @@ class CubicExtension:
         return Cut.from_side(self.base, cut.side[: self.base.n])
 
 
+def _gadget_hosts(g: WeightedGraph) -> list[int]:
+    """The vertex each padding gadget hangs from, in the order they are added."""
+    return [s for s in range(g.n) for _ in range(3 - g.degree(s))]
+
+
 def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
     """Pad every deficient vertex with degree-completing gadgets.
 
@@ -282,18 +287,20 @@ def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
         raise TriangleFoundError("regularization expects a triangle-free graph")
     if g.max_degree() > 3:
         raise NotSubcubicError("graph is not subcubic")
-    edges = [(u, v, w) for u, v, w in g.edges]
-    n = g.n
-    gadgets = 0
-    for s in range(g.n):
-        for _ in range(3 - g.degree(s)):
-            edges += [(x, y, 0.0) for x, y in _gadget_pairs(n)]
-            edges.append((s, n + 6, 0.0))  # the subdivision vertex
-            n += 7
-            gadgets += 1
-    if gadgets == 0:
+    hosts = _gadget_hosts(g)
+    if not hosts:
         return CubicExtension(g, g, 0)
-    return CubicExtension(WeightedGraph(n, edges), g, gadgets)
+    edges = list(g.edges) + [(x, y, 0.0) for i, s in enumerate(hosts)
+                             for x, y in _gadget_pairs(g.n + 7 * i, s)]
+    return CubicExtension(WeightedGraph(g.n + 7 * len(hosts), edges), g, len(hosts))
+
+
+def _padded_coloring(ext: CubicExtension) -> VertexColoring3:
+    """The base's memoized coloring, extended over each gadget by the rule of
+    ``_gadget_colors``: proper by construction, so Brooks skips the padding."""
+    color = color_components(ext.base).class_of
+    pad = (c for s in _gadget_hosts(ext.base) for c in _gadget_colors(color[s]))
+    return VertexColoring3(color + tuple(pad))
 
 
 # =====================================================================
@@ -397,129 +404,71 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     return place_blocks(g, _two_color(g, (e for e in range(g.m) if e not in dropped[least])))
 
 
-def _assert_cycles_divisible(h: WeightedGraph, tree_ids: frozenset[int]) -> None:
-    """Every non-tree edge closes a cycle of length divisible by 3.
-
-    Raises DisconnectedGraphError when a non-tree edge exists and
-    ``tree_ids`` does not span ``h``.
-    """
-    for _, cyc in fundamental_cycle_lengths(h, tree_ids):
-        if cyc % 3 != 0:
-            raise ClaimViolationError(
-                f"cycle of length {cyc} through a non-successor edge "
-                "(expected a multiple of 3)")
-
-
-def _layered_sides(g: WeightedGraph, members: list[int], star_edges: set[int],
-                   roots: tuple[int, ...]) -> dict[int, int]:
-    """Sides, by host vertex, of the k = 4 layer cut of ``g`` induced on
-    ``members``, whose star edges are a spanning tree leveled from ``roots``
-    and close only cycles of length divisible by 3."""
-    sub, orig_v, orig_e = g.induced(members)
-    tree_ids = frozenset(i for i, oe in enumerate(orig_e) if oe in star_edges)
-    _assert_cycles_divisible(sub, tree_ids)
-    t = _orient(sub, tree_ids, tuple(orig_v.index(r) for r in roots), "arbitrary")
-    cut = place_blocks(sub, _two_color(sub, layer_edge_sets(sub, t, 4)[1]))
-    return dict(zip(orig_v, cut.side))
-
-
 def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
                         cls: EdgeClassification) -> Cut:
-    """Layered cut over the components of the successor graph.
+    """Layered cut of the successor graph, built as one certificate on ``g``.
 
-    Each component is an in-tree or a tree plus one directed cycle.  Trees
-    (and the two-cycle case, leveled from the mutual edge) get the k = 4
-    layer construction; longer cycles are split into the subtrees hanging
-    off each cycle vertex, which are cut locally and then stitched around
-    the cycle, dropping the cheapest cycle edge when the cycle is odd (its
-    length is then at least 9).  Certified value: (1/2) w0 + (7/8) w1 + w2.
+    The successor graph (classes 1 and 2) splits into in-trees, trees
+    through one mutual edge, and trees hanging off one directed cycle of
+    length at least 3.  Without the long-cycle edges it is a forest F,
+    leveled once from every sink, both ends of each mutual edge and every
+    long-cycle vertex.  The certificate R is the k = 4 layer set of F that
+    drops the least weight plus every long-cycle edge except the cheapest
+    one of an odd cycle, placed by one ``place_blocks``.  The left-out
+    edges D lie inside a block and never cross; every other edge outside R
+    joins two blocks and crosses with probability 1/2.  So the cut weighs at
+    least (w + w(R) - w(D)) / 2, which meets (1/2) w0 + (7/8) w1 + w2 as
+    w(R) - w(D) >= (3/4) w1 + w2: the four layer sets drop disjoint parts
+    of F's class-1 edges (a mutual edge, class 2, joins two roots at level
+    0 and is never dropped), so the least-dropping one drops at most 1/4;
+    a long cycle's length is divisible by 3, so an odd one has at least 9
+    edges and keeps w(C) - 2 w(D) >= (7/9) w(C).  R is a certificate up to
+    D: an odd fundamental cycle inside one tree has length divisible by 3,
+    so at least 9 in a triangle-free graph; its tree path passes four
+    consecutive levels on one side, and every layer set cuts it.  So each
+    kept piece is induced and bipartite, and joining the root pieces of a
+    cycle adds no other edge, as only cycle edges run between two trees of
+    one cycle.  Those length and adjacency facts are checked here and raise
+    ClaimViolationError.
     """
-    star_edges = set(cls.edge_ids(1)) | set(cls.edge_ids(2))
-    comp_of = WeightedGraph(g.n, (g.edges[e] for e in sorted(star_edges))).components()
-    blocks: list[dict[int, int]] = []
-    for comp in comp_of:
-        if len(comp) == 1:
-            blocks.append({comp[0]: 0})
-            continue
-        blocks.append(_component_block(g, succ, comp, star_edges))
-    return place_blocks(g, blocks)
-
-
-def _walk_cycle(succ: SuccessorDigraph, comp: list[int]) -> Optional[list[int]]:
-    """The directed cycle of a successor component, or None for an in-tree."""
-    pos: dict[int, int] = {}
-    walk: list[int] = []
-    v = comp[0]
-    while v is not None and v not in pos:
-        pos[v] = len(walk)
-        walk.append(v)
-        v = succ.succ[v]
-    if v is None:
-        return None
-    return walk[pos[v]:]
-
-
-def _component_block(g: WeightedGraph, succ: SuccessorDigraph, comp: list[int],
-                     star_edges: set[int]) -> dict[int, int]:
-    cycle = _walk_cycle(succ, comp)
-    if cycle is None or len(cycle) == 2:
-        # an in-tree leveled from its sink, or a tree leveled from its mutual edge
-        roots = sorted(cycle) if cycle else [next(v for v in comp if succ.succ[v] is None)]
-        return _layered_sides(g, comp, star_edges, tuple(roots))
-
-    # long directed cycle: length divisible by 3, chordless, and the only
-    # edges between distinct hanging subtrees are the cycle edges
-    if len(cycle) % 3 != 0:
-        raise ClaimViolationError(
-            f"successor cycle of length {len(cycle)} (expected a multiple of 3)")
-    cyc_set = set(cycle)
-    cyc_pairs = {frozenset((cycle[i], cycle[(i + 1) % len(cycle)]))
-                 for i in range(len(cycle))}
-    for a, b in combinations(sorted(cyc_set), 2):
-        if g.has_edge(a, b) and frozenset((a, b)) not in cyc_pairs:
-            raise ClaimViolationError("successor cycle has a chord")
-
-    anchor: dict[int, int] = {}
-
-    def entry(v: int) -> int:
-        path = []
-        x = v
-        while x not in cyc_set and x not in anchor:
-            path.append(x)
-            x = succ.succ[x]  # type: ignore[assignment]
-        root = x if x in cyc_set else anchor[x]
-        for y in path:
-            anchor[y] = root
-        return root
-
-    for v in comp:
-        anchor[v] = entry(v) if v not in cyc_set else v
-    for u in comp:
-        for v, _ in g.adj[u]:
-            if (v in anchor and anchor[v] != anchor[u]
-                    and frozenset((u, v)) not in cyc_pairs):
+    comp = [-1] * g.n  # successor component, named by a vertex; -2 on the walk
+    cycles = []
+    for start in range(g.n):
+        walk, v = [], start
+        while v is not None and comp[v] == -1:
+            comp[v] = -2
+            walk.append(v)
+            v = succ.succ[v]
+        if v is not None and comp[v] == -2:
+            cyc = walk[walk.index(v):]
+            if len(cyc) > 2 and len(cyc) % 3:
                 raise ClaimViolationError(
-                    "edge between distinct hanging subtrees off the successor cycle")
-
-    side: dict[int, int] = {}
-    local_sides: dict[int, dict[int, int]] = {}
-    for cj in cycle:
-        members = sorted(v for v in comp if anchor[v] == cj)
-        local_sides[cj] = ({cj: 0} if len(members) == 1
-                           else _layered_sides(g, members, star_edges, (cj,)))
-
-    order = list(cycle)
-    if len(order) % 2 == 1:
-        cheapest = min(range(len(order)),
-                       key=lambda i: (g.edges[g.edge_id(order[i], order[(i + 1) % len(order)])][2],
-                                      g.edge_id(order[i], order[(i + 1) % len(order)])))
-        order = order[cheapest + 1:] + order[:cheapest + 1]
-    for pos, cj in enumerate(order):
-        want = pos % 2
-        flip = local_sides[cj][cj] ^ want
-        for v, s in local_sides[cj].items():
-            side[v] = s ^ flip
-    return side
+                    f"successor cycle of length {len(cyc)} (expected a multiple of 3)")
+            cycles.append(cyc)
+        label = comp[v] if v is not None and comp[v] >= 0 else start
+        for x in walk:
+            comp[x] = label
+    long_edges = [[g.edge_id(c[i - 1], c[i]) for i in range(len(c))]
+                  for c in cycles if len(c) > 2]
+    cycle_ids = set().union(*long_edges)
+    forest = frozenset(e for e, c in enumerate(cls.class_of_edge) if c) - cycle_ids
+    roots = sorted({v for v, s in enumerate(succ.succ) if s is None}.union(*cycles))
+    t = _orient(g, forest, roots, "arbitrary")
+    for eid, length in _forest_cycle_lengths(g, t):
+        u, v, _ = g.edges[eid]
+        # only a long cycle's component holds two trees
+        if length is None and comp[u] == comp[v] and eid not in cycle_ids:
+            raise ClaimViolationError(
+                "edge between two trees hanging off one successor cycle")
+        if length is not None and length % 3:
+            raise ClaimViolationError(
+                f"cycle of length {length} through a non-successor edge "
+                "(expected a multiple of 3)")
+    ids = layer_edge_sets(g, t, 4)[1]
+    for es in long_edges:
+        cheapest = min(sorted(es), key=_exact_weights(g).ints.__getitem__) if len(es) % 2 else None
+        ids += [e for e in es if e != cheapest]
+    return place_blocks(g, _two_color(g, ids))
 
 
 def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
@@ -585,7 +534,7 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
         return _report("eight_elevenths", Fraction(0), Cut((), Fraction(0)), {})
     ext = regularize_to_cubic(g)
     g3 = ext.graph
-    coloring = color_components(g3)
+    coloring = _padded_coloring(ext)
     succ = successor_digraph(g3, coloring)
     cls = classify_edges(g3, succ)
     class_weights = cls.weights(g3)

@@ -446,7 +446,7 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
     """
     from cutbounds.bounds import best_matching
     from cutbounds.spanning import dfs_tree, max_spanning_tree, min_spanning_tree
-    from cutbounds.subcubic import (classify_edges, color_components,
+    from cutbounds.subcubic import (_padded_coloring, classify_edges,
                                     regularize_to_cubic, successor_digraph)
 
     def weight(h, ids):
@@ -478,8 +478,9 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
     if name == "two_thirds":
         return {name: 2 * w / 3}
     if name == "eight_elevenths":
-        g3 = regularize_to_cubic(g).graph
-        cls = classify_edges(g3, successor_digraph(g3, color_components(g3))).class_of_edge
+        ext = regularize_to_cubic(g)
+        g3 = ext.graph
+        cls = classify_edges(g3, successor_digraph(g3, _padded_coloring(ext))).class_of_edge
         w0, w1, w2 = (weight(g3, [e for e in range(g3.m) if cls[e] == c]) for c in (0, 1, 2))
         return {name: Fraction(8, 11) * w,
                 "drop_class": w0 + 2 * w1 / 3 + w2 / 3,
@@ -618,10 +619,11 @@ def eight_elevenths_candidate_cuts(g: WeightedGraph):
     raises ClaimViolationError too."""
     from cutbounds.bounds import meets
     from cutbounds.subcubic import (ClaimViolationError, _eight_elevenths_candidates,
-                                    classify_edges, color_components,
+                                    _padded_coloring, classify_edges,
                                     regularize_to_cubic, successor_digraph)
-    g3 = regularize_to_cubic(g).graph
-    coloring = color_components(g3)
+    ext = regularize_to_cubic(g)
+    g3 = ext.graph
+    coloring = _padded_coloring(ext)
     succ = successor_digraph(g3, coloring)
     cls = classify_edges(g3, succ)
     out = {}

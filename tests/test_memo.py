@@ -116,16 +116,23 @@ def test_one_graph_finds_its_best_matching_once(monkeypatch):
 
 
 def test_one_bounds_run_sweeps_the_dfs_roots_once(monkeypatch, tmp_path):
-    built = []
-    dfs_tree = bounds.dfs_tree
+    ranked, built = [], []
+    dfs, dfs_tree = bounds._dfs, bounds.dfs_tree
 
-    def counting(g, root):
+    def ranking(g, root):
+        ranked.append(g.n)
+        return dfs(g, root)
+
+    def building(g, root):
         built.append(g.n)
         return dfs_tree(g, root)
 
-    monkeypatch.setattr(bounds, "dfs_tree", counting)
+    monkeypatch.setattr(bounds, "_dfs", ranking)
+    monkeypatch.setattr(bounds, "dfs_tree", building)
     path = tmp_path / "two_pieces.graph"
     path.write_text(cb.save_graph(_two_pieces()))
     assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
-    # poljak_turzik, dfs_tree and girth_layers share one sweep per component
-    assert built == [10] * 10 + [6] * 6
+    # poljak_turzik, dfs_tree and girth_layers share one sweep per component,
+    # which ranks every root and builds the winner's tree only
+    assert ranked == [10] * 10 + [6] * 6
+    assert built == [10, 6]

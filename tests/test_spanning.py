@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.spanning import (cross_edges, fundamental_cycle_lengths,
-                                layer_edge_sets, reroot_at_edge,
+from cutbounds import spanning
+from cutbounds.spanning import (_forest_cycle_lengths, cross_edges,
+                                fundamental_cycle_lengths, layer_edge_sets, reroot_at_edge,
                                 shortest_fundamental_odd_cycle,
                                 tree_distances_from)
 from helpers import (layer_sets_by_definition, random_connected_graph,
@@ -163,6 +164,7 @@ def test_fundamental_cycle_lengths_match_tree_bfs(n, extra, seed):
         want = [(eid, tree_distances_from(g, t, u)[v] + 1)
                 for eid, (u, v, _) in enumerate(g.edges) if eid not in t.edge_ids]
         assert fundamental_cycle_lengths(g, t.edge_ids) == want
+        assert _forest_cycle_lengths(g, t) == want  # two roots joined by a tree edge
         assert (shortest_fundamental_odd_cycle(g, t)
                 == shortest_odd_fundamental_cycle_by_bfs(g, t.edge_ids))
 
@@ -174,6 +176,18 @@ def test_fundamental_cycle_lengths_long_cycle():
     assert fundamental_cycle_lengths(cb.WeightedGraph(0, []), frozenset()) == []
     path = cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     assert fundamental_cycle_lengths(path, frozenset({0, 1, 2})) == []
+
+
+def test_forest_cycle_lengths_tell_trees_apart():
+    # the 6-cycle 0..5 leveled as two trees, 1 -> 0 <- 5 and 2 -> 3 <- 4, and
+    # the 4-cycle 6..9 as the path 7 -> 6 <- 9 <- 8
+    g = cb.WeightedGraph(10, list(cb.cycle(6).edges)
+                         + [(6 + i, 6 + (i + 1) % 4, 1.0) for i in range(4)])
+    forest = frozenset(g.edge_id(u, v) for u, v in
+                       [(0, 1), (0, 5), (2, 3), (3, 4), (6, 7), (6, 9), (8, 9)])
+    t = spanning._orient(g, forest, (0, 3, 6), "arbitrary")
+    assert _forest_cycle_lengths(g, t) == [(g.edge_id(1, 2), None), (g.edge_id(4, 5), None),
+                                           (g.edge_id(7, 8), 4)]
 
 
 def test_fundamental_cycle_lengths_need_spanning_edges():

@@ -1,3 +1,4 @@
+import io
 import random
 import statistics
 from fractions import Fraction
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds import subcubic
+from cutbounds import cli, generators, subcubic
 from cutbounds.bounds import meets
 from cutbounds.cuts import _two_color
 from cutbounds.graph import _component_split
-from cutbounds.subcubic import (_BLOCK_CELLS, color_components,
+from cutbounds.subcubic import (_BLOCK_CELLS, _gadget_hosts, _padded_coloring,
+                                color_components,
                                 percolation_expectation,
-                                _assert_cycles_divisible,
                                 _peel_greedy, _percolation_raw)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
 from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
@@ -107,6 +108,66 @@ def test_brooks_regularized_corpus():
         col.validate(g3)
 
 
+def test_padding_rule_colors_the_extension_properly():
+    rng = random.Random(5)
+    graphs = [random_tf_subcubic_graph(rng.randint(1, 40), rng, True) for _ in range(40)]
+    graphs += [cb.random_triangle_free_subcubic(4 + seed, seed=seed) for seed in range(20)]
+    graphs += [generators.path(3), cb.cycle(5), cb.WeightedGraph(3, [])]
+    for g in graphs:
+        ext = cb.regularize_to_cubic(g)
+        col = _padded_coloring(ext)
+        col.validate(ext.graph)
+        assert col.class_of[:g.n] == color_components(g).class_of
+        hosts = _gadget_hosts(g)
+        assert len(hosts) == ext.gadget_count
+        for i, s in enumerate(hosts):
+            mid = g.n + 7 * i + 6  # the subdivision vertex
+            assert ext.graph.has_edge(s, mid)
+            assert col.class_of[mid] != col.class_of[s]
+
+
+def test_bridged_cubic_input_colors_through_the_split(monkeypatch, tmp_path):
+    g = bridged_gadgets()
+    assert all(g.degree(v) == 3 for v in range(g.n)) and cb.stats(g).triangle_free
+    split = []
+    color_split_at = subcubic._color_split_at
+
+    def counting(h, a):
+        split.append(a)
+        return color_split_at(h, a)
+
+    monkeypatch.setattr(subcubic, "_color_split_at", counting)
+    assert cb.two_thirds_bound(g).certified()
+    assert cb.eight_elevenths_bound(g).certified()
+    assert len(split) == 1  # one Brooks coloring, shared by both bounds
+    path = tmp_path / "bridged.graph"
+    path.write_text(cb.save_graph(g))
+    out = io.StringIO()
+    assert cli.main(["verify", "--input", str(path)], out=out) == 0
+    assert out.getvalue().splitlines()[-1] == "verify: 1 instance(s), all sound"
+
+
+def test_one_bound_suite_colors_each_component_once(monkeypatch):
+    calls = []
+    brooks = subcubic.brooks_3_coloring
+
+    def counting(h):
+        calls.append(h.n)
+        return brooks(h)
+
+    monkeypatch.setattr(subcubic, "brooks_3_coloring", counting)
+    parts = [generators.path(3), cb.cycle(5), cb.petersen(), cb.gadget_k33_subdivided(),
+             cb.cycle(6)]
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n, w) for u, v, w in part.edges]
+        n += part.n
+    g = cb.WeightedGraph(n, edges)
+    for _, run in cli._bound_suite(g, seed=0, trials=16, root=None, sweep=None):
+        run()
+    assert calls == [part.n for part in parts]
+
+
 # -- successor digraph and classification ----------------------------------
 
 
@@ -146,15 +207,16 @@ def test_successor_triple_color_property():
     # any edge into the tail of an arc sees all three classes
     for seed in (0, 3, 7):
         g = cb.random_triangle_free_subcubic(12, seed=seed)
-        g3 = cb.regularize_to_cubic(g).graph
-        col = color_components(g3)
-        succ = cb.successor_digraph(g3, col)
-        for p2, p3 in succ.arcs():
-            for p1, _ in g3.adj[p2]:
-                if p1 == p3:
-                    continue
-                trio = {col.class_of[p1], col.class_of[p2], col.class_of[p3]}
-                assert trio == {1, 2, 3}
+        ext = cb.regularize_to_cubic(g)
+        g3 = ext.graph
+        for col in (color_components(g3), _padded_coloring(ext)):
+            succ = cb.successor_digraph(g3, col)
+            for p2, p3 in succ.arcs():
+                for p1, _ in g3.adj[p2]:
+                    if p1 == p3:
+                        continue
+                    trio = {col.class_of[p1], col.class_of[p2], col.class_of[p3]}
+                    assert trio == {1, 2, 3}
 
 
 # -- certified cuts ---------------------------------------------------------
@@ -178,9 +240,10 @@ def test_per_class_cut_petersen():
 def test_mutual_matching_cut_empty_matching():
     # This cubic graph has no class-2 edge, so the mutual matching is empty
     # and the certified value is (3/5)(w0 + w1) with nothing contracted.
-    g3, candidates = eight_elevenths_candidate_cuts(
-        cb.random_triangle_free_subcubic(6, seed=102, weight_dist="int"))
-    cls = cb.classify_edges(g3, cb.successor_digraph(g3, color_components(g3)))
+    g = cb.random_triangle_free_subcubic(6, seed=102, weight_dist="int")
+    g3, candidates = eight_elevenths_candidate_cuts(g)
+    ext = cb.regularize_to_cubic(g)
+    cls = cb.classify_edges(g3, cb.successor_digraph(g3, _padded_coloring(ext)))
     assert cls.edge_ids(2) == ()
     w0, w1, _ = cls.weights(g3)
     cut, value = candidates["mutual_matching"]
@@ -268,14 +331,35 @@ def _assert_peel_matches_scan(g):
     assert _peel_greedy(g) == want
 
 
-def test_cycles_divisible_check():
-    six = cb.cycle(6)
-    _assert_cycles_divisible(six, frozenset(range(5)))
-    four = cb.cycle(4)  # path 0-1-2-3 plus the edge closing a 4-cycle
-    with pytest.raises(cb.ClaimViolationError):
-        _assert_cycles_divisible(four, frozenset(range(3)))
-    with pytest.raises(cb.DisconnectedGraphError):
-        _assert_cycles_divisible(six, frozenset(range(3)))
+def _nine_cycle(extra_edges=(), tails=()):
+    """A directed 9-cycle 0 -> 1 -> ... -> 8 -> 0 as a successor digraph, with
+    vertex 9 + i hanging off cycle vertex tails[i] and ``extra_edges`` added."""
+    edges = [(i, (i + 1) % 9, 1.0) for i in range(9)]
+    edges += [(9 + i, c, 1.0) for i, c in enumerate(tails)] + list(extra_edges)
+    succ = tuple((i + 1) % 9 for i in range(9)) + tuple(tails)
+    return cb.WeightedGraph(9 + len(tails), edges), cb.SuccessorDigraph(succ)
+
+
+@pytest.mark.parametrize("g, succ, message", [
+    (*_nine_cycle([(0, 4, 1.0)]), "two trees hanging off one successor cycle"),
+    (*_nine_cycle([(9, 10, 1.0)], tails=(0, 3)), "two trees hanging off one successor cycle"),
+    # the in-tree 3 -> 2 -> 1 -> 0 closed by the edge 0-3
+    (cb.cycle(4), cb.SuccessorDigraph((None, 0, 1, 2)), "cycle of length 4 through"),
+    # a tree through the mutual edge 0-1 (2 -> 1, 3 -> 2, 4 -> 0) closed by 3-4
+    (cb.cycle(5), cb.SuccessorDigraph((1, 0, 1, 2, 0)), "cycle of length 5 through"),
+])
+def test_component_layer_cut_claim_checks(g, succ, message):
+    with pytest.raises(cb.ClaimViolationError, match=message):
+        cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
+
+
+def test_component_layer_cut_levels_through_the_mutual_edge():
+    # the tree of the mutual edge 0-1 closes a 6-cycle through 3-4 and keeps
+    # the mutual edge: every edge crosses
+    g = cb.cycle(6)
+    succ = cb.SuccessorDigraph((1, 0, 1, 2, 5, 0))
+    cut = cb.component_layer_cut(g, succ, cb.classify_edges(g, succ))
+    assert cut.weight == 6.0
 
 
 def test_component_layer_cut_rejects_bad_cycle_length():
