@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Callable, Optional
@@ -320,13 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=None, help="DFS root")
     p.add_argument("--best-roots", action="store_true",
                    help="sweep all DFS roots (default for small graphs)")
-    p.set_defaults(fn=cmd_bounds)
+    # each fn looks its cmd_* up when it runs, so main's one parser follows a rebinding
+    p.set_defaults(fn=lambda args, out: cmd_bounds(args, out))
 
     p = sub.add_parser("oracle", parents=[graph_input, fmt, guard],
                        help="exact desk-scale quantities")
     p.add_argument("quantity", choices=("max-cut", "max-induced-bipartite",
                                         "max-dfs-tree", "five-cycle-cover"))
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=lambda args, out: cmd_oracle(args, out))
 
     p = sub.add_parser("verify", parents=[graph_input, seed],
                        help="soundness sweep: cut >= bound <= max cut")
@@ -335,26 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify this many seeded random instances")
     p.add_argument("--max-n", type=int, default=14,
                    help="max vertices for random instances / exact cross-check")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=lambda args, out: cmd_verify(args, out))
 
     p = sub.add_parser("generate", help="write a fixture graph file")
     p.add_argument("kind", choices=generators.GENERATOR_KINDS)
     p.add_argument("params", nargs="*", help="generator parameters")
     p.add_argument("--output", help="output path (default stdout)")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=lambda args, out: cmd_generate(args, out))
 
     p = sub.add_parser("conjecture", parents=[graph_input, fmt, guard],
                        help="per-instance conjecture evidence ratios")
-    p.set_defaults(fn=cmd_conjecture)
+    p.set_defaults(fn=lambda args, out: cmd_conjecture(args, out))
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on main's first call, not at import
+
+
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,15 +6,17 @@ are induced bipartite subgraphs of the host graph.  Coloring every
 component consistently and orienting components greedily yields a cut of
 weight at least (w(G) + w(R)) / 2, exactly, with no randomness left.
 Every weight here is summed and compared on the graph's exact view.
+A certificate reaches its cut as one ``Labelling`` (per-vertex block ids
+and colors), which both checks inducedness and drives ``place_blocks``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import WeightedGraph, _exact_weights
 
@@ -74,131 +76,132 @@ class BipartiteComponent:
     vertices: tuple[int, ...]
     side: tuple[int, ...]
 
-    def color_of(self) -> dict[int, int]:
-        return dict(zip(self.vertices, self.side))
+
+class Labelling(NamedTuple):
+    """Vertex v is in block ``label[v]`` (-1: none) with color ``color[v]``."""
+
+    label: tuple[int, ...]
+    color: tuple[int, ...]
+    count: int
 
 
 @dataclass(frozen=True)
 class InducedBipartiteSubgraph:
     """Edge subset whose components are induced bipartite subgraphs.
 
-    Components are ordered by minimum vertex and each is 2-colored with its
-    minimum vertex on side 0.
+    ``labelling`` numbers the components by minimum vertex and 2-colors
+    each with its minimum vertex on color 0.
     """
 
     edge_ids: frozenset[int]
-    components: tuple[BipartiteComponent, ...]
+    labelling: Labelling
+
+    @property
+    def components(self) -> tuple[BipartiteComponent, ...]:
+        label, color, _ = self.labelling
+        covered = sorted((v for v, b in enumerate(label) if b >= 0), key=label.__getitem__)
+        blocks = (tuple(vs) for _, vs in groupby(covered, key=label.__getitem__))
+        return tuple(BipartiteComponent(vs, tuple(color[v] for v in vs)) for vs in blocks)
 
     def weight(self, g: WeightedGraph) -> Fraction:
         return _exact_weights(g).weight(self.edge_ids)
 
 
-def _two_color(g: WeightedGraph, edge_ids: Iterable[int]) -> list[dict[int, int]]:
-    """2-color each component of an edge subset, as blocks for ``place_blocks``.
-
-    Blocks are ordered by minimum vertex, each a ``{vertex: color}`` map in
-    BFS order with its minimum vertex on color 0.  Raises NotBipartiteError
-    if a component has an odd cycle.
+def _two_color(g: WeightedGraph, edge_ids: Iterable[int]) -> Labelling:
+    """Label the components of an edge subset by minimum vertex and 2-color
+    each by BFS from that vertex, on color 0; a vertex no edge of the subset
+    touches gets label -1.  Raises NotBipartiteError on an odd cycle.
     """
-    sub_adj: dict[int, list[int]] = {}
-    for e in sorted(edge_ids):
+    member, touched = bytearray(g.m), bytearray(g.n)
+    for e in edge_ids:
         u, v, _ = g.edges[e]
-        sub_adj.setdefault(u, []).append(v)
-        sub_adj.setdefault(v, []).append(u)
-    color: dict[int, int] = {}
-    blocks: list[dict[int, int]] = []
-    for start in sorted(sub_adj):
-        if start in color:
+        member[e] = touched[u] = touched[v] = 1
+    adj, label, color, count = g.adj, [-1] * g.n, [0] * g.n, 0
+    for start in range(g.n):
+        if not touched[start] or label[start] >= 0:
             continue
-        color[start] = 0
-        block = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in sub_adj[u]:
-                if v not in color:
-                    color[v] = block[v] = color[u] ^ 1
+        label[start] = count
+        queue = [start]
+        for u in queue:
+            cu = color[u]
+            for v, eid in adj[u]:
+                if not member[eid]:
+                    continue
+                if label[v] < 0:
+                    label[v], color[v] = count, cu ^ 1
                     queue.append(v)
-                elif color[v] == color[u]:
+                elif color[v] == cu:
                     raise NotBipartiteError(
                         f"odd cycle in component containing vertex {start}")
-        blocks.append(block)
-    return blocks
+        count += 1
+    return Labelling(tuple(label), tuple(color), count)
 
 
 def verify_induced_bipartite(g: WeightedGraph, edge_ids: Iterable[int]) -> InducedBipartiteSubgraph:
     """Check the certificate conditions for an edge subset.
 
     Raises NotBipartiteError if a component has an odd cycle, and
-    NotInducedError if a component's vertex set induces an edge of the host
-    graph that is missing from the subset.
+    NotInducedError if an edge outside the subset has both ends in one
+    component.
     """
     ids = frozenset(int(e) for e in edge_ids)
     for e in ids:
         if not (0 <= e < g.m):
             raise ValueError(f"edge id {e} out of range")
-    comps: list[BipartiteComponent] = []
-    for block in _two_color(g, ids):
-        comp = sorted(block)
-        for u in comp:
-            for v, eid in g.adj[u]:
-                if v in block and eid not in ids:
-                    raise NotInducedError(
-                        f"component of vertex {comp[0]} induces edge ({u}, {v}) "
-                        "outside the edge set")
-        comps.append(BipartiteComponent(tuple(comp), tuple(block[v] for v in comp)))
-    return InducedBipartiteSubgraph(ids, tuple(comps))
+    labelling = _two_color(g, ids)
+    label = labelling.label
+    for eid, (u, v, _) in enumerate(g.edges):
+        b = label[u]
+        if b >= 0 and b == label[v] and eid not in ids:
+            raise NotInducedError(
+                f"component of vertex {label.index(b)} induces edge ({u}, {v}) "
+                "outside the edge set")
+    return InducedBipartiteSubgraph(ids, labelling)
 
 
-def place_blocks(g: WeightedGraph, blocks: Sequence[Mapping[int, int]]) -> Cut:
+def place_blocks(g: WeightedGraph, labelling: Labelling) -> Cut:
     """Greedy conditional-expectation placement of rigidly 2-colored blocks.
 
-    Every vertex not covered by a block becomes a singleton block.  Blocks
-    are placed in descending order of incident outside weight (ties by
-    block index), each with the orientation that maximizes crossing weight
-    against already-placed vertices (ties take orientation 0).  The result
-    never falls below the expectation of the uniform random orientation:
-    fixed crossing pairs inside blocks plus half the between-block weight.
+    Every vertex not in a block becomes a singleton block, numbered after
+    the blocks in vertex order.  Blocks are placed in descending order of
+    incident outside weight (ties by block number), each with the
+    orientation that maximizes crossing weight against already-placed
+    vertices (ties take orientation 0).  The result never falls below the
+    expectation of the uniform random orientation: fixed crossing pairs
+    inside blocks plus half the between-block weight.
     """
-    owner = [-1] * g.n
-    all_blocks: list[dict[int, int]] = []
-    for b in blocks:
-        blk = {int(v): int(c) & 1 for v, c in b.items()}
-        for v in blk:
-            if owner[v] != -1:
-                raise ValueError(f"vertex {v} covered by two blocks")
-            owner[v] = len(all_blocks)
-        all_blocks.append(blk)
+    label, color, count = labelling
+    owner = list(label)
     for v in range(g.n):
-        if owner[v] == -1:
-            owner[v] = len(all_blocks)
-            all_blocks.append({v: 0})
+        if owner[v] < 0:
+            owner[v], count = count, count + 1
+    members: list[list[int]] = [[] for _ in range(count)]
+    for v, b in enumerate(owner):
+        members[b].append(v)
 
     ints = _exact_weights(g).ints
-    outside = [0] * len(all_blocks)
+    outside = [0] * count
     for (u, v, _), q in zip(g.edges, ints):
-        if owner[u] != owner[v]:
-            outside[owner[u]] += q
-            outside[owner[v]] += q
-    order = sorted(range(len(all_blocks)), key=lambda i: (-outside[i], i))
+        bu, bv = owner[u], owner[v]
+        if bu != bv:
+            outside[bu] += q
+            outside[bv] += q
+    # a stable sort keeps ascending block numbers among equal weights
+    order = sorted(range(count), key=outside.__getitem__, reverse=True)
 
+    adj = g.adj
     side = [-1] * g.n
-    for bi in order:
-        blk = all_blocks[bi]
-        keep = 0
-        flip = 0
-        for v, c in blk.items():
-            for u, eid in g.adj[v]:
+    for b in order:
+        kept = 0  # weight orientation 0 keeps crossing, minus what it leaves uncut
+        for v in members[b]:
+            c = color[v]
+            for u, eid in adj[v]:
                 su = side[u]
-                if su < 0:
-                    continue
-                if c != su:
-                    keep += ints[eid]
-                else:
-                    flip += ints[eid]
-        orient = 0 if keep >= flip else 1
-        for v, c in blk.items():
-            side[v] = c ^ orient
+                if su >= 0:
+                    kept += ints[eid] if c != su else -ints[eid]
+        orient = 0 if kept >= 0 else 1
+        for v in members[b]:
+            side[v] = color[v] ^ orient
     return Cut.from_side(g, side)
 
 
@@ -210,7 +213,7 @@ def derandomized_cut(g: WeightedGraph, cert: InducedBipartiteSubgraph) -> Cut:
     placement compares exact sums and so never drops below the conditional
     expectation.
     """
-    return place_blocks(g, [c.color_of() for c in cert.components])
+    return place_blocks(g, cert.labelling)
 
 
 def local_search_improve(g: WeightedGraph, cut: Cut) -> Cut:

@@ -217,6 +217,7 @@ def girth(g: WeightedGraph) -> Optional[int]:
     deg = [len(a) for a in g.adj]
     peel = [v for v in range(g.n) if deg[v] <= 1]
     best: Optional[int] = None
+    dist, via = [-1] * g.n, [-1] * g.n  # after each root, what its BFS reached resets
     for src in range(g.n):
         while peel:  # peel what is left to its 2-core
             for u, _ in g.adj[peel.pop()]:
@@ -225,25 +226,25 @@ def girth(g: WeightedGraph) -> Optional[int]:
                     peel.append(u)
         if deg[src] < 2:
             continue
-        dist = [-1] * g.n
-        via = [-1] * g.n
         dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
+        reached = [src]  # the BFS queue, kept whole
+        for u in reached:
+            du = dist[u]
+            if best is not None and 2 * du >= best:
                 continue
             for v, eid in g.adj[u]:
                 if eid == via[u] or deg[v] < 2:
                     continue
                 if dist[v] < 0:
-                    dist[v] = dist[u] + 1
+                    dist[v] = du + 1
                     via[v] = eid
-                    queue.append(v)
+                    reached.append(v)
                 else:
-                    cand = dist[u] + dist[v] + 1
+                    cand = du + dist[v] + 1
                     if best is None or cand < best:
                         best = cand
+        for v in reached:
+            dist[v] = via[v] = -1
         deg[src] = 1  # peeled like a leaf: each neighbour loses one
         peel.append(src)
     return best

@@ -599,14 +599,14 @@ def percolation_expectation(g: WeightedGraph, t: RootedSpanningTree, p: float,
 def _percolation_raw(g: WeightedGraph, t: RootedSpanningTree, p: float,
                      rng: random.Random) -> Cut:
     kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
-    block_of = {v: block for block in _two_color(g, kept) for v in block}
+    label, color, _ = _two_color(g, kept)
+    orient: dict[int, int] = {}  # by block; lone vertex v is block -1 - v
     side = [0] * g.n
     for v in range(g.n):  # orient each piece, a lone vertex too, at its minimum vertex
-        block = block_of.get(v, {v: 0})
-        if next(iter(block)) == v:
-            orient = rng.getrandbits(1)
-            for u, c in block.items():
-                side[u] = c ^ orient
+        b = label[v] if label[v] >= 0 else -1 - v
+        if b not in orient:
+            orient[b] = rng.getrandbits(1)
+        side[v] = color[v] ^ orient[b]
     return Cut.from_side(g, side)
 
 

@@ -217,6 +217,58 @@ def two_color_blocks(g: WeightedGraph, edge_ids) -> list[dict[int, int]]:
     return blocks
 
 
+def labelling_of(n: int, blocks):
+    """The labelling that numbers ``{vertex: color}`` blocks in the order given."""
+    from cutbounds.cuts import Labelling
+    label, color = [-1] * n, [0] * n
+    for b, block in enumerate(blocks):
+        for v, c in block.items():
+            label[v], color[v] = b, c
+    return Labelling(tuple(label), tuple(color), len(blocks))
+
+
+def certificate_cut_by_dicts(g: WeightedGraph, edge_ids):
+    """The certificate check and cut on dict blocks: ``two_color_blocks``
+    over the sorted edge ids, each block's vertex set scanned for an induced
+    edge outside the set, then ``place_blocks_by_dicts``."""
+    ids = set(edge_ids)
+    blocks = two_color_blocks(g, sorted(ids))
+    for block in blocks:
+        for u in sorted(block):
+            for v, eid in g.adj[u]:
+                if v in block and eid not in ids:
+                    raise NotInducedError(f"component of vertex {min(block)} "
+                                          f"induces edge ({u}, {v})")
+    return place_blocks_by_dicts(g, blocks)
+
+
+def place_blocks_by_dicts(g: WeightedGraph, blocks):
+    """Greedy placement of ``{vertex: color}`` blocks, then a singleton for
+    every uncovered vertex in vertex order: by descending outside weight
+    (ties by block index), each in the orientation that keeps at least as
+    much weight crossing as it leaves uncut."""
+    from cutbounds import Cut
+    from cutbounds.graph import _exact_weights
+    covered = {v for block in blocks for v in block}
+    blocks = list(blocks) + [{v: 0} for v in range(g.n) if v not in covered]
+    owner = {v: i for i, block in enumerate(blocks) for v in block}
+    ints = _exact_weights(g).ints
+    outside = [0] * len(blocks)
+    for (u, v, _), q in zip(g.edges, ints):
+        if owner[u] != owner[v]:
+            outside[owner[u]] += q
+            outside[owner[v]] += q
+    side = [-1] * g.n
+    for i in sorted(range(len(blocks)), key=lambda i: (-outside[i], i)):
+        keep = sum(ints[eid] for v, c in blocks[i].items() for u, eid in g.adj[v]
+                   if side[u] >= 0 and side[u] != c)
+        flip = sum(ints[eid] for v, c in blocks[i].items() for u, eid in g.adj[v]
+                   if side[u] >= 0 and side[u] == c)
+        for v, c in blocks[i].items():
+            side[v] = c ^ (0 if keep >= flip else 1)
+    return Cut.from_side(g, side)
+
+
 def peel_colors_by_scan(g: WeightedGraph) -> list[int]:
     """Reverse-degeneracy greedy 3-coloring, rescanning every vertex per step.
 

@@ -500,6 +500,46 @@ def test_every_option_a_command_accepts_is_read(tmp_path, command):
     assert accepted - reads == set()
 
 
+# ``main`` builds its parser once per process; later calls reuse it.
+
+
+def test_repeated_main_runs_a_rebound_command(monkeypatch):
+    assert run_cli(["generate", "cycle", "3"])[0] == 0
+    ran = []
+
+    def fake_bounds(args, out):
+        ran.append(args.root)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_bounds", fake_bounds)
+    assert run_cli(["bounds", "--generate", "cycle", "5", "--root", "2"]) == (0, "")
+    assert ran == [2]
+
+
+def test_repeated_main_forgets_the_previous_options(tmp_path):
+    path = _write(tmp_path, cb.petersen())
+    base = ["bounds", "--input", path, "--trials", "8", "--format", "json-lines"]
+    code, rooted = run_cli(base + ["--root", "3"])
+    assert code == 0
+    after = run_cli(base)
+    cli._parser.cache_clear()
+    try:
+        alone = run_cli(base)
+    finally:
+        cli._parser.cache_clear()
+    assert after == alone and after[1] != rooted
+
+
+def test_repeated_main_reports_a_bad_option_then_runs(capsys):
+    assert run_cli(["generate", "cycle", "3"])[0] == 0
+    capsys.readouterr()
+    assert run_cli(["bounds", "--generate", "cycle", "5", "--bogus"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cutbounds") and "unrecognized arguments: --bogus" in err
+    code, text = run_cli(["generate", "cycle", "3"])
+    assert code == 0 and text.startswith("p 3 3")
+
+
 # README's CLI section is what users copy, so it is held to the parser.
 _README = Path(__file__).resolve().parent.parent / "README.md"
 

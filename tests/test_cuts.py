@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.cuts import _two_color, place_blocks
-from helpers import (local_search_by_full_sweeps, random_certificate_edges,
-                     random_connected_graph, two_color_blocks)
+from cutbounds.cuts import _two_color
+from helpers import (certificate_cut_by_dicts, local_search_by_full_sweeps,
+                     random_certificate_edges, random_connected_graph, two_color_blocks)
 
 
 def test_verify_single_edge():
@@ -75,12 +75,6 @@ def test_derandomizer_exact_guarantee_integer_mode():
         cut = cb.derandomized_cut(g, cert)
         need = (Fraction(int(g.total_weight)) + Fraction(int(cert.weight(g)))) / 2
         assert Fraction(cut.weight) >= need
-
-
-def test_place_blocks_rejects_overlap():
-    g = cb.cycle(4)
-    with pytest.raises(ValueError):
-        place_blocks(g, [{0: 0, 1: 1}, {1: 0}])
 
 
 def test_local_search_k4():
@@ -161,6 +155,16 @@ def test_empty_and_single_vertex_graphs():
         cb.dfs_bound(empty)
 
 
+def _labels_of(blocks):
+    """vertex -> (block, color) of ``{vertex: color}`` blocks."""
+    return {v: (b, c) for b, block in enumerate(blocks) for v, c in block.items()}
+
+
+def _labels(labelling):
+    return {v: (b, c) for v, (b, c) in enumerate(zip(labelling.label, labelling.color))
+            if b >= 0}
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 12), st.integers(0, 2 ** 32), st.data())
 def test_two_color_equals_reference_blocks(n, extra, seed, data):
@@ -173,9 +177,11 @@ def test_two_color_equals_reference_blocks(n, extra, seed, data):
             _two_color(g, ids)
         return
     got = _two_color(g, ids)
-    assert [list(b.items()) for b in got] == [list(b.items()) for b in want]
-    assert all(b[min(b)] == 0 for b in got)
-    assert [min(b) for b in got] == sorted(min(b) for b in got)
+    assert _labels(got) == _labels_of(want) and got.count == len(want)
+    assert all(got.label[v] == -1 and got.color[v] == 0
+               for v in range(g.n) if v not in _labels(got))
+    firsts = [got.label.index(b) for b in range(got.count)]
+    assert firsts == sorted(firsts) and all(got.color[v] == 0 for v in firsts)
 
 
 def test_two_color_rejects_odd_cycles():
@@ -184,4 +190,44 @@ def test_two_color_rejects_odd_cycles():
         _two_color(g, range(g.m))
     with pytest.raises(cb.NotBipartiteError):
         two_color_blocks(g, range(g.m))
-    assert _two_color(g, range(g.m - 1)) == two_color_blocks(g, range(g.m - 1))
+    path = range(g.m - 1)
+    assert _labels(_two_color(g, path)) == _labels_of(two_color_blocks(g, path))
+
+
+def _placed_by_labels(g, ids):
+    return cb.derandomized_cut(g, cb.verify_induced_bipartite(g, ids))
+
+
+def _assert_same_cut_or_error(g, ids):
+    try:
+        want = certificate_cut_by_dicts(g, ids)
+    except (cb.NotBipartiteError, cb.NotInducedError) as exc:
+        with pytest.raises(type(exc)):
+            _placed_by_labels(g, ids)
+        return
+    got = _placed_by_labels(g, ids)
+    assert (got.side, got.exact_weight) == (want.side, want.exact_weight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2 ** 32),
+       st.data())
+def test_label_placement_equals_dict_blocks(n, density, integer, seed, data):
+    # graphs with isolated vertices and edge sets of every kind: valid
+    # certificates, odd cycles, non-induced sets and the empty set
+    rng = random.Random(seed)
+    g = cb.WeightedGraph(n, [(u, v, rng.choice(_SEARCH_WEIGHTS[integer]))
+                             for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < density])
+    _assert_same_cut_or_error(g, ())
+    _assert_same_cut_or_error(g, random_certificate_edges(g, rng))
+    _assert_same_cut_or_error(g, data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else ())
+
+
+def test_label_placement_fixtures():
+    c5, k4 = cb.cycle(5), cb.complete(4)
+    path_and_isolated = cb.WeightedGraph(5, [(0, 1, 2.0), (1, 2, 1.0)])
+    for g, ids in ((c5, range(5)), (c5, [0, 1, 2, 3]), (k4, [0, 1, 2]), (k4, [0, 5]),
+                   (c5, ()), (path_and_isolated, ()), (path_and_isolated, [1]),
+                   (cb.WeightedGraph(3, []), ())):
+        _assert_same_cut_or_error(g, list(ids))

@@ -15,9 +15,9 @@ from cutbounds.bounds import _best_dfs_tree, greedy_matching
 from cutbounds.cuts import place_blocks
 from cutbounds.spanning import layer_edge_sets, reroot_at_edge
 from cutbounds.subcubic import color_components
-from helpers import (greedy_matching_by_loop, layer_sets_by_definition,
-                     lightest_layer_by_full_scan, parity_layer_split, random_connected_graph,
-                     random_tf_subcubic_graph)
+from helpers import (greedy_matching_by_loop, labelling_of, layer_sets_by_definition,
+                     lightest_layer_by_full_scan, parity_layer_split, place_blocks_by_dicts,
+                     random_connected_graph, random_tf_subcubic_graph)
 
 
 def _assert_two_thirds_is_rigid_pair_placement(g):
@@ -27,7 +27,8 @@ def _assert_two_thirds_is_rigid_pair_placement(g):
     i, j = rep.details["kept_pair"]
     block = {v: int(c == j) for v, c in enumerate(color_components(g).class_of)
              if c in (i, j)}
-    placed = place_blocks(g, [block])
+    placed = place_blocks(g, labelling_of(g.n, [block]))
+    assert placed == place_blocks_by_dicts(g, [block])
     assert rep.cut.side == placed.side and rep.cut.weight == placed.weight
 
 

@@ -14,6 +14,7 @@ import cutbounds as cb
 from cutbounds import bounds
 from cutbounds.cli import _bound_suite, _run_bound, main
 from cutbounds.cuts import NotBipartiteError, NotInducedError, place_blocks
+from helpers import labelling_of, place_blocks_by_dicts
 
 
 def _exact(g, edge_ids):
@@ -58,7 +59,9 @@ def test_place_blocks_takes_the_exactly_heavier_side():
     g = cb.WeightedGraph(12, [(1, 5, 1.0), (2, 5, tiny), (3, 5, tiny), (4, 5, tiny),
                               (5, 6, 1 + 2 ** -52), (1, 7, 10.0), (2, 8, 10.0),
                               (3, 9, 10.0), (4, 10, 10.0), (6, 11, 10.0)])
-    cut = place_blocks(g, [{1: 0, 2: 0, 3: 0, 4: 0, 6: 1}])
+    blocks = [{1: 0, 2: 0, 3: 0, 4: 0, 6: 1}]
+    cut = place_blocks(g, labelling_of(g.n, blocks))
+    assert cut == place_blocks_by_dicts(g, blocks)
     assert [cut.side[v] for v in (1, 2, 3, 4, 6)] == [0, 0, 0, 0, 1]
     assert cut.side[5] == 1
     other = list(cut.side)
