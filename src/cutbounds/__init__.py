@@ -35,8 +35,7 @@ from .subcubic import (ClaimViolationError, CubicExtension, EdgeClassification,
                        classify_edges, combined_tree_bound,
                        component_layer_cut, eight_elevenths_bound,
                        mutual_matching_cut, per_class_cut,
-                       regularize_to_cubic, shearer_bound, shearer_sample,
-                       successor_digraph, tree_percolation_bound,
-                       tree_percolation_sample, two_thirds_bound)
+                       regularize_to_cubic, shearer_bound, successor_digraph,
+                       tree_percolation_bound, two_thirds_bound)
 
 __version__ = "0.1.0"

@@ -76,18 +76,16 @@ def _cached_report(g: WeightedGraph, key,
 # -- spanning-tree based bounds -----------------------------------------
 
 
-def _best_dfs_tree(g, root, sweep) -> RootedSpanningTree:
-    """DFS tree maximizing tree weight over ``root`` alone, else every root
-    when ``sweep`` (default: n <= ROOT_SWEEP_MAX_N), else root 0; ties go to
-    the lowest root.  Roots are ranked on exact integer tree weights and
-    only the winner's tree is built.  Memoized on ``g``."""
+def _best_dfs_tree(g, root) -> RootedSpanningTree:
+    """DFS tree maximizing tree weight over ``root`` alone, else over every
+    root when n <= ROOT_SWEEP_MAX_N, else root 0; ties go to the lowest
+    root.  Roots are ranked on exact integer tree weights and only the
+    winner's tree is built.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    if sweep is None:
-        sweep = g.n <= ROOT_SWEEP_MAX_N
-    roots = [root] if root is not None else range(g.n) if sweep else [0]
+    roots = [root] if root is not None else range(g.n) if g.n <= ROOT_SWEEP_MAX_N else [0]
     ints = _exact_weights(g).ints
-    return _cached(g, ("best_dfs_tree", root, sweep), lambda: dfs_tree(
+    return _cached(g, ("best_dfs_tree", root), lambda: dfs_tree(
         g, roots[0] if len(roots) == 1 else
         max(roots, key=lambda r: sum(map(ints.__getitem__, _dfs(g, r)[2])))))
 
@@ -99,8 +97,7 @@ def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, in
     return derandomized_cut(g, verify_induced_bipartite(g, ids)), j
 
 
-def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
-                  sweep: Optional[bool] = None) -> BoundReport:
+def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     """w(G)/2 + w(T_min)/4 with a minimum-weight spanning tree T_min.
 
     The constructed cut comes from the DFS parity layers, which certify the
@@ -108,7 +105,7 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     tree outweighs the minimum spanning tree.
     """
     tmin = min_spanning_tree(g)
-    d = _best_dfs_tree(g, root, sweep)
+    d = _best_dfs_tree(g, root)
     cut = _layer_cut(g, d, 2)[0]
     value = _exact_weights(g).total / 2 + tmin.exact_weight / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
@@ -116,10 +113,9 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None,
     return _report("poljak_turzik", value, cut, details)
 
 
-def dfs_bound(g: WeightedGraph, root: Optional[int] = None,
-              sweep: Optional[bool] = None) -> BoundReport:
+def dfs_bound(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
-    d = _best_dfs_tree(g, root, sweep)
+    d = _best_dfs_tree(g, root)
     cut = _layer_cut(g, d, 2)[0]
     value = _exact_weights(g).total / 2 + d.exact_weight / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
@@ -144,6 +140,7 @@ def greedy_matching(g: WeightedGraph) -> tuple[int, ...]:
 def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:
     # single pass: replace up to two conflicting matched edges by one
     # heavier edge when that increases total weight
+    ints = _exact_weights(g).ints
     have = set(chosen)
     by_vertex: dict[int, int] = {}
     for eid in chosen:
@@ -153,9 +150,9 @@ def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:
     for eid in range(g.m):
         if eid in have:
             continue
-        u, v, w = g.edges[eid]
+        u, v, _ = g.edges[eid]
         conflicts = {by_vertex[x] for x in (u, v) if x in by_vertex}
-        if w > sum(g.edges[c][2] for c in conflicts):
+        if ints[eid] > sum(ints[c] for c in conflicts):
             for c in conflicts:
                 have.discard(c)
                 cu, cv, _ = g.edges[c]
@@ -205,28 +202,24 @@ def exact_matching_small(g: WeightedGraph) -> tuple[int, ...]:
     return best
 
 
-def best_matching(g: WeightedGraph, strategy: str = "auto") -> tuple[int, ...]:
-    """The matching of ``strategy``; memoized on ``g``."""
-    if strategy == "auto":
-        strategy = "exact_small" if g.m <= EXACT_MATCHING_MAX_EDGES else "greedy"
-    build = {"exact_small": exact_matching_small, "greedy": greedy_matching}.get(strategy)
-    if build is None:
-        raise ValueError(f"unknown matching strategy {strategy!r}")
-    return _cached(g, ("best_matching", strategy), lambda: build(g))
+def best_matching(g: WeightedGraph) -> tuple[int, ...]:
+    """The exact maximum-weight matching up to EXACT_MATCHING_MAX_EDGES
+    edges, else the greedy one; memoized on ``g``."""
+    return _cached(g, "best_matching", lambda: exact_matching_small(g)
+                   if g.m <= EXACT_MATCHING_MAX_EDGES else greedy_matching(g))
 
 
-def matching_bound(g: WeightedGraph, strategy: str = "auto",
+def matching_bound(g: WeightedGraph,
                    matching: Optional[Sequence[int]] = None) -> BoundReport:
-    """(w(G) + w(M))/2 for a matching M.
+    """(w(G) + w(M))/2 for a matching M (default: ``best_matching``).
 
     A matching is always a valid certificate: its components are single
     edges, and a single edge is induced in any simple graph.
     """
     if matching is not None:
-        m_ids = check_matching(g, matching)
-        strategy = "provided"
+        m_ids, strategy = check_matching(g, matching), "provided"
     else:
-        m_ids = best_matching(g, strategy)
+        m_ids, strategy = best_matching(g), "auto"
     cert = verify_induced_bipartite(g, m_ids)
     cut = derandomized_cut(g, cert)
     ex = _exact_weights(g)
@@ -241,7 +234,7 @@ def matching_bound(g: WeightedGraph, strategy: str = "auto",
 
 
 def girth_bound(g: WeightedGraph, k: Optional[int] = None,
-                root: Optional[int] = None, sweep: Optional[bool] = None) -> BoundReport:
+                root: Optional[int] = None) -> BoundReport:
     """w(G)/2 + (k-1)/(2k) * w(D) for a DFS tree D, when the girth is >= k.
 
     k must be even; the default is the girth rounded down to an even value
@@ -262,7 +255,7 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
         raise BoundPreconditionError(f"k = {k} must be even and positive")
     if st.girth is not None and k > st.girth:
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
-    d = _best_dfs_tree(g, root, sweep)
+    d = _best_dfs_tree(g, root)
     cut, best_j = _layer_cut(g, d, k)
     value = _exact_weights(g).total / 2 + Fraction(k - 1, 2 * k) * d.exact_weight
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],

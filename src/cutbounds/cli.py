@@ -46,8 +46,7 @@ def _component_roots(g: WeightedGraph,
     return lambda h: local[id(h)]
 
 
-def _bound_suite(g: WeightedGraph, seed: int, trials: int,
-                 root: Optional[int], sweep: Optional[bool]):
+def _bound_suite(g: WeightedGraph, seed: int, trials: int, root: Optional[int]):
     """Ordered (name, runner) pairs; connectivity-requiring bounds are
     lifted per component."""
     def pc(fn: Callable[[WeightedGraph], BoundReport], name: str):
@@ -55,12 +54,10 @@ def _bound_suite(g: WeightedGraph, seed: int, trials: int,
 
     root_of = _component_roots(g, root)
     return [
-        ("poljak_turzik",
-         pc(lambda h: bnd.poljak_turzik(h, root_of(h), sweep), "poljak_turzik")),
-        ("dfs_tree", pc(lambda h: bnd.dfs_bound(h, root_of(h), sweep), "dfs_tree")),
+        ("poljak_turzik", pc(lambda h: bnd.poljak_turzik(h, root_of(h)), "poljak_turzik")),
+        ("dfs_tree", pc(lambda h: bnd.dfs_bound(h, root_of(h)), "dfs_tree")),
         ("matching", lambda: bnd.matching_bound(g)),
-        ("girth_layers",
-         pc(lambda h: bnd.girth_bound(h, None, root_of(h), sweep), "girth_layers")),
+        ("girth_layers", pc(lambda h: bnd.girth_bound(h, None, root_of(h)), "girth_layers")),
         ("triangle_free_tree", pc(bnd.triangle_free_tree_bound, "triangle_free_tree")),
         ("edge_rooted_tree", pc(bnd.edge_rooted_tree_bound, "edge_rooted_tree")),
         ("matching_vizing", lambda: matching_vizing_bound(g, bnd.best_matching(g))),
@@ -141,8 +138,7 @@ def cmd_bounds(args, out) -> int:
         raise ValueError(f"--root {args.root} is not a vertex: "
                          f"the graph has n={g.n} vertices, ids 0..n-1")
     rows = []
-    for name, runner in _bound_suite(g, args.seed, args.trials, args.root,
-                                     True if args.best_roots else None):
+    for name, runner in _bound_suite(g, args.seed, args.trials, args.root):
         rep = _run_bound(name, runner)
         rows.append({"name": name, "skipped": True, "reason": rep}
                     if isinstance(rep, str) else _report_row(rep))
@@ -189,7 +185,7 @@ def _verify_one(g: WeightedGraph, seed: int, trials: int,
     failures: list[str] = []
     checked = 0
     mac = oracle.exact_max_cut(g, max_n).witness.exact_weight if g.n <= max_n else None
-    for name, runner in _bound_suite(g, seed, trials, root=None, sweep=None):
+    for name, runner in _bound_suite(g, seed, trials, root=None):
         rep = _run_bound(name, runner)
         if isinstance(rep, str):
             continue
@@ -318,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[graph_input, seed, fmt],
                        help="run every applicable bound")
     p.add_argument("--trials", type=_int_at_least(1), default=256)
-    p.add_argument("--root", type=int, default=None, help="DFS root")
-    p.add_argument("--best-roots", action="store_true",
-                   help="sweep all DFS roots (default for small graphs)")
+    p.add_argument("--root", type=int, default=None, help="DFS root (default: the best "
+                   f"root if n <= {bnd.ROOT_SWEEP_MAX_N}, else 0)")
     # each fn looks its cmd_* up when it runs, so main's one parser follows a rebinding
     p.set_defaults(fn=lambda args, out: cmd_bounds(args, out))
 

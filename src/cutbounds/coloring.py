@@ -243,12 +243,8 @@ def shearer_coefficient(delta: int) -> float:
     return 0.5 + 1.0 / (4.0 * math.sqrt(2.0 * delta))
 
 
-def vizing_classes_coefficient(delta: int) -> float:
-    """1/2 + (3*delta-1)/(4*delta^2+2*delta-2); edge-coloring coefficient."""
-    return float(vizing_classes_coefficient_exact(delta))
-
-
-def vizing_classes_coefficient_exact(delta: int) -> Fraction:
+def vizing_classes_coefficient(delta: int) -> Fraction:
+    """1/2 + (3*delta-1)/(4*delta^2+2*delta-2), exactly; edge-coloring coefficient."""
     if delta < 1:
         raise ValueError("delta must be a positive integer")
     return Fraction(1, 2) + Fraction(3 * delta - 1, 4 * delta * delta + 2 * delta - 2)
@@ -274,7 +270,7 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     best_class, heaviest = max(enumerate(coloring.classes()),
                                key=lambda ic: ex.weight(ic[1]))
     best = matching_vizing_bound(g, heaviest)
-    coeff = vizing_classes_coefficient_exact(delta)
+    coeff = vizing_classes_coefficient(delta)
     details = {"delta": delta, "class_count": coloring.color_count,
                "best_class": best_class, "coefficient": float(coeff)}
     return _report("vizing_classes", coeff * ex.total, best.cut, details)

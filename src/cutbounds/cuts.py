@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import WeightedGraph, _exact_weights
@@ -69,14 +68,6 @@ class Cut:
         return "".join(str(s) for s in self.side)
 
 
-@dataclass(frozen=True)
-class BipartiteComponent:
-    """One certificate component: sorted vertices with a fixed 2-coloring."""
-
-    vertices: tuple[int, ...]
-    side: tuple[int, ...]
-
-
 class Labelling(NamedTuple):
     """Vertex v is in block ``label[v]`` (-1: none) with color ``color[v]``."""
 
@@ -95,13 +86,6 @@ class InducedBipartiteSubgraph:
 
     edge_ids: frozenset[int]
     labelling: Labelling
-
-    @property
-    def components(self) -> tuple[BipartiteComponent, ...]:
-        label, color, _ = self.labelling
-        covered = sorted((v for v, b in enumerate(label) if b >= 0), key=label.__getitem__)
-        blocks = (tuple(vs) for _, vs in groupby(covered, key=label.__getitem__))
-        return tuple(BipartiteComponent(vs, tuple(color[v] for v in vs)) for vs in blocks)
 
     def weight(self, g: WeightedGraph) -> Fraction:
         return _exact_weights(g).weight(self.edge_ids)

@@ -41,11 +41,6 @@ def petersen(weight: float = 1.0) -> WeightedGraph:
     return WeightedGraph(10, edges)
 
 
-def petersen_spoke_ids(g: WeightedGraph) -> tuple[int, ...]:
-    """Edge ids of the crossing perfect matching in the Petersen fixtures."""
-    return tuple(g.edge_id(u, v) for u, v in _PETERSEN_SPOKES)
-
-
 def petersen_c3(matching_weight: float = 10.0, other_weight: float = 1.0) -> WeightedGraph:
     """Petersen graph with heavy crossing matching; the c3-tightness fixture."""
     edges = [(u, v, other_weight) for u, v in _PETERSEN_OUTER + _PETERSEN_INNER]

@@ -121,17 +121,12 @@ def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
 
 
 def cross_edges(g: WeightedGraph, t: RootedSpanningTree) -> list[int]:
-    """Non-tree edges joining two vertices neither an ancestor of the other."""
-    bad = []
-    for eid, (u, v, _) in enumerate(g.edges):
-        if eid in t.edge_ids:
-            continue
-        a, b = (u, v) if t.level[u] >= t.level[v] else (v, u)
-        while t.level[a] > t.level[b]:
-            a = t.parent[a]  # type: ignore[assignment]
-        if a != b:
-            bad.append(eid)
-    return bad
+    """Non-tree edges joining two vertices neither an ancestor of the other:
+    those whose cycle in T + e is not |level(u) - level(v)| + 1 long, or
+    that join two trees."""
+    level = t.level
+    return [eid for eid, c in _forest_cycle_lengths(g, t)
+            if c != abs(level[g.edges[eid][0]] - level[g.edges[eid][1]]) + 1]
 
 
 def _find(par: list[int], x: int) -> int:
@@ -164,10 +159,11 @@ def min_spanning_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
     return _orient(g, _kruskal(g, maximize=False), (root,), "arbitrary")
 
 
-def max_spanning_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
-    """Maximum-weight spanning tree (Kruskal, ties by edge id), memoized on ``g``."""
-    return _cached(g, ("max_spanning_tree", root),
-                   lambda: _orient(g, _kruskal(g, maximize=True), (root,), "arbitrary"))
+def max_spanning_tree(g: WeightedGraph) -> RootedSpanningTree:
+    """Maximum-weight spanning tree (Kruskal, ties by edge id), rooted at 0
+    and memoized on ``g``."""
+    return _cached(g, "max_spanning_tree",
+                   lambda: _orient(g, _kruskal(g, maximize=True), (0,), "arbitrary"))
 
 
 def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,
@@ -213,32 +209,6 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[in
     extra = [eid for eid in range(g.m) if eid not in t.edge_ids
              and _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
     return j, sorted(kept + extra)
-
-
-def tree_distances_from(g: WeightedGraph, t: RootedSpanningTree, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, eid in g.adj[u]:
-            if eid in t.edge_ids and dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def fundamental_cycle_lengths(g: WeightedGraph,
-                              edge_ids: frozenset[int]) -> list[tuple[int, int]]:
-    """``(eid, d_T(u, v) + 1)`` for every non-tree edge e = (u, v), by edge id.
-
-    T is the spanning tree with edge set ``edge_ids``; the second entry is
-    the length of the cycle e closes in T + e.  Raises DisconnectedGraphError
-    when the edge set does not span the graph.
-    """
-    if all(e in edge_ids for e in range(g.m)):
-        return []
-    return _forest_cycle_lengths(g, _orient(g, edge_ids, (0,), "arbitrary"))
 
 
 def _forest_cycle_lengths(g: WeightedGraph,

@@ -7,10 +7,9 @@ neighbor whose color is unique in its neighborhood (the successor digraph),
 classify edges by how many endpoints realize them as successor arcs, and
 build the one of three certified cuts, each one edge set derandomized once,
 whose certified value is largest.  Also hosts the 2/3 coloring cut, the tree
-percolation cut (derandomized by conditional expectations, with its sampler
-kept as a cross-check), its combination bound, and the two-stage random
-redistribution bound, whose trials draw every coin up front from one seeded
-stream and run as one numpy kernel.
+percolation cut (derandomized by conditional expectations), its combination
+bound, and the two-stage random redistribution bound, whose trials draw
+every coin up front from one seeded stream and run as one numpy kernel.
 """
 
 from __future__ import annotations
@@ -596,29 +595,6 @@ def percolation_expectation(g: WeightedGraph, t: RootedSpanningTree, p: float,
     return (p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0 * (w - wt)
 
 
-def _percolation_raw(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                     rng: random.Random) -> Cut:
-    kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
-    label, color, _ = _two_color(g, kept)
-    orient: dict[int, int] = {}  # by block; lone vertex v is block -1 - v
-    side = [0] * g.n
-    for v in range(g.n):  # orient each piece, a lone vertex too, at its minimum vertex
-        b = label[v] if label[v] >= 0 else -1 - v
-        if b not in orient:
-            orient[b] = rng.getrandbits(1)
-        side[v] = color[v] ^ orient[b]
-    return Cut.from_side(g, side)
-
-
-def tree_percolation_sample(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                            rng: random.Random) -> Cut:
-    """One percolation sample: keep tree edges with probability p, 2-color
-    the forest, orient components uniformly, then locally improve."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return local_search_improve(g, _percolation_raw(g, t, p, rng))
-
-
 def tree_percolation_bound(g: WeightedGraph,
                            tree: Optional[RootedSpanningTree] = None,
                            p: float = PERCOLATION_P) -> BoundReport:
@@ -761,35 +737,18 @@ def combined_tree_bound(g: WeightedGraph,
 # =====================================================================
 
 
-def shearer_sample(g: WeightedGraph, rng: random.Random) -> Cut:
-    """Uniform partition, then re-randomize every vertex that does not have
-    more than half of its neighbors on the other side (ties stay put with
-    probability 1/2)."""
-    side = [rng.getrandbits(1) for _ in range(g.n)]
-    good = [False] * g.n
-    for v in range(g.n):
-        other = sum(1 for u, _ in g.adj[v] if side[u] != side[v])
-        d = g.degree(v)
-        if 2 * other > d:
-            good[v] = True
-        elif 2 * other == d:
-            good[v] = bool(rng.getrandbits(1))
-    for v in range(g.n):
-        if not good[v]:
-            side[v] = rng.getrandbits(1)
-    return Cut.from_side(g, side)
-
-
 def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundReport:
     """Monte Carlo coefficient bound s * w(G) for triangle-free graphs,
     s = 1/2 + 1/(4 sqrt(2 max_degree)).
 
-    Runs ``trials`` samples of the ``shearer_sample`` process with every
-    coin drawn up front from one ``random.Random(seed)``: for each block of
-    trials, a (b, n) bit block of first-stage sides, then one of tie bits,
-    then one of redraws.  Trials are ranked on float64 cut weights; only
-    the heaviest (the first on ties) becomes a ``Cut``, and one local
-    search improves it.
+    Runs ``trials`` samples of the two-stage process: a uniform partition,
+    then a fresh side for every vertex that does not have more than half of
+    its neighbours on the other side (a tie keeps its side with probability
+    1/2).  Every coin is drawn up front from one ``random.Random(seed)``:
+    for each block of trials, a (b, n) bit block of first-stage sides, then
+    one of tie bits, then one of redraws.  Trials are ranked on float64 cut
+    weights; only the heaviest (the first on ties) becomes a ``Cut``, and
+    one local search improves it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -832,7 +791,7 @@ def _bits(rng: random.Random, b: int, n: int) -> np.ndarray:
 
 def _shearer_sides(g: WeightedGraph, first: np.ndarray, tie: np.ndarray,
                    redraw: np.ndarray) -> np.ndarray:
-    """The side vectors of b trials of ``shearer_sample``, from their coins.
+    """The side vectors of b trials of the two-stage process, from their coins.
 
     ``first``, ``tie`` and ``redraw`` are (b, n) bit blocks: row i holds
     trial i's first-stage sides and each vertex's tie bit and redraw.  A

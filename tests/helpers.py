@@ -799,3 +799,96 @@ def shearer_expectation(g: WeightedGraph) -> Fraction:
         total += sum(Fraction(w) * (p_one[u] * (1 - p_one[v]) + p_one[v] * (1 - p_one[u]))
                      for u, v, w in g.edges)
     return total / 2 ** g.n
+
+
+def shearer_sample(g: WeightedGraph, rng: random.Random):
+    """One sample of the two-stage process, vertex by vertex: a uniform
+    partition, then re-randomize every vertex that does not have more than
+    half of its neighbors on the other side (ties stay put with probability
+    1/2)."""
+    from cutbounds import Cut
+    side = [rng.getrandbits(1) for _ in range(g.n)]
+    good = [False] * g.n
+    for v in range(g.n):
+        other = sum(1 for u, _ in g.adj[v] if side[u] != side[v])
+        d = g.degree(v)
+        if 2 * other > d:
+            good[v] = True
+        elif 2 * other == d:
+            good[v] = bool(rng.getrandbits(1))
+    for v in range(g.n):
+        if not good[v]:
+            side[v] = rng.getrandbits(1)
+    return Cut.from_side(g, side)
+
+
+def percolation_raw(g: WeightedGraph, t, p: float, rng: random.Random):
+    """One percolation sample before local search: keep each tree edge with
+    probability p, 2-color the kept forest and orient each piece, a lone
+    vertex too, uniformly at its minimum vertex."""
+    from cutbounds import Cut
+    from cutbounds.cuts import _two_color
+    kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
+    label, color, _ = _two_color(g, kept)
+    orient: dict[int, int] = {}  # by block; lone vertex v is block -1 - v
+    side = [0] * g.n
+    for v in range(g.n):
+        b = label[v] if label[v] >= 0 else -1 - v
+        if b not in orient:
+            orient[b] = rng.getrandbits(1)
+        side[v] = color[v] ^ orient[b]
+    return Cut.from_side(g, side)
+
+
+def tree_percolation_sample(g: WeightedGraph, t, p: float, rng: random.Random):
+    """One percolation sample, then a local search."""
+    from cutbounds import local_search_improve
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return local_search_improve(g, percolation_raw(g, t, p, rng))
+
+
+def tree_distances_from(g: WeightedGraph, t, src: int) -> list[int]:
+    """Hop distances from ``src`` along the tree edges of ``t``, by BFS."""
+    from collections import deque
+    dist = [-1] * g.n
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v, eid in g.adj[u]:
+            if eid in t.edge_ids and dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def fundamental_cycle_lengths(g: WeightedGraph, edge_ids: frozenset[int]):
+    """``(eid, d_T(u, v) + 1)`` for every non-tree edge e = (u, v), by edge
+    id, T being the spanning tree with edge set ``edge_ids`` rooted at 0.
+    Raises DisconnectedGraphError when the edge set does not span the graph."""
+    from cutbounds.spanning import _forest_cycle_lengths, _orient
+    if all(e in edge_ids for e in range(g.m)):
+        return []
+    return _forest_cycle_lengths(g, _orient(g, edge_ids, (0,), "arbitrary"))
+
+
+def cross_edges_by_parent_walk(g: WeightedGraph, t) -> list[int]:
+    """Non-tree edges joining two vertices neither an ancestor of the other:
+    walk the deeper end up to the other's level and compare."""
+    bad = []
+    for eid, (u, v, _) in enumerate(g.edges):
+        if eid in t.edge_ids:
+            continue
+        a, b = (u, v) if t.level[u] >= t.level[v] else (v, u)
+        while t.level[a] > t.level[b]:
+            a = t.parent[a]
+        if a != b:
+            bad.append(eid)
+    return bad
+
+
+def petersen_spoke_ids(g: WeightedGraph) -> tuple[int, ...]:
+    """Edge ids of the crossing perfect matching in the Petersen fixtures."""
+    from cutbounds.generators import _PETERSEN_SPOKES
+    return tuple(g.edge_id(u, v) for u, v in _PETERSEN_SPOKES)

@@ -16,16 +16,16 @@ import cutbounds as cb
 from cutbounds import subcubic
 from cutbounds.bounds import meets
 from cutbounds.cli import main as cli_main
-from cutbounds.coloring import vizing_classes_coefficient_exact
 from cutbounds.cuts import local_search_improve
-from cutbounds.generators import path, petersen_spoke_ids
+from cutbounds.generators import path
 from cutbounds.graph import triangle_free
 from cutbounds.spanning import max_spanning_tree, shortest_fundamental_odd_cycle
 from cutbounds.subcubic import (COMBINATION_WEIGHT_A, COMBINATION_WEIGHT_B, PERCOLATION_P,
-                                _percolation_raw, percolation_expectation)
+                                percolation_expectation)
 from helpers import (eight_elevenths_candidate_cuts, percolation_conditional_expectation,
-                     random_certificate_edges, random_connected_graph,
-                     random_tf_subcubic_graph, tree_paths)
+                     percolation_raw, petersen_spoke_ids, random_certificate_edges,
+                     random_connected_graph, random_tf_subcubic_graph, shearer_sample,
+                     tree_paths)
 
 
 def _verdict(num: int, label: str, ok: bool) -> None:
@@ -112,15 +112,15 @@ def test_acceptance_07_coefficient_algebra():
     table = {1: (0.6768, 1.0000), 2: (0.6250, 0.7778), 3: (0.6021, 0.7000),
              4: (0.5884, 0.6571), 16: (0.5442, 0.5446), 17: (0.5429, 0.5421)}
     ok = all(round(cb.shearer_coefficient(d), 4) == s
-             and round(cb.vizing_classes_coefficient(d), 4) == t
+             and round(float(cb.vizing_classes_coefficient(d)), 4) == t
              for d, (s, t) in table.items())
-    ok &= all((cb.vizing_classes_coefficient(d) > cb.shearer_coefficient(d))
+    ok &= all((float(cb.vizing_classes_coefficient(d)) > cb.shearer_coefficient(d))
               == (d <= 16) for d in range(1, 65))
     mixed = (COMBINATION_WEIGHT_A * (1.85 / 2.0)
              + COMBINATION_WEIGHT_B * 8.0 / 11.0)
     ok &= round(mixed, 4) == 0.8193 and round(mixed - 0.5, 4) == 0.3193
     ok &= abs((1 - 0.85 ** 4) / 2 - 0.23899687) < 1e-8
-    ok &= vizing_classes_coefficient_exact(3) == Fraction(7, 10)
+    ok &= cb.vizing_classes_coefficient(3) == Fraction(7, 10)
     _verdict(7, "coefficient table and recombination", ok)
 
 
@@ -171,14 +171,14 @@ def test_acceptance_10_monte_carlo_expectations():
         r = shortest_fundamental_odd_cycle(g, t)
         bound = percolation_expectation(g, t, 0.85, r)
         rng = random.Random(10)
-        weights = [_percolation_raw(g, t, 0.85, rng).weight for _ in range(samples)]
+        weights = [percolation_raw(g, t, 0.85, rng).weight for _ in range(samples)]
         mean = sum(weights) / samples
         var = sum((w - mean) ** 2 for w in weights) / (samples - 1)
         ok &= mean >= bound - 3 * (var ** 0.5 / samples ** 0.5)
 
         coeff = cb.shearer_coefficient(g.max_degree())
         rng = random.Random(11)
-        weights = [cb.shearer_sample(g, rng).weight for _ in range(samples)]
+        weights = [shearer_sample(g, rng).weight for _ in range(samples)]
         mean = sum(weights) / samples
         var = sum((w - mean) ** 2 for w in weights) / (samples - 1)
         ok &= mean >= coeff * g.total_weight - 3 * (var ** 0.5 / samples ** 0.5)

@@ -5,8 +5,7 @@ import pytest
 
 import cutbounds as cb
 from cutbounds.bounds import exact_matching_small, greedy_matching
-from cutbounds.generators import petersen_spoke_ids
-from helpers import naive_max_cut, random_connected_graph
+from helpers import naive_max_cut, petersen_spoke_ids, random_connected_graph
 
 
 def test_poljak_turzik_fixtures():
@@ -34,7 +33,7 @@ def test_matching_bound_fixtures():
     r = cb.matching_bound(cb.complete(4))
     assert r.bound_exact == Fraction(4) and r.cut.weight == 4.0
     pc3 = cb.petersen_c3(10, 1)
-    r = cb.matching_bound(pc3, strategy="greedy")
+    r = cb.matching_bound(pc3, matching=greedy_matching(pc3))
     assert r.bound_value == 55.0
     assert r.details["matching_weight"] == 50.0
     g = cb.WeightedGraph(4, [(0, 1, 0.0), (1, 2, 5.0), (2, 3, 0.0)])
@@ -48,6 +47,15 @@ def test_matching_bound_provided_validation():
         cb.matching_bound(g, matching=[0, 1])
     r = cb.matching_bound(g, matching=[0, 2])
     assert r.bound_value == 3.5
+
+
+def test_best_matching_is_exact_up_to_24_edges():
+    # on the path weighted 2, 3, 2 greedy keeps the middle edge (3), exact both ends (4)
+    paths = [(4 * i + j, 4 * i + j + 1, w) for i in range(8) for j, w in enumerate((2, 3, 2))]
+    g = cb.WeightedGraph(34, paths)
+    assert g.m == 24 and sum(g.edges[e][2] for e in cb.best_matching(g)) == 32
+    g = cb.WeightedGraph(34, paths + [(32, 33, 1)])
+    assert g.m == 25 and sum(g.edges[e][2] for e in cb.best_matching(g)) == 8 * 3 + 1
 
 
 def test_exact_matching_agrees_with_greedy_corpus():

@@ -13,8 +13,8 @@ from helpers import (certificate_cut_by_dicts, local_search_by_full_sweeps,
 def test_verify_single_edge():
     g = cb.cycle(5)
     cert = cb.verify_induced_bipartite(g, [0])
-    assert len(cert.components) == 1
-    assert cert.components[0].vertices == (0, 1)
+    assert cert.labelling.count == 1
+    assert [v for v, b in enumerate(cert.labelling.label) if b == 0] == [0, 1]
 
 
 def test_verify_spanning_path_not_induced():
@@ -28,7 +28,7 @@ def test_verify_three_edge_path():
     # path v0-v1-v2-v3; v0 and v3 are not adjacent in C5
     assert not g.has_edge(0, 3)
     cert = cb.verify_induced_bipartite(g, [0, 1, 2])
-    assert len(cert.components) == 1
+    assert cert.labelling.count == 1
 
 
 def test_verify_odd_component():
@@ -41,7 +41,7 @@ def test_verify_matching_with_cross_edges():
     # two disjoint edges of C5 joined by a cycle edge: still a certificate
     g = cb.cycle(5)
     cert = cb.verify_induced_bipartite(g, [0, 2])
-    assert len(cert.components) == 2
+    assert cert.labelling.count == 2
 
 
 def test_derandomized_cut_fixtures():

@@ -52,6 +52,14 @@ def test_exact_matching_small_finds_the_exact_maximum():
     assert cb.matching_bound(g).bound_exact == (_exact(g, range(g.m)) + heaviest) / 2
 
 
+def test_swap_pass_compares_exact_weights():
+    # On float sums edge 1 (0.30000000000000004) ties edges 0 and 2 (0.1 + 0.2),
+    # but it weighs 2^-55 more.
+    g = cb.WeightedGraph(4, [(0, 1, 0.1), (1, 2, 0.30000000000000004), (2, 3, 0.2)])
+    assert _exact(g, [1]) > _exact(g, [0, 2])
+    assert bounds._swap_pass(g, [0, 2]) == (1,)
+
+
 def test_place_blocks_takes_the_exactly_heavier_side():
     # Vertex 5 sees 1 + 3 * 2^-53 on side 0 (vertices 1 to 4) and 1 + 2^-52
     # on side 1 (vertex 6); in float the three 2^-53 vanish into 1.
@@ -83,7 +91,7 @@ def _extreme_graph():
                          ids=["petersen", "c4"])
 def test_extreme_weights_certify_every_deterministic_bound_exactly(g):
     reports = []
-    for name, runner in _bound_suite(g, 0, 8, None, None):
+    for name, runner in _bound_suite(g, 0, 8, None):
         rep = _run_bound(name, runner)
         if not isinstance(rep, str) and rep.mode == bounds.DETERMINISTIC:
             reports.append(rep)
@@ -113,7 +121,7 @@ def test_cut_and_total_weights_are_rounded_once():
 def test_cut_weight_is_the_exact_crossing_weight_rounded_once(seed):
     g = cb.random_triangle_free_subcubic(40, seed=seed, weight_dist="uniform")
     assert not g.integer_weights
-    for name, runner in _bound_suite(g, 0, 8, None, None):
+    for name, runner in _bound_suite(g, 0, 8, None):
         rep = _run_bound(name, runner)
         if not isinstance(rep, str):
             assert rep.cut.weight == float(_crossing(g, rep.cut.side)), name

@@ -1,8 +1,8 @@
 import pytest
 
 import cutbounds as cb
-from cutbounds.generators import build, petersen_spoke_ids
-from helpers import has_triangle_scan, random_triangle_free_subcubic_by_scan
+from cutbounds.generators import build
+from helpers import has_triangle_scan, petersen_spoke_ids, random_triangle_free_subcubic_by_scan
 
 
 def test_star_counterexample_k7():

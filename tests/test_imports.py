@@ -34,19 +34,19 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
-def _private_definitions(tree: ast.Module):
-    """Module-level ``_``-prefixed functions, classes and constants."""
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and ``_``-prefixed constants."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            names = [t.id for t in targets if isinstance(t, ast.Name)
+                     and t.id.startswith("_") and not t.id.startswith("__")]
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -66,10 +66,15 @@ def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 
 def test_every_private_helper_is_read():
+    """Every module-level function and class, and every private constant, is
+    read by some library module or re-exported by ``__init__.py``: code that
+    only tests call belongs in ``tests/helpers.py``."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    exported = {a.asname or a.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
     reads_elsewhere = {name: set().union(*(_reads(t) for n, t in trees.items() if n != name))
                        for name in trees}
     orphans = [f"{file}:{name}" for file, tree in sorted(trees.items())
-               for name, node in _private_definitions(tree)
-               if name not in reads_elsewhere[file] | _reads(tree, skip=node)]
+               for name, node in _definitions(tree)
+               if name not in exported | reads_elsewhere[file] | _reads(tree, skip=node)]
     assert orphans == []

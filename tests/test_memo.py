@@ -57,9 +57,9 @@ def test_equal_graphs_do_not_share_a_memo():
 def test_combined_tree_after_suite_equals_fresh():
     for make in (cb.petersen, _two_pieces):
         g = make()
-        suite = _bound_suite(g, seed=0, trials=16, root=None, sweep=None)
+        suite = _bound_suite(g, seed=0, trials=16, root=None)
         results = {name: run() for name, run in suite}
-        fresh = dict(_bound_suite(make(), seed=0, trials=16, root=None, sweep=None))
+        fresh = dict(_bound_suite(make(), seed=0, trials=16, root=None))
         assert results["combined_tree"] == fresh["combined_tree"]()
         assert results["tree_percolation"] == fresh["tree_percolation"]()
 
@@ -109,7 +109,7 @@ def test_one_graph_finds_its_best_matching_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "exact_matching_small", counting)
     g = cb.petersen()
-    for _, run in _bound_suite(g, seed=0, trials=16, root=None, sweep=None):
+    for _, run in _bound_suite(g, seed=0, trials=16, root=None):
         run()
     conjecture_report(g)
     assert searched == [10]  # matching, matching_vizing and the lab share it

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
 from cutbounds import spanning
-from cutbounds.spanning import (_forest_cycle_lengths, cross_edges,
-                                fundamental_cycle_lengths, layer_edge_sets, reroot_at_edge,
-                                shortest_fundamental_odd_cycle,
-                                tree_distances_from)
-from helpers import (layer_sets_by_definition, random_connected_graph,
-                     shortest_odd_fundamental_cycle_by_bfs, spanning_tree_weights)
+from cutbounds.spanning import (_forest_cycle_lengths, cross_edges, layer_edge_sets,
+                                reroot_at_edge, shortest_fundamental_odd_cycle)
+from helpers import (cross_edges_by_parent_walk, fundamental_cycle_lengths,
+                     layer_sets_by_definition, random_connected_graph,
+                     shortest_odd_fundamental_cycle_by_bfs, spanning_tree_weights,
+                     tree_distances_from)
 
 
 def _layer_sets(g, t, k):
@@ -167,6 +167,19 @@ def test_fundamental_cycle_lengths_match_tree_bfs(n, extra, seed):
         assert _forest_cycle_lengths(g, t) == want  # two roots joined by a tree edge
         assert (shortest_fundamental_odd_cycle(g, t)
                 == shortest_odd_fundamental_cycle_by_bfs(g, t.edge_ids))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_cross_edges_equal_the_parent_walk(n, extra, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(n, extra, rng)
+    dfs = cb.dfs_tree(g, rng.randrange(n))
+    heavy = cb.max_spanning_tree(g)
+    two_rooted = reroot_at_edge(g, heavy, rng.choice(sorted(heavy.edge_ids)))
+    for t in (dfs, heavy, two_rooted):
+        assert cross_edges(g, t) == cross_edges_by_parent_walk(g, t)
+    assert cross_edges(g, dfs) == []
 
 
 def test_fundamental_cycle_lengths_long_cycle():

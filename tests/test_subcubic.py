@@ -17,12 +17,12 @@ from cutbounds.graph import _component_split
 from cutbounds.subcubic import (_BLOCK_CELLS, _gadget_hosts, _padded_coloring,
                                 color_components,
                                 percolation_expectation,
-                                _peel_greedy, _percolation_raw)
+                                _peel_greedy)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
 from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
-                     percolation_conditional_expectation, random_connected_graph,
-                     random_tf_subcubic_graph, shearer_expectation, shearer_sides_by_loop,
-                     tree_paths)
+                     percolation_conditional_expectation, percolation_raw,
+                     random_connected_graph, random_tf_subcubic_graph, shearer_expectation,
+                     shearer_sides_by_loop, tree_paths, tree_percolation_sample)
 
 
 def bridged_gadgets():
@@ -163,7 +163,7 @@ def test_one_bound_suite_colors_each_component_once(monkeypatch):
         edges += [(u + n, v + n, w) for u, v, w in part.edges]
         n += part.n
     g = cb.WeightedGraph(n, edges)
-    for _, run in cli._bound_suite(g, seed=0, trials=16, root=None, sweep=None):
+    for _, run in cli._bound_suite(g, seed=0, trials=16, root=None):
         run()
     assert calls == [part.n for part in parts]
 
@@ -376,7 +376,7 @@ def test_percolation_p1_keeps_tree():
     g = cb.petersen()
     t = max_spanning_tree(g)
     rng = random.Random(0)
-    cut = _percolation_raw(g, t, 1.0, rng)
+    cut = percolation_raw(g, t, 1.0, rng)
     for e in t.edge_ids:
         assert cut.crosses(g, e)
     assert cut.weight >= t.weight
@@ -412,8 +412,8 @@ def test_percolation_rejects():
 def test_percolation_sample_deterministic_per_seed():
     g = cb.petersen()
     t = max_spanning_tree(g)
-    c1 = cb.tree_percolation_sample(g, t, 0.85, random.Random(42))
-    c2 = cb.tree_percolation_sample(g, t, 0.85, random.Random(42))
+    c1 = tree_percolation_sample(g, t, 0.85, random.Random(42))
+    c2 = tree_percolation_sample(g, t, 0.85, random.Random(42))
     assert c1 == c2
 
 
