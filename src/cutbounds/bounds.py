@@ -97,6 +97,14 @@ def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, in
     return derandomized_cut(g, verify_induced_bipartite(g, ids)), j
 
 
+def _parity_cut(g: WeightedGraph, root: Optional[int]) -> Cut:
+    """The parity-layer cut of ``_best_dfs_tree(g, root)``, which both
+    ``poljak_turzik`` and ``dfs_bound`` certify; memoized on ``g`` (a
+    ``Cut`` is immutable, so the two share it)."""
+    return _cached(g, ("parity_cut", root),
+                   lambda: _layer_cut(g, _best_dfs_tree(g, root), 2)[0])
+
+
 def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     """w(G)/2 + w(T_min)/4 with a minimum-weight spanning tree T_min.
 
@@ -106,7 +114,7 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     """
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g, root)
-    cut = _layer_cut(g, d, 2)[0]
+    cut = _parity_cut(g, root)
     value = _exact_weights(g).total / 2 + tmin.exact_weight / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
@@ -116,7 +124,7 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
 def dfs_bound(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
     d = _best_dfs_tree(g, root)
-    cut = _layer_cut(g, d, 2)[0]
+    cut = _parity_cut(g, root)
     value = _exact_weights(g).total / 2 + d.exact_weight / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
     return _report("dfs_tree", value, cut, details)
@@ -166,24 +174,31 @@ def _swap_pass(g: WeightedGraph, chosen: list[int]) -> tuple[int, ...]:
 
 def exact_matching_small(g: WeightedGraph) -> tuple[int, ...]:
     """Exhaustive maximum-weight matching, branch and bound over edges,
-    on the exact weights."""
-    if g.m > EXACT_MATCHING_MAX_EDGES:
+    on the exact weights.
+
+    Edges are branched heaviest first.  A node with u vertices unmatched
+    can still add at most u // 2 edges, so the heaviest u // 2 remaining
+    edges bound its gain.  The first maximum-weight leaf in DFS order is
+    never pruned, so the result does not depend on how tight the bound is.
+    """
+    m = g.m
+    if m > EXACT_MATCHING_MAX_EDGES:
         raise ValueError(f"exact matching limited to {EXACT_MATCHING_MAX_EDGES} edges")
     ints = _exact_weights(g).ints
-    order = sorted(range(g.m), key=lambda e: (-ints[e], e))
-    suffix = [0] * (g.m + 1)
-    for i in range(g.m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ints[order[i]]
+    order = sorted(range(m), key=lambda e: (-ints[e], e))
+    prefix = [0] * (m + 1)
+    for i, eid in enumerate(order):
+        prefix[i + 1] = prefix[i] + ints[eid]
     best_w = -1
     best: tuple[int, ...] = ()
     used = [False] * g.n
     chosen: list[int] = []
 
-    def recurse(i: int, cur: int) -> None:
+    def recurse(i: int, cur: int, unmatched: int) -> None:
         nonlocal best_w, best
-        if cur + suffix[i] <= best_w:
+        if cur + prefix[min(i + unmatched // 2, m)] - prefix[i] <= best_w:
             return
-        if i == g.m:
+        if i == m:
             if cur > best_w:
                 best_w = cur
                 best = tuple(sorted(chosen))
@@ -193,12 +208,12 @@ def exact_matching_small(g: WeightedGraph) -> tuple[int, ...]:
         if not used[u] and not used[v]:
             used[u] = used[v] = True
             chosen.append(eid)
-            recurse(i + 1, cur + ints[eid])
+            recurse(i + 1, cur + ints[eid], unmatched - 2)
             chosen.pop()
             used[u] = used[v] = False
-        recurse(i + 1, cur)
+        recurse(i + 1, cur, unmatched)
 
-    recurse(0, 0)
+    recurse(0, 0, g.n)
     return best
 
 

@@ -49,83 +49,76 @@ def vizing_edge_coloring(g: WeightedGraph) -> EdgeColoring:
     Classical fan construction: edges are processed in id order; for an
     uncolored edge (u, v) a maximal fan at u is built (lowest-id choices),
     the alternating path in the two relevant colors through u is flipped,
-    and a fan prefix is rotated.  Deterministic throughout.
+    and a fan prefix is rotated.  Deterministic throughout.  Each vertex
+    holds one slot per color (the edge of that color there, or -1), and a
+    stamp array marks the current fan.
     """
     palette = g.max_degree() + 1
+    edges, adj = g.edges, g.adj
     color = [0] * g.m
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # vertex -> {color: eid}
-
-    def free(v: int) -> int:
-        for c in range(1, palette + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("no free color available")
+    # at[v][c]: the color-c edge at v, or -1; slot 0 is unused.  A vertex
+    # meets at most palette - 1 edges, so some slot 1..palette is free.
+    at = [[-1] * (palette + 1) for _ in range(g.n)]
+    fan_stamp = [-1] * g.n  # fan_stamp[z] == start: z is in the fan of edge start
 
     def set_color(eid: int, c: int) -> None:
-        u, v, _ = g.edges[eid]
+        u, v, _ = edges[eid]
         old = color[eid]
         if old:
-            del at[u][old]
-            del at[v][old]
+            at[u][old] = at[v][old] = -1
         color[eid] = c
         if c:
-            at[u][c] = eid
-            at[v][c] = eid
-
-    def other(eid: int, x: int) -> int:
-        u, v, _ = g.edges[eid]
-        return v if x == u else u
+            at[u][c] = at[v][c] = eid
 
     for start in range(g.m):
         if color[start]:
             continue
-        u, v, _ = g.edges[start]
+        u, v, _ = edges[start]
         # maximal fan at u starting with v
         fan = [v]
         fan_edge = [start]
-        in_fan = {v}
+        fan_stamp[v] = start
+        last = at[v]
         while True:
-            last = fan[-1]
-            nxt = None
-            for z, eid in g.adj[u]:
-                if z in in_fan or not color[eid]:
-                    continue
-                if color[eid] not in at[last]:
-                    nxt = (z, eid)
+            for z, eid in adj[u]:
+                cz = color[eid]
+                if cz and last[cz] < 0 and fan_stamp[z] != start:
+                    fan.append(z)
+                    fan_edge.append(eid)
+                    fan_stamp[z] = start
+                    last = at[z]
                     break
-            if nxt is None:
+            else:
                 break
-            fan.append(nxt[0])
-            fan_edge.append(nxt[1])
-            in_fan.add(nxt[0])
-        c = free(u)
-        d = free(fan[-1])
-        if c != d:
+        c = at[u].index(-1, 1)
+        d = last.index(-1, 1)
+        if c != d and at[u][d] >= 0:
             # flip the maximal path through u alternating colors d, c;
-            # clear first so the color index never holds duplicates
+            # clear first so no slot ever holds two edges
             path = []
             cur, want = u, d
-            while want in at[cur]:
+            while at[cur][want] >= 0:
                 eid = at[cur][want]
                 path.append(eid)
-                cur = other(eid, cur)
+                a, b, _ = edges[eid]
+                cur = b if cur == a else a
                 want = c if want == d else d
             flipped = [c if color[eid] == d else d for eid in path]
             for eid in path:
                 set_color(eid, 0)
             for eid, col in zip(path, flipped):
                 set_color(eid, col)
-        # first fan prefix that is still a fan and ends where d is free
+        if at[v][d] < 0:  # the one-edge fan prefix: color (u, v) with d
+            color[start] = d
+            at[u][d] = at[v][d] = start
+            continue
+        # first longer fan prefix that is still a fan and ends where d is free
         w_index = None
-        for j in range(len(fan)):
-            if d in at[fan[j]]:
+        for j in range(1, len(fan)):
+            if at[fan[j]][d] >= 0:
                 continue
-            ok = True
-            for i in range(1, j + 1):
-                if not color[fan_edge[i]] or color[fan_edge[i]] in at[fan[i - 1]]:
-                    ok = False
-                    break
-            if ok:
+            if all(color[fan_edge[i]] and at[fan[i - 1]][color[fan_edge[i]]] < 0
+                   for i in range(1, j + 1)):
                 w_index = j
                 break
         if w_index is None:

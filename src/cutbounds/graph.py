@@ -339,6 +339,23 @@ def _edge_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return _cached(g, "edge_arrays", compute)
 
 
+def _incidence_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """Each vertex's neighbours, vertex after vertex, as one read-only array
+    of the 2m incidences; where the run of each vertex of positive degree
+    starts in it, and those vertices; and every degree, as int32 (the count
+    type of the Shearer kernel).  Memoized on ``g``."""
+    def compute():
+        degree = np.fromiter(map(len, g.adj), dtype=np.int32, count=g.n)
+        nbr = np.fromiter((u for a in g.adj for u, _ in a), dtype=np.intp, count=2 * g.m)
+        active = np.flatnonzero(degree)
+        starts = (np.cumsum(degree) - degree)[active]
+        for a in (nbr, starts, active, degree):
+            a.flags.writeable = False
+        return nbr, starts, active, degree
+    return _cached(g, "incidence_arrays", compute)
+
+
 def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, ...]], ...]:
     """``(sub, orig_vertex)`` per connected component, ordered by minimum vertex.
 

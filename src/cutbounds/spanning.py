@@ -155,8 +155,9 @@ def _kruskal(g: WeightedGraph, maximize: bool) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def min_spanning_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
-    return _orient(g, _kruskal(g, maximize=False), (root,), "arbitrary")
+def min_spanning_tree(g: WeightedGraph) -> RootedSpanningTree:
+    """Minimum-weight spanning tree (Kruskal, ties by edge id), rooted at 0."""
+    return _orient(g, _kruskal(g, maximize=False), (0,), "arbitrary")
 
 
 def max_spanning_tree(g: WeightedGraph) -> RootedSpanningTree:

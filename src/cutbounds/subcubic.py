@@ -31,7 +31,7 @@ from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .generators import _gadget_colors, _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, _cached, _component_split, _edge_arrays,
-                    _exact_weights, triangle_free)
+                    _exact_weights, _incidence_arrays, triangle_free)
 from .spanning import (RootedSpanningTree, _forest_cycle_lengths, _orient,
                        layer_edge_sets, max_spanning_tree)
 
@@ -42,8 +42,12 @@ COMBINATION_WEIGHT_B = 0.53455  # on the 8/11 inequality
 TREE_COEFFICIENT = 0.3193
 
 # A block of redistribution trials spans about this many (trial, vertex) or
-# (trial, edge) cells, so batch memory stays small whatever the trial count.
+# (trial, edge) cells; it fixes which coins each trial draws.  Consecutive
+# blocks run through the side kernel together, up to _BATCH_CELLS (trial,
+# vertex) or (trial, incidence) cells, so memory stays small whatever the
+# trial count.
 _BLOCK_CELLS = 1 << 14
+_BATCH_CELLS = 1 << 16
 
 
 class ClaimViolationError(Exception):
@@ -746,9 +750,9 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
     its neighbours on the other side (a tie keeps its side with probability
     1/2).  Every coin is drawn up front from one ``random.Random(seed)``:
     for each block of trials, a (b, n) bit block of first-stage sides, then
-    one of tie bits, then one of redraws.  Trials are ranked on float64 cut
-    weights; only the heaviest (the first on ties) becomes a ``Cut``, and
-    one local search improves it.
+    one of tie bits, then one of redraws.  Trials are ranked on their exact
+    integer cut weights; only the heaviest (the first on ties) becomes a
+    ``Cut``, and one local search improves it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -759,19 +763,23 @@ def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundRe
         return BoundReport("shearer", 0.0, Cut.from_side(g, [0] * g.n),
                            MONTE_CARLO, None, {"delta": delta})
     rng = random.Random(seed)
-    ends, _ = _edge_arrays(g)
-    weights = np.array([w for _, _, w in g.edges])
+    ends, ints = _edge_arrays(g)
     rows = max(1, _BLOCK_CELLS // max(g.n, g.m))
-    best_side, best, raw_weights = None, None, []
-    for start in range(0, trials, rows):
-        b = min(rows, trials - start)
-        sides = _shearer_sides(g, *(_bits(rng, b, g.n) for _ in range(3)))
-        cut_weights = (sides[:, ends[0]] != sides[:, ends[1]]) @ weights
-        i = int(np.argmax(cut_weights))
-        if best is None or cut_weights[i] > best:
-            best_side, best = sides[i], cut_weights[i]
-        raw_weights += cut_weights.tolist()
+    blocks = [min(rows, trials - start) for start in range(0, trials, rows)]
+    per_batch = max(1, _BATCH_CELLS // (rows * max(g.n, 2 * g.m)))
+    best_side, best, raw = None, None, []
+    for k in range(0, len(blocks), per_batch):
+        coins = [_bits(rng, b, g.n) for b in blocks[k:k + per_batch] for _ in range(3)]
+        sides = _shearer_sides(g, *(np.concatenate(coins[j::3]) for j in range(3)))
+        crossing = (sides[:, ends[0]] != sides[:, ends[1]]).astype(ints.dtype)
+        weights = (crossing @ ints).tolist()  # exact; numpy has no BLAS for int64 or object
+        i = weights.index(max(weights))
+        if best is None or weights[i] > best:
+            best_side, best = sides[i], weights[i]
+        raw += weights
     cut = local_search_improve(g, Cut.from_side(g, best_side.tolist()))
+    unit = 1 << _exact_weights(g).scale
+    raw_weights = [q / unit for q in raw]  # each exact weight rounded once
     value = shearer_coefficient(delta) * g.total_weight
     details = {
         "delta": delta, "trials": trials, "seed": seed,
@@ -797,14 +805,18 @@ def _shearer_sides(g: WeightedGraph, first: np.ndarray, tie: np.ndarray,
     trial i's first-stage sides and each vertex's tie bit and redraw.  A
     vertex keeps its first-stage side when more than half of its neighbours
     are on the other side, or on a tie when its tie bit is 1; otherwise it
-    takes its redraw.
+    takes its redraw.  Neighbours on side 1 are counted by one gather over
+    the 2m incidences, summed per vertex; the rest is branch-free, since the
+    coins are random.
     """
-    b, n = first.shape
-    ends, _ = _edge_arrays(g)
-    crossing = first[:, ends[0]] != first[:, ends[1]]
-    cells = n * np.arange(b)[:, None, None] + ends
-    other = np.bincount(cells[np.broadcast_to(crossing[:, None], cells.shape)],
-                        minlength=b * n).reshape(b, n)
-    degree = np.bincount(ends.ravel(), minlength=n)
-    good = (2 * other > degree) | ((2 * other == degree) & (tie == 1))
-    return np.where(good, first, redraw)
+    nbr, starts, active, degree = _incidence_arrays(g)
+    ones = np.zeros(first.shape, dtype=np.int32)  # neighbours on side 1
+    if len(nbr):
+        # out= keeps the sums int32; by default numpy widens them to int64
+        counts = np.empty((len(first), len(active)), dtype=np.int32)
+        np.add.reduceat(first[:, nbr].astype(np.int32), starts, axis=1, out=counts)
+        ones[:, active] = counts
+    # 2 * (neighbours across) - degree, plus the tie bit: positive exactly
+    # when the vertex keeps its first-stage side
+    lead = (2 * ones - degree) * (1 - 2 * first.astype(np.int32)) + tie
+    return redraw ^ ((first ^ redraw) & (lead > 0))

@@ -562,6 +562,43 @@ def greedy_matching_by_loop(g: WeightedGraph) -> tuple[int, ...]:
     return _swap_pass(g, chosen)
 
 
+def exact_matching_by_suffix_bound(g: WeightedGraph) -> tuple[int, ...]:
+    """``exact_matching_small``'s branch and bound, pruned on the sum of
+    every remaining edge instead of the heaviest ones that still fit."""
+    from cutbounds.graph import _exact_weights
+    ints = _exact_weights(g).ints
+    order = sorted(range(g.m), key=lambda e: (-ints[e], e))
+    suffix = [0] * (g.m + 1)
+    for i in range(g.m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + ints[order[i]]
+    best_w = -1
+    best: tuple[int, ...] = ()
+    used = [False] * g.n
+    chosen: list[int] = []
+
+    def recurse(i: int, cur: int) -> None:
+        nonlocal best_w, best
+        if cur + suffix[i] <= best_w:
+            return
+        if i == g.m:
+            if cur > best_w:
+                best_w = cur
+                best = tuple(sorted(chosen))
+            return
+        eid = order[i]
+        u, v, _ = g.edges[eid]
+        if not used[u] and not used[v]:
+            used[u] = used[v] = True
+            chosen.append(eid)
+            recurse(i + 1, cur + ints[eid])
+            chosen.pop()
+            used[u] = used[v] = False
+        recurse(i + 1, cur)
+
+    recurse(0, 0)
+    return best
+
+
 def flip_gains_by_loop(g: WeightedGraph, side) -> list[Fraction]:
     """What flipping each vertex adds to the cut, one edge at a time, exactly."""
     gain = [Fraction(0)] * g.n
@@ -762,6 +799,106 @@ def random_triangle_free_subcubic_by_scan(n: int, seed: int = 0,
         nbrs[v].add(u)
         edges.append((u, v, w))
     return WeightedGraph(n, edges)
+
+
+def vizing_by_dicts(g: WeightedGraph):
+    """``vizing_edge_coloring``'s fan-and-path construction on per-vertex
+    {color: edge} dicts, with the same choices throughout.
+
+    Classical fan construction: edges are processed in id order; for an
+    uncolored edge (u, v) a maximal fan at u is built (lowest-id choices),
+    the alternating path in the two relevant colors through u is flipped,
+    and a fan prefix is rotated.  Deterministic throughout.
+    """
+    from cutbounds.coloring import EdgeColoring
+    palette = g.max_degree() + 1
+    color = [0] * g.m
+    at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # vertex -> {color: eid}
+
+    def free(v: int) -> int:
+        for c in range(1, palette + 1):
+            if c not in at[v]:
+                return c
+        raise AssertionError("no free color available")
+
+    def set_color(eid: int, c: int) -> None:
+        u, v, _ = g.edges[eid]
+        old = color[eid]
+        if old:
+            del at[u][old]
+            del at[v][old]
+        color[eid] = c
+        if c:
+            at[u][c] = eid
+            at[v][c] = eid
+
+    def other(eid: int, x: int) -> int:
+        u, v, _ = g.edges[eid]
+        return v if x == u else u
+
+    for start in range(g.m):
+        if color[start]:
+            continue
+        u, v, _ = g.edges[start]
+        # maximal fan at u starting with v
+        fan = [v]
+        fan_edge = [start]
+        in_fan = {v}
+        while True:
+            last = fan[-1]
+            nxt = None
+            for z, eid in g.adj[u]:
+                if z in in_fan or not color[eid]:
+                    continue
+                if color[eid] not in at[last]:
+                    nxt = (z, eid)
+                    break
+            if nxt is None:
+                break
+            fan.append(nxt[0])
+            fan_edge.append(nxt[1])
+            in_fan.add(nxt[0])
+        c = free(u)
+        d = free(fan[-1])
+        if c != d:
+            # flip the maximal path through u alternating colors d, c;
+            # clear first so the color index never holds duplicates
+            path = []
+            cur, want = u, d
+            while want in at[cur]:
+                eid = at[cur][want]
+                path.append(eid)
+                cur = other(eid, cur)
+                want = c if want == d else d
+            flipped = [c if color[eid] == d else d for eid in path]
+            for eid in path:
+                set_color(eid, 0)
+            for eid, col in zip(path, flipped):
+                set_color(eid, col)
+        # first fan prefix that is still a fan and ends where d is free
+        w_index = None
+        for j in range(len(fan)):
+            if d in at[fan[j]]:
+                continue
+            ok = True
+            for i in range(1, j + 1):
+                if not color[fan_edge[i]] or color[fan_edge[i]] in at[fan[i - 1]]:
+                    ok = False
+                    break
+            if ok:
+                w_index = j
+                break
+        if w_index is None:
+            raise AssertionError("fan rotation target not found")
+        shifted = [color[fan_edge[i + 1]] for i in range(w_index)] + [d]
+        for i in range(w_index + 1):
+            set_color(fan_edge[i], 0)
+        for i, col in enumerate(shifted):
+            set_color(fan_edge[i], col)
+
+    # compact to 1..c, keeping the order of the colors
+    remap = {c: i + 1 for i, c in enumerate(sorted(set(color)))}
+    return EdgeColoring(tuple(remap[c] for c in color), len(remap))
 
 
 def shearer_sides_by_loop(g: WeightedGraph, first, tie, redraw) -> list[list[int]]:

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.bounds import exact_matching_small, greedy_matching
-from helpers import naive_max_cut, petersen_spoke_ids, random_connected_graph
+from cutbounds.bounds import EXACT_MATCHING_MAX_EDGES, exact_matching_small, greedy_matching
+from helpers import (exact_matching_by_suffix_bound, naive_max_cut, petersen_spoke_ids,
+                     random_connected_graph)
 
 
 def test_poljak_turzik_fixtures():
@@ -67,6 +69,20 @@ def test_exact_matching_agrees_with_greedy_corpus():
         w_greedy = sum(g.edges[e][2] for e in greedy_matching(g))
         assert w_exact >= w_greedy - 1e-12
         cb.cuts.check_matching(g, exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, EXACT_MATCHING_MAX_EDGES), st.integers(0, 10 ** 6),
+       st.sampled_from(["ties", "integer", "float"]))
+def test_exact_matching_prunes_to_the_same_matching(n, m, seed, weights):
+    # the tighter bound may prune more nodes, never the first heaviest leaf
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    draw = {"ties": lambda: float(rng.randint(0, 2)),
+            "integer": lambda: float(rng.randint(0, 10 ** 6)),
+            "float": lambda: rng.choice([0.1, 0.2, 0.3, 0.7, rng.uniform(0, 9)])}[weights]
+    g = cb.WeightedGraph(n, [(u, v, draw()) for u, v in rng.sample(pairs, min(m, len(pairs)))])
+    assert exact_matching_small(g) == exact_matching_by_suffix_bound(g)
 
 
 def test_girth_bound_fixtures():

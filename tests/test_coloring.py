@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from helpers import edge_coloring_feasible, petersen_spoke_ids
+from helpers import (edge_coloring_feasible, petersen_spoke_ids, random_tf_subcubic_graph,
+                     vizing_by_dicts)
 
 
 def test_vizing_c5_needs_three():
@@ -39,6 +41,41 @@ def test_vizing_corpus_proper():
         g = cb.WeightedGraph(n, edges)
         col = cb.vizing_edge_coloring(g)
         col.validate(g)  # proper and <= max degree + 1 colors
+
+
+def _capped_degree_pieces(rng, pieces, cap):
+    """Disjoint random graphs of maximum degree at most ``cap``, edges in a
+    random order, some vertices isolated."""
+    edges, base = [], 0
+    for _ in range(pieces):
+        n = rng.randint(2, 14)
+        deg, seen = [0] * n, set()
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if deg[u] < cap and deg[v] < cap and (u, v) not in seen:
+                seen.add((u, v))
+                deg[u] += 1
+                deg[v] += 1
+                edges.append((base + v, base + u, 1.0) if rng.random() < 0.5
+                             else (base + u, base + v, 1.0))
+        base += n + rng.randint(0, 2)
+    return cb.WeightedGraph(base, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_vizing_colors_exactly_as_the_dict_construction(pieces, cap, seed):
+    g = _capped_degree_pieces(random.Random(seed), pieces, cap)
+    assert cb.vizing_edge_coloring(g) == vizing_by_dicts(g)
+
+
+@pytest.mark.parametrize("n", [30, 200, 1000])
+def test_vizing_colors_contractions_exactly_as_the_dict_construction(n):
+    for seed in range(3):
+        g = random_tf_subcubic_graph(n, random.Random(seed), seed % 2 == 0)
+        con = cb.contract_matching(g, cb.best_matching(g)).base
+        for h in (g, con):
+            assert cb.vizing_edge_coloring(h) == vizing_by_dicts(h)
 
 
 def test_contract_spokes_to_k5():

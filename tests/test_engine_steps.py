@@ -132,6 +132,22 @@ def test_each_layer_bound_derandomizes_one_certificate_per_component(monkeypatch
         assert (len(checked), len(cut)) == (3, 3), bound.__name__
 
 
+def test_poljak_turzik_and_dfs_tree_share_one_parity_cut(monkeypatch):
+    # both rows certify the parity layers of the same best DFS tree, so on
+    # one graph the pair checks and derandomizes each component once
+    checked, cut = [], []
+    _counted(monkeypatch, bounds, "verify_induced_bipartite", checked)
+    _counted(monkeypatch, bounds, "derandomized_cut", cut)
+    g = _three_components()
+    pt = cb.per_component(g, cb.poljak_turzik)
+    dfs = cb.per_component(g, cb.dfs_bound)
+    assert (len(checked), len(cut)) == (3, 3)
+    assert pt.cut == dfs.cut and pt.certified() and dfs.certified()
+    fresh = _three_components()
+    assert cb.per_component(fresh, cb.dfs_bound) == dfs
+    assert cb.per_component(fresh, cb.poljak_turzik) == pt
+
+
 def test_matching_vizing_derandomizes_one_certificate_per_component(monkeypatch):
     cut = []
     _counted(monkeypatch, coloring, "derandomized_cut", cut)

@@ -28,8 +28,9 @@ def test_percolation_memo_keys_on_every_input():
     g = cb.petersen()
     base = cb.tree_percolation_bound(g)
     fresh = cb.petersen()
-    for kwargs in ({"p": 0.5}, {"tree": cb.min_spanning_tree(g, 3)},
-                   {"p": 0.5, "tree": cb.min_spanning_tree(g, 3)}):
+    tree = cb.dfs_tree(g, 3)  # not the default tree's edge set
+    assert tree.edge_ids != cb.max_spanning_tree(g).edge_ids
+    for kwargs in ({"p": 0.5}, {"tree": tree}, {"p": 0.5, "tree": tree}):
         assert cb.tree_percolation_bound(g, **kwargs) == cb.tree_percolation_bound(fresh, **kwargs)
     assert cb.tree_percolation_bound(g) == base
 

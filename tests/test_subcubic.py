@@ -1,6 +1,7 @@
 import io
 import random
 import statistics
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -13,8 +14,8 @@ import cutbounds as cb
 from cutbounds import cli, generators, subcubic
 from cutbounds.bounds import meets
 from cutbounds.cuts import _two_color
-from cutbounds.graph import _component_split
-from cutbounds.subcubic import (_BLOCK_CELLS, _gadget_hosts, _padded_coloring,
+from cutbounds.graph import _component_split, _incidence_arrays
+from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _gadget_hosts, _padded_coloring,
                                 color_components,
                                 percolation_expectation,
                                 _peel_greedy)
@@ -634,16 +635,105 @@ def test_shearer_bound_keeps_the_best_kernel_sample(monkeypatch, g):
         _assert_best_of_samples(g, rep, [s for block in blocks for s in block.tolist()])
 
 
-@pytest.mark.parametrize("integer_weights", [True, False])
-def test_shearer_bound_over_several_blocks(monkeypatch, integer_weights):
-    g = random_tf_subcubic_graph(2000, random.Random(5), integer_weights)
-    assert g.integer_weights == integer_weights
+def _recording_bits(monkeypatch):
+    """The trial count of every ``_bits`` draw ``shearer_bound`` makes."""
+    draws = []
+    bits = subcubic._bits
+
+    def recording(rng, b, n):
+        draws.append(b)
+        return bits(rng, b, n)
+
+    monkeypatch.setattr(subcubic, "_bits", recording)
+    return draws
+
+
+def _sparse_host(n, integer_weights):
+    """A 300-vertex triangle-free subcubic graph among n vertices: with n
+    far above 2m, all three blocks of the test below share one batch."""
+    h = random_tf_subcubic_graph(300, random.Random(5), integer_weights)
+    return cb.WeightedGraph(n, h.edges)
+
+
+@pytest.mark.parametrize("g", [random_tf_subcubic_graph(2000, random.Random(5), True),
+                               random_tf_subcubic_graph(2000, random.Random(5), False),
+                               _sparse_host(4000, True)],
+                         ids=["tf2000_int", "tf2000_float", "sparse4000"])
+def test_shearer_bound_over_several_blocks(monkeypatch, g):
     rows = _BLOCK_CELLS // max(g.n, g.m)
     trials = 2 * rows + 1  # three blocks, the last one partial
+    draws = _recording_bits(monkeypatch)
     blocks = _recording_kernel(monkeypatch)
     rep = cb.shearer_bound(g, trials=trials, seed=11)
-    assert [len(block) for block in blocks] == [rows, rows, 1]
-    _assert_best_of_samples(g, rep, [s for block in blocks for s in block.tolist()])
+    assert draws == [rows] * 6 + [1] * 3  # first sides, tie bits, redraws per block
+    samples = [s for block in blocks for s in block.tolist()]
+    # trial i keeps the coins of its block, whatever batches the kernel ran
+    rng = random.Random(11)
+    replay = []
+    for b in (rows, rows, 1):
+        replay += shearer_sides_by_loop(g, *(subcubic._bits(rng, b, g.n) for _ in range(3)))
+    assert samples == replay
+    _assert_best_of_samples(g, rep, samples)
+
+
+def test_shearer_ranks_trials_on_exact_weights(monkeypatch):
+    # float64 sums cannot tell 2^53 + 1 from 2^53; only the exact ranking
+    # puts the trial that cuts both edges first
+    g = cb.WeightedGraph(3, [(0, 1, 2.0 ** 53), (1, 2, 1.0)])
+    blocks = _recording_kernel(monkeypatch)
+    started = []
+    search = subcubic.local_search_improve
+
+    def recording(h, cut):
+        started.append(cut)
+        return search(h, cut)
+
+    monkeypatch.setattr(subcubic, "local_search_improve", recording)
+    rep = cb.shearer_bound(g, trials=8, seed=0)
+    samples = [s for block in blocks for s in block.tolist()]
+    exact = [sum(q for (u, v, _), q in zip(g.edges, (2 ** 53, 1)) if s[u] != s[v])
+             for s in samples]
+    floats = [sum(w for u, v, w in g.edges if s[u] != s[v]) for s in samples]
+    assert floats.index(max(floats)) != exact.index(max(exact))
+    assert started == [cb.Cut.from_side(g, samples[exact.index(max(exact))])]
+    assert rep.details["raw_mean"] == statistics.fmean(float(q) for q in exact)
+
+
+def _star(n):
+    return cb.WeightedGraph(n, [(0, v, float(v % 7)) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("g", [random_tf_subcubic_graph(2000, random.Random(5), True),
+                               _star(2049), cb.cycle(40000), _shapes_union(True),
+                               cb.WeightedGraph(9000, [(2, 8999, 1.0)])],
+                         ids=["tf2000", "star2049", "cycle40000", "shapes", "isolated"])
+def test_shearer_batches_stay_under_the_cell_cap(monkeypatch, g):
+    """A batch of blocks spans at most _BATCH_CELLS (trial, vertex) or (trial,
+    incidence) cells, unless it is one block, and the kernel allocates a few
+    machine words per cell: a star's n * max_degree padding would not fit."""
+    rows = max(1, _BLOCK_CELLS // max(g.n, g.m))
+    width = max(g.n, 2 * g.m)
+    batches, peaks = [], []
+    kernel = subcubic._shearer_sides
+
+    def measured(h, first, tie, redraw):
+        tracemalloc.start()
+        try:
+            sides = kernel(h, first, tie, redraw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        batches.append(len(first))
+        return sides
+
+    monkeypatch.setattr(subcubic, "_shearer_sides", measured)
+    _incidence_arrays(g)  # memoized before the first batch is measured
+    cb.shearer_bound(g, trials=64, seed=1)
+    assert sum(batches) == 64
+    assert all(b <= rows or b * width <= _BATCH_CELLS for b in batches)
+    assert max(peaks) <= 32 * max(_BATCH_CELLS, rows * width)
+    if rows < 64 and 2 * rows * width <= _BATCH_CELLS:
+        assert max(batches) > rows  # blocks do share a batch
 
 
 @pytest.mark.parametrize("trials", [0, -3])
