@@ -8,7 +8,6 @@ holds exactly, over rationals, for every finite weight.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -66,11 +65,19 @@ def _cached_report(g: WeightedGraph, key,
                    compute: Callable[[], BoundReport]) -> BoundReport:
     """A report memoized on ``g`` under ``key``; each caller gets its own copy.
 
-    The copy's ``details`` are deep-copied so no caller can alter the
-    memoized report; the cut is immutable and shared.
+    The copy's ``details`` are copied through every dict and list, the only
+    containers they hold, so no caller can alter the memoized report; the
+    cut is immutable and shared.
     """
     rep = _cached(g, key, compute)
-    return replace(rep, details=copy.deepcopy(rep.details))
+    return replace(rep, details=_copy_details(rep.details))
+
+
+def _copy_details(x):
+    """``x`` with every dict and list in it copied; the leaves are immutable."""
+    if isinstance(x, dict):
+        return {k: _copy_details(v) for k, v in x.items()}
+    return [_copy_details(v) for v in x] if isinstance(x, list) else x
 
 
 # -- spanning-tree based bounds -----------------------------------------
@@ -79,15 +86,14 @@ def _cached_report(g: WeightedGraph, key,
 def _best_dfs_tree(g, root) -> RootedSpanningTree:
     """DFS tree maximizing tree weight over ``root`` alone, else over every
     root when n <= ROOT_SWEEP_MAX_N, else root 0; ties go to the lowest
-    root.  Roots are ranked on exact integer tree weights and only the
-    winner's tree is built.  Memoized on ``g``."""
+    root.  Roots are ranked on exact integer tree weights, by a pass that
+    sums them alone, and only the winner's tree is built.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     roots = [root] if root is not None else range(g.n) if g.n <= ROOT_SWEEP_MAX_N else [0]
     ints = _exact_weights(g).ints
     return _cached(g, ("best_dfs_tree", root), lambda: dfs_tree(
-        g, roots[0] if len(roots) == 1 else
-        max(roots, key=lambda r: sum(map(ints.__getitem__, _dfs(g, r)[2])))))
+        g, roots[0] if len(roots) == 1 else max(roots, key=lambda r: _dfs(g, r, ints))))
 
 
 def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:

@@ -91,15 +91,19 @@ class InducedBipartiteSubgraph:
         return _exact_weights(g).weight(self.edge_ids)
 
 
-def _two_color(g: WeightedGraph, edge_ids: Iterable[int]) -> Labelling:
+def _two_color(g: WeightedGraph, edge_ids: Iterable[int],
+               also: Iterable[int] = ()) -> Labelling:
     """Label the components of an edge subset by minimum vertex and 2-color
     each by BFS from that vertex, on color 0; a vertex no edge of the subset
-    touches gets label -1.  Raises NotBipartiteError on an odd cycle.
+    touches gets label -1, unless it is listed in ``also``.  Raises
+    NotBipartiteError on an odd cycle.
     """
     member, touched = bytearray(g.m), bytearray(g.n)
     for e in edge_ids:
         u, v, _ = g.edges[e]
         member[e] = touched[u] = touched[v] = 1
+    for v in also:
+        touched[v] = 1
     adj, label, color, count = g.adj, [-1] * g.n, [0] * g.n, 0
     for start in range(g.n):
         if not touched[start] or label[start] >= 0:

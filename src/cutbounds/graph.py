@@ -170,7 +170,8 @@ class WeightedGraph:
         return comps
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """At most one component; memoized."""
+        return _cached(self, "connected", lambda: len(self.components()) <= 1)
 
     def induced(self, vertices: Sequence[int]):
         """Induced subgraph on ``vertices``.
@@ -364,10 +365,9 @@ def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, 
     itself would outlive its last user until a full garbage collection.
     """
     def compute():
-        comps = g.components()
-        if len(comps) == 1:
+        if g.n and g.is_connected():  # one piece (the empty graph has none)
             return None
-        return tuple(g.induced(comp)[:2] for comp in comps)
+        return tuple(g.induced(comp)[:2] for comp in g.components())
     split = _cached(g, "components", compute)
     return ((g, tuple(range(g.n))),) if split is None else split
 

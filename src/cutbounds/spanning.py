@@ -85,28 +85,32 @@ def _orient(g: WeightedGraph, edge_ids: frozenset[int], roots: Sequence[int],
                               edge_ids, kind, _exact_weights(g).weight(edge_ids))
 
 
-def _dfs(g: WeightedGraph, root: int) -> tuple[list[Optional[int]], list[int], set[int]]:
+def _dfs(g: WeightedGraph, root: int, ints: Optional[Sequence[int]] = None):
     """Parent, level (-1 where unreached) and tree edge ids of the depth-first
-    search from ``root``, neighbors explored in ascending vertex id."""
-    parent: list[Optional[int]] = [None] * g.n
-    level = [-1] * g.n
-    level[root] = 0
-    edge_ids: set[int] = set()
+    search from ``root``, neighbors explored in ascending vertex id; given
+    ``ints``, only their sum over the tree edges, with none of those built."""
+    seen, total = bytearray(g.n), 0
+    seen[root] = 1
+    if ints is None:
+        parent: list[Optional[int]] = [None] * g.n
+        level, edge_ids = [-1] * g.n, set()
+        level[root] = 0
     stack = [(root, iter(g.adj[root]))]
     while stack:
         u, it = stack[-1]
-        advanced = False
         for v, eid in it:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                parent[v] = u
-                edge_ids.add(eid)
+            if not seen[v]:
+                seen[v] = 1
+                if ints is not None:
+                    total += ints[eid]
+                else:
+                    level[v], parent[v] = level[u] + 1, u
+                    edge_ids.add(eid)
                 stack.append((v, iter(g.adj[v])))
-                advanced = True
                 break
-        if not advanced:
+        else:
             stack.pop()
-    return parent, level, edge_ids
+    return total if ints is not None else (parent, level, edge_ids)
 
 
 def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:

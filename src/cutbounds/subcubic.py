@@ -1,15 +1,16 @@
 """Constructive cut machinery for triangle-free subcubic graphs.
 
-Pipeline for the 8/11 coefficient bound: pad the graph to a 3-regular
-triangle-free supergraph with zero-weight gadgets, extend the graph's Brooks
-3-coloring over them by a fixed rule, orient every vertex toward the
-neighbor whose color is unique in its neighborhood (the successor digraph),
-classify edges by how many endpoints realize them as successor arcs, and
-build the one of three certified cuts, each one edge set derandomized once,
-whose certified value is largest.  Also hosts the 2/3 coloring cut, the tree
-percolation cut (derandomized by conditional expectations), its combination
-bound, and the two-stage random redistribution bound, whose trials draw
-every coin up front from one seeded stream and run as one numpy kernel.
+Pipeline for the 8/11 coefficient bound, argued on a 3-regular triangle-free
+supergraph that pads G with zero-weight gadgets: extend G's Brooks 3-coloring
+over them by a fixed rule, orient every vertex toward the neighbor whose color
+is unique in its neighborhood (the successor digraph), classify edges by how
+many endpoints realize them as successor arcs, and build the one of three
+certified cuts, each one edge set derandomized once, whose certified value is
+largest.  The padding is counted on G, not built, except for the two rarely
+winning candidates.  Also hosts the 2/3 coloring cut, the tree percolation cut
+(derandomized by conditional expectations), its combination bound, and the
+two-stage random redistribution bound, whose trials draw every coin up front
+from one seeded stream and run as one numpy kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import statistics
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Optional
+from itertools import combinations, repeat
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -317,7 +318,9 @@ class SuccessorDigraph:
 
     succ[v] is defined iff exactly one color occurs exactly once among
     v's neighbors, and then points at that neighbor; out-degree is at
-    most one by construction.
+    most one by construction.  Read with the cubic padding, an arc into
+    v's gadget points past the graph's vertices, at the gadget's
+    subdivision vertex as ``regularize_to_cubic`` numbers it.
     """
 
     succ: tuple[Optional[int], ...]
@@ -339,35 +342,45 @@ class EdgeClassification:
     def edge_ids(self, cls: int) -> tuple[int, ...]:
         return tuple(e for e, c in enumerate(self.class_of_edge) if c == cls)
 
-    def weights(self, g: WeightedGraph) -> tuple[Fraction, Fraction, Fraction]:
-        """The exact weight of each class."""
-        ex = _exact_weights(g)
+    def sums(self, g: WeightedGraph) -> list[int]:
+        """Each class's weight in the integers of ``_exact_weights(g)``."""
         w = [0, 0, 0]
-        for c, q in zip(self.class_of_edge, ex.ints):
+        for c, q in zip(self.class_of_edge, _exact_weights(g).ints):
             w[c] += q
-        return tuple(ex.value(x) for x in w)
+        return w
 
 
 def successor_digraph(g: WeightedGraph, coloring: VertexColoring3) -> SuccessorDigraph:
+    return _successors(g, coloring, repeat(0))
+
+
+def _successors(g: WeightedGraph, coloring: VertexColoring3,
+                padding: Iterable[int]) -> SuccessorDigraph:
+    """The successor digraph of ``g`` with ``padding[v]`` gadgets hung from
+    each v as ``regularize_to_cubic`` adds them, not built: by
+    ``_gadget_colors`` each adds a neighbor of color c mod 3 + 1 to a host
+    of color c, so only a host of degree 2 can point into its gadget."""
     coloring.validate(g)
+    color = coloring.class_of
     succ: list[Optional[int]] = [None] * g.n
-    for v in range(g.n):
-        counts: dict[int, int] = {}
-        for u, _ in g.adj[v]:
-            c = coloring.class_of[u]
-            counts[c] = counts.get(c, 0) + 1
-        singles = [c for c, k in counts.items() if k == 1]
-        if len(singles) == 1:
-            target = singles[0]
-            succ[v] = next(u for u, _ in g.adj[v]
-                           if coloring.class_of[u] == target)
+    mid = g.n + 6  # the subdivision vertex of the next gadget
+    for v, (a, p) in enumerate(zip(g.adj, padding)):
+        counts = [0, 0, 0, 0]
+        for u, _ in a:
+            counts[color[u]] += 1
+        counts[color[v] % 3 + 1] += p
+        if counts.count(1) == 1:
+            target = counts.index(1)
+            succ[v] = next((u for u, _ in a if color[u] == target), mid)
+        mid += 7 * p
     return SuccessorDigraph(tuple(succ))
 
 
 def classify_edges(g: WeightedGraph, succ: SuccessorDigraph) -> EdgeClassification:
+    """Each edge's class; an arc past the last vertex is into the padding."""
     cls = [0] * g.m
     for v, s in enumerate(succ.succ):
-        if s is not None:
+        if s is not None and s < g.n:
             eid = g.edge_id(v, s)
             if eid is None:
                 raise ClaimViolationError(f"successor arc ({v}, {s}) is not an edge")
@@ -397,14 +410,24 @@ def per_class_cut(g: WeightedGraph, coloring: VertexColoring3,
     that class's vertices attached to a single other class, so the residue
     is bipartite and every residue edge crosses its cut.  The residues keep
     w0 + (2/3) w1 + (1/3) w2 on average over the edge classes.
+
+    A subcubic ``g`` is read with its cubic padding, and the cut is the
+    padded one restricted to ``g``.  Each gadget stays in the residue as one
+    bipartite block, hung from its host unless the host's own arc into it
+    is dropped, and that host keeps its two edges.  So every padded vertex
+    is a labelled block, which keeps ``place_blocks``' tie order; gadget-only
+    blocks and zero-weight edges never move a vertex of ``g``.
     """
+    color = coloring.class_of
     dropped: dict[int, set[int]] = {c: set() for c in (1, 2, 3)}
     for v, s in enumerate(succ.succ):
-        if s is not None:
-            dropped[coloring.class_of[v]].add(g.edge_id(v, s))
-    ex = _exact_weights(g)
-    least = min((1, 2, 3), key=lambda c: ex.weight(dropped[c]))
-    return place_blocks(g, _two_color(g, (e for e in range(g.m) if e not in dropped[least])))
+        if s is not None and s < g.n:
+            dropped[color[v]].add(g.edge_id(v, s))
+    ints = _exact_weights(g).ints
+    least = min((1, 2, 3), key=lambda c: sum(map(ints.__getitem__, dropped[c])))
+    padded = [v for v, a in enumerate(g.adj) if len(a) < 3]
+    return place_blocks(g, _two_color(g, (e for e in range(g.m) if e not in dropped[least]),
+                                      padded))
 
 
 def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
@@ -487,26 +510,6 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
     return rep.cut
 
 
-def _eight_elevenths_candidates(g: WeightedGraph, coloring: VertexColoring3,
-                                succ: SuccessorDigraph, cls: EdgeClassification,
-                                class_weights: tuple[Fraction, Fraction, Fraction]
-                                ) -> dict[str, tuple[Fraction, Callable[[], Cut]]]:
-    """The three certified cuts on the cubic graph ``g``, by name: each
-    one's certified value, known from the edge-class weights
-    ``cls.weights(g)`` alone, and a function that builds its cut.  With
-    weights 9/22, 8/22 and 5/22 the values add up to (8/11) w, so the
-    largest alone meets the bound."""
-    w0, w1, w2 = class_weights
-    return {
-        "drop_class": (w0 + 2 * w1 / 3 + w2 / 3,
-                       lambda: per_class_cut(g, coloring, succ)),
-        "layered_components": (w0 / 2 + 7 * w1 / 8 + w2,
-                               lambda: component_layer_cut(g, succ, cls)),
-        "mutual_matching": (Fraction(3, 5) * (w0 + w1) + w2,
-                            lambda: mutual_matching_cut(g, cls)),
-    }
-
-
 # =====================================================================
 # the 8/11 pipeline and the 2/3 cut
 # =====================================================================
@@ -519,14 +522,23 @@ def _require_tf_subcubic(g: WeightedGraph) -> None:
         raise NotSubcubicError("graph is not subcubic")
 
 
+# 120 times each candidate's certified value, as coefficients of the class
+# weights: w0 + 2 w1/3 + w2/3, w0/2 + 7 w1/8 + w2 and (3/5)(w0 + w1) + w2.
+_CANDIDATES = {"drop_class": (120, 80, 40),
+               "layered_components": (60, 105, 120),
+               "mutual_matching": (72, 72, 120)}
+
+
 def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
     """Deterministic cut of weight at least (8/11) w(G) for tf subcubic G.
 
     The three certified values satisfy, with weights 9/22, 8/22 and 5/22,
     a combination identity equal to (8/11) w, so the candidate with the
     largest value (the first on ties) meets the bound alone: only its cut
-    is built and checked.  Runs on the zero-weight 3-regular extension and
-    restricts that cut back.  The report is memoized on ``g``.
+    is built and checked.  Values are ranked on integer sums.  The usual
+    winner, drop-class, runs on G with its zero-weight padding counted; the
+    other two build the padded graph and restrict their cut back.  The
+    report is memoized on ``g``.
     """
     _require_tf_subcubic(g)
     return _cached_report(g, "eight_elevenths", lambda: _eight_elevenths(g))
@@ -535,26 +547,33 @@ def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
 def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     if g.n == 0:
         return _report("eight_elevenths", Fraction(0), Cut((), Fraction(0)), {})
-    ext = regularize_to_cubic(g)
-    g3 = ext.graph
-    coloring = _padded_coloring(ext)
-    succ = successor_digraph(g3, coloring)
-    cls = classify_edges(g3, succ)
-    class_weights = cls.weights(g3)
-    candidates = _eight_elevenths_candidates(g3, coloring, succ, cls, class_weights)
-    winner = max(candidates, key=lambda name: candidates[name][0])
-    value, build = candidates[winner]
-    cut = build()
+    coloring = color_components(g)
+    padding = [3 - len(a) for a in g.adj]
+    succ = _successors(g, coloring, padding)
+    sums = classify_edges(g, succ).sums(g)  # padding edges weigh 0
+    scores = {name: sum(c * w for c, w in zip(coef, sums)) for name, coef in _CANDIDATES.items()}
+    winner = max(scores, key=scores.__getitem__)
+    ex = _exact_weights(g)
+    unit = 120 << ex.scale
+    value = Fraction(scores[winner], unit)
+    if winner == "drop_class":
+        cut = per_class_cut(g, coloring, succ)
+    else:
+        ext = regularize_to_cubic(g)
+        g3 = ext.graph
+        succ3 = successor_digraph(g3, _padded_coloring(ext))
+        cls3 = classify_edges(g3, succ3)
+        cut = ext.restrict(component_layer_cut(g3, succ3, cls3)
+                           if winner == "layered_components" else mutual_matching_cut(g3, cls3))
     if not meets(cut, value):
         raise ClaimViolationError(
             f"{winner} cut weight {cut.weight} below certified {value}")
-    details = {"gadgets": ext.gadget_count,
-               "class_weights": [float(w) for w in class_weights],
-               **{name: {"certified": float(v)} for name, (v, _) in candidates.items()},
+    details = {"gadgets": sum(padding),
+               "class_weights": [x / (1 << ex.scale) for x in sums],  # int / int rounds once
+               **{name: {"certified": x / unit} for name, x in scores.items()},
                "winner": winner}
     details[winner]["cut_weight"] = cut.weight
-    return _report("eight_elevenths", EIGHT_ELEVENTHS * _exact_weights(g).total,
-                   ext.restrict(cut), details)
+    return _report("eight_elevenths", EIGHT_ELEVENTHS * ex.total, cut, details)
 
 
 def two_thirds_bound(g: WeightedGraph) -> BoundReport:

@@ -121,6 +121,15 @@ def edge_coloring_feasible(g: WeightedGraph, k: int) -> bool:
     return rec(0)
 
 
+def disjoint_union(parts) -> WeightedGraph:
+    """The graphs of ``parts`` side by side, each relabelled after the last."""
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n, w) for u, v, w in part.edges]
+        n += part.n
+    return WeightedGraph(n, edges)
+
+
 def random_connected_graph(n: int, extra_edges: int, rng: random.Random,
                            integer_weights: bool = False) -> WeightedGraph:
     """Random tree plus extra random edges; connected by construction."""
@@ -701,28 +710,80 @@ def lightest_layer_by_full_scan(g: WeightedGraph, t, k: int) -> tuple[int, list[
     return j, sets[j]
 
 
+def _padded_candidates(g: WeightedGraph):
+    """The cubic extension of ``g``, its edge-class weights and the three
+    8/11 candidates built on it, by name, as ``(certified value, build)``:
+    the padded pipeline, with every gadget built, colored, oriented and
+    classified."""
+    from cutbounds.cuts import _two_color, place_blocks
+    from cutbounds.graph import _exact_weights
+    from cutbounds.subcubic import (_padded_coloring, classify_edges, component_layer_cut,
+                                    mutual_matching_cut, regularize_to_cubic,
+                                    successor_digraph)
+    ext = regularize_to_cubic(g)
+    g3 = ext.graph
+    coloring = _padded_coloring(ext)
+    succ = successor_digraph(g3, coloring)
+    cls = classify_edges(g3, succ)
+    w0, w1, w2 = map(_exact_weights(g3).value, cls.sums(g3))
+
+    def drop_class():
+        dropped = {c: set() for c in (1, 2, 3)}
+        for v, s in enumerate(succ.succ):
+            if s is not None:
+                dropped[coloring.class_of[v]].add(g3.edge_id(v, s))
+        weight = {c: sum((Fraction(g3.edges[e][2]) for e in ids), Fraction(0))
+                  for c, ids in dropped.items()}
+        least = min((1, 2, 3), key=weight.__getitem__)
+        return place_blocks(g3, _two_color(g3, (e for e in range(g3.m)
+                                                if e not in dropped[least])))
+
+    return ext, (w0, w1, w2), {
+        "drop_class": (w0 + 2 * w1 / 3 + w2 / 3, drop_class),
+        "layered_components": (w0 / 2 + 7 * w1 / 8 + w2,
+                               lambda: component_layer_cut(g3, succ, cls)),
+        "mutual_matching": (Fraction(3, 5) * (w0 + w1) + w2,
+                            lambda: mutual_matching_cut(g3, cls)),
+    }
+
+
+def eight_elevenths_padded(g: WeightedGraph):
+    """The ``eight_elevenths`` report built on the padded graph: the
+    candidates are ranked on exact ``Fraction`` values, the winner's cut is
+    built on the cubic extension and restricted back."""
+    from cutbounds.bounds import _report, meets
+    from cutbounds.cuts import Cut
+    if g.n == 0:
+        return _report("eight_elevenths", Fraction(0), Cut((), Fraction(0)), {})
+    ext, class_weights, candidates = _padded_candidates(g)
+    winner = max(candidates, key=lambda name: candidates[name][0])
+    value, build = candidates[winner]
+    cut = build()
+    assert meets(cut, value)
+    details = {"gadgets": ext.gadget_count,
+               "class_weights": [float(w) for w in class_weights],
+               **{name: {"certified": float(v)} for name, (v, _) in candidates.items()},
+               "winner": winner}
+    details[winner]["cut_weight"] = cut.weight
+    total = sum((Fraction(w) for _, _, w in g.edges), Fraction(0))
+    return _report("eight_elevenths", Fraction(8, 11) * total, ext.restrict(cut), details)
+
+
 def eight_elevenths_candidate_cuts(g: WeightedGraph):
     """The cubic extension of ``g`` and every 8/11 candidate built on it, by
     name, as ``(cut, certified value)``.  Building all three runs each
     one's own ClaimViolationError checks; a cut below its certified value
     raises ClaimViolationError too."""
     from cutbounds.bounds import meets
-    from cutbounds.subcubic import (ClaimViolationError, _eight_elevenths_candidates,
-                                    _padded_coloring, classify_edges,
-                                    regularize_to_cubic, successor_digraph)
-    ext = regularize_to_cubic(g)
-    g3 = ext.graph
-    coloring = _padded_coloring(ext)
-    succ = successor_digraph(g3, coloring)
-    cls = classify_edges(g3, succ)
+    from cutbounds.subcubic import ClaimViolationError
+    ext, _, candidates = _padded_candidates(g)
     out = {}
-    for name, (value, build) in _eight_elevenths_candidates(
-            g3, coloring, succ, cls, cls.weights(g3)).items():
+    for name, (value, build) in candidates.items():
         cut = build()
         if not meets(cut, value):
             raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
         out[name] = (cut, value)
-    return g3, out
+    return ext.graph, out
 
 
 def tree_paths(g: WeightedGraph, t) -> dict[int, list[int]]:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
-from cutbounds.bounds import EXACT_MATCHING_MAX_EDGES, exact_matching_small, greedy_matching
+from cutbounds.bounds import (EXACT_MATCHING_MAX_EDGES, _best_dfs_tree, exact_matching_small,
+                             greedy_matching)
+from cutbounds.graph import _exact_weights
+from cutbounds.spanning import _dfs
 from helpers import (exact_matching_by_suffix_bound, naive_max_cut, petersen_spoke_ids,
                      random_connected_graph)
 
@@ -176,3 +179,18 @@ def test_matching_vizing_spokes():
     assert r.bound_exact == Fraction(56)
     assert r.cut.weight == 56.0
     assert r.details["color_count"] == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 30), st.integers(0, 10 ** 6))
+def test_root_sweep_ranks_roots_as_their_dfs_trees(n, extra, seed):
+    # weights 1 and 2 tie many roots; the lowest of the heaviest must win
+    rng = random.Random(seed)
+    shape = random_connected_graph(n, extra, rng)
+    g = cb.WeightedGraph(n, [(u, v, float(rng.randint(1, 2))) for u, v, _ in shape.edges])
+    ints = _exact_weights(g).ints
+    weights = [sum(ints[e] for e in _dfs(g, r)[2]) for r in range(n)]
+    assert [_dfs(g, r, ints) for r in range(n)] == weights
+    best = _best_dfs_tree(g, None)
+    assert best.roots[0] == weights.index(max(weights))
+    assert best.edge_ids == frozenset(_dfs(g, best.roots[0])[2])

@@ -1,12 +1,15 @@
 """Per-graph memoization: cached results equal fresh ones and stay private."""
 
 import io
+import random
 
 import cutbounds as cb
-from cutbounds import bounds, spanning
+from cutbounds import bounds, generators, spanning
+from cutbounds.bounds import BoundReport, _copy_details
 from cutbounds.cli import _bound_suite, main
 from cutbounds.graph import _component_split
 from cutbounds.oracle import conjecture_report
+from helpers import disjoint_union, random_tf_subcubic_graph
 
 
 def _two_pieces():
@@ -120,9 +123,9 @@ def test_one_bounds_run_sweeps_the_dfs_roots_once(monkeypatch, tmp_path):
     ranked, built = [], []
     dfs, dfs_tree = bounds._dfs, bounds.dfs_tree
 
-    def ranking(g, root):
+    def ranking(g, root, *weights):
         ranked.append(g.n)
-        return dfs(g, root)
+        return dfs(g, root, *weights)
 
     def building(g, root):
         built.append(g.n)
@@ -137,3 +140,57 @@ def test_one_bounds_run_sweeps_the_dfs_roots_once(monkeypatch, tmp_path):
     # which ranks every root and builds the winner's tree only
     assert ranked == [10] * 10 + [6] * 6
     assert built == [10, 6]
+
+
+def _plain(x) -> bool:
+    """Whether ``x`` is built of dicts, lists and immutable scalars alone."""
+    if isinstance(x, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in x.items())
+    if isinstance(x, list):
+        return all(map(_plain, x))
+    return x is None or isinstance(x, (str, int, float, bool))
+
+
+def _shares_a_container(a, b) -> bool:
+    if isinstance(a, (dict, list)):
+        return a is b or any(_shares_a_container(x, y) for x, y in (
+            zip(a.values(), b.values()) if isinstance(a, dict) else zip(a, b)))
+    return False
+
+
+def test_report_details_hold_only_plain_values():
+    # what _copy_details copies by hand: a deep copy needs no more than this
+    shapes = [generators.path(3), cb.cycle(5), cb.cycle(6), cb.petersen(),
+              cb.gadget_k33_subdivided()]
+    rng = random.Random(4)
+    union = disjoint_union(
+        [cb.WeightedGraph(s.n, [(u, v, float(rng.randint(1, 9))) for u, v, _ in s.edges])
+         for s in shapes * 4])
+    for g in (union, random_tf_subcubic_graph(60, random.Random(1), False),
+              cb.random_triangle_free_subcubic(30, seed=2, weight_dist="int")):
+        reports = [run() for _, run in _bound_suite(g, seed=0, trials=16, root=None)]
+        reports += [v for h in [g] + [sub for sub, _ in _component_split(g)]
+                    for v in h._memo.values() if isinstance(v, BoundReport)]
+        assert len(reports) > 13
+        for rep in reports:
+            assert _plain(rep.details), (rep.name, rep.details)
+            copy = _copy_details(rep.details)
+            assert copy == rep.details and not _shares_a_container(copy, rep.details)
+
+
+def test_connectivity_is_found_once(monkeypatch):
+    searched = []
+    components = cb.WeightedGraph.components
+
+    def counting(self):
+        searched.append(self.n)
+        return components(self)
+
+    monkeypatch.setattr(cb.WeightedGraph, "components", counting)
+    g = cb.petersen()
+    for _, run in _bound_suite(g, seed=0, trials=16, root=None):
+        run()
+    assert g.is_connected() and searched == [10]
+    split = cb.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    assert not split.is_connected() and not split.is_connected()
+    assert searched == [10, 4]

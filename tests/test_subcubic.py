@@ -3,6 +3,7 @@ import random
 import statistics
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,14 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 import cutbounds as cb
 from cutbounds import cli, generators, subcubic
 from cutbounds.bounds import meets
-from cutbounds.cuts import _two_color
-from cutbounds.graph import _component_split, _incidence_arrays
+from cutbounds.cuts import NotBipartiteError, _two_color
+from cutbounds.graph import _component_split, _exact_weights, _incidence_arrays
 from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _gadget_hosts, _padded_coloring,
-                                color_components,
+                                _successors, color_components,
                                 percolation_expectation,
                                 _peel_greedy)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
-from helpers import (eight_elevenths_candidate_cuts, naive_max_cut, peel_colors_by_scan,
+from helpers import (disjoint_union, eight_elevenths_candidate_cuts, eight_elevenths_padded,
+                     naive_max_cut, peel_colors_by_scan,
                      percolation_conditional_expectation, percolation_raw,
                      random_connected_graph, random_tf_subcubic_graph, shearer_expectation,
                      shearer_sides_by_loop, tree_paths, tree_percolation_sample)
@@ -195,7 +197,7 @@ def test_classification_partition_and_matching():
     col = color_components(g3)
     succ = cb.successor_digraph(g3, col)
     cls = cb.classify_edges(g3, succ)
-    w0, w1, w2 = cls.weights(g3)
+    w0, w1, w2 = map(_exact_weights(g3).value, cls.sums(g3))
     assert w0 + w1 + w2 == g3.total_weight
     cb.cuts.check_matching(g3, cls.edge_ids(2))
     # mutual edges classify as 2
@@ -246,7 +248,7 @@ def test_mutual_matching_cut_empty_matching():
     ext = cb.regularize_to_cubic(g)
     cls = cb.classify_edges(g3, cb.successor_digraph(g3, _padded_coloring(ext)))
     assert cls.edge_ids(2) == ()
-    w0, w1, _ = cls.weights(g3)
+    w0, w1, _ = map(_exact_weights(g3).value, cls.sums(g3))
     cut, value = candidates["mutual_matching"]
     assert value == Fraction(3, 5) * (w0 + w1)
     assert meets(cut, value)
@@ -275,6 +277,138 @@ def test_eight_elevenths_corpus():
 def test_eight_elevenths_rejects_triangles():
     with pytest.raises(cb.TriangleFoundError):
         cb.eight_elevenths_bound(cb.complete(4))
+
+
+# -- the 8/11 pipeline on G, its padding counted --------------------------------
+
+# one graph each candidate wins on
+LAYERED_WINNER = cb.WeightedGraph(2, [(0, 1, 2.0)])
+MUTUAL_WINNER = cb.WeightedGraph(5, [(0, 1, 5.0), (0, 3, 0.0), (1, 2, 4.0), (1, 4, 4.0)])
+# a drop-class residue that leaves a padded vertex without an edge of G: it
+# is still a labelled block, or place_blocks breaks a tie the other way
+PADDED_ALONE = cb.WeightedGraph(8, [(0, 1, 6.0), (1, 2, 8.0), (1, 4, 9.0), (2, 3, 5.0),
+                                    (2, 6, 5.0), (3, 4, 3.0), (3, 5, 7.0), (5, 6, 2.0)])
+
+
+@st.composite
+def tf_subcubic_unions(draw):
+    """Disjoint unions of isolated vertices, paths, cycles of length 4 or
+    more and random connected tf subcubic graphs, weighted by integers or
+    by floats."""
+    integer = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+
+    def weight():
+        return float(rng.randint(0, 9)) if integer else rng.random() * 5.0
+
+    parts = []
+    for kind, k in draw(st.lists(st.tuples(st.sampled_from(("isolated", "path", "cycle",
+                                                            "random")),
+                                           st.integers(1, 24)), min_size=1, max_size=5)):
+        if kind == "isolated":
+            parts.append(cb.WeightedGraph(1, []))
+        elif kind == "path":
+            parts.append(cb.WeightedGraph(k + 1, [(i, i + 1, weight()) for i in range(k)]))
+        elif kind == "cycle":
+            parts.append(cb.WeightedGraph(k + 3, [(i, (i + 1) % (k + 3), weight())
+                                                  for i in range(k + 3)]))
+        else:
+            parts.append(random_tf_subcubic_graph(k, rng, integer))
+    return disjoint_union(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tf_subcubic_unions())
+@example(LAYERED_WINNER)
+@example(MUTUAL_WINNER)
+@example(PADDED_ALONE)
+@example(cb.cycle(5))
+def test_eight_elevenths_equals_the_padded_pipeline(g):
+    rep, ref = cb.eight_elevenths_bound(g), eight_elevenths_padded(g)
+    assert rep.cut == ref.cut
+    assert rep.details == ref.details
+    assert rep.bound_exact == ref.bound_exact and rep.bound_value == ref.bound_value
+    if g.n:  # the successors on G are the padded graph's, restricted to G
+        ext = cb.regularize_to_cubic(g)
+        padded = cb.successor_digraph(ext.graph, _padded_coloring(ext)).succ
+        padding = [3 - g.degree(v) for v in range(g.n)]
+        assert _successors(g, color_components(g), padding).succ == padded[:g.n]
+
+
+def test_each_candidate_wins_somewhere():
+    for g, winner in ((cb.cycle(5), "drop_class"), (LAYERED_WINNER, "layered_components"),
+                      (MUTUAL_WINNER, "mutual_matching")):
+        assert cb.eight_elevenths_bound(g).details["winner"] == winner
+        assert eight_elevenths_padded(g).details["winner"] == winner
+
+
+@pytest.mark.parametrize("host_color", (1, 2, 3))
+@pytest.mark.parametrize("degree", (0, 1, 2))
+def test_gadget_template(host_color, degree):
+    # a host of the given color and degree, its neighbors (leaves) colored
+    # in every proper way: the padded graph's arcs in the host's gadgets,
+    # and the gadget edges each dropped class removes, are the fixed ones
+    # per_class_cut counts on G without building them
+    mid_color = host_color % 3 + 1
+    third = 6 - host_color - mid_color
+    for leaf_colors in product((mid_color, third), repeat=degree):
+        g = cb.WeightedGraph(1 + degree, [(0, i + 1, float(i + 1)) for i in range(degree)])
+        color = cb.VertexColoring3((host_color,) + leaf_colors)
+        ext = cb.regularize_to_cubic(g)
+        g3 = ext.graph
+        pad = [c for s in _gadget_hosts(g) for c in generators._gadget_colors(color.class_of[s])]
+        color3 = cb.VertexColoring3(color.class_of + tuple(pad))
+        succ3 = cb.successor_digraph(g3, color3)
+        padding = [3 - g.degree(v) for v in range(g.n)]
+        succ = _successors(g, color, padding)
+        assert succ.succ == succ3.succ[:g.n]
+        host_in = degree == 2 and leaf_colors == (third, third)
+        for i in range(3 - degree):  # the host's gadgets come first
+            a0, a1, a2, b0, b1, b2, mid = range(g.n + 7 * i, g.n + 7 * i + 7)
+            assert color3.class_of[mid] == mid_color
+            arcs = {v: succ3.succ[v] for v in range(a0, mid + 1)}
+            assert arcs == {a0: mid, a1: None, a2: None, b0: mid, b1: None, b2: None, mid: a0}
+            assert (succ3.succ[0] == mid) == host_in
+            gadget = range(g.m + 11 * i, g.m + 11 * i + 11)
+            assert g3.edges[gadget[-1]][:2] == (0, mid)
+            inner = gadget[:-1]
+            with pytest.raises(NotBipartiteError):  # the subdivided K3,3 has a 5-cycle
+                _two_color(g3, inner)
+            for dropped in (1, 2, 3):
+                removed = {g3.edge_id(v, s) for v, s in succ3.arcs()
+                           if color3.class_of[v] == dropped}.intersection(gadget)
+                if dropped == host_color:
+                    expected = {g3.edge_id(b0, mid)} | ({g3.edge_id(0, mid)} if host_in else set())
+                else:
+                    expected = {g3.edge_id(a0, mid)}
+                assert removed == expected
+                kept = _two_color(g3, (e for e in inner if e not in removed))
+                assert len({kept.label[v] for v in range(a0, mid + 1)}) == 1  # whole, bipartite
+        # on G, the drop-class cut is the padded one restricted
+        assert subcubic.per_class_cut(g, color, succ).side == \
+            subcubic.per_class_cut(g3, color3, succ3).side[:g.n]
+
+
+def test_drop_class_winner_builds_no_padding(monkeypatch):
+    built = []
+    regularize = subcubic.regularize_to_cubic
+
+    def counting(g):
+        built.append(g.n)
+        return regularize(g)
+
+    monkeypatch.setattr(subcubic, "regularize_to_cubic", counting)
+    rng = random.Random(8)
+    graphs = [cb.cycle(5), generators.path(30), cb.petersen(), cb.WeightedGraph(3, []),
+              disjoint_union([cb.cycle(5), generators.path(3), cb.gadget_k33_subdivided()])]
+    graphs += [random_tf_subcubic_graph(n, rng, n % 2 == 0) for n in range(5, 60, 6)]
+    for g in graphs:
+        rep = cb.eight_elevenths_bound(g)
+        assert rep.details["winner"] == "drop_class"
+    assert built == []
+    for g in (LAYERED_WINNER, MUTUAL_WINNER):
+        cb.eight_elevenths_bound(cb.WeightedGraph(g.n, g.edges))  # a fresh memo
+    assert built == [2, 5]
 
 
 def test_two_thirds_fixtures():
