@@ -30,12 +30,10 @@ from .oracle import (ConjectureReport, OracleResult, SizeGuardError,
                      max_dfs_tree_weight, max_induced_bipartite)
 from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree,
                        max_spanning_tree, min_spanning_tree)
-from .subcubic import (ClaimViolationError, CubicExtension, EdgeClassification,
-                       SuccessorDigraph, VertexColoring3, brooks_3_coloring,
-                       classify_edges, combined_tree_bound,
-                       component_layer_cut, eight_elevenths_bound,
-                       mutual_matching_cut, per_class_cut,
-                       regularize_to_cubic, shearer_bound, successor_digraph,
-                       tree_percolation_bound, two_thirds_bound)
+from .subcubic import (ClaimViolationError, EdgeClassification, SuccessorDigraph,
+                       VertexColoring3, brooks_3_coloring, classify_edges,
+                       combined_tree_bound, component_layer_cut,
+                       eight_elevenths_bound, mutual_matching_cut, per_class_cut,
+                       shearer_bound, tree_percolation_bound, two_thirds_bound)
 
 __version__ = "0.1.0"

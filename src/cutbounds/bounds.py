@@ -267,6 +267,8 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
         raise DisconnectedGraphError("girth bound needs a connected graph")
     if st.girth is not None and st.girth < 4:
         raise BoundPreconditionError(f"girth {st.girth} < 4")
+    if g.n == 0:
+        raise DisconnectedGraphError("empty graph has no spanning tree")
     if k is None:
         if st.girth is None:
             k = g.n if g.n % 2 == 0 else g.n + 1

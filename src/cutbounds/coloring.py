@@ -151,7 +151,6 @@ class ContractedGraph:
     """
 
     base: WeightedGraph
-    vertex_origin: tuple[tuple[int, ...], ...]
     edge_origin: tuple[tuple[int, ...], ...]
     matching: tuple[int, ...]
 
@@ -166,16 +165,14 @@ def contract_matching(g: WeightedGraph, matching: Sequence[int]) -> ContractedGr
     m_ids = check_matching(g, matching)
     if not triangle_free(g):
         raise TriangleFoundError("matching contraction needs a triangle-free graph")
-    vid = [-1] * g.n
-    origin: list[tuple[int, ...]] = []
+    vid, count = [-1] * g.n, 0
     for eid in m_ids:
         u, v, _ = g.edges[eid]
-        vid[u] = vid[v] = len(origin)
-        origin.append((u, v))
+        vid[u] = vid[v] = count
+        count += 1
     for v in range(g.n):
         if vid[v] < 0:
-            vid[v] = len(origin)
-            origin.append((v,))
+            vid[v], count = count, count + 1
     merged: dict[tuple[int, int], tuple[float, list[int]]] = {}
     m_set = set(m_ids)
     for eid, (u, v, w) in enumerate(g.edges):
@@ -191,9 +188,9 @@ def contract_matching(g: WeightedGraph, matching: Sequence[int]) -> ContractedGr
         else:
             merged[key] = (w, [eid])
     keys = sorted(merged)
-    base = WeightedGraph(len(origin), [(a, b, merged[(a, b)][0]) for a, b in keys])
+    base = WeightedGraph(count, [(a, b, merged[(a, b)][0]) for a, b in keys])
     edge_origin = tuple(tuple(merged[k][1]) for k in keys)
-    return ContractedGraph(base, tuple(origin), edge_origin, m_ids)
+    return ContractedGraph(base, edge_origin, m_ids)
 
 
 def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundReport:

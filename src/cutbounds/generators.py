@@ -4,7 +4,7 @@ and a seeded random triangle-free subcubic family."""
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,31 +78,14 @@ def star_counterexample_params_ok(hub_weight: float, leaves: int, eps: float) ->
 def gadget_k33_subdivided(weight: float = 1.0) -> WeightedGraph:
     """K_{3,3} with one edge subdivided: 7 vertices, 10 edges.
 
-    Vertex 6 is the degree-2 subdivision vertex; all others have degree 3.
-    Used (with zero weights) as the attachment gadget that raises a vertex
-    degree to 3 without creating triangles.
+    Parts {0,1,2} and {3,4,5}, with the edge 0-3 replaced by the path
+    0-6-3: vertex 6 is the degree-2 subdivision vertex; all others have
+    degree 3.  The zero-weight padding of the 8/11 argument hangs a copy
+    from each missing degree by vertex 6, raising the degree to 3 without
+    creating triangles.
     """
-    edges = [(u, v, weight) for u, v in _gadget_pairs(0)]
-    return WeightedGraph(7, edges)
-
-
-def _gadget_pairs(base: int, host: Optional[int] = None) -> list[tuple[int, int]]:
-    # parts {0,1,2} and {3,4,5} with edge 0-3 replaced by the path 0-6-3;
-    # a host, when given, hangs from the subdivision vertex 6
-    a0, a1, a2, b0, b1, b2, mid = range(base, base + 7)
-    pairs = [(a0, b1), (a0, b2),
-             (a1, b0), (a1, b1), (a1, b2),
-             (a2, b0), (a2, b1), (a2, b2),
-             (a0, mid), (b0, mid)]
-    return pairs if host is None else pairs + [(host, mid)]
-
-
-def _gadget_colors(host_color: int) -> tuple[int, ...]:
-    """Colors of ``_gadget_pairs``' vertices hung from a vertex of color c:
-    c mod 3 + 1 on the subdivision vertex, c on b0-b2 and the third color on
-    a0-a2, so the gadget and its host edge are colored properly."""
-    mid = host_color % 3 + 1
-    return (6 - host_color - mid,) * 3 + (host_color,) * 3 + (mid,)
+    pairs = [(0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (0, 6), (3, 6)]
+    return WeightedGraph(7, [(u, v, weight) for u, v in pairs])
 
 
 WEIGHT_DISTS = ("unit", "uniform", "int")

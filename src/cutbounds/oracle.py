@@ -12,8 +12,8 @@ import numpy as np
 
 from .bounds import best_matching
 from .cuts import Cut
-from .graph import (DisconnectedGraphError, WeightedGraph, _edge_arrays, _exact_weights,
-                    stats)
+from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
+                    WeightedGraph, _edge_arrays, _exact_weights, stats)
 from .spanning import max_spanning_tree
 
 MAX_CUT_GUARD = 30
@@ -325,8 +325,10 @@ def five_cycle_cover(g: WeightedGraph, max_n: int = FIVE_CYCLE_GUARD) -> OracleR
     if g.n > max_n:
         raise SizeGuardError(f"five-cycle search guarded at n <= {max_n}")
     st = stats(g)
-    if not st.triangle_free or st.max_degree > 3:
-        raise ValueError("five-cycle covers are defined for tf subcubic graphs here")
+    if not st.triangle_free:
+        raise TriangleFoundError("five-cycle covers are defined for triangle-free graphs")
+    if st.max_degree > 3:
+        raise NotSubcubicError("five-cycle covers are defined for subcubic graphs")
     cycles = enumerate_five_cycles(g)
     by_edge: dict[int, list[int]] = {}
     for ci, cyc in enumerate(cycles):

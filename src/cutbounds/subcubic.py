@@ -6,8 +6,9 @@ over them by a fixed rule, orient every vertex toward the neighbor whose color
 is unique in its neighborhood (the successor digraph), classify edges by how
 many endpoints realize them as successor arcs, and build the one of three
 certified cuts, each one edge set derandomized once, whose certified value is
-largest.  The padding is counted on G, not built, except for the two rarely
-winning candidates.  Also hosts the 2/3 coloring cut, the tree percolation cut
+largest.  The padding is counted on G and never built: all three candidates
+run on G, and a host's arc into its gadget points past the last vertex.
+Also hosts the 2/3 coloring cut, the tree percolation cut
 (derandomized by conditional expectations), its combination bound, and the
 two-stage random redistribution bound, whose trials draw every coin up front
 from one seeded stream and run as one numpy kernel.
@@ -19,9 +20,9 @@ import heapq
 import random
 import statistics
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from .bounds import BoundReport, MONTE_CARLO, _cached_report, _report, meets
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
-from .generators import _gadget_colors, _gadget_pairs
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, _cached, _component_split, _edge_arrays,
                     _exact_weights, _incidence_arrays, triangle_free)
@@ -254,60 +254,6 @@ def color_components(g: WeightedGraph) -> VertexColoring3:
 
 
 # =====================================================================
-# regularization
-# =====================================================================
-
-
-@dataclass(frozen=True)
-class CubicExtension:
-    """3-regular triangle-free supergraph with zero-weight padding.
-
-    The first ``base.n`` vertices and the first ``base.m`` edges coincide
-    with the original graph; every added edge has weight zero, so any cut
-    of the extension restricts to a cut of the base of the same weight.
-    """
-
-    graph: WeightedGraph
-    base: WeightedGraph
-    gadget_count: int
-
-    def restrict(self, cut: Cut) -> Cut:
-        return Cut.from_side(self.base, cut.side[: self.base.n])
-
-
-def _gadget_hosts(g: WeightedGraph) -> list[int]:
-    """The vertex each padding gadget hangs from, in the order they are added."""
-    return [s for s in range(g.n) for _ in range(3 - g.degree(s))]
-
-
-def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
-    """Pad every deficient vertex with degree-completing gadgets.
-
-    Each gadget is a six-vertex complete bipartite block with one edge
-    subdivided; its subdivision vertex has two internal edges and attaches
-    to the deficient vertex, keeping the result triangle-free.
-    """
-    if not triangle_free(g):
-        raise TriangleFoundError("regularization expects a triangle-free graph")
-    if g.max_degree() > 3:
-        raise NotSubcubicError("graph is not subcubic")
-    hosts = _gadget_hosts(g)
-    if not hosts:
-        return CubicExtension(g, g, 0)
-    edges = list(g.edges) + [(x, y, 0.0) for i, s in enumerate(hosts)
-                             for x, y in _gadget_pairs(g.n + 7 * i, s)]
-    return CubicExtension(WeightedGraph(g.n + 7 * len(hosts), edges), g, len(hosts))
-
-
-def _padded_coloring(ext: CubicExtension) -> VertexColoring3:
-    """The base's memoized coloring, extended over each gadget by the rule of
-    ``_gadget_colors``: proper by construction, so Brooks skips the padding."""
-    color = color_components(ext.base).class_of
-    pad = (c for s in _gadget_hosts(ext.base) for c in _gadget_colors(color[s]))
-    return VertexColoring3(color + tuple(pad))
-
-
-# =====================================================================
 # successor digraph and edge classification
 # =====================================================================
 
@@ -318,9 +264,9 @@ class SuccessorDigraph:
 
     succ[v] is defined iff exactly one color occurs exactly once among
     v's neighbors, and then points at that neighbor; out-degree is at
-    most one by construction.  Read with the cubic padding, an arc into
-    v's gadget points past the graph's vertices, at the gadget's
-    subdivision vertex as ``regularize_to_cubic`` numbers it.
+    most one by construction.  Read with the cubic padding, a vertex of
+    degree 2 may point into its gadget: that arc points past the graph's
+    last vertex, and no arc of a gadget leaves it.
     """
 
     succ: tuple[Optional[int], ...]
@@ -350,16 +296,14 @@ class EdgeClassification:
         return w
 
 
-def successor_digraph(g: WeightedGraph, coloring: VertexColoring3) -> SuccessorDigraph:
-    return _successors(g, coloring, repeat(0))
-
-
 def _successors(g: WeightedGraph, coloring: VertexColoring3,
                 padding: Iterable[int]) -> SuccessorDigraph:
-    """The successor digraph of ``g`` with ``padding[v]`` gadgets hung from
-    each v as ``regularize_to_cubic`` adds them, not built: by
-    ``_gadget_colors`` each adds a neighbor of color c mod 3 + 1 to a host
-    of color c, so only a host of degree 2 can point into its gadget."""
+    """The successor digraph of ``g`` with ``padding[v]`` zero-weight gadgets
+    hung from each v, counted, not built.  A gadget meets its host of color
+    c at its subdivision vertex, colored c mod 3 + 1, so only a host of
+    degree 2 can point into its gadget.  That arc points past the last
+    vertex, at the subdivision vertex's number when the gadgets follow G's
+    vertices in host order, seven vertices each, subdivision vertex last."""
     coloring.validate(g)
     color = coloring.class_of
     succ: list[Optional[int]] = [None] * g.n
@@ -454,9 +398,20 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
     consecutive levels on one side, and every layer set cuts it.  So each
     kept piece is induced and bipartite, and joining the root pieces of a
     cycle adds no other edge, as only cycle edges run between two trees of
-    one cycle.  Those length and adjacency facts are checked here and raise
-    ClaimViolationError.
+    one cycle.  Those length and adjacency facts are checked on the edges
+    of ``g`` and raise ClaimViolationError.
+
+    The padding is counted, not built.  A host whose arc points past the
+    last vertex, into its gadget, roots its own tree here; on the padded
+    graph that tree hangs under the gadget's mutual pair, so it is leveled
+    one deeper.  The host stays a labelled block, as on the padded graph it
+    shares one with its gadget, unless the chosen layer set is j = 0, which
+    drops the host-gadget edge.  So the cut equals the padded graph's
+    restricted to ``g``: gadget edges weigh 0, and gadget-only blocks never
+    move a vertex of ``g``.
     """
+    nxt = [s if s is None or s < g.n else None for s in succ.succ]
+    hosts = [v for v, s in enumerate(succ.succ) if s != nxt[v]]
     comp = [-1] * g.n  # successor component, named by a vertex; -2 on the walk
     cycles = []
     for start in range(g.n):
@@ -464,7 +419,7 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
         while v is not None and comp[v] == -1:
             comp[v] = -2
             walk.append(v)
-            v = succ.succ[v]
+            v = nxt[v]
         if v is not None and comp[v] == -2:
             cyc = walk[walk.index(v):]
             if len(cyc) > 2 and len(cyc) % 3:
@@ -478,7 +433,7 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
                   for c in cycles if len(c) > 2]
     cycle_ids = set().union(*long_edges)
     forest = frozenset(e for e, c in enumerate(cls.class_of_edge) if c) - cycle_ids
-    roots = sorted({v for v, s in enumerate(succ.succ) if s is None}.union(*cycles))
+    roots = sorted({v for v, s in enumerate(nxt) if s is None}.union(*cycles))
     t = _orient(g, forest, roots, "arbitrary")
     for eid, length in _forest_cycle_lengths(g, t):
         u, v, _ = g.edges[eid]
@@ -490,11 +445,13 @@ def component_layer_cut(g: WeightedGraph, succ: SuccessorDigraph,
             raise ClaimViolationError(
                 f"cycle of length {length} through a non-successor edge "
                 "(expected a multiple of 3)")
-    ids = layer_edge_sets(g, t, 4)[1]
+    deeper = {comp[s] for s in hosts}
+    level = tuple(x + (c in deeper) for x, c in zip(t.level, comp))
+    j, ids = layer_edge_sets(g, replace(t, level=level), 4)
     for es in long_edges:
         cheapest = min(sorted(es), key=_exact_weights(g).ints.__getitem__) if len(es) % 2 else None
         ids += [e for e in es if e != cheapest]
-    return place_blocks(g, _two_color(g, ids))
+    return place_blocks(g, _two_color(g, ids, hosts if j else ()))
 
 
 def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
@@ -502,9 +459,13 @@ def mutual_matching_cut(g: WeightedGraph, cls: EdgeClassification) -> Cut:
 
     Certified value: (3/5)(w0 + w1) + w2, which the contraction bound
     dominates whenever the contracted coloring uses at most five colors.
+    The class-2 edges of ``g`` are contracted; the padding's mutual edges
+    lie inside gadgets, which weigh 0.  Contracting a matching of a
+    subcubic graph leaves maximum degree at most 4, so Vizing's coloring
+    uses at most five colors.
     """
     rep = matching_vizing_bound(g, cls.edge_ids(2))
-    if rep.details["color_count"] > 5 and g.max_degree() >= 3:
+    if rep.details["color_count"] > 5:
         raise ClaimViolationError(
             f"contracted coloring used {rep.details['color_count']} > 5 colors")
     return rep.cut
@@ -535,10 +496,9 @@ def eight_elevenths_bound(g: WeightedGraph) -> BoundReport:
     The three certified values satisfy, with weights 9/22, 8/22 and 5/22,
     a combination identity equal to (8/11) w, so the candidate with the
     largest value (the first on ties) meets the bound alone: only its cut
-    is built and checked.  Values are ranked on integer sums.  The usual
-    winner, drop-class, runs on G with its zero-weight padding counted; the
-    other two build the padded graph and restrict their cut back.  The
-    report is memoized on ``g``.
+    is built and checked.  Values are ranked on integer sums.  Every
+    candidate runs on G with its zero-weight padding counted, never built.
+    The report is memoized on ``g``.
     """
     _require_tf_subcubic(g)
     return _cached_report(g, "eight_elevenths", lambda: _eight_elevenths(g))
@@ -550,7 +510,8 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     coloring = color_components(g)
     padding = [3 - len(a) for a in g.adj]
     succ = _successors(g, coloring, padding)
-    sums = classify_edges(g, succ).sums(g)  # padding edges weigh 0
+    cls = classify_edges(g, succ)
+    sums = cls.sums(g)  # padding edges weigh 0
     scores = {name: sum(c * w for c, w in zip(coef, sums)) for name, coef in _CANDIDATES.items()}
     winner = max(scores, key=scores.__getitem__)
     ex = _exact_weights(g)
@@ -558,13 +519,10 @@ def _eight_elevenths(g: WeightedGraph) -> BoundReport:
     value = Fraction(scores[winner], unit)
     if winner == "drop_class":
         cut = per_class_cut(g, coloring, succ)
+    elif winner == "layered_components":
+        cut = component_layer_cut(g, succ, cls)
     else:
-        ext = regularize_to_cubic(g)
-        g3 = ext.graph
-        succ3 = successor_digraph(g3, _padded_coloring(ext))
-        cls3 = classify_edges(g3, succ3)
-        cut = ext.restrict(component_layer_cut(g3, succ3, cls3)
-                           if winner == "layered_components" else mutual_matching_cut(g3, cls3))
+        cut = mutual_matching_cut(g, cls)
     if not meets(cut, value):
         raise ClaimViolationError(
             f"{winner} cut weight {cut.weight} below certified {value}")

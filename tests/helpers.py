@@ -7,11 +7,13 @@ remain a second route to the same quantities.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
-from cutbounds import WeightedGraph, verify_induced_bipartite
-from cutbounds.cuts import NotBipartiteError, NotInducedError
+from cutbounds import (NotSubcubicError, TriangleFoundError, VertexColoring3, WeightedGraph,
+                       gadget_k33_subdivided, triangle_free, verify_induced_bipartite)
+from cutbounds.cuts import Cut, NotBipartiteError, NotInducedError
 
 
 def naive_max_cut(g: WeightedGraph) -> float:
@@ -256,7 +258,6 @@ def place_blocks_by_dicts(g: WeightedGraph, blocks):
     every uncovered vertex in vertex order: by descending outside weight
     (ties by block index), each in the orientation that keeps at least as
     much weight crossing as it leaves uncut."""
-    from cutbounds import Cut
     from cutbounds.graph import _exact_weights
     covered = {v for block in blocks for v in block}
     blocks = list(blocks) + [{v: 0} for v in range(g.n) if v not in covered]
@@ -507,8 +508,7 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
     """
     from cutbounds.bounds import best_matching
     from cutbounds.spanning import dfs_tree, max_spanning_tree, min_spanning_tree
-    from cutbounds.subcubic import (_padded_coloring, classify_edges,
-                                    regularize_to_cubic, successor_digraph)
+    from cutbounds.subcubic import classify_edges
 
     def weight(h, ids):
         return sum((Fraction(h.edges[e][2]) for e in ids), Fraction(0))
@@ -541,7 +541,7 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
     if name == "eight_elevenths":
         ext = regularize_to_cubic(g)
         g3 = ext.graph
-        cls = classify_edges(g3, successor_digraph(g3, _padded_coloring(ext))).class_of_edge
+        cls = classify_edges(g3, successor_digraph(g3, padded_coloring(ext))).class_of_edge
         w0, w1, w2 = (weight(g3, [e for e in range(g3.m) if cls[e] == c]) for c in (0, 1, 2))
         return {name: Fraction(8, 11) * w,
                 "drop_class": w0 + 2 * w1 / 3 + w2 / 3,
@@ -710,6 +710,76 @@ def lightest_layer_by_full_scan(g: WeightedGraph, t, k: int) -> tuple[int, list[
     return j, sets[j]
 
 
+# -- the cubic padding of the 8/11 argument, built --------------------------
+
+
+@dataclass(frozen=True)
+class CubicExtension:
+    """3-regular triangle-free supergraph with zero-weight padding.
+
+    The first ``base.n`` vertices and the first ``base.m`` edges coincide
+    with the original graph; every added edge has weight zero, so any cut
+    of the extension restricts to a cut of the base of the same weight.
+    """
+
+    graph: WeightedGraph
+    base: WeightedGraph
+    gadget_count: int
+
+    def restrict(self, cut: Cut) -> Cut:
+        return Cut.from_side(self.base, cut.side[: self.base.n])
+
+
+def gadget_hosts(g: WeightedGraph) -> list[int]:
+    """The vertex each padding gadget hangs from, in the order they are added."""
+    return [s for s in range(g.n) for _ in range(3 - g.degree(s))]
+
+
+def regularize_to_cubic(g: WeightedGraph) -> CubicExtension:
+    """Pad every deficient vertex with degree-completing gadgets.
+
+    Each gadget is a copy of ``gadget_k33_subdivided``, numbered after the
+    vertices before it; its subdivision vertex (the last) attaches to the
+    deficient vertex, keeping the result triangle-free.
+    """
+    if not triangle_free(g):
+        raise TriangleFoundError("regularization expects a triangle-free graph")
+    if g.max_degree() > 3:
+        raise NotSubcubicError("graph is not subcubic")
+    hosts = gadget_hosts(g)
+    if not hosts:
+        return CubicExtension(g, g, 0)
+    inner = [(u, v) for u, v, _ in gadget_k33_subdivided().edges]
+    edges = list(g.edges)
+    for i, s in enumerate(hosts):
+        base = g.n + 7 * i
+        edges += [(base + u, base + v, 0.0) for u, v in inner] + [(s, base + 6, 0.0)]
+    return CubicExtension(WeightedGraph(g.n + 7 * len(hosts), edges), g, len(hosts))
+
+
+def gadget_colors(host_color: int) -> tuple[int, ...]:
+    """Colors of a gadget's vertices hung from a vertex of color c: c mod 3
+    + 1 on the subdivision vertex, c on the side 3-5 and the third color on
+    the side 0-2, so the gadget and its host edge are colored properly."""
+    mid = host_color % 3 + 1
+    return (6 - host_color - mid,) * 3 + (host_color,) * 3 + (mid,)
+
+
+def padded_coloring(ext: CubicExtension) -> VertexColoring3:
+    """The base's memoized coloring, extended over each gadget by the rule of
+    ``gadget_colors``: proper by construction."""
+    from cutbounds.subcubic import color_components
+    color = color_components(ext.base).class_of
+    pad = (c for s in gadget_hosts(ext.base) for c in gadget_colors(color[s]))
+    return VertexColoring3(color + tuple(pad))
+
+
+def successor_digraph(g: WeightedGraph, coloring: VertexColoring3):
+    """The successor digraph of ``g`` itself, no padding counted."""
+    from cutbounds.subcubic import _successors
+    return _successors(g, coloring, repeat(0))
+
+
 def _padded_candidates(g: WeightedGraph):
     """The cubic extension of ``g``, its edge-class weights and the three
     8/11 candidates built on it, by name, as ``(certified value, build)``:
@@ -717,12 +787,10 @@ def _padded_candidates(g: WeightedGraph):
     classified."""
     from cutbounds.cuts import _two_color, place_blocks
     from cutbounds.graph import _exact_weights
-    from cutbounds.subcubic import (_padded_coloring, classify_edges, component_layer_cut,
-                                    mutual_matching_cut, regularize_to_cubic,
-                                    successor_digraph)
+    from cutbounds.subcubic import classify_edges, component_layer_cut, mutual_matching_cut
     ext = regularize_to_cubic(g)
     g3 = ext.graph
-    coloring = _padded_coloring(ext)
+    coloring = padded_coloring(ext)
     succ = successor_digraph(g3, coloring)
     cls = classify_edges(g3, succ)
     w0, w1, w2 = map(_exact_weights(g3).value, cls.sums(g3))
@@ -752,7 +820,6 @@ def eight_elevenths_padded(g: WeightedGraph):
     candidates are ranked on exact ``Fraction`` values, the winner's cut is
     built on the cubic extension and restricted back."""
     from cutbounds.bounds import _report, meets
-    from cutbounds.cuts import Cut
     if g.n == 0:
         return _report("eight_elevenths", Fraction(0), Cut((), Fraction(0)), {})
     ext, class_weights, candidates = _padded_candidates(g)
@@ -1004,7 +1071,6 @@ def shearer_sample(g: WeightedGraph, rng: random.Random):
     partition, then re-randomize every vertex that does not have more than
     half of its neighbors on the other side (ties stay put with probability
     1/2)."""
-    from cutbounds import Cut
     side = [rng.getrandbits(1) for _ in range(g.n)]
     good = [False] * g.n
     for v in range(g.n):
@@ -1024,7 +1090,6 @@ def percolation_raw(g: WeightedGraph, t, p: float, rng: random.Random):
     """One percolation sample before local search: keep each tree edge with
     probability p, 2-color the kept forest and orient each piece, a lone
     vertex too, uniformly at its minimum vertex."""
-    from cutbounds import Cut
     from cutbounds.cuts import _two_color
     kept = [e for e in sorted(t.edge_ids) if rng.random() < p]
     label, color, _ = _two_color(g, kept)

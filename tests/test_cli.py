@@ -78,11 +78,15 @@ def test_generate_to_stdout():
     assert cb.load_graph(text) == cb.load_graph(cb.save_graph(cb.cycle(5)))
 
 
-def test_oracle_commands():
+def test_oracle_commands(capsys):
     code, text = run_cli(["oracle", "max-cut", "--generate", "cycle", "5"])
     assert code == 0 and "max_cut = 4" in text
     code, text = run_cli(["oracle", "five-cycle-cover", "--generate", "petersen"])
     assert code == 0 and "five_cycle_cover = 3" in text
+    code, _ = run_cli(["oracle", "five-cycle-cover", "--generate", "complete", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: five-cycle covers are defined for triangle-free graphs\n"
     code, text = run_cli(["oracle", "max-induced-bipartite", "--generate",
                           "complete", "4", "--format", "json-lines"])
     assert code == 0
@@ -345,6 +349,31 @@ def test_bounds_skip_rows_star_and_k4(tmp_path):
         ("shearer", "redistribution bound expects a triangle-free graph")]
     code, text = run_cli(["verify", "--input", str(path)])
     assert code == 0 and "checked=9 ok" in text
+
+
+def test_bounds_on_the_empty_graph(tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("p 0 0\n")
+    code, text = run_cli(["bounds", "--input", str(path), "--format", "json-lines"])
+    assert code == 0
+    no_tree = "empty graph has no spanning tree"
+    rows = [(r["name"], r["reason"]) if r.get("skipped")
+            else (r["name"], r["bound_value"], r["cut_weight"], r["mode"], r["cut"])
+            for r in map(json.loads, text.strip().splitlines())]
+    assert rows == [
+        ("poljak_turzik", no_tree),
+        ("dfs_tree", no_tree),
+        ("matching", 0.0, 0.0, "deterministic", ""),
+        ("girth_layers", no_tree),
+        ("triangle_free_tree", no_tree),
+        ("edge_rooted_tree", "edge-rooted bound needs at least one edge"),
+        ("matching_vizing", 0.0, 0.0, "deterministic", ""),
+        ("vizing_classes", 0.0, 0.0, "deterministic", ""),
+        ("two_thirds", 0.0, 0.0, "deterministic", ""),
+        ("eight_elevenths", 0.0, 0.0, "deterministic", ""),
+        ("tree_percolation", no_tree),
+        ("combined_tree", no_tree),
+        ("shearer", 0.0, 0.0, "monte_carlo", "")]
 
 
 def test_not_subcubic_is_a_typed_precondition():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import cutbounds as cb
 from helpers import (girth_by_edge_removal, induced_by_edge_scan, pendant_graph,
-                     random_connected_graph)
+                     random_connected_graph, regularize_to_cubic)
 
 C5_FILE = """c five cycle
 p 5 5
@@ -211,7 +211,7 @@ def test_triangle_free_skips_the_girth_pass(monkeypatch):
 
 _TRIANGLE_MESSAGES = [
     (lambda g: cb.brooks_3_coloring(g), "coloring expects a triangle-free graph"),
-    (lambda g: cb.regularize_to_cubic(g), "regularization expects a triangle-free graph"),
+    (lambda g: regularize_to_cubic(g), "regularization expects a triangle-free graph"),
     (lambda g: cb.two_thirds_bound(g), "bound expects a triangle-free graph"),
     (lambda g: cb.eight_elevenths_bound(g), "bound expects a triangle-free graph"),
     (lambda g: cb.shearer_bound(g, trials=4), "redistribution bound expects a triangle-free graph"),

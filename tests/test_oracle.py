@@ -99,8 +99,20 @@ def test_five_cycle_c5_and_c4():
 
 
 def test_five_cycle_rejects_triangles():
-    with pytest.raises(ValueError):
+    with pytest.raises(cb.TriangleFoundError):
         cb.five_cycle_cover(cb.complete(4))
+
+
+def test_five_cycle_preconditions_are_typed():
+    star = cb.WeightedGraph(5, [(0, v, 1.0) for v in range(1, 5)])  # K1,4
+    for g, error, message in (
+            (cb.complete(4), cb.TriangleFoundError,
+             "five-cycle covers are defined for triangle-free graphs"),
+            (star, cb.NotSubcubicError, "five-cycle covers are defined for subcubic graphs")):
+        with pytest.raises(error) as info:
+            cb.five_cycle_cover(g)
+        assert isinstance(info.value, cb.PreconditionError)
+        assert str(info.value) == message
 
 
 def test_conjecture_report_c5():

@@ -16,16 +16,15 @@ from cutbounds import cli, generators, subcubic
 from cutbounds.bounds import meets
 from cutbounds.cuts import NotBipartiteError, _two_color
 from cutbounds.graph import _component_split, _exact_weights, _incidence_arrays
-from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _gadget_hosts, _padded_coloring,
-                                _successors, color_components,
-                                percolation_expectation,
-                                _peel_greedy)
+from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _successors, color_components,
+                                percolation_expectation, _peel_greedy)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
-from helpers import (disjoint_union, eight_elevenths_candidate_cuts, eight_elevenths_padded,
-                     naive_max_cut, peel_colors_by_scan,
-                     percolation_conditional_expectation, percolation_raw,
-                     random_connected_graph, random_tf_subcubic_graph, shearer_expectation,
-                     shearer_sides_by_loop, tree_paths, tree_percolation_sample)
+from helpers import (_padded_candidates, disjoint_union, eight_elevenths_candidate_cuts,
+                     eight_elevenths_padded, gadget_colors, gadget_hosts, naive_max_cut,
+                     padded_coloring, peel_colors_by_scan, percolation_conditional_expectation,
+                     percolation_raw, random_connected_graph, random_tf_subcubic_graph,
+                     regularize_to_cubic, shearer_expectation, shearer_sides_by_loop,
+                     successor_digraph, tree_paths, tree_percolation_sample)
 
 
 def bridged_gadgets():
@@ -42,7 +41,7 @@ def bridged_gadgets():
 
 
 def test_regularize_c5():
-    ext = cb.regularize_to_cubic(cb.cycle(5))
+    ext = regularize_to_cubic(cb.cycle(5))
     g3 = ext.graph
     assert g3.n == 5 + 5 * 7
     assert all(g3.degree(v) == 3 for v in range(g3.n))
@@ -52,21 +51,21 @@ def test_regularize_c5():
 
 
 def test_regularize_identity_on_cubic():
-    assert cb.regularize_to_cubic(cb.petersen()).graph == cb.petersen()
+    assert regularize_to_cubic(cb.petersen()).graph == cb.petersen()
 
 
 def test_regularize_single_edge():
-    ext = cb.regularize_to_cubic(cb.WeightedGraph(2, [(0, 1, 1.0)]))
+    ext = regularize_to_cubic(cb.WeightedGraph(2, [(0, 1, 1.0)]))
     assert ext.gadget_count == 4
     assert all(ext.graph.degree(v) == 3 for v in range(ext.graph.n))
 
 
 def test_regularize_rejects():
     with pytest.raises(cb.TriangleFoundError):
-        cb.regularize_to_cubic(cb.complete(4))
+        regularize_to_cubic(cb.complete(4))
     star4 = cb.WeightedGraph(5, [(0, v, 1.0) for v in range(1, 5)])
     with pytest.raises(ValueError):
-        cb.regularize_to_cubic(star4)  # degree 4, triangle-free
+        regularize_to_cubic(star4)  # degree 4, triangle-free
 
 
 # -- Brooks coloring -------------------------------------------------------
@@ -78,8 +77,8 @@ def test_regularize_rejects():
     lambda: cb.petersen(),
     lambda: cb.gadget_k33_subdivided(),
     bridged_gadgets,
-    lambda: cb.regularize_to_cubic(cb.cycle(5)).graph,
-    lambda: cb.regularize_to_cubic(cb.WeightedGraph(2, [(0, 1, 1.0)])).graph,
+    lambda: regularize_to_cubic(cb.cycle(5)).graph,
+    lambda: regularize_to_cubic(cb.WeightedGraph(2, [(0, 1, 1.0)])).graph,
 ])
 def test_brooks_fixtures(make):
     g = make()
@@ -106,7 +105,7 @@ def test_brooks_rejects():
 def test_brooks_regularized_corpus():
     for seed in range(30):
         g = cb.random_triangle_free_subcubic(4 + seed % 12, seed=seed)
-        g3 = cb.regularize_to_cubic(g).graph
+        g3 = regularize_to_cubic(g).graph
         col = color_components(g3)
         col.validate(g3)
 
@@ -117,11 +116,11 @@ def test_padding_rule_colors_the_extension_properly():
     graphs += [cb.random_triangle_free_subcubic(4 + seed, seed=seed) for seed in range(20)]
     graphs += [generators.path(3), cb.cycle(5), cb.WeightedGraph(3, [])]
     for g in graphs:
-        ext = cb.regularize_to_cubic(g)
-        col = _padded_coloring(ext)
+        ext = regularize_to_cubic(g)
+        col = padded_coloring(ext)
         col.validate(ext.graph)
         assert col.class_of[:g.n] == color_components(g).class_of
-        hosts = _gadget_hosts(g)
+        hosts = gadget_hosts(g)
         assert len(hosts) == ext.gadget_count
         for i, s in enumerate(hosts):
             mid = g.n + 7 * i + 6  # the subdivision vertex
@@ -179,23 +178,23 @@ def test_successor_rule_on_cubic_vertex():
     g = cb.WeightedGraph(6, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0),
                              (1, 4, 1.0), (2, 4, 1.0), (3, 5, 1.0)])
     col = cb.VertexColoring3((1, 2, 2, 3, 1, 1))
-    succ = cb.successor_digraph(g, col)
+    succ = successor_digraph(g, col)
     assert succ.succ[0] == 3  # color 3 appears exactly once in N(0)
 
 
 def test_successor_undefined_for_degree_two_distinct():
     g = cb.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     col = cb.VertexColoring3((1, 2, 3))
-    succ = cb.successor_digraph(g, col)
+    succ = successor_digraph(g, col)
     assert succ.succ[1] is None      # both colors appear once: ambiguous
     assert succ.succ[0] == 1         # degree 1: the single color is unique
     assert succ.succ[2] == 1
 
 
 def test_classification_partition_and_matching():
-    g3 = cb.regularize_to_cubic(cb.petersen()).graph
+    g3 = regularize_to_cubic(cb.petersen()).graph
     col = color_components(g3)
-    succ = cb.successor_digraph(g3, col)
+    succ = successor_digraph(g3, col)
     cls = cb.classify_edges(g3, succ)
     w0, w1, w2 = map(_exact_weights(g3).value, cls.sums(g3))
     assert w0 + w1 + w2 == g3.total_weight
@@ -210,10 +209,10 @@ def test_successor_triple_color_property():
     # any edge into the tail of an arc sees all three classes
     for seed in (0, 3, 7):
         g = cb.random_triangle_free_subcubic(12, seed=seed)
-        ext = cb.regularize_to_cubic(g)
+        ext = regularize_to_cubic(g)
         g3 = ext.graph
-        for col in (color_components(g3), _padded_coloring(ext)):
-            succ = cb.successor_digraph(g3, col)
+        for col in (color_components(g3), padded_coloring(ext)):
+            succ = successor_digraph(g3, col)
             for p2, p3 in succ.arcs():
                 for p1, _ in g3.adj[p2]:
                     if p1 == p3:
@@ -245,8 +244,8 @@ def test_mutual_matching_cut_empty_matching():
     # and the certified value is (3/5)(w0 + w1) with nothing contracted.
     g = cb.random_triangle_free_subcubic(6, seed=102, weight_dist="int")
     g3, candidates = eight_elevenths_candidate_cuts(g)
-    ext = cb.regularize_to_cubic(g)
-    cls = cb.classify_edges(g3, cb.successor_digraph(g3, _padded_coloring(ext)))
+    ext = regularize_to_cubic(g)
+    cls = cb.classify_edges(g3, successor_digraph(g3, padded_coloring(ext)))
     assert cls.edge_ids(2) == ()
     w0, w1, _ = map(_exact_weights(g3).value, cls.sums(g3))
     cut, value = candidates["mutual_matching"]
@@ -288,6 +287,10 @@ MUTUAL_WINNER = cb.WeightedGraph(5, [(0, 1, 5.0), (0, 3, 0.0), (1, 2, 4.0), (1, 
 # is still a labelled block, or place_blocks breaks a tie the other way
 PADDED_ALONE = cb.WeightedGraph(8, [(0, 1, 6.0), (1, 2, 8.0), (1, 4, 9.0), (2, 3, 5.0),
                                     (2, 6, 5.0), (3, 4, 3.0), (3, 5, 7.0), (5, 6, 2.0)])
+# a host pointing into its gadget whose tree, leveled from the host at 0
+# rather than 1, picks another layer set: the padded graph levels it deeper
+HOST_DEEPER = cb.WeightedGraph(6, [(0, 1, 7.0), (0, 2, 0.0), (0, 5, 5.0), (1, 3, 9.0),
+                                   (1, 4, 1.0), (2, 3, 5.0), (4, 5, 6.0)])
 
 
 @st.composite
@@ -325,12 +328,20 @@ def tf_subcubic_unions(draw):
 @example(cb.cycle(5))
 def test_eight_elevenths_equals_the_padded_pipeline(g):
     rep, ref = cb.eight_elevenths_bound(g), eight_elevenths_padded(g)
-    assert rep.cut == ref.cut
-    assert rep.details == ref.details
     assert rep.bound_exact == ref.bound_exact and rep.bound_value == ref.bound_value
+    if rep.details.get("winner") == "mutual_matching":
+        # G's own contraction may give another cut, certified all the same
+        winner = ref.details["winner"]
+        assert rep.details["winner"] == winner
+        del rep.details[winner]["cut_weight"], ref.details[winner]["cut_weight"]
+        assert rep.details == ref.details
+        assert meets(rep.cut, Fraction(rep.details[winner]["certified"]))
+    else:
+        assert rep.cut == ref.cut
+        assert rep.details == ref.details
     if g.n:  # the successors on G are the padded graph's, restricted to G
-        ext = cb.regularize_to_cubic(g)
-        padded = cb.successor_digraph(ext.graph, _padded_coloring(ext)).succ
+        ext = regularize_to_cubic(g)
+        padded = successor_digraph(ext.graph, padded_coloring(ext)).succ
         padding = [3 - g.degree(v) for v in range(g.n)]
         assert _successors(g, color_components(g), padding).succ == padded[:g.n]
 
@@ -354,11 +365,11 @@ def test_gadget_template(host_color, degree):
     for leaf_colors in product((mid_color, third), repeat=degree):
         g = cb.WeightedGraph(1 + degree, [(0, i + 1, float(i + 1)) for i in range(degree)])
         color = cb.VertexColoring3((host_color,) + leaf_colors)
-        ext = cb.regularize_to_cubic(g)
+        ext = regularize_to_cubic(g)
         g3 = ext.graph
-        pad = [c for s in _gadget_hosts(g) for c in generators._gadget_colors(color.class_of[s])]
+        pad = [c for s in gadget_hosts(g) for c in gadget_colors(color.class_of[s])]
         color3 = cb.VertexColoring3(color.class_of + tuple(pad))
-        succ3 = cb.successor_digraph(g3, color3)
+        succ3 = successor_digraph(g3, color3)
         padding = [3 - g.degree(v) for v in range(g.n)]
         succ = _successors(g, color, padding)
         assert succ.succ == succ3.succ[:g.n]
@@ -389,26 +400,63 @@ def test_gadget_template(host_color, degree):
             subcubic.per_class_cut(g3, color3, succ3).side[:g.n]
 
 
+def _largest_graph_built(monkeypatch, g):
+    """The most vertices of any graph built while the 8/11 bound runs on a
+    fresh copy of ``g``, and the report."""
+    built = [0]
+    init = cb.WeightedGraph.__init__
+
+    def counting(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    fresh = cb.WeightedGraph(g.n, g.edges)  # a fresh memo
+    with monkeypatch.context() as patch:
+        patch.setattr(cb.WeightedGraph, "__init__", counting)
+        rep = cb.eight_elevenths_bound(fresh)
+    return max(built), rep
+
+
 def test_drop_class_winner_builds_no_padding(monkeypatch):
-    built = []
-    regularize = subcubic.regularize_to_cubic
-
-    def counting(g):
-        built.append(g.n)
-        return regularize(g)
-
-    monkeypatch.setattr(subcubic, "regularize_to_cubic", counting)
     rng = random.Random(8)
     graphs = [cb.cycle(5), generators.path(30), cb.petersen(), cb.WeightedGraph(3, []),
               disjoint_union([cb.cycle(5), generators.path(3), cb.gadget_k33_subdivided()])]
     graphs += [random_tf_subcubic_graph(n, rng, n % 2 == 0) for n in range(5, 60, 6)]
     for g in graphs:
-        rep = cb.eight_elevenths_bound(g)
+        largest, rep = _largest_graph_built(monkeypatch, g)
         assert rep.details["winner"] == "drop_class"
-    assert built == []
-    for g in (LAYERED_WINNER, MUTUAL_WINNER):
-        cb.eight_elevenths_bound(cb.WeightedGraph(g.n, g.edges))  # a fresh memo
-    assert built == [2, 5]
+        assert largest <= g.n
+
+
+def test_rare_winners_build_no_padding(monkeypatch):
+    for g, winner in ((LAYERED_WINNER, "layered_components"), (MUTUAL_WINNER, "mutual_matching")):
+        largest, rep = _largest_graph_built(monkeypatch, g)
+        assert rep.details["winner"] == winner
+        assert largest <= g.n
+        assert rep.details["gadgets"] == sum(3 - g.degree(v) for v in range(g.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tf_subcubic_unions())
+@example(LAYERED_WINNER)
+@example(MUTUAL_WINNER)
+@example(HOST_DEEPER)
+@example(cb.cycle(5))
+def test_rare_candidates_on_g_match_the_padded_pipeline(g):
+    # every component, whichever candidate wins: the layered cut on G is the
+    # padded one restricted, and the mutual-matching cut on G meets its value
+    for sub, _ in _component_split(g):
+        coloring = color_components(sub)
+        succ = _successors(sub, coloring, [3 - sub.degree(v) for v in range(sub.n)])
+        cls = subcubic.classify_edges(sub, succ)
+        ext, _, candidates = _padded_candidates(sub)
+        assert subcubic.component_layer_cut(sub, succ, cls) == \
+            ext.restrict(candidates["layered_components"][1]())
+        w0, w1, w2 = map(_exact_weights(sub).value, cls.sums(sub))
+        value = Fraction(3, 5) * (w0 + w1) + w2
+        assert candidates["mutual_matching"][0] == value
+        assert meets(subcubic.mutual_matching_cut(sub, cls), value)
+        assert cb.matching_vizing_bound(sub, cls.edge_ids(2)).details["color_count"] <= 5
 
 
 def test_two_thirds_fixtures():
