@@ -5,9 +5,9 @@ conditional-expectation derandomization; exact desk-scale oracles validate
 each bound against the true maximum cut.
 """
 
-from .bounds import (BoundPreconditionError, BoundReport, best_matching,
-                     dfs_bound, edge_rooted_tree_bound, girth_bound,
-                     matching_bound, per_component, poljak_turzik,
+from .bounds import (BoundPreconditionError, BoundReport, ClaimViolationError,
+                     best_matching, dfs_bound, edge_rooted_tree_bound,
+                     girth_bound, matching_bound, per_component, poljak_turzik,
                      triangle_free_tree_bound)
 from .coloring import (ContractedGraph, EdgeColoring, contract_matching,
                        matching_vizing_bound, shearer_coefficient,
@@ -30,10 +30,10 @@ from .oracle import (ConjectureReport, OracleResult, SizeGuardError,
                      max_dfs_tree_weight, max_induced_bipartite)
 from .spanning import (OddCycleError, RootedSpanningTree, dfs_tree,
                        max_spanning_tree, min_spanning_tree)
-from .subcubic import (ClaimViolationError, EdgeClassification, SuccessorDigraph,
-                       VertexColoring3, brooks_3_coloring, classify_edges,
-                       combined_tree_bound, component_layer_cut,
-                       eight_elevenths_bound, mutual_matching_cut, per_class_cut,
-                       shearer_bound, tree_percolation_bound, two_thirds_bound)
+from .subcubic import (EdgeClassification, SuccessorDigraph, VertexColoring3,
+                       brooks_3_coloring, classify_edges, combined_tree_bound,
+                       component_layer_cut, eight_elevenths_bound,
+                       mutual_matching_cut, per_class_cut, shearer_bound,
+                       tree_percolation_bound, two_thirds_bound)
 
 __version__ = "0.1.0"

@@ -30,6 +30,15 @@ class BoundPreconditionError(PreconditionError):
     """The instance violates a bound's precondition (reported, not fatal)."""
 
 
+class ClaimViolationError(Exception):
+    """A property the construction guarantees failed, such as a
+    deterministic cut weighing less than its certified value.
+
+    A violation signals an upstream bug, so callers get diagnostics
+    instead of a cut.
+    """
+
+
 @dataclass
 class BoundReport:
     """Named bound with its certified value and constructed cut.
@@ -57,7 +66,10 @@ def meets(cut: Cut, value: Fraction) -> bool:
 
 
 def _report(name: str, value: Fraction, cut: Cut, details: dict) -> BoundReport:
-    """A deterministic report of the exact ``value``."""
+    """A deterministic report of the exact ``value``; raises
+    ClaimViolationError when ``cut`` does not meet it."""
+    if not meets(cut, value):
+        raise ClaimViolationError(f"{name} cut weight {cut.weight} below certified {value}")
     return BoundReport(name, float(value), cut, DETERMINISTIC, value, details)
 
 
@@ -83,16 +95,16 @@ def _copy_details(x):
 # -- spanning-tree based bounds -----------------------------------------
 
 
-def _best_dfs_tree(g, root) -> RootedSpanningTree:
-    """DFS tree maximizing tree weight over ``root`` alone, else over every
-    root when n <= ROOT_SWEEP_MAX_N, else root 0; ties go to the lowest
-    root.  Roots are ranked on exact integer tree weights, by a pass that
-    sums them alone, and only the winner's tree is built.  Memoized on ``g``."""
+def _best_dfs_tree(g: WeightedGraph) -> RootedSpanningTree:
+    """DFS tree maximizing tree weight over every root when
+    n <= ROOT_SWEEP_MAX_N, else from root 0; ties go to the lowest root.
+    Roots are ranked on exact integer tree weights, by a pass that sums
+    them alone, and only the winner's tree is built.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    roots = [root] if root is not None else range(g.n) if g.n <= ROOT_SWEEP_MAX_N else [0]
+    roots = range(g.n if g.n <= ROOT_SWEEP_MAX_N else 1)
     ints = _exact_weights(g).ints
-    return _cached(g, ("best_dfs_tree", root), lambda: dfs_tree(
+    return _cached(g, "best_dfs_tree", lambda: dfs_tree(
         g, roots[0] if len(roots) == 1 else max(roots, key=lambda r: _dfs(g, r, ints))))
 
 
@@ -103,15 +115,14 @@ def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, in
     return derandomized_cut(g, verify_induced_bipartite(g, ids)), j
 
 
-def _parity_cut(g: WeightedGraph, root: Optional[int]) -> Cut:
-    """The parity-layer cut of ``_best_dfs_tree(g, root)``, which both
+def _parity_cut(g: WeightedGraph) -> Cut:
+    """The parity-layer cut of ``_best_dfs_tree(g)``, which both
     ``poljak_turzik`` and ``dfs_bound`` certify; memoized on ``g`` (a
     ``Cut`` is immutable, so the two share it)."""
-    return _cached(g, ("parity_cut", root),
-                   lambda: _layer_cut(g, _best_dfs_tree(g, root), 2)[0])
+    return _cached(g, "parity_cut", lambda: _layer_cut(g, _best_dfs_tree(g), 2)[0])
 
 
-def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
+def poljak_turzik(g: WeightedGraph) -> BoundReport:
     """w(G)/2 + w(T_min)/4 with a minimum-weight spanning tree T_min.
 
     The constructed cut comes from the DFS parity layers, which certify the
@@ -119,18 +130,18 @@ def poljak_turzik(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
     tree outweighs the minimum spanning tree.
     """
     tmin = min_spanning_tree(g)
-    d = _best_dfs_tree(g, root)
-    cut = _parity_cut(g, root)
+    d = _best_dfs_tree(g)
+    cut = _parity_cut(g)
     value = _exact_weights(g).total / 2 + tmin.exact_weight / 4
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
     return _report("poljak_turzik", value, cut, details)
 
 
-def dfs_bound(g: WeightedGraph, root: Optional[int] = None) -> BoundReport:
-    """w(G)/2 + w(D)/4 for a DFS tree D (default: best root by tree weight)."""
-    d = _best_dfs_tree(g, root)
-    cut = _parity_cut(g, root)
+def dfs_bound(g: WeightedGraph) -> BoundReport:
+    """w(G)/2 + w(D)/4 for the DFS tree D of ``_best_dfs_tree``."""
+    d = _best_dfs_tree(g)
+    cut = _parity_cut(g)
     value = _exact_weights(g).total / 2 + d.exact_weight / 4
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
     return _report("dfs_tree", value, cut, details)
@@ -254,9 +265,9 @@ def matching_bound(g: WeightedGraph,
 # -- girth-family bounds --------------------------------------------------
 
 
-def girth_bound(g: WeightedGraph, k: Optional[int] = None,
-                root: Optional[int] = None) -> BoundReport:
-    """w(G)/2 + (k-1)/(2k) * w(D) for a DFS tree D, when the girth is >= k.
+def girth_bound(g: WeightedGraph, k: Optional[int] = None) -> BoundReport:
+    """w(G)/2 + (k-1)/(2k) * w(D) for the DFS tree D of ``_best_dfs_tree``,
+    when the girth is >= k.
 
     k must be even; the default is the girth rounded down to an even value
     (one less when the girth is odd).  Acyclic graphs have unbounded girth;
@@ -278,7 +289,7 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None,
         raise BoundPreconditionError(f"k = {k} must be even and positive")
     if st.girth is not None and k > st.girth:
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
-    d = _best_dfs_tree(g, root)
+    d = _best_dfs_tree(g)
     cut, best_j = _layer_cut(g, d, k)
     value = _exact_weights(g).total / 2 + Fraction(k - 1, 2 * k) * d.exact_weight
     details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],

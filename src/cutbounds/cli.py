@@ -16,12 +16,10 @@ from typing import Callable, Optional
 
 from . import bounds as bnd
 from . import generators, oracle, subcubic
-from .bounds import BoundReport, per_component
+from .bounds import BoundReport, ClaimViolationError, per_component
 from .coloring import matching_vizing_bound, vizing_classes_bound
 from .cuts import NotBipartiteError, NotInducedError
-from .graph import (GraphError, PreconditionError, WeightedGraph, _component_split,
-                    load_graph, save_graph)
-from .subcubic import ClaimViolationError
+from .graph import GraphError, PreconditionError, WeightedGraph, load_graph, save_graph
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -32,32 +30,17 @@ EXIT_INTERNAL = 3
 RANDOM_VERIFY_MIN_N = 4
 
 
-def _component_roots(g: WeightedGraph,
-                     root: Optional[int]) -> Callable[[WeightedGraph], Optional[int]]:
-    """The DFS root, as a local id, of each component ``per_component`` lifts over.
-
-    The component that contains vertex ``root`` of ``g`` is rooted there;
-    every other one at its lowest vertex, local id 0.
-    """
-    if root is None:
-        return lambda h: None
-    local = {id(sub): orig_v.index(root) if root in orig_v else 0
-             for sub, orig_v in _component_split(g)}
-    return lambda h: local[id(h)]
-
-
-def _bound_suite(g: WeightedGraph, seed: int, trials: int, root: Optional[int]):
+def _bound_suite(g: WeightedGraph, seed: int, trials: int):
     """Ordered (name, runner) pairs; connectivity-requiring bounds are
     lifted per component."""
     def pc(fn: Callable[[WeightedGraph], BoundReport], name: str):
         return lambda: per_component(g, fn, name)
 
-    root_of = _component_roots(g, root)
     return [
-        ("poljak_turzik", pc(lambda h: bnd.poljak_turzik(h, root_of(h)), "poljak_turzik")),
-        ("dfs_tree", pc(lambda h: bnd.dfs_bound(h, root_of(h)), "dfs_tree")),
+        ("poljak_turzik", pc(bnd.poljak_turzik, "poljak_turzik")),
+        ("dfs_tree", pc(bnd.dfs_bound, "dfs_tree")),
         ("matching", lambda: bnd.matching_bound(g)),
-        ("girth_layers", pc(lambda h: bnd.girth_bound(h, None, root_of(h)), "girth_layers")),
+        ("girth_layers", pc(bnd.girth_bound, "girth_layers")),
         ("triangle_free_tree", pc(bnd.triangle_free_tree_bound, "triangle_free_tree")),
         ("edge_rooted_tree", pc(bnd.edge_rooted_tree_bound, "edge_rooted_tree")),
         ("matching_vizing", lambda: matching_vizing_bound(g, bnd.best_matching(g))),
@@ -134,11 +117,8 @@ def _json_safe(value):
 
 def cmd_bounds(args, out) -> int:
     g = _load_input(args)
-    if args.root is not None and not 0 <= args.root < g.n:
-        raise ValueError(f"--root {args.root} is not a vertex: "
-                         f"the graph has n={g.n} vertices, ids 0..n-1")
     rows = []
-    for name, runner in _bound_suite(g, args.seed, args.trials, args.root):
+    for name, runner in _bound_suite(g, args.seed, args.trials):
         rep = _run_bound(name, runner)
         rows.append({"name": name, "skipped": True, "reason": rep}
                     if isinstance(rep, str) else _report_row(rep))
@@ -185,7 +165,7 @@ def _verify_one(g: WeightedGraph, seed: int, trials: int,
     failures: list[str] = []
     checked = 0
     mac = oracle.exact_max_cut(g, max_n).witness.exact_weight if g.n <= max_n else None
-    for name, runner in _bound_suite(g, seed, trials, root=None):
+    for name, runner in _bound_suite(g, seed, trials):
         rep = _run_bound(name, runner)
         if isinstance(rep, str):
             continue
@@ -314,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[graph_input, seed, fmt],
                        help="run every applicable bound")
     p.add_argument("--trials", type=_int_at_least(1), default=256)
-    p.add_argument("--root", type=int, default=None, help="DFS root (default: the best "
-                   f"root if n <= {bnd.ROOT_SWEEP_MAX_N}, else 0)")
     # each fn looks its cmd_* up when it runs, so main's one parser follows a rebinding
     p.set_defaults(fn=lambda args, out: cmd_bounds(args, out))
 

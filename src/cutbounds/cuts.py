@@ -247,6 +247,8 @@ def check_matching(g: WeightedGraph, edge_ids: Iterable[int]) -> tuple[int, ...]
     ids = sorted(set(int(e) for e in edge_ids))
     seen: set[int] = set()
     for e in ids:
+        if not 0 <= e < g.m:
+            raise ValueError(f"edge id {e} out of range")
         u, v, _ = g.edges[e]
         if u in seen or v in seen:
             raise NotAMatchingError(f"edges share vertex at edge id {e}")

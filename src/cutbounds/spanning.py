@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cuts import _two_color
 from .graph import (DisconnectedGraphError, PreconditionError, WeightedGraph, _cached,
                     _exact_weights)
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
@@ -86,42 +87,33 @@ def _orient(g: WeightedGraph, edge_ids: frozenset[int], roots: Sequence[int],
 
 
 def _dfs(g: WeightedGraph, root: int, ints: Optional[Sequence[int]] = None):
-    """Parent, level (-1 where unreached) and tree edge ids of the depth-first
-    search from ``root``, neighbors explored in ascending vertex id; given
-    ``ints``, only their sum over the tree edges, with none of those built."""
-    seen, total = bytearray(g.n), 0
+    """Tree edge ids of the depth-first search from ``root``, neighbors
+    explored in ascending vertex id; given ``ints``, only their sum over the
+    tree edges."""
+    seen, edge_ids = bytearray(g.n), []
     seen[root] = 1
-    if ints is None:
-        parent: list[Optional[int]] = [None] * g.n
-        level, edge_ids = [-1] * g.n, set()
-        level[root] = 0
     stack = [(root, iter(g.adj[root]))]
     while stack:
-        u, it = stack[-1]
-        for v, eid in it:
+        for v, eid in stack[-1][1]:
             if not seen[v]:
                 seen[v] = 1
-                if ints is not None:
-                    total += ints[eid]
-                else:
-                    level[v], parent[v] = level[u] + 1, u
-                    edge_ids.add(eid)
+                edge_ids.append(eid)
                 stack.append((v, iter(g.adj[v])))
                 break
         else:
             stack.pop()
-    return total if ints is not None else (parent, level, edge_ids)
+    return frozenset(edge_ids) if ints is None else sum(ints[e] for e in edge_ids)
 
 
 def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
-    """Depth-first search tree; neighbors explored in ascending vertex id."""
+    """Depth-first search tree; neighbors explored in ascending vertex id,
+    its edges leveled from ``root`` by ``_orient``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    parent, level, edge_ids = _dfs(g, root)
-    if any(l < 0 for l in level):
+    edge_ids = _dfs(g, root)
+    if len(edge_ids) != g.n - 1:
         raise DisconnectedGraphError("graph is not connected")
-    return RootedSpanningTree(tuple(parent), (root,), tuple(level), frozenset(edge_ids),
-                              "dfs", _exact_weights(g).weight(edge_ids))
+    return _orient(g, edge_ids, (root,), "dfs")
 
 
 def cross_edges(g: WeightedGraph, t: RootedSpanningTree) -> list[int]:
@@ -207,12 +199,9 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[in
             dropped[layer[eid]] += ints[eid]
     j = min(range(k), key=dropped.__getitem__)
     kept = [eid for eid in sorted(t.edge_ids) if layer.get(eid) != j]
-    par = list(range(g.n))
-    for eid in kept:
-        u, v, _ = g.edges[eid]
-        par[_find(par, u)] = _find(par, v)
-    extra = [eid for eid in range(g.m) if eid not in t.edge_ids
-             and _find(par, g.edges[eid][0]) == _find(par, g.edges[eid][1])]
+    label = _two_color(g, kept).label
+    extra = [eid for eid, (u, v, _) in enumerate(g.edges) if eid not in t.edge_ids
+             and label[u] == label[v] >= 0]
     return j, sorted(kept + extra)
 
 

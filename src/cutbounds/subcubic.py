@@ -27,7 +27,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds import BoundReport, MONTE_CARLO, _cached_report, _report, meets
+from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _report,
+                     meets)
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
@@ -49,14 +50,6 @@ TREE_COEFFICIENT = 0.3193
 # trial count.
 _BLOCK_CELLS = 1 << 14
 _BATCH_CELLS = 1 << 16
-
-
-class ClaimViolationError(Exception):
-    """A structural property of the successor decomposition failed.
-
-    These properties are consequences of the construction; a violation
-    signals an upstream bug, so callers get diagnostics instead of a cut.
-    """
 
 
 # =====================================================================
@@ -666,9 +659,6 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> Boun
     raw = _percolation_cut(g, t, p, paths)
     cut = local_search_improve(g, raw)
     value = Fraction(percolation_expectation(g, t, p, r))
-    if not meets(cut, value):
-        raise ClaimViolationError(
-            f"percolation cut weight {cut.weight} below certified {value}")
     # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
     expectation = (p + 1.0) / 2.0 * t.weight + sum(
         g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
@@ -697,9 +687,6 @@ def combined_tree_bound(g: WeightedGraph,
     perc = tree_percolation_bound(g, t, PERCOLATION_P)
     cut = max(eight.cut, perc.cut, key=lambda c: c.exact_weight)
     value = Fraction(g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight)
-    if not meets(cut, value):
-        raise ClaimViolationError(
-            f"combined tree cut weight {cut.weight} below certified {value}")
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
              + COMBINATION_WEIGHT_B * float(EIGHT_ELEVENTHS))
     details = {

@@ -1126,6 +1126,32 @@ def tree_distances_from(g: WeightedGraph, t, src: int) -> list[int]:
     return dist
 
 
+def dfs_tree_by_direct_build(g: WeightedGraph, root: int):
+    """The depth-first search tree from ``root``, neighbors explored in
+    ascending vertex id, with parent and level set as the search descends.
+    Raises DisconnectedGraphError("graph is not connected") when the search
+    misses a vertex."""
+    from cutbounds.graph import DisconnectedGraphError, _exact_weights
+    from cutbounds.spanning import RootedSpanningTree
+    parent, level, edge_ids = [None] * g.n, [-1] * g.n, set()
+    level[root] = 0
+    stack = [(root, iter(g.adj[root]))]
+    while stack:
+        u, it = stack[-1]
+        for v, eid in it:
+            if level[v] < 0:
+                level[v], parent[v] = level[u] + 1, u
+                edge_ids.add(eid)
+                stack.append((v, iter(g.adj[v])))
+                break
+        else:
+            stack.pop()
+    if min(level) < 0:
+        raise DisconnectedGraphError("graph is not connected")
+    return RootedSpanningTree(tuple(parent), (root,), tuple(level), frozenset(edge_ids),
+                              "dfs", _exact_weights(g).weight(edge_ids))
+
+
 def fundamental_cycle_lengths(g: WeightedGraph, edge_ids: frozenset[int]):
     """``(eid, d_T(u, v) + 1)`` for every non-tree edge e = (u, v), by edge
     id, T being the spanning tree with edge set ``edge_ids`` rooted at 0.

@@ -38,7 +38,7 @@ def _float_corpus():
 
 
 def _deterministic_reports(g):
-    for name, runner in _bound_suite(g, seed=0, trials=8, root=None):
+    for name, runner in _bound_suite(g, seed=0, trials=8):
         rep = _run_bound(name, runner)
         if not isinstance(rep, str) and rep.mode == bounds.DETERMINISTIC:
             yield rep

@@ -189,8 +189,8 @@ def test_root_sweep_ranks_roots_as_their_dfs_trees(n, extra, seed):
     shape = random_connected_graph(n, extra, rng)
     g = cb.WeightedGraph(n, [(u, v, float(rng.randint(1, 2))) for u, v, _ in shape.edges])
     ints = _exact_weights(g).ints
-    weights = [sum(ints[e] for e in _dfs(g, r)[2]) for r in range(n)]
+    weights = [sum(ints[e] for e in cb.dfs_tree(g, r).edge_ids) for r in range(n)]
     assert [_dfs(g, r, ints) for r in range(n)] == weights
-    best = _best_dfs_tree(g, None)
+    best = _best_dfs_tree(g)
     assert best.roots[0] == weights.index(max(weights))
-    assert best.edge_ids == frozenset(_dfs(g, best.roots[0])[2])
+    assert best == cb.dfs_tree(g, best.roots[0])

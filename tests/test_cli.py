@@ -259,63 +259,11 @@ def _write(tmp_path, g, name="g.graph"):
     return str(path)
 
 
-def _two_paths():
-    return cb.WeightedGraph(6, [(0, 1, 2.0), (1, 2, 3.0), (3, 4, 1.0), (4, 5, 5.0)])
-
-
-@pytest.mark.parametrize("graph, root", [
-    (cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]), "99"),
-    (cb.WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]), "4"),
-    (_two_paths(), "6"),
-    (_two_paths(), "-2"),
-    (_two_paths(), "-1"),
-])
-def test_bounds_root_out_of_range_exit_2(tmp_path, capsys, graph, root):
-    code, text = run_cli(["bounds", "--input", _write(tmp_path, graph), "--root", root])
+def test_bounds_has_no_root_option(capsys):
+    # every DFS bound takes the heaviest DFS tree by one rule; no root is chosen
+    assert run_cli(["bounds", "--generate", "cycle", "5", "--root", "0"]) == (2, "")
     err = capsys.readouterr().err
-    assert code == 2 and text == ""
-    assert err.startswith("error: ") and "--root" in err and f"n={graph.n}" in err
-    assert "Traceback" not in err and "IndexError" not in err
-
-
-def test_bounds_root_applies_to_its_component(tmp_path):
-    g = _two_paths()
-    code, text = run_cli(["bounds", "--input", _write(tmp_path, g), "--root", "4",
-                          "--format", "json-lines", "--trials", "8"])
-    assert code == 0
-    rows = {r["name"]: r for r in map(json.loads, text.splitlines())}
-    # vertex 4 is local vertex 1 of the second path; the first path keeps
-    # its lowest vertex, local 0
-    roots = iter((0, 1))
-    want = cb.per_component(g, lambda h: cb.dfs_bound(h, next(roots)))
-    assert rows["dfs_tree"]["cut"] == want.cut.bitstring()
-    assert rows["dfs_tree"]["bound_value"] == want.bound_value
-
-
-# The rows that depend on --root, with the bound values printed before a
-# root was mapped to its own component: every component was then rooted at
-# local vertex 0.  The cuts are those of the one layer set each bound builds.
-_ROOT0_ROWS = """\
-{"bound_value": 49.0, "cut": "010101010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 8.75, 29.75], "components": 3}, "mode": "deterministic", "name": "poljak_turzik"}
-{"bound_value": 51.5, "cut": "010101010101001001101", "cut_weight": 68.0, "details": {"component_bounds": [10.5, 9.25, 31.75], "components": 3}, "mode": "deterministic", "name": "dfs_tree"}
-{"bound_value": 59.291666666666664, "cut": "010100101011001001101", "cut_weight": 68.0, "details": {"component_bounds": [12.833333333333334, 11.083333333333334, 35.375], "components": 3}, "mode": "deterministic", "name": "girth_layers"}
-"""  # noqa: E501
-
-
-def test_bounds_root_zero_on_disconnected_input_is_unchanged(tmp_path):
-    edges = [(0, 1, 4.0), (1, 2, 1.0), (2, 3, 7.0), (3, 4, 2.0)]
-    edges += [(5 + i, 5 + (i + 1) % 6, float(i % 4 + 1)) for i in range(6)]
-    edges += [(u + 11, v + 11, float((u * 3 + v) % 5 + 1)) for u, v, _ in cb.petersen().edges]
-    path = _write(tmp_path, cb.WeightedGraph(21, edges))
-    base = ["bounds", "--input", path, "--trials", "16", "--format", "json-lines"]
-    code, text = run_cli(base + ["--root", "0"])
-    assert code == 0
-    lines = text.splitlines(keepends=True)
-    assert "".join(lines[0:2] + lines[3:4]) == _ROOT0_ROWS
-    # no other bound reads the root
-    _, unrooted = run_cli(base)
-    other = unrooted.splitlines(keepends=True)
-    assert lines[2] == other[2] and lines[4:] == other[4:]
+    assert err.startswith("usage: cutbounds") and "unrecognized arguments: --root 0" in err
 
 
 _STAR_K14 = "p 5 4\ne 0 1 1\ne 0 2 2\ne 0 3 3\ne 0 4 4\n"
@@ -419,7 +367,7 @@ def _zero_percolation_cut(monkeypatch):
 
 def _overstated_tree_coefficient(monkeypatch):
     monkeypatch.setattr(cb.subcubic, "TREE_COEFFICIENT", 0.9)  # w/2 + 0.9 w(T) > w on C5
-    return "combined tree cut weight"
+    return "combined_tree cut weight"
 
 
 @pytest.mark.parametrize("force", [_zero_percolation_cut, _overstated_tree_coefficient])
@@ -430,6 +378,24 @@ def test_cut_below_its_certified_bound_exits_3(monkeypatch, capsys, command, for
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_a_deterministic_row_below_its_value_exits_3(monkeypatch, capsys, command):
+    # dfs_tree reads the parity cut poljak_turzik memoized; only its own call sees zero
+    real = cb.bounds.dfs_bound
+
+    def zero_parity_cut(g):
+        with monkeypatch.context() as m:
+            m.setattr(cb.bounds, "_parity_cut", lambda h: cb.Cut.from_side(h, [0] * h.n))
+            return real(g)
+
+    monkeypatch.setattr(cb.bounds, "dfs_bound", zero_parity_cut)
+    code, _ = run_cli([command, "--generate", "cycle", "5", "--trials", "8"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: dfs_tree cut weight 0.0 below certified")
+    assert "Traceback" not in err
 
 
 def test_skips_are_precondition_errors():
@@ -537,18 +503,18 @@ def test_repeated_main_runs_a_rebound_command(monkeypatch):
     ran = []
 
     def fake_bounds(args, out):
-        ran.append(args.root)
+        ran.append(args.seed)
         return 0
 
     monkeypatch.setattr(cli, "cmd_bounds", fake_bounds)
-    assert run_cli(["bounds", "--generate", "cycle", "5", "--root", "2"]) == (0, "")
-    assert ran == [2]
+    assert run_cli(["bounds", "--generate", "cycle", "5", "--seed", "3"]) == (0, "")
+    assert ran == [3]
 
 
 def test_repeated_main_forgets_the_previous_options(tmp_path):
     path = _write(tmp_path, cb.petersen())
     base = ["bounds", "--input", path, "--trials", "8", "--format", "json-lines"]
-    code, rooted = run_cli(base + ["--root", "3"])
+    code, seeded = run_cli(base + ["--seed", "3"])
     assert code == 0
     after = run_cli(base)
     cli._parser.cache_clear()
@@ -556,7 +522,7 @@ def test_repeated_main_forgets_the_previous_options(tmp_path):
         alone = run_cli(base)
     finally:
         cli._parser.cache_clear()
-    assert after == alone and after[1] != rooted
+    assert after == alone and after[1] != seeded
 
 
 def test_repeated_main_reports_a_bad_option_then_runs(capsys):

@@ -132,6 +132,15 @@ def test_check_matching():
     assert cb.cuts.check_matching(g, [0, 2]) == (0, 2)
 
 
+@pytest.mark.parametrize("ids, bad", [([-1], -1), ([15], 15), ([0, -15], -15)])
+@pytest.mark.parametrize("bound", [cb.matching_bound, cb.matching_vizing_bound])
+def test_matching_edge_ids_outside_the_graph_are_rejected(bound, ids, bad):
+    # Petersen has edge ids 0..14: -1 would contract a self-loop, 15 would
+    # index past the edges, and -15 would alias edge 0 and share its ends
+    with pytest.raises(ValueError, match=f"^edge id {bad} out of range$"):
+        bound(cb.petersen(), ids)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 10), st.integers(0, 9), st.integers(0, 10 ** 6))
 def test_derandomizer_guarantee_property(n, extra, seed):

@@ -91,7 +91,7 @@ def test_lightest_layer_matches_a_full_scan(n, extra, seed, integer):
             continue
         k = rep.details["k"]
         if bound is cb.girth_bound:
-            t = _best_dfs_tree(g, None)
+            t = _best_dfs_tree(g)
         else:
             t = reroot_at_edge(g, cb.max_spanning_tree(g), g.edge_id(*rep.details["marked_edge"]))
         assert rep.details["best_layer"] == lightest_layer_by_full_scan(g, t, k)[0]
@@ -216,7 +216,7 @@ def test_long_odd_cycle_layer_bounds_check_one_set(monkeypatch):
 
 def test_best_dfs_tree_sweep_ties_go_to_the_lowest_root():
     # every DFS tree of a uniform C6 weighs 5
-    t = _best_dfs_tree(cb.cycle(6), None)
+    t = _best_dfs_tree(cb.cycle(6))
     assert t.roots[0] == 0 and t.weight == 5.0
 
 
@@ -225,7 +225,7 @@ def test_best_dfs_tree_sweeps_up_to_64_vertices():
     # edge out and every other root keeps it; root 1 is the lowest of those
     for n, root in ((64, 1), (65, 0)):
         g = cb.WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 100.0)])
-        t = _best_dfs_tree(g, None)
+        t = _best_dfs_tree(g)
         assert t.roots[0] == root
         assert t.weight == (n - 1 if root == 0 else n - 2 + 100)
 

@@ -91,7 +91,7 @@ def _extreme_graph():
                          ids=["petersen", "c4"])
 def test_extreme_weights_certify_every_deterministic_bound_exactly(g):
     reports = []
-    for name, runner in _bound_suite(g, 0, 8, None):
+    for name, runner in _bound_suite(g, 0, 8):
         rep = _run_bound(name, runner)
         if not isinstance(rep, str) and rep.mode == bounds.DETERMINISTIC:
             reports.append(rep)
@@ -121,7 +121,7 @@ def test_cut_and_total_weights_are_rounded_once():
 def test_cut_weight_is_the_exact_crossing_weight_rounded_once(seed):
     g = cb.random_triangle_free_subcubic(40, seed=seed, weight_dist="uniform")
     assert not g.integer_weights
-    for name, runner in _bound_suite(g, 0, 8, None):
+    for name, runner in _bound_suite(g, 0, 8):
         rep = _run_bound(name, runner)
         if not isinstance(rep, str):
             assert rep.cut.weight == float(_crossing(g, rep.cut.side)), name

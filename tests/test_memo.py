@@ -61,9 +61,9 @@ def test_equal_graphs_do_not_share_a_memo():
 def test_combined_tree_after_suite_equals_fresh():
     for make in (cb.petersen, _two_pieces):
         g = make()
-        suite = _bound_suite(g, seed=0, trials=16, root=None)
+        suite = _bound_suite(g, seed=0, trials=16)
         results = {name: run() for name, run in suite}
-        fresh = dict(_bound_suite(make(), seed=0, trials=16, root=None))
+        fresh = dict(_bound_suite(make(), seed=0, trials=16))
         assert results["combined_tree"] == fresh["combined_tree"]()
         assert results["tree_percolation"] == fresh["tree_percolation"]()
 
@@ -113,7 +113,7 @@ def test_one_graph_finds_its_best_matching_once(monkeypatch):
 
     monkeypatch.setattr(bounds, "exact_matching_small", counting)
     g = cb.petersen()
-    for _, run in _bound_suite(g, seed=0, trials=16, root=None):
+    for _, run in _bound_suite(g, seed=0, trials=16):
         run()
     conjecture_report(g)
     assert searched == [10]  # matching, matching_vizing and the lab share it
@@ -168,7 +168,7 @@ def test_report_details_hold_only_plain_values():
          for s in shapes * 4])
     for g in (union, random_tf_subcubic_graph(60, random.Random(1), False),
               cb.random_triangle_free_subcubic(30, seed=2, weight_dist="int")):
-        reports = [run() for _, run in _bound_suite(g, seed=0, trials=16, root=None)]
+        reports = [run() for _, run in _bound_suite(g, seed=0, trials=16)]
         reports += [v for h in [g] + [sub for sub, _ in _component_split(g)]
                     for v in h._memo.values() if isinstance(v, BoundReport)]
         assert len(reports) > 13
@@ -188,7 +188,7 @@ def test_connectivity_is_found_once(monkeypatch):
 
     monkeypatch.setattr(cb.WeightedGraph, "components", counting)
     g = cb.petersen()
-    for _, run in _bound_suite(g, seed=0, trials=16, root=None):
+    for _, run in _bound_suite(g, seed=0, trials=16):
         run()
     assert g.is_connected() and searched == [10]
     split = cb.WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])

@@ -8,8 +8,9 @@ import cutbounds as cb
 from cutbounds import spanning
 from cutbounds.spanning import (_forest_cycle_lengths, cross_edges, layer_edge_sets,
                                 reroot_at_edge, shortest_fundamental_odd_cycle)
-from helpers import (cross_edges_by_parent_walk, fundamental_cycle_lengths,
-                     layer_sets_by_definition, random_connected_graph,
+from helpers import (cross_edges_by_parent_walk, dfs_tree_by_direct_build, disjoint_union,
+                     fundamental_cycle_lengths, layer_sets_by_definition,
+                     random_connected_graph,
                      shortest_odd_fundamental_cycle_by_bfs, spanning_tree_weights,
                      tree_distances_from)
 
@@ -34,6 +35,36 @@ def test_dfs_on_star():
     g = cb.WeightedGraph(5, [(0, v, 1.0) for v in range(1, 5)])
     t = cb.dfs_tree(g, 0)
     assert t.edge_ids == frozenset(range(4))
+
+
+def _shuffled(g, rng):
+    """``g`` with its vertices relabelled by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return cb.WeightedGraph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 25), st.integers(0, 10 ** 6), st.booleans())
+def test_dfs_tree_equals_the_direct_build_at_every_root(n, extra, seed, integer):
+    # dfs_tree levels the search's edges by BFS; the search's own depths agree
+    rng = random.Random(seed)
+    g = _shuffled(random_connected_graph(n, extra, rng, integer), rng)
+    for r in range(n):
+        assert cb.dfs_tree(g, r) == dfs_tree_by_direct_build(g, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 12), st.integers(0, 10 ** 6),
+       st.booleans())
+def test_dfs_tree_rejects_a_disconnected_graph_at_every_root(a, b, extra, seed, integer):
+    rng = random.Random(seed)
+    parts = [random_connected_graph(size, extra, rng, integer) for size in (a, b)]
+    g = _shuffled(disjoint_union(parts), rng)
+    for r in range(g.n):
+        for build in (cb.dfs_tree, dfs_tree_by_direct_build):
+            with pytest.raises(cb.DisconnectedGraphError, match="^graph is not connected$"):
+                build(g, r)
 
 
 def test_dfs_petersen_no_cross_edges():

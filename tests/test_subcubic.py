@@ -165,7 +165,7 @@ def test_one_bound_suite_colors_each_component_once(monkeypatch):
         edges += [(u + n, v + n, w) for u, v, w in part.edges]
         n += part.n
     g = cb.WeightedGraph(n, edges)
-    for _, run in cli._bound_suite(g, seed=0, trials=16, root=None):
+    for _, run in cli._bound_suite(g, seed=0, trials=16):
         run()
     assert calls == [part.n for part in parts]
 
