@@ -3,7 +3,11 @@
 Every operation returns a BoundReport whose cut was constructed by the
 conditional-expectation derandomizer.  Each bound value is a ``Fraction``
 built from the graph's exact weights, and `cut.exact_weight >= bound_exact`
-holds exactly, over rationals, for every finite weight.
+holds exactly, over rationals, for every finite weight.  On a disconnected
+graph the spanning-tree rows run on one spanning forest: each component
+keeps its own value, tree parameters and certificate, and its part of the
+one cut is checked against its value.  Explicit trees and parameters need
+a connected graph.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from typing import Callable, Optional, Sequence
 
 from .cuts import (Cut, check_matching, derandomized_cut, verify_induced_bipartite)
 from .graph import (DisconnectedGraphError, PreconditionError, TriangleFoundError,
-                    WeightedGraph, _cached, _component_split, _exact_weights, stats)
-from .spanning import (OddCycleError, RootedSpanningTree, _dfs, dfs_tree, layer_edge_sets,
+                    WeightedGraph, _cached, _component_split, _component_sums, _components,
+                    _exact_weights, _girths, _least_by_component, stats)
+from .spanning import (OddCycleError, RootedSpanningTree, _dfs, _orient, layer_edge_sets,
                        max_spanning_tree, min_spanning_tree, reroot_at_edge,
                        shortest_fundamental_odd_cycle)
 
@@ -73,6 +78,29 @@ def _report(name: str, value: Fraction, cut: Cut, details: dict) -> BoundReport:
     return BoundReport(name, float(value), cut, DETERMINISTIC, value, details)
 
 
+def _lifted(g: WeightedGraph, name: str, values: Sequence[Fraction], cut: Cut,
+            details: dict) -> BoundReport:
+    """``_report`` of the sum of a row's exact per-component ``values``, as
+    ``per_component`` stitches it: on a disconnected graph the details list
+    them, and each component's part of ``cut`` must meet its own value."""
+    if len(values) == 1:
+        return _report(name, values[0], cut, details)
+    for w, value in zip(_cut_weights(g, cut), values):
+        if w < value:
+            raise ClaimViolationError(f"{name} cut weight {float(w)} below certified {value}")
+    return _report(name, sum(values, Fraction(0)), cut,
+                   {"components": len(values), "component_bounds": [float(v) for v in values]})
+
+
+def _cut_weights(g: WeightedGraph, cut: Cut) -> list[Fraction]:
+    """Each component's exact share of ``cut``'s weight, in component order."""
+    if len(_components(g)[0]) <= 1:
+        return [cut.exact_weight]
+    side, ex = cut.side, _exact_weights(g)
+    return [ex.value(x) for x in _component_sums(
+        g, (e for e, (u, v, _) in enumerate(g.edges) if side[u] != side[v]))]
+
+
 def _cached_report(g: WeightedGraph, key,
                    compute: Callable[[], BoundReport]) -> BoundReport:
     """A report memoized on ``g`` under ``key``; each caller gets its own copy.
@@ -96,30 +124,54 @@ def _copy_details(x):
 
 
 def _best_dfs_tree(g: WeightedGraph) -> RootedSpanningTree:
-    """DFS tree maximizing tree weight over every root when
-    n <= ROOT_SWEEP_MAX_N, else from root 0; ties go to the lowest root.
-    Roots are ranked on exact integer tree weights, by a pass that sums
-    them alone, and only the winner's tree is built.  Memoized on ``g``."""
+    """DFS forest whose tree on each component weighs most over every root
+    when the component has at most ROOT_SWEEP_MAX_N vertices, else grows
+    from its lowest vertex; ties go to the lowest root.  Roots are ranked on
+    exact integer tree weights, the searches share one visited array, and
+    the winners' trees are leveled once.  Memoized on ``g``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    roots = range(g.n if g.n <= ROOT_SWEEP_MAX_N else 1)
-    ints = _exact_weights(g).ints
-    return _cached(g, "best_dfs_tree", lambda: dfs_tree(
-        g, roots[0] if len(roots) == 1 else max(roots, key=lambda r: _dfs(g, r, ints))))
+
+    def compute() -> RootedSpanningTree:
+        ints, seen, roots, edge_ids = _exact_weights(g).ints, bytearray(g.n), [], []
+        for comp in _components(g)[0]:
+            runs = []
+            for r in comp if len(comp) <= ROOT_SWEEP_MAX_N else comp[:1]:
+                runs.append((r, _dfs(g, r, seen)))
+                for v in comp:
+                    seen[v] = 0
+            r, ids = max(runs, key=lambda run: sum(map(ints.__getitem__, run[1])))
+            roots.append(r)
+            edge_ids += ids
+        return _orient(g, frozenset(edge_ids), roots, "dfs")
+    return _cached(g, "best_dfs_tree", compute)
 
 
-def _layer_cut(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[Cut, int]:
-    """The derandomized cut of the layer set of ``t`` that drops the least
-    tree weight, and the set's index: one check and one cut."""
-    j, ids = layer_edge_sets(g, t, k)
-    return derandomized_cut(g, verify_induced_bipartite(g, ids)), j
+def _layer_cut(g: WeightedGraph, t: RootedSpanningTree,
+               ks: Sequence[int]) -> tuple[Cut, list[int]]:
+    """The derandomized cut of the layer sets of ``t`` that drop the least
+    tree weight, each component with its own k, and their indices: one
+    check and one cut."""
+    js, ids = layer_edge_sets(g, t, ks)
+    return derandomized_cut(g, verify_induced_bipartite(g, ids)), js
 
 
 def _parity_cut(g: WeightedGraph) -> Cut:
     """The parity-layer cut of ``_best_dfs_tree(g)``, which both
     ``poljak_turzik`` and ``dfs_bound`` certify; memoized on ``g`` (a
     ``Cut`` is immutable, so the two share it)."""
-    return _cached(g, "parity_cut", lambda: _layer_cut(g, _best_dfs_tree(g), 2)[0])
+    d = _best_dfs_tree(g)  # one root per component
+    return _cached(g, "parity_cut", lambda: _layer_cut(g, d, [2] * len(d.roots))[0])
+
+
+def _layer_values(g: WeightedGraph, t: RootedSpanningTree, ks: Sequence[int],
+                  marked: Sequence[Optional[int]] = ()) -> list[Fraction]:
+    """w(G_c)/2 + (k-1)/(2k) w(T_c) + w(e_c)/(2k) for each component c, with
+    its own k and marked edge e_c (none by default), exactly."""
+    stars = _component_sums(g, [e for e in marked if e is not None]) if marked else [0] * len(ks)
+    scale = _exact_weights(g).scale
+    return [Fraction(k * w + (k - 1) * wt + star, 2 * k << scale) for w, wt, star, k in zip(
+        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids), stars, ks)]
 
 
 def poljak_turzik(g: WeightedGraph) -> BoundReport:
@@ -132,19 +184,19 @@ def poljak_turzik(g: WeightedGraph) -> BoundReport:
     tmin = min_spanning_tree(g)
     d = _best_dfs_tree(g)
     cut = _parity_cut(g)
-    value = _exact_weights(g).total / 2 + tmin.exact_weight / 4
+    values = _layer_values(g, tmin, [2] * len(d.roots))
     details = {"min_tree_weight": tmin.weight, "dfs_root": d.roots[0],
                "dfs_tree_weight": d.weight}
-    return _report("poljak_turzik", value, cut, details)
+    return _lifted(g, "poljak_turzik", values, cut, details)
 
 
 def dfs_bound(g: WeightedGraph) -> BoundReport:
     """w(G)/2 + w(D)/4 for the DFS tree D of ``_best_dfs_tree``."""
     d = _best_dfs_tree(g)
     cut = _parity_cut(g)
-    value = _exact_weights(g).total / 2 + d.exact_weight / 4
+    values = _layer_values(g, d, [2] * len(d.roots))
     details = {"dfs_root": d.roots[0], "dfs_tree_weight": d.weight}
-    return _report("dfs_tree", value, cut, details)
+    return _lifted(g, "dfs_tree", values, cut, details)
 
 
 # -- matching bounds -----------------------------------------------------
@@ -274,47 +326,46 @@ def girth_bound(g: WeightedGraph, k: Optional[int] = None) -> BoundReport:
     any even k is then legal and we use the vertex count rounded up to even.
     """
     st = stats(g)
-    if not st.connected:
+    if not st.connected and k is not None:
         raise DisconnectedGraphError("girth bound needs a connected graph")
     if st.girth is not None and st.girth < 4:
         raise BoundPreconditionError(f"girth {st.girth} < 4")
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     if k is None:
-        if st.girth is None:
-            k = g.n if g.n % 2 == 0 else g.n + 1
-        else:
-            k = st.girth if st.girth % 2 == 0 else st.girth - 1
-    if k % 2 != 0 or k < 2:
+        ks = [len(comp) + len(comp) % 2 if gi is None else gi - gi % 2
+              for comp, gi in zip(_components(g)[0], _girths(g))]
+    elif k % 2 != 0 or k < 2:
         raise BoundPreconditionError(f"k = {k} must be even and positive")
-    if st.girth is not None and k > st.girth:
+    elif st.girth is not None and k > st.girth:
         raise BoundPreconditionError(f"k = {k} exceeds girth {st.girth}")
+    else:
+        ks = [k]
     d = _best_dfs_tree(g)
-    cut, best_j = _layer_cut(g, d, k)
-    value = _exact_weights(g).total / 2 + Fraction(k - 1, 2 * k) * d.exact_weight
-    details = {"k": k, "girth": st.girth, "dfs_root": d.roots[0],
-               "dfs_tree_weight": d.weight, "best_layer": best_j}
-    return _report("girth_layers", value, cut, details)
+    cut, js = _layer_cut(g, d, ks)
+    details = {"k": ks[0], "girth": st.girth, "dfs_root": d.roots[0],
+               "dfs_tree_weight": d.weight, "best_layer": js[0]}
+    return _lifted(g, "girth_layers", _layer_values(g, d, ks), cut, details)
 
 
 def triangle_free_tree_bound(g: WeightedGraph,
                              tree: Optional[RootedSpanningTree] = None) -> BoundReport:
     """w(G)/2 + w(T)/4 for any spanning tree T of a triangle-free graph.
 
-    Defaults to the maximum-weight spanning tree, which maximizes the
+    Defaults to the maximum-weight spanning forest, which maximizes the
     bound.  The parity-layer components are stars and stay induced exactly
     because children of a tree node cannot be adjacent without a triangle.
     """
     st = stats(g)
     if not st.triangle_free:
         raise TriangleFoundError("triangle-free tree bound needs girth >= 4")
-    if not st.connected:
+    if not st.connected and tree is not None:
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
-    cut = _layer_cut(g, t, 2)[0]
-    value = _exact_weights(g).total / 2 + t.exact_weight / 4
+    ks = [2] * len(_components(g)[0])
+    cut = _layer_cut(g, t, ks)[0]
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
-    return _report("triangle_free_tree", value, cut, details)
+    return _lifted(g, "triangle_free_tree", _layer_values(g, t, ks), cut, details)
 
 
 def edge_rooted_tree_bound(g: WeightedGraph,
@@ -325,33 +376,37 @@ def edge_rooted_tree_bound(g: WeightedGraph,
 
     Valid for any positive integer k such that T + e has no odd cycle of
     length 2k-1 or less for every non-tree edge e (checked).  Defaults:
-    maximum spanning tree, heaviest tree edge, largest legal k.
+    maximum spanning tree, heaviest tree edge, largest legal k, each per
+    component of a disconnected graph, where an edgeless one adds 0.
     """
     st = stats(g)
-    if not st.connected:
+    if not st.connected and any(x is not None for x in (tree, marked_eid, k)):
         raise DisconnectedGraphError("edge-rooted bound needs a connected graph")
     if g.m == 0:
         raise BoundPreconditionError("edge-rooted bound needs at least one edge")
     t = tree if tree is not None else max_spanning_tree(g)
-    if marked_eid is None:
-        marked_eid = max(t.edge_ids, key=lambda e: (g.edges[e][2], -e))
-    leveled = reroot_at_edge(g, t, marked_eid)
-    r = shortest_fundamental_odd_cycle(g, leveled)
-    if k is None:
-        k = (r - 1) // 2 if r is not None else max(1, g.n)
-    if k < 1:
+    if marked_eid is None:  # per component, the heaviest tree edge, lowest id on ties
+        marked = [x and x[1] for x in _least_by_component(
+            g, ((e, (-g.edges[e][2], e)) for e in t.edge_ids))]
+    else:
+        marked = [marked_eid]
+    leveled = reroot_at_edge(g, t, marked)
+    rs = shortest_fundamental_odd_cycle(g, leveled)
+    if k is None:  # the largest legal k, which is at least 1
+        ks = [(r - 1) // 2 if r is not None else max(1, len(comp))
+              for r, comp in zip(rs, _components(g)[0])]
+    elif k < 1:
         raise BoundPreconditionError("no legal k: an odd triangle closes the tree")
-    if r is not None and r <= 2 * k - 1:
-        raise OddCycleError(f"odd cycle of length {r} <= 2k-1 = {2 * k - 1} through the tree")
-    cut, best_j = _layer_cut(g, leveled, k)
-    ex = _exact_weights(g)
-    we_star = g.edges[marked_eid][2]
-    value = (ex.total / 2 + Fraction(k - 1, 2 * k) * t.exact_weight
-             + ex.weight((marked_eid,)) / (2 * k))
-    details = {"k": k, "marked_edge": list(g.edges[marked_eid][:2]),
-               "marked_weight": we_star, "tree_weight": t.weight,
-               "shortest_fundamental_odd_cycle": r, "best_layer": best_j}
-    return _report("edge_rooted_tree", value, cut, details)
+    elif rs[0] is not None and rs[0] <= 2 * k - 1:
+        raise OddCycleError(f"odd cycle of length {rs[0]} <= 2k-1 = {2 * k - 1} through the tree")
+    else:
+        ks = [k]
+    cut, js = _layer_cut(g, leveled, ks)
+    e = marked[0]
+    details = {} if len(ks) > 1 else {
+        "k": ks[0], "marked_edge": list(g.edges[e][:2]), "marked_weight": g.edges[e][2],
+        "tree_weight": t.weight, "shortest_fundamental_odd_cycle": rs[0], "best_layer": js[0]}
+    return _lifted(g, "edge_rooted_tree", _layer_values(g, t, ks, marked), cut, details)
 
 
 # -- disconnected inputs --------------------------------------------------
@@ -363,6 +418,8 @@ def per_component(g: WeightedGraph, fn: Callable[[WeightedGraph], BoundReport],
 
     The maximum cut decomposes over components, so the summed exact
     bounds stay valid; cuts are merged through the component embeddings.
+    The CLI lifts ``eight_elevenths`` this way; the tree rows sum over the
+    components of one spanning forest themselves and equal their lift.
     """
     split = _component_split(g)
     if len(split) <= 1:

@@ -170,8 +170,8 @@ class WeightedGraph:
         return comps
 
     def is_connected(self) -> bool:
-        """At most one component; memoized."""
-        return _cached(self, "connected", lambda: len(self.components()) <= 1)
+        """At most one component; read from the memoized ``_components``."""
+        return len(_components(self)[0]) <= 1
 
     def induced(self, vertices: Sequence[int]):
         """Induced subgraph on ``vertices``.
@@ -205,50 +205,61 @@ class GraphStats:
 
 
 def girth(g: WeightedGraph) -> Optional[int]:
-    """Length of a shortest cycle, via BFS from every vertex; None if acyclic.
+    """Length of a shortest cycle; None if acyclic.  The least of ``_girths``."""
+    return min(filter(None, _girths(g)), default=None)
+
+
+def _girths(g: WeightedGraph) -> tuple[Optional[int], ...]:
+    """Each component's girth, via BFS from every vertex; None where acyclic.
+    Memoized on ``g``.
 
     For each root, any non-tree edge (u, v) seen during BFS closes a walk of
     dist(u) + dist(v) + 1 edges that contains a cycle of at most that length,
     and a root on a shortest cycle realizes it exactly, so the minimum over
-    all roots is the girth.  Every cycle lies in the 2-core, so vertices of
-    degree <= 1 are peeled first and the BFS runs within the core only; a
-    forest has an empty core and costs O(n + m).  A finished root leaves
-    the core too, as every cycle through it has been measured.
+    a component's roots is its girth.  Every cycle lies in the 2-core, so
+    vertices of degree <= 1 are peeled first and the BFS runs within the
+    core only; a forest has an empty core and costs O(n + m).  A finished
+    root leaves the core too, as every cycle through it has been measured.
     """
-    deg = [len(a) for a in g.adj]
-    peel = [v for v in range(g.n) if deg[v] <= 1]
-    best: Optional[int] = None
-    dist, via = [-1] * g.n, [-1] * g.n  # after each root, what its BFS reached resets
-    for src in range(g.n):
-        while peel:  # peel what is left to its 2-core
-            for u, _ in g.adj[peel.pop()]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    peel.append(u)
-        if deg[src] < 2:
-            continue
-        dist[src] = 0
-        reached = [src]  # the BFS queue, kept whole
-        for u in reached:
-            du = dist[u]
-            if best is not None and 2 * du >= best:
+    def compute() -> tuple[Optional[int], ...]:
+        comps, label = _components(g)
+        girths: list[Optional[int]] = [None] * len(comps)
+        deg = [len(a) for a in g.adj]
+        peel = [v for v in range(g.n) if deg[v] <= 1]
+        dist, via = [-1] * g.n, [-1] * g.n  # after each root, what its BFS reached resets
+        for src in range(g.n):
+            while peel:  # peel what is left to its 2-core
+                for u, _ in g.adj[peel.pop()]:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        peel.append(u)
+            if deg[src] < 2:
                 continue
-            for v, eid in g.adj[u]:
-                if eid == via[u] or deg[v] < 2:
+            best = girths[label[src]]
+            dist[src] = 0
+            reached = [src]  # the BFS queue, kept whole
+            for u in reached:
+                du = dist[u]
+                if best is not None and 2 * du >= best:
                     continue
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    via[v] = eid
-                    reached.append(v)
-                else:
-                    cand = du + dist[v] + 1
-                    if best is None or cand < best:
-                        best = cand
-        for v in reached:
-            dist[v] = via[v] = -1
-        deg[src] = 1  # peeled like a leaf: each neighbour loses one
-        peel.append(src)
-    return best
+                for v, eid in g.adj[u]:
+                    if eid == via[u] or deg[v] < 2:
+                        continue
+                    if dist[v] < 0:
+                        dist[v] = du + 1
+                        via[v] = eid
+                        reached.append(v)
+                    else:
+                        cand = du + dist[v] + 1
+                        if best is None or cand < best:
+                            best = cand
+            girths[label[src]] = best
+            for v in reached:
+                dist[v] = via[v] = -1
+            deg[src] = 1  # peeled like a leaf: each neighbour loses one
+            peel.append(src)
+        return tuple(girths)
+    return _cached(g, "girths", compute)
 
 
 _T = TypeVar("_T")
@@ -357,6 +368,43 @@ def _incidence_arrays(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     return _cached(g, "incidence_arrays", compute)
 
 
+def _components(g: WeightedGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``g.components()`` as tuples, and each vertex's index in it; memoized on ``g``."""
+    def compute():
+        comps = tuple(map(tuple, g.components()))
+        label = [0] * g.n
+        for c, comp in enumerate(comps):
+            for v in comp:
+                label[v] = c
+        return comps, tuple(label)
+    return _cached(g, "components", compute)
+
+
+def _component_sums(g: WeightedGraph, edge_ids: Iterable[int]) -> list[int]:
+    """The weight of ``edge_ids`` in each component, in the integers of
+    ``_exact_weights``."""
+    ints = _exact_weights(g).ints
+    comps, label = _components(g)
+    if len(comps) <= 1:
+        return [sum(map(ints.__getitem__, edge_ids))]
+    sums = [0] * len(comps)
+    for e in edge_ids:
+        sums[label[g.edges[e][0]]] += ints[e]
+    return sums
+
+
+def _least_by_component(g: WeightedGraph, pairs: Iterable[tuple[int, _T]]) -> list[Optional[_T]]:
+    """The least value of ``(edge id, value)`` pairs within each component,
+    in component order; None where a component has none."""
+    comps, label = _components(g)
+    least: list = [None] * len(comps)
+    for e, x in pairs:
+        c = label[g.edges[e][0]]
+        if least[c] is None or x < least[c]:
+            least[c] = x
+    return least
+
+
 def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, ...]], ...]:
     """``(sub, orig_vertex)`` per connected component, ordered by minimum vertex.
 
@@ -367,8 +415,8 @@ def _component_split(g: WeightedGraph) -> tuple[tuple[WeightedGraph, tuple[int, 
     def compute():
         if g.n and g.is_connected():  # one piece (the empty graph has none)
             return None
-        return tuple(g.induced(comp)[:2] for comp in g.components())
-    split = _cached(g, "components", compute)
+        return tuple(g.induced(comp)[:2] for comp in _components(g)[0])
+    split = _cached(g, "component_split", compute)
     return ((g, tuple(range(g.n))),) if split is None else split
 
 

@@ -1,7 +1,7 @@
-"""Spanning structures: DFS trees, min/max spanning trees, and the layer
-family of a leveled tree, whose lightest-dropping member is the one
+"""Spanning structures: DFS trees, min/max spanning forests, and the layer
+family of a leveled forest, whose lightest-dropping member is the one
 certificate built (parity layers are its k = 2 case; edge-rooted layers
-level from a marked edge)."""
+level from a marked edge).  A forest has one tree per component."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .cuts import _two_color
 from .graph import (DisconnectedGraphError, PreconditionError, WeightedGraph, _cached,
-                    _exact_weights)
+                    _components, _exact_weights, _least_by_component)
 from .graph import girth as graph_girth  # noqa: F401  # perfbench's tests trace this alias
 
 
@@ -22,10 +22,10 @@ class OddCycleError(PreconditionError):
 
 @dataclass(frozen=True)
 class RootedSpanningTree:
-    """Spanning tree with root(s), per-vertex level and parent map.
+    """Spanning tree (or forest) with root(s), per-vertex level and parent map.
 
-    ``roots`` has one vertex, or two tree-adjacent vertices when levels are
-    measured from a marked tree edge (both endpoints at level 0).  ``kind``
+    ``roots`` has one vertex per tree, or two tree-adjacent vertices when its
+    levels are measured from a marked tree edge (both endpoints at level 0).  ``kind``
     is "dfs" for trees with the no-cross-edge property, "arbitrary"
     otherwise.  ``exact_weight`` is the tree's weight over rationals, and
     ``weight`` is that value rounded once to a float.
@@ -46,8 +46,8 @@ class RootedSpanningTree:
         n = len(self.parent)
         if n != g.n:
             raise AssertionError("tree size mismatch")
-        if len(self.edge_ids) != max(g.n - 1, 0):
-            raise AssertionError("not a spanning tree: wrong edge count")
+        if len(self.edge_ids) != g.n - len(_components(g)[0]):
+            raise AssertionError("not a spanning forest: wrong edge count")
         for r in self.roots:
             if self.level[r] != 0 or self.parent[r] is not None:
                 raise AssertionError("root must have level 0 and no parent")
@@ -86,11 +86,10 @@ def _orient(g: WeightedGraph, edge_ids: frozenset[int], roots: Sequence[int],
                               edge_ids, kind, _exact_weights(g).weight(edge_ids))
 
 
-def _dfs(g: WeightedGraph, root: int, ints: Optional[Sequence[int]] = None):
+def _dfs(g: WeightedGraph, root: int, seen: bytearray) -> list[int]:
     """Tree edge ids of the depth-first search from ``root``, neighbors
-    explored in ascending vertex id; given ``ints``, only their sum over the
-    tree edges."""
-    seen, edge_ids = bytearray(g.n), []
+    explored in ascending vertex id, skipping and marking ``seen`` vertices."""
+    edge_ids = []
     seen[root] = 1
     stack = [(root, iter(g.adj[root]))]
     while stack:
@@ -102,7 +101,7 @@ def _dfs(g: WeightedGraph, root: int, ints: Optional[Sequence[int]] = None):
                 break
         else:
             stack.pop()
-    return frozenset(edge_ids) if ints is None else sum(ints[e] for e in edge_ids)
+    return edge_ids
 
 
 def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
@@ -110,10 +109,10 @@ def dfs_tree(g: WeightedGraph, root: int = 0) -> RootedSpanningTree:
     its edges leveled from ``root`` by ``_orient``."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    edge_ids = _dfs(g, root)
+    edge_ids = _dfs(g, root, bytearray(g.n))
     if len(edge_ids) != g.n - 1:
         raise DisconnectedGraphError("graph is not connected")
-    return _orient(g, edge_ids, (root,), "dfs")
+    return _orient(g, frozenset(edge_ids), (root,), "dfs")
 
 
 def cross_edges(g: WeightedGraph, t: RootedSpanningTree) -> list[int]:
@@ -133,7 +132,9 @@ def _find(par: list[int], x: int) -> int:
     return x
 
 
-def _kruskal(g: WeightedGraph, maximize: bool) -> frozenset[int]:
+def _kruskal(g: WeightedGraph, maximize: bool) -> RootedSpanningTree:
+    """Kruskal's spanning forest, ties by edge id, each tree rooted at its
+    lowest vertex (at 0 on a connected graph)."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
     order = sorted(range(g.m),
@@ -146,39 +147,41 @@ def _kruskal(g: WeightedGraph, maximize: bool) -> frozenset[int]:
         if ru != rv:
             par[ru] = rv
             chosen.add(eid)
-    if len(chosen) != g.n - 1:
-        raise DisconnectedGraphError("graph is not connected")
-    return frozenset(chosen)
+    return _orient(g, frozenset(chosen), [c[0] for c in _components(g)[0]], "arbitrary")
 
 
 def min_spanning_tree(g: WeightedGraph) -> RootedSpanningTree:
-    """Minimum-weight spanning tree (Kruskal, ties by edge id), rooted at 0."""
-    return _orient(g, _kruskal(g, maximize=False), (0,), "arbitrary")
+    """Minimum-weight spanning forest, by ``_kruskal``."""
+    return _kruskal(g, maximize=False)
 
 
 def max_spanning_tree(g: WeightedGraph) -> RootedSpanningTree:
-    """Maximum-weight spanning tree (Kruskal, ties by edge id), rooted at 0
-    and memoized on ``g``."""
-    return _cached(g, "max_spanning_tree",
-                   lambda: _orient(g, _kruskal(g, maximize=True), (0,), "arbitrary"))
+    """Maximum-weight spanning forest, by ``_kruskal``; memoized on ``g``."""
+    return _cached(g, "max_spanning_tree", lambda: _kruskal(g, maximize=True))
 
 
 def reroot_at_edge(g: WeightedGraph, t: RootedSpanningTree,
-                   marked_eid: int) -> RootedSpanningTree:
-    """Re-level a tree from both endpoints of a marked tree edge.
+                   marked: Sequence[Optional[int]]) -> RootedSpanningTree:
+    """Re-level each tree of a forest from both endpoints of its marked tree
+    edge, one per component in component order (None: an edgeless one).
 
     Levels become min distance to either endpoint; both endpoints sit at
     level 0 so the marked edge is the only level-0/level-0 tree edge.
     """
-    if marked_eid not in t.edge_ids:
-        raise ValueError("marked edge must be a tree edge")
-    u, v, _ = g.edges[marked_eid]
-    return _orient(g, t.edge_ids, (u, v), t.kind)
+    roots: list[int] = []
+    for e, comp in zip(marked, _components(g)[0]):
+        if e is not None and e not in t.edge_ids:
+            raise ValueError("marked edge must be a tree edge")
+        roots += comp[:1] if e is None else g.edges[e][:2]
+    return _orient(g, t.edge_ids, roots, t.kind)
 
 
-def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[int, list[int]]:
-    """Of the k layered edge sets of a leveled tree, the one that drops the
-    least tree weight (the first on ties, compared exactly), and its index j.
+def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree,
+                    k: int | Sequence[int]) -> tuple[int | list[int], list[int]]:
+    """Of the k layered edge sets of a leveled forest, the one that drops the
+    least forest weight (the first on ties, compared exactly), and its index j.
+    Given one k per component (in component order), each component picks
+    its own j among its own k sets instead, and j is the list of them.
 
     Set j keeps every tree edge except those between levels i and i+1 with
     i = j (mod k), then adds every non-tree edge whose endpoints fall in
@@ -189,20 +192,22 @@ def layer_edge_sets(g: WeightedGraph, t: RootedSpanningTree, k: int) -> tuple[in
     first.  Only set j is built.
     """
     ints = _exact_weights(g).ints
+    each = not isinstance(k, int)
+    ks, comp = (k, _components(g)[1]) if each else ((k,), bytes(g.n))
     layer: dict[int, int] = {}
-    dropped = [0] * k
+    dropped = [[0] * kc for kc in ks]
     for eid in sorted(t.edge_ids):
         u, v, _ = g.edges[eid]
         lu, lv = t.level[u], t.level[v]
         if lu != lv:
-            layer[eid] = min(lu, lv) % k
-            dropped[layer[eid]] += ints[eid]
-    j = min(range(k), key=dropped.__getitem__)
-    kept = [eid for eid in sorted(t.edge_ids) if layer.get(eid) != j]
+            layer[eid] = min(lu, lv) % ks[comp[u]]
+            dropped[comp[u]][layer[eid]] += ints[eid]
+    js = [min(range(len(d)), key=d.__getitem__) for d in dropped]
+    kept = [eid for eid in sorted(t.edge_ids) if layer.get(eid) != js[comp[g.edges[eid][0]]]]
     label = _two_color(g, kept).label
     extra = [eid for eid, (u, v, _) in enumerate(g.edges) if eid not in t.edge_ids
              and label[u] == label[v] >= 0]
-    return j, sorted(kept + extra)
+    return js if each else js[0], sorted(kept + extra)
 
 
 def _forest_cycle_lengths(g: WeightedGraph,
@@ -242,9 +247,11 @@ def _forest_cycle_lengths(g: WeightedGraph,
     return out
 
 
-def shortest_fundamental_odd_cycle(g: WeightedGraph, t: RootedSpanningTree) -> Optional[int]:
-    """Min length of an odd cycle in T + e over non-tree edges e; None if none.
+def shortest_fundamental_odd_cycle(g: WeightedGraph,
+                                   t: RootedSpanningTree) -> list[Optional[int]]:
+    """Each component's min length of an odd cycle in T + e over its
+    non-tree edges e, in component order; None where there is none.
 
     The cycle closed by e = (u, v) has d_T(u, v) + 1 edges.
     """
-    return min((c for _, c in _forest_cycle_lengths(g, t) if c % 2 == 1), default=None)
+    return _least_by_component(g, ((e, c) for e, c in _forest_cycle_lengths(g, t) if c % 2))

@@ -27,13 +27,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _report,
-                     meets)
+from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _cut_weights,
+                     _lifted, _report, meets, per_component)
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
-                    WeightedGraph, _cached, _component_split, _edge_arrays,
-                    _exact_weights, _incidence_arrays, triangle_free)
+                    WeightedGraph, _cached, _component_split, _component_sums,
+                    _components, _edge_arrays, _exact_weights, _incidence_arrays,
+                    _least_by_component, triangle_free)
 from .spanning import (RootedSpanningTree, _forest_cycle_lengths, _orient,
                        layer_edge_sets, max_spanning_tree)
 
@@ -560,11 +561,9 @@ def two_thirds_bound(g: WeightedGraph) -> BoundReport:
 # =====================================================================
 
 
-def percolation_expectation(g: WeightedGraph, t: RootedSpanningTree, p: float,
-                            r: Optional[int]) -> float:
-    """(p+1)/2 w(T) + (1 - p^(r-1))/2 (w(G) - w(T)), in float: p is one of the
-    paper's decimal constants, and the report reads the value as a ``Fraction``."""
-    w, wt = g.total_weight, t.weight
+def percolation_expectation(w: float, wt: float, p: float, r: Optional[int]) -> float:
+    """(p+1)/2 w(T) + (1 - p^(r-1))/2 (w(G) - w(T)) for w = w(G), wt = w(T), in
+    float: p is a decimal constant, and the report reads it as a ``Fraction``."""
     p_pow = p ** (r - 1) if r is not None else 0.0
     return (p + 1.0) / 2.0 * wt + (1.0 - p_pow) / 2.0 * (w - wt)
 
@@ -581,13 +580,14 @@ def tree_percolation_bound(g: WeightedGraph,
     forest with ``place_blocks``; one local search follows, and the cut is
     checked against the bound.  Details record the process's exact
     expectation and the cut's weight before the search.  The report is
-    memoized on ``g``, keyed on p and the tree's edge set.
+    memoized on ``g``, keyed on p and the tree's edge set.  A spanning forest
+    runs one process, each component with its own r.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if g.max_degree() > 3:
         raise NotSubcubicError("graph is not subcubic")
-    if not g.is_connected():
+    if not g.is_connected() and tree is not None:
         raise DisconnectedGraphError("percolation bound needs a spanning tree")
     t = tree if tree is not None else max_spanning_tree(g)
     return _cached_report(g, ("tree_percolation", p, t.edge_ids),
@@ -595,8 +595,9 @@ def tree_percolation_bound(g: WeightedGraph,
 
 
 def _tree_paths(g: WeightedGraph, t: RootedSpanningTree) -> list[tuple[int, list[int]]]:
-    """``(f, tree edge ids on the tree path of f)`` for every non-tree edge f."""
-    rooted = t if len(t.roots) == 1 else _orient(g, t.edge_ids, (0,), t.kind)
+    """``(f, tree edge ids on the tree path of f)`` for every non-tree edge f
+    of a forest; a tree leveled from a marked edge is rooted at 0 first."""
+    rooted = t if len(t.roots) + len(t.edge_ids) == g.n else _orient(g, t.edge_ids, (0,), t.kind)
     parent, level = rooted.parent, rooted.level
     up = [None if u is None else g.edge_id(v, u) for v, u in enumerate(parent)]
     paths = []
@@ -655,16 +656,18 @@ def _percolation_cut(g: WeightedGraph, t: RootedSpanningTree, p: float,
 
 def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> BoundReport:
     paths = _tree_paths(g, t)
-    r = min((len(path) + 1 for _, path in paths if len(path) % 2 == 0), default=None)
+    rs = _least_by_component(g, ((f, len(path) + 1) for f, path in paths if len(path) % 2 == 0))
     raw = _percolation_cut(g, t, p, paths)
     cut = local_search_improve(g, raw)
-    value = Fraction(percolation_expectation(g, t, p, r))
+    unit = 1 << _exact_weights(g).scale  # an int over it rounds once
+    values = [Fraction(percolation_expectation(w / unit, wt / unit, p, r)) for w, wt, r in zip(
+        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids), rs)]
     # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
     expectation = (p + 1.0) / 2.0 * t.weight + sum(
         g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
-    details = {"p": p, "r": r, "tree_weight": t.weight,
+    details = {"p": p, "r": rs[0], "tree_weight": t.weight,
                "expectation": expectation, "raw_weight": raw.weight}
-    return _report("tree_percolation", value, cut, details)
+    return _lifted(g, "tree_percolation", values, cut, details)
 
 
 def combined_tree_bound(g: WeightedGraph,
@@ -675,18 +678,24 @@ def combined_tree_bound(g: WeightedGraph,
     8/11 inequality at weights 0.46545 / 0.53455 yields the coefficient.
     Both branch cuts are certified, so the heavier one weighs at least the
     mix and meets the bound; it is checked exactly against the float value
-    of w/2 + 0.3193 w(T), read as a ``Fraction``.  Both branch
-    reports are memoized on ``g``, so after a suite has run them this costs
-    nothing but that check.
+    of w/2 + 0.3193 w(T), read as a ``Fraction``; on a disconnected graph
+    each component takes its heavier branch (8/11 on ties).  Both branch
+    reports are memoized, so after a suite has run them this costs nothing
+    but that choice and check.
     """
-    _require_tf_subcubic(g)
-    if not g.is_connected():
+    if tree is not None and not g.is_connected():
         raise DisconnectedGraphError("combination bound needs a spanning tree")
+    # checks that each component, in turn, is triangle-free and subcubic
+    eight = per_component(g, eight_elevenths_bound, "eight_elevenths")
     t = tree if tree is not None else max_spanning_tree(g)
-    eight = eight_elevenths_bound(g)
-    perc = tree_percolation_bound(g, t, PERCOLATION_P)
-    cut = max(eight.cut, perc.cut, key=lambda c: c.exact_weight)
-    value = Fraction(g.total_weight / 2.0 + TREE_COEFFICIENT * t.weight)
+    perc = tree_percolation_bound(g, tree, PERCOLATION_P)
+    picks = [eight.cut if a >= b else perc.cut for a, b in zip(
+        _cut_weights(g, eight.cut), _cut_weights(g, perc.cut))]
+    cut = picks[0] if len(picks) == 1 else Cut.from_side(
+        g, [picks[c].side[v] for v, c in enumerate(_components(g)[1])])
+    unit = 1 << _exact_weights(g).scale  # an int over it rounds once
+    values = [Fraction(w / unit / 2.0 + TREE_COEFFICIENT * (wt / unit)) for w, wt in zip(
+        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids))]
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
              + COMBINATION_WEIGHT_B * float(EIGHT_ELEVENTHS))
     details = {
@@ -697,7 +706,7 @@ def combined_tree_bound(g: WeightedGraph,
         "mix_weight_eight_elevenths": COMBINATION_WEIGHT_B,
         "mixed_tree_coefficient": mixed - 0.5,
     }
-    return _report("combined_tree", value, cut, details)
+    return _lifted(g, "combined_tree", values, cut, details)
 
 
 # =====================================================================

@@ -168,8 +168,8 @@ def test_acceptance_10_monte_carlo_expectations():
     ok = True
     for g in _fixed_subcubic_instances():
         t = max_spanning_tree(g)
-        r = shortest_fundamental_odd_cycle(g, t)
-        bound = percolation_expectation(g, t, 0.85, r)
+        [r] = shortest_fundamental_odd_cycle(g, t)
+        bound = percolation_expectation(g.total_weight, t.weight, 0.85, r)
         rng = random.Random(10)
         weights = [percolation_raw(g, t, 0.85, rng).weight for _ in range(samples)]
         mean = sum(weights) / samples

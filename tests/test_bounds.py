@@ -190,7 +190,7 @@ def test_root_sweep_ranks_roots_as_their_dfs_trees(n, extra, seed):
     g = cb.WeightedGraph(n, [(u, v, float(rng.randint(1, 2))) for u, v, _ in shape.edges])
     ints = _exact_weights(g).ints
     weights = [sum(ints[e] for e in cb.dfs_tree(g, r).edge_ids) for r in range(n)]
-    assert [_dfs(g, r, ints) for r in range(n)] == weights
+    assert [sum(ints[e] for e in _dfs(g, r, bytearray(n))) for r in range(n)] == weights
     best = _best_dfs_tree(g)
     assert best.roots[0] == weights.index(max(weights))
     assert best == cb.dfs_tree(g, best.roots[0])

@@ -71,7 +71,7 @@ def test_lightest_layer_matches_a_full_scan(n, extra, seed, integer):
     marked = None
     if n > 1 and rng.random() < 0.5:
         marked = rng.choice(sorted(t.edge_ids))
-        t = reroot_at_edge(tree, t, marked)
+        t = reroot_at_edge(tree, t, [marked])
     k = rng.randint(1, n + 1)
     j, ids = layer_edge_sets(tree, t, k)
     assert (j, ids) == lightest_layer_by_full_scan(tree, t, k)
@@ -93,7 +93,8 @@ def test_lightest_layer_matches_a_full_scan(n, extra, seed, integer):
         if bound is cb.girth_bound:
             t = _best_dfs_tree(g)
         else:
-            t = reroot_at_edge(g, cb.max_spanning_tree(g), g.edge_id(*rep.details["marked_edge"]))
+            t = reroot_at_edge(g, cb.max_spanning_tree(g),
+                               [g.edge_id(*rep.details["marked_edge"])])
         assert rep.details["best_layer"] == lightest_layer_by_full_scan(g, t, k)[0]
         if integer:
             assert Fraction(rep.cut.weight) >= rep.bound_exact
@@ -119,7 +120,9 @@ def _three_components():
     return cb.WeightedGraph(24, edges)
 
 
-def test_each_layer_bound_derandomizes_one_certificate_per_component(monkeypatch):
+def test_each_layer_bound_derandomizes_one_certificate_on_a_forest(monkeypatch):
+    # every component picks its own layer set, and the sets of all
+    # components form one certificate
     checked, cut = [], []
     _counted(monkeypatch, bounds, "verify_induced_bipartite", checked)
     _counted(monkeypatch, bounds, "derandomized_cut", cut)
@@ -127,25 +130,25 @@ def test_each_layer_bound_derandomizes_one_certificate_per_component(monkeypatch
                   cb.triangle_free_tree_bound, cb.edge_rooted_tree_bound):
         checked.clear()
         cut.clear()
-        rep = cb.per_component(_three_components(), bound)
+        rep = bound(_three_components())
         assert rep.details["components"] == 3
-        assert (len(checked), len(cut)) == (3, 3), bound.__name__
+        assert (len(checked), len(cut)) == (1, 1), bound.__name__
 
 
 def test_poljak_turzik_and_dfs_tree_share_one_parity_cut(monkeypatch):
-    # both rows certify the parity layers of the same best DFS tree, so on
-    # one graph the pair checks and derandomizes each component once
+    # both rows certify the parity layers of the same best DFS forest, so on
+    # one graph the pair checks and derandomizes once
     checked, cut = [], []
     _counted(monkeypatch, bounds, "verify_induced_bipartite", checked)
     _counted(monkeypatch, bounds, "derandomized_cut", cut)
     g = _three_components()
-    pt = cb.per_component(g, cb.poljak_turzik)
-    dfs = cb.per_component(g, cb.dfs_bound)
-    assert (len(checked), len(cut)) == (3, 3)
+    pt = cb.poljak_turzik(g)
+    dfs = cb.dfs_bound(g)
+    assert (len(checked), len(cut)) == (1, 1)
     assert pt.cut == dfs.cut and pt.certified() and dfs.certified()
     fresh = _three_components()
-    assert cb.per_component(fresh, cb.dfs_bound) == dfs
-    assert cb.per_component(fresh, cb.poljak_turzik) == pt
+    assert cb.dfs_bound(fresh) == dfs == cb.per_component(_three_components(), cb.dfs_bound)
+    assert cb.poljak_turzik(fresh) == pt
 
 
 def test_matching_vizing_derandomizes_one_certificate_per_component(monkeypatch):

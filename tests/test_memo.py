@@ -100,7 +100,7 @@ def test_one_bounds_run_builds_each_max_spanning_tree_once(monkeypatch, tmp_path
     path = tmp_path / "two_pieces.graph"
     path.write_text(cb.save_graph(_two_pieces()))
     assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
-    assert built == [10, 6]  # Petersen, then the 6-cycle
+    assert built == [16]  # one spanning forest: the Petersen graph and the 6-cycle
 
 
 def test_one_graph_finds_its_best_matching_once(monkeypatch):
@@ -120,26 +120,21 @@ def test_one_graph_finds_its_best_matching_once(monkeypatch):
 
 
 def test_one_bounds_run_sweeps_the_dfs_roots_once(monkeypatch, tmp_path):
-    ranked, built = [], []
-    dfs, dfs_tree = bounds._dfs, bounds.dfs_tree
+    ranked = []
+    dfs = bounds._dfs
 
-    def ranking(g, root, *weights):
-        ranked.append(g.n)
-        return dfs(g, root, *weights)
-
-    def building(g, root):
-        built.append(g.n)
-        return dfs_tree(g, root)
+    def ranking(g, root, seen):
+        ranked.append((g.n, root))
+        return dfs(g, root, seen)
 
     monkeypatch.setattr(bounds, "_dfs", ranking)
-    monkeypatch.setattr(bounds, "dfs_tree", building)
     path = tmp_path / "two_pieces.graph"
     path.write_text(cb.save_graph(_two_pieces()))
     assert main(["bounds", "--input", str(path)], out=io.StringIO()) == 0
-    # poljak_turzik, dfs_tree and girth_layers share one sweep per component,
-    # which ranks every root and builds the winner's tree only
-    assert ranked == [10] * 10 + [6] * 6
-    assert built == [10, 6]
+    # poljak_turzik, dfs_tree and girth_layers share one sweep of the whole
+    # graph, which searches from every root of each component once and keeps
+    # the winners' trees without searching again
+    assert ranked == [(16, r) for r in range(16)]
 
 
 def _plain(x) -> bool:

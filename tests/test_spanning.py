@@ -169,7 +169,7 @@ def test_marked_edge_layers():
     t = cb.max_spanning_tree(g)
     marked = sorted(t.edge_ids)[0]
     certs = [cb.verify_induced_bipartite(g, s)
-             for s in _layer_sets(g, reroot_at_edge(g, t, marked), 4)]
+             for s in _layer_sets(g, reroot_at_edge(g, t, [marked]), 4)]
     for eid in t.edge_ids:
         want = 4 if eid == marked else 3
         assert sum(eid in c.edge_ids for c in certs) == want
@@ -177,10 +177,13 @@ def test_marked_edge_layers():
 
 def test_shortest_fundamental_odd_cycle():
     g5, g8 = cb.cycle(5), cb.cycle(8)
-    assert shortest_fundamental_odd_cycle(g5, cb.max_spanning_tree(g5)) == 5
-    assert shortest_fundamental_odd_cycle(g8, cb.max_spanning_tree(g8)) is None
+    assert shortest_fundamental_odd_cycle(g5, cb.max_spanning_tree(g5)) == [5]
+    assert shortest_fundamental_odd_cycle(g8, cb.max_spanning_tree(g8)) == [None]
     pet = cb.petersen()
-    assert shortest_fundamental_odd_cycle(pet, cb.dfs_tree(pet, 0)) == 5
+    assert shortest_fundamental_odd_cycle(pet, cb.dfs_tree(pet, 0)) == [5]
+    union = disjoint_union([g8, g5, cb.WeightedGraph(1, []), pet])
+    assert shortest_fundamental_odd_cycle(union, cb.max_spanning_tree(union)) == [None, 5,
+                                                                                  None, 5]
 
 
 @settings(max_examples=120, deadline=None)
@@ -190,14 +193,14 @@ def test_fundamental_cycle_lengths_match_tree_bfs(n, extra, seed):
     g = random_connected_graph(n, extra, rng)
     dfs = cb.dfs_tree(g, rng.randrange(n))
     heavy = cb.max_spanning_tree(g)
-    two_rooted = reroot_at_edge(g, heavy, rng.choice(sorted(heavy.edge_ids)))
+    two_rooted = reroot_at_edge(g, heavy, [rng.choice(sorted(heavy.edge_ids))])
     for t in (dfs, heavy, two_rooted):
         want = [(eid, tree_distances_from(g, t, u)[v] + 1)
                 for eid, (u, v, _) in enumerate(g.edges) if eid not in t.edge_ids]
         assert fundamental_cycle_lengths(g, t.edge_ids) == want
         assert _forest_cycle_lengths(g, t) == want  # two roots joined by a tree edge
         assert (shortest_fundamental_odd_cycle(g, t)
-                == shortest_odd_fundamental_cycle_by_bfs(g, t.edge_ids))
+                == [shortest_odd_fundamental_cycle_by_bfs(g, t.edge_ids)])
 
 
 @settings(max_examples=120, deadline=None)
@@ -207,7 +210,7 @@ def test_cross_edges_equal_the_parent_walk(n, extra, seed):
     g = random_connected_graph(n, extra, rng)
     dfs = cb.dfs_tree(g, rng.randrange(n))
     heavy = cb.max_spanning_tree(g)
-    two_rooted = reroot_at_edge(g, heavy, rng.choice(sorted(heavy.edge_ids)))
+    two_rooted = reroot_at_edge(g, heavy, [rng.choice(sorted(heavy.edge_ids))])
     for t in (dfs, heavy, two_rooted):
         assert cross_edges(g, t) == cross_edges_by_parent_walk(g, t)
     assert cross_edges(g, dfs) == []
@@ -244,7 +247,7 @@ def test_reroot_at_edge_levels():
     g = cb.cycle(8)
     t = cb.max_spanning_tree(g)
     marked = sorted(t.edge_ids)[0]
-    lev = reroot_at_edge(g, t, marked)
+    lev = reroot_at_edge(g, t, [marked])
     u, v, _ = g.edges[marked]
     assert lev.level[u] == lev.level[v] == 0
     lev.validate(g)
@@ -269,7 +272,7 @@ def test_layer_sum_invariant():
         t = cb.max_spanning_tree(g)
         k = 3
         marked = sorted(t.edge_ids)[0]
-        leveled = reroot_at_edge(g, t, marked)
+        leveled = reroot_at_edge(g, t, [marked])
         sets = _layer_sets(g, leveled, k)
         for eid in t.edge_ids:
             want = k if eid == marked else k - 1

@@ -568,13 +568,14 @@ def test_percolation_p1_keeps_tree():
 def test_percolation_p0_bound_is_half():
     g = cb.petersen()
     t = max_spanning_tree(g)
-    assert percolation_expectation(g, t, 0.0, 5) == pytest.approx(g.total_weight / 2)
+    assert percolation_expectation(g.total_weight, t.weight, 0.0, 5) == \
+        pytest.approx(g.total_weight / 2)
 
 
 def test_percolation_c5_pinned_value():
     g = cb.cycle(5)
     t = max_spanning_tree(g)
-    value = percolation_expectation(g, t, 0.85, 5)
+    value = percolation_expectation(g.total_weight, t.weight, 0.85, 5)
     assert value == pytest.approx(0.925 * 4 + 0.238996875, abs=1e-9)
     r = cb.tree_percolation_bound(g, t, 0.85)
     assert r.bound_value == value and r.bound_exact == Fraction(value)
@@ -614,7 +615,7 @@ def test_percolation_keeps_every_tree_edge_on_bipartite_graphs():
                          ids=repr)
 def test_percolation_depends_on_the_tree_edges_only(g):
     t = max_spanning_tree(g)
-    rerooted = reroot_at_edge(g, t, max(t.edge_ids))  # two roots
+    rerooted = reroot_at_edge(g, t, [max(t.edge_ids)])  # two roots
     fresh = cb.WeightedGraph(g.n, g.edges)
     assert cb.tree_percolation_bound(g, rerooted) == cb.tree_percolation_bound(fresh, t)
     d = dfs_tree(g, g.n - 1)
@@ -949,7 +950,7 @@ def test_per_component_percolation_stitches_certified_component_cuts(integer_wei
     g = _shapes_union(integer_weights, extra)
     for name, fn in (("tree_percolation", cb.tree_percolation_bound),
                      ("combined_tree", cb.combined_tree_bound)):
-        rep = cb.per_component(g, fn, name)
+        rep = fn(g)  # one process on the spanning forest
         assert rep.mode == "deterministic" and rep.certified()
         side = [0] * g.n
         exact = Fraction(0)
@@ -963,7 +964,7 @@ def test_per_component_percolation_stitches_certified_component_cuts(integer_wei
         assert rep.bound_exact == exact
 
 
-def test_local_search_runs_once_per_component(monkeypatch):
+def test_local_search_runs_once_on_the_whole_forest(monkeypatch):
     g = _shapes_union(True, (cb.cycle(41),))
     searched = []
 
@@ -972,8 +973,101 @@ def test_local_search_runs_once_per_component(monkeypatch):
         return cb.local_search_improve(h, cut)
 
     monkeypatch.setattr(subcubic, "local_search_improve", counting)
-    cb.per_component(g, cb.tree_percolation_bound, "tree_percolation")
-    assert searched == [sub.n for sub, _ in _component_split(g)]
+    cb.tree_percolation_bound(g)
+    assert searched == [g.n]
+
+
+TREE_ROWS = [("poljak_turzik", cb.poljak_turzik), ("dfs_tree", cb.dfs_bound),
+             ("girth_layers", cb.girth_bound), ("triangle_free_tree", cb.triangle_free_tree_bound),
+             ("edge_rooted_tree", cb.edge_rooted_tree_bound),
+             ("tree_percolation", cb.tree_percolation_bound),
+             ("combined_tree", cb.combined_tree_bound)]
+SKIPPING_PIECES = {"triangle": cb.complete(3, 2.0), "k4": cb.complete(4, 1.5),
+                   "star": cb.WeightedGraph(5, [(0, v, float(v)) for v in range(1, 5)])}
+
+
+@st.composite
+def interleaved_unions(draw):
+    """``tf_subcubic_unions`` plus pieces every skip reason comes from (a
+    triangle, a K4, a degree-4 star), vertex ids shuffled so that the
+    components interleave."""
+    extra = draw(st.lists(st.sampled_from(sorted(SKIPPING_PIECES)), max_size=2))
+    g = disjoint_union([draw(tf_subcubic_unions())] + [SKIPPING_PIECES[k] for k in extra])
+    perm = draw(st.permutations(range(g.n)))
+    return cb.WeightedGraph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+def _outcome(run):
+    """The report, or the type and message of the precondition that skips it."""
+    try:
+        return run()
+    except cb.PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_unions())
+def test_tree_rows_on_a_forest_equal_their_lift_per_component(g):
+    # cut, value, details and skip message, including which component's wins;
+    # each side gets a fresh copy of g, so no memo is shared
+    for name, row in TREE_ROWS:
+        direct = _outcome(lambda: row(cb.WeightedGraph(g.n, g.edges)))
+        lifted = _outcome(lambda: cb.per_component(cb.WeightedGraph(g.n, g.edges), row, name))
+        if name == "edge_rooted_tree" and g.m and lifted == (
+                cb.BoundPreconditionError, "edge-rooted bound needs at least one edge"):
+            # an edgeless component adds 0 (its vertex on side 0) instead of skipping
+            side, values = [0] * g.n, []
+            for sub, orig_v in _component_split(g):
+                part = row(sub) if sub.m else None
+                values.append(part.bound_exact if part else Fraction(0))
+                for v, s in zip(orig_v, part.cut.side if part else ()):
+                    side[v] = s
+            lifted = cb.BoundReport(name, float(sum(values)), cb.Cut.from_side(g, side),
+                                    "deterministic", sum(values),
+                                    {"components": len(values),
+                                     "component_bounds": [float(x) for x in values]})
+        assert direct == lifted, name
+
+
+def test_explicit_trees_and_parameters_need_a_connected_graph():
+    g = disjoint_union([cb.cycle(5), cb.cycle(6)])
+    t = cb.max_spanning_tree(g)  # a forest
+    for call in (lambda: cb.girth_bound(g, k=4), lambda: cb.triangle_free_tree_bound(g, t),
+                 lambda: cb.edge_rooted_tree_bound(g, tree=t),
+                 lambda: cb.edge_rooted_tree_bound(g, marked_eid=0),
+                 lambda: cb.edge_rooted_tree_bound(g, k=1),
+                 lambda: cb.tree_percolation_bound(g, t), lambda: cb.combined_tree_bound(g, t)):
+        with pytest.raises(cb.DisconnectedGraphError):
+            call()
+    for r in range(g.n):
+        with pytest.raises(cb.DisconnectedGraphError, match="^graph is not connected$"):
+            dfs_tree(g, r)
+
+
+def test_an_isolated_vertex_adds_zero_to_the_edge_rooted_bound():
+    alone = cb.edge_rooted_tree_bound(cb.petersen())
+    rep = cb.edge_rooted_tree_bound(cb.WeightedGraph(12, cb.petersen().edges))
+    assert rep.bound_exact == alone.bound_exact and rep.certified()
+    assert rep.cut.side == alone.cut.side + (0, 0)
+    assert rep.details == {"components": 3, "component_bounds": [alone.bound_value, 0.0, 0.0]}
+    with pytest.raises(cb.BoundPreconditionError, match="needs at least one edge"):
+        cb.edge_rooted_tree_bound(cb.WeightedGraph(3, []))
+
+
+@pytest.mark.parametrize("row, module, builder", [
+    (cb.dfs_bound, "bounds", "derandomized_cut"),
+    (cb.tree_percolation_bound, "subcubic", "local_search_improve")])
+def test_a_component_below_its_own_value_fails_though_the_sum_holds(monkeypatch, row, module,
+                                                                     builder):
+    # C5 all on one side weighs 0; the heavy path crosses in full, and its
+    # surplus over its own value covers the C5's value
+    g = cb.WeightedGraph(8, list(cb.cycle(5).edges) + [(5, 6, 100.0), (6, 7, 100.0)])
+    lopsided = cb.Cut.from_side(g, [0] * 5 + [0, 1, 0])
+    values = [row(sub).bound_exact for sub, _ in _component_split(g)]
+    assert values[0] > 0 and sum(values) <= lopsided.exact_weight
+    monkeypatch.setattr(getattr(cb, module), builder, lambda h, _: lopsided)
+    with pytest.raises(cb.ClaimViolationError, match="cut weight 0.0 below certified"):
+        row(g)
 
 
 # -- shearer next to percolation ---------------------------------------------
