@@ -12,6 +12,7 @@ a connected graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -82,23 +83,31 @@ def _lifted(g: WeightedGraph, name: str, values: Sequence[Fraction], cut: Cut,
             details: dict) -> BoundReport:
     """``_report`` of the sum of a row's exact per-component ``values``, as
     ``per_component`` stitches it: on a disconnected graph the details list
-    them, and each component's part of ``cut`` must meet its own value."""
+    them, and each component's part of ``cut`` must meet its own value
+    (checked and summed on integers)."""
     if len(values) == 1:
         return _report(name, values[0], cut, details)
-    for w, value in zip(_cut_weights(g, cut), values):
-        if w < value:
-            raise ClaimViolationError(f"{name} cut weight {float(w)} below certified {value}")
-    return _report(name, sum(values, Fraction(0)), cut,
+    unit = 1 << _exact_weights(g).scale
+    for x, value in zip(_cut_sums(g, cut), values):
+        if x * value.denominator < value.numerator * unit:
+            raise ClaimViolationError(f"{name} cut weight {x / unit} below certified {value}")
+    den = math.lcm(*(v.denominator for v in values))
+    total = Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+    return _report(name, total, cut,
                    {"components": len(values), "component_bounds": [float(v) for v in values]})
 
 
-def _cut_weights(g: WeightedGraph, cut: Cut) -> list[Fraction]:
-    """Each component's exact share of ``cut``'s weight, in component order."""
-    if len(_components(g)[0]) <= 1:
-        return [cut.exact_weight]
-    side, ex = cut.side, _exact_weights(g)
-    return [ex.value(x) for x in _component_sums(
-        g, (e for e, (u, v, _) in enumerate(g.edges) if side[u] != side[v]))]
+def _cut_sums(g: WeightedGraph, cut: Cut) -> list[int]:
+    """Each component's share of ``cut``'s weight, in component order."""
+    side = cut.side
+    return _component_sums(g, (e for e, (u, v, _) in enumerate(g.edges) if side[u] != side[v]),
+                           cut.exact_weight)
+
+
+def _forest_sums(g: WeightedGraph, t: RootedSpanningTree) -> tuple[list[int], list[int]]:
+    """``_component_sums`` of all edges and of the forest ``t``: w(G_c) and w(T_c)."""
+    return (_component_sums(g, range(g.m), _exact_weights(g).total),
+            _component_sums(g, t.edge_ids, t.exact_weight))
 
 
 def _cached_report(g: WeightedGraph, key,
@@ -170,8 +179,8 @@ def _layer_values(g: WeightedGraph, t: RootedSpanningTree, ks: Sequence[int],
     its own k and marked edge e_c (none by default), exactly."""
     stars = _component_sums(g, [e for e in marked if e is not None]) if marked else [0] * len(ks)
     scale = _exact_weights(g).scale
-    return [Fraction(k * w + (k - 1) * wt + star, 2 * k << scale) for w, wt, star, k in zip(
-        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids), stars, ks)]
+    return [Fraction(k * w + (k - 1) * wt + star, 2 * k << scale)
+            for w, wt, star, k in zip(*_forest_sums(g, t), stars, ks)]
 
 
 def poljak_turzik(g: WeightedGraph) -> BoundReport:
@@ -353,8 +362,8 @@ def triangle_free_tree_bound(g: WeightedGraph,
     """w(G)/2 + w(T)/4 for any spanning tree T of a triangle-free graph.
 
     Defaults to the maximum-weight spanning forest, which maximizes the
-    bound.  The parity-layer components are stars and stay induced exactly
-    because children of a tree node cannot be adjacent without a triangle.
+    bound.  The cut is ``edge_rooted_tree_bound``'s on the same tree: with no
+    triangle each component's k >= 2, so it certifies w(G_c)/2 + w(T_c)/4.
     """
     st = stats(g)
     if not st.triangle_free:
@@ -363,7 +372,7 @@ def triangle_free_tree_bound(g: WeightedGraph,
         raise DisconnectedGraphError("spanning tree bound needs a connected graph")
     t = tree if tree is not None else max_spanning_tree(g)
     ks = [2] * len(_components(g)[0])
-    cut = _layer_cut(g, t, ks)[0]
+    cut = edge_rooted_tree_bound(g, tree).cut if g.m else Cut.from_side(g, [0] * g.n)
     details = {"tree_weight": t.weight, "tree_kind": t.kind}
     return _lifted(g, "triangle_free_tree", _layer_values(g, t, ks), cut, details)
 
@@ -378,6 +387,7 @@ def edge_rooted_tree_bound(g: WeightedGraph,
     length 2k-1 or less for every non-tree edge e (checked).  Defaults:
     maximum spanning tree, heaviest tree edge, largest legal k, each per
     component of a disconnected graph, where an edgeless one adds 0.
+    Memoized on ``g``, keyed on the tree's edge set and the parameters.
     """
     st = stats(g)
     if not st.connected and any(x is not None for x in (tree, marked_eid, k)):
@@ -385,28 +395,32 @@ def edge_rooted_tree_bound(g: WeightedGraph,
     if g.m == 0:
         raise BoundPreconditionError("edge-rooted bound needs at least one edge")
     t = tree if tree is not None else max_spanning_tree(g)
-    if marked_eid is None:  # per component, the heaviest tree edge, lowest id on ties
-        marked = [x and x[1] for x in _least_by_component(
-            g, ((e, (-g.edges[e][2], e)) for e in t.edge_ids))]
-    else:
-        marked = [marked_eid]
-    leveled = reroot_at_edge(g, t, marked)
-    rs = shortest_fundamental_odd_cycle(g, leveled)
-    if k is None:  # the largest legal k, which is at least 1
-        ks = [(r - 1) // 2 if r is not None else max(1, len(comp))
-              for r, comp in zip(rs, _components(g)[0])]
-    elif k < 1:
-        raise BoundPreconditionError("no legal k: an odd triangle closes the tree")
-    elif rs[0] is not None and rs[0] <= 2 * k - 1:
-        raise OddCycleError(f"odd cycle of length {rs[0]} <= 2k-1 = {2 * k - 1} through the tree")
-    else:
-        ks = [k]
-    cut, js = _layer_cut(g, leveled, ks)
-    e = marked[0]
-    details = {} if len(ks) > 1 else {
-        "k": ks[0], "marked_edge": list(g.edges[e][:2]), "marked_weight": g.edges[e][2],
-        "tree_weight": t.weight, "shortest_fundamental_odd_cycle": rs[0], "best_layer": js[0]}
-    return _lifted(g, "edge_rooted_tree", _layer_values(g, t, ks, marked), cut, details)
+
+    def compute() -> BoundReport:
+        if marked_eid is None:  # per component, the heaviest tree edge, lowest id on ties
+            marked = [x and x[1] for x in _least_by_component(
+                g, ((e, (-g.edges[e][2], e)) for e in t.edge_ids))]
+        else:
+            marked = [marked_eid]
+        leveled = reroot_at_edge(g, t, marked)
+        rs = shortest_fundamental_odd_cycle(g, leveled)
+        if k is None:  # the largest legal k, which is at least 1
+            ks = [(r - 1) // 2 if r is not None else max(1, len(comp))
+                  for r, comp in zip(rs, _components(g)[0])]
+        elif k < 1:
+            raise BoundPreconditionError("no legal k: an odd triangle closes the tree")
+        elif rs[0] is not None and rs[0] <= 2 * k - 1:
+            raise OddCycleError(f"odd cycle of length {rs[0]} <= 2k-1 = {2 * k - 1} "
+                                "through the tree")
+        else:
+            ks = [k]
+        cut, js = _layer_cut(g, leveled, ks)
+        e = marked[0]
+        details = {} if len(ks) > 1 else {
+            "k": ks[0], "marked_edge": list(g.edges[e][:2]), "marked_weight": g.edges[e][2],
+            "tree_weight": t.weight, "shortest_fundamental_odd_cycle": rs[0], "best_layer": js[0]}
+        return _lifted(g, "edge_rooted_tree", _layer_values(g, t, ks, marked), cut, details)
+    return _cached_report(g, ("edge_rooted_tree", t.edge_ids, marked_eid, k), compute)
 
 
 # -- disconnected inputs --------------------------------------------------

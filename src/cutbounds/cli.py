@@ -159,8 +159,8 @@ def cmd_oracle(args, out) -> int:
 
 def _verify_one(g: WeightedGraph, seed: int, trials: int,
                 max_n: int) -> tuple[int, list[str]]:
-    """Run every bound; check cut >= bound and, for n <= max_n, bound <= max cut
-    and cut <= max cut, each exactly."""
+    """Run every bound (``_report`` checks each deterministic cut); for n <=
+    max_n check bound <= max cut and cut <= max cut, each exactly."""
     failures: list[str] = []
     checked = 0
     mac = oracle.exact_max_cut(g, max_n).witness.exact_weight if g.n <= max_n else None
@@ -169,8 +169,6 @@ def _verify_one(g: WeightedGraph, seed: int, trials: int,
         if isinstance(rep, str):
             continue
         checked += 1
-        if not rep.certified():
-            failures.append(f"{name}: cut {rep.cut.weight} below bound {rep.bound_value}")
         if mac is not None:
             if rep.mode == bnd.DETERMINISTIC and rep.bound_exact > mac:
                 failures.append(f"{name}: bound {rep.bound_value} exceeds max cut {float(mac)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import BoundReport, _report
+from .bounds import BoundReport, _cached_report, _report, best_matching
 from .cuts import check_matching, derandomized_cut, verify_induced_bipartite
 from .graph import TriangleFoundError, WeightedGraph, _exact_weights, triangle_free
 
@@ -201,9 +201,14 @@ def matching_vizing_bound(g: WeightedGraph, matching: Sequence[int]) -> BoundRep
     max_degree/(2*max_degree-1) * (w(G)-w(M)) + w(M) form.  The one cut
     derandomizes M joined with the heaviest lifted class (the first on
     ties, weighed exactly on G), which weighs at least (w(G)-w(M))/c.
+    Memoized on ``g``, keyed on the sorted matching.
     """
-    con = contract_matching(g, matching)
-    m_ids = con.matching
+    m_ids = check_matching(g, matching)
+    return _cached_report(g, ("matching_vizing", m_ids), lambda: _matching_vizing(g, m_ids))
+
+
+def _matching_vizing(g: WeightedGraph, m_ids: tuple[int, ...]) -> BoundReport:
+    con = contract_matching(g, m_ids)
     classes = vizing_edge_coloring(con.base).classes() if con.base.m else [[]]
     c = len(classes)
     ex = _exact_weights(g)
@@ -243,24 +248,24 @@ def vizing_classes_coefficient(delta: int) -> Fraction:
 def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     """Coefficient bound t * w(G) for triangle-free graphs.
 
-    Runs the matching-contraction bound once, on the heaviest class M of a
-    (delta+1)-edge-coloring of G (weighed exactly, the first on ties).  That
-    bound rises with w(M) >= w(G)/(delta+1) and falls with its color count
-    c <= 2*delta - 1; at both worst cases it equals t * w(G), so the one cut
-    meets t * w(G).
+    Takes the cut of the matching-contraction bound on ``best_matching`` when
+    (delta+1) * w(M) >= w(G), compared exactly, else on the heaviest class
+    of a (delta+1)-edge-coloring of G (the first on ties).  That bound rises
+    with w(M) and falls with its color count c <= 2*delta - 1 (a contracted
+    matching leaves max degree <= 2*delta - 2); at w(M) = w(G)/(delta+1) and
+    c = 2*delta - 1 it equals t * w(G), so its cut meets t * w(G).
     """
     if not triangle_free(g):
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
-    if g.m == 0:
-        cut = derandomized_cut(g, verify_induced_bipartite(g, ()))
-        return _report("vizing_classes", Fraction(0), cut, {"delta": 0, "class_count": 0})
     ex = _exact_weights(g)
     delta = g.max_degree()
-    coloring = vizing_edge_coloring(g)
-    best_class, heaviest = max(enumerate(coloring.classes()),
-                               key=lambda ic: ex.weight(ic[1]))
-    best = matching_vizing_bound(g, heaviest)
-    coeff = vizing_classes_coefficient(delta)
-    details = {"delta": delta, "class_count": coloring.color_count,
-               "best_class": best_class, "coefficient": float(coeff)}
-    return _report("vizing_classes", coeff * ex.total, best.cut, details)
+    coeff = vizing_classes_coefficient(max(delta, 1))  # an edgeless graph weighs 0
+    details = {"delta": delta, "coefficient": float(coeff), "matching": "best_matching"}
+    m_ids = best_matching(g)
+    if (delta + 1) * sum(map(ex.ints.__getitem__, m_ids)) < sum(ex.ints):
+        coloring = vizing_edge_coloring(g)
+        best_class, m_ids = max(enumerate(coloring.classes()), key=lambda ic: ex.weight(ic[1]))
+        details.update(matching="heaviest_class", class_count=coloring.color_count,
+                       best_class=best_class)
+    return _report("vizing_classes", coeff * ex.total, matching_vizing_bound(g, m_ids).cut,
+                   details)

@@ -380,13 +380,17 @@ def _components(g: WeightedGraph) -> tuple[tuple[tuple[int, ...], ...], tuple[in
     return _cached(g, "components", compute)
 
 
-def _component_sums(g: WeightedGraph, edge_ids: Iterable[int]) -> list[int]:
+def _component_sums(g: WeightedGraph, edge_ids: Iterable[int],
+                    total: Optional[Fraction] = None) -> list[int]:
     """The weight of ``edge_ids`` in each component, in the integers of
-    ``_exact_weights``."""
-    ints = _exact_weights(g).ints
+    ``_exact_weights``; a connected graph reads it off their exact weight
+    ``total`` when one is given."""
+    ex = _exact_weights(g)
+    ints = ex.ints
     comps, label = _components(g)
     if len(comps) <= 1:
-        return [sum(map(ints.__getitem__, edge_ids))]
+        return [sum(map(ints.__getitem__, edge_ids)) if total is None
+                else total.numerator * ((1 << ex.scale) // total.denominator)]
     sums = [0] * len(comps)
     for e in edge_ids:
         sums[label[g.edges[e][0]]] += ints[e]

@@ -27,14 +27,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _cut_weights,
-                     _lifted, _report, meets, per_component)
+from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _cut_sums,
+                     _forest_sums, _lifted, _report, meets, per_component)
 from .coloring import matching_vizing_bound, shearer_coefficient
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
-                    WeightedGraph, _cached, _component_split, _component_sums,
-                    _components, _edge_arrays, _exact_weights, _incidence_arrays,
-                    _least_by_component, triangle_free)
+                    WeightedGraph, _cached, _component_split, _components, _edge_arrays,
+                    _exact_weights, _incidence_arrays, _least_by_component, triangle_free)
 from .spanning import (RootedSpanningTree, _forest_cycle_lengths, _orient,
                        layer_edge_sets, max_spanning_tree)
 
@@ -660,8 +659,8 @@ def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> Boun
     raw = _percolation_cut(g, t, p, paths)
     cut = local_search_improve(g, raw)
     unit = 1 << _exact_weights(g).scale  # an int over it rounds once
-    values = [Fraction(percolation_expectation(w / unit, wt / unit, p, r)) for w, wt, r in zip(
-        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids), rs)]
+    values = [Fraction(percolation_expectation(w / unit, wt / unit, p, r))
+              for w, wt, r in zip(*_forest_sums(g, t), rs)]
     # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
     expectation = (p + 1.0) / 2.0 * t.weight + sum(
         g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
@@ -690,12 +689,12 @@ def combined_tree_bound(g: WeightedGraph,
     t = tree if tree is not None else max_spanning_tree(g)
     perc = tree_percolation_bound(g, tree, PERCOLATION_P)
     picks = [eight.cut if a >= b else perc.cut for a, b in zip(
-        _cut_weights(g, eight.cut), _cut_weights(g, perc.cut))]
+        _cut_sums(g, eight.cut), _cut_sums(g, perc.cut))]
     cut = picks[0] if len(picks) == 1 else Cut.from_side(
         g, [picks[c].side[v] for v, c in enumerate(_components(g)[1])])
     unit = 1 << _exact_weights(g).scale  # an int over it rounds once
-    values = [Fraction(w / unit / 2.0 + TREE_COEFFICIENT * (wt / unit)) for w, wt in zip(
-        _component_sums(g, range(g.m)), _component_sums(g, t.edge_ids))]
+    values = [Fraction(w / unit / 2.0 + TREE_COEFFICIENT * (wt / unit))
+              for w, wt in zip(*_forest_sums(g, t))]
     mixed = (COMBINATION_WEIGHT_A * (PERCOLATION_P + 1.0) / 2.0
              + COMBINATION_WEIGHT_B * float(EIGHT_ELEVENTHS))
     details = {

@@ -132,6 +132,16 @@ def disjoint_union(parts) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
+def double_stars(copies: int = 5, eps: float = 0.25) -> WeightedGraph:
+    """``copies`` disjoint double stars: a centre edge of weight 1 + eps with
+    two pendant edges of weight 1 at each end.  From five copies on (m >= 25)
+    ``best_matching`` is the greedy one, the centre edges, which weigh about
+    w/5 < w/(max degree + 1) = w/4 for eps < 1/3."""
+    star = WeightedGraph(6, [(0, 1, 1.0 + eps), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0),
+                             (1, 5, 1.0)])
+    return disjoint_union([star] * copies)
+
+
 def random_connected_graph(n: int, extra_edges: int, rng: random.Random,
                            integer_weights: bool = False) -> WeightedGraph:
     """Random tree plus extra random edges; connected by construction."""

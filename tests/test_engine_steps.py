@@ -15,9 +15,9 @@ from cutbounds.bounds import _best_dfs_tree, greedy_matching
 from cutbounds.cuts import place_blocks
 from cutbounds.spanning import layer_edge_sets, reroot_at_edge
 from cutbounds.subcubic import color_components
-from helpers import (greedy_matching_by_loop, labelling_of, layer_sets_by_definition,
-                     lightest_layer_by_full_scan, parity_layer_split, place_blocks_by_dicts,
-                     random_connected_graph, random_tf_subcubic_graph)
+from helpers import (double_stars, greedy_matching_by_loop, labelling_of,
+                     layer_sets_by_definition, lightest_layer_by_full_scan, parity_layer_split,
+                     place_blocks_by_dicts, random_connected_graph, random_tf_subcubic_graph)
 
 
 def _assert_two_thirds_is_rigid_pair_placement(g):
@@ -159,13 +159,16 @@ def test_matching_vizing_derandomizes_one_certificate_per_component(monkeypatch)
     assert rep.details["components"] == 3 and len(cut) == 3
 
 
-def test_vizing_classes_colors_twice(monkeypatch):
+def test_vizing_classes_colors_g_only_when_the_best_matching_is_light(monkeypatch):
+    # Petersen's perfect matching weighs w/3 >= w/4: only its contraction is
+    # coloured; the double stars' greedy matching weighs < w/4, so G is
+    # coloured first and then the contraction of its heaviest class
     colorings = []
     _counted(monkeypatch, coloring, "vizing_edge_coloring", colorings)
-    for g in (cb.petersen(), random_tf_subcubic_graph(40, random.Random(3), True)):
+    for g, on_g in ((cb.petersen(), 0), (double_stars(), 1)):
         colorings.clear()
         assert cb.vizing_classes_bound(g).certified()
-        assert len(colorings) == 2
+        assert [h is g for (h,) in colorings] == [True] * on_g + [False]
 
 
 def test_eight_elevenths_builds_only_the_winning_candidate(monkeypatch):

@@ -19,12 +19,12 @@ from cutbounds.graph import _component_split, _exact_weights, _incidence_arrays
 from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _successors, color_components,
                                 percolation_expectation, _peel_greedy)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
-from helpers import (_padded_candidates, disjoint_union, eight_elevenths_candidate_cuts,
-                     eight_elevenths_padded, gadget_colors, gadget_hosts, naive_max_cut,
-                     padded_coloring, peel_colors_by_scan, percolation_conditional_expectation,
-                     percolation_raw, random_connected_graph, random_tf_subcubic_graph,
-                     regularize_to_cubic, shearer_expectation, shearer_sides_by_loop,
-                     successor_digraph, tree_paths, tree_percolation_sample)
+from helpers import (_padded_candidates, disjoint_union, double_stars,
+                     eight_elevenths_candidate_cuts, eight_elevenths_padded, gadget_colors,
+                     gadget_hosts, naive_max_cut, padded_coloring, peel_colors_by_scan,
+                     percolation_conditional_expectation, percolation_raw, random_connected_graph,
+                     random_tf_subcubic_graph, regularize_to_cubic, shearer_expectation,
+                     shearer_sides_by_loop, successor_digraph, tree_paths, tree_percolation_sample)
 
 
 def bridged_gadgets():
@@ -1068,6 +1068,45 @@ def test_a_component_below_its_own_value_fails_though_the_sum_holds(monkeypatch,
     monkeypatch.setattr(getattr(cb, module), builder, lambda h, _: lopsided)
     with pytest.raises(cb.ClaimViolationError, match="cut weight 0.0 below certified"):
         row(g)
+
+
+# -- rows certified by the cut of the row that dominates them -----------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(tf_subcubic_unions(), st.booleans())
+@example(double_stars(), False)
+def test_dominated_rows_borrow_the_cut_of_the_row_that_dominates_them(g, explicit):
+    # each reference runs on a fresh copy of g, so no memo is shared
+    ex, delta = _exact_weights(g), g.max_degree()
+    if g.m:
+        viz = cb.vizing_classes_bound(g)
+        fresh = cb.WeightedGraph(g.n, g.edges)
+        mv = cb.matching_vizing_bound(fresh, cb.best_matching(fresh))
+        light = (delta + 1) * ex.weight(cb.best_matching(g)) < ex.total
+        assert viz.details["matching"] == ("heaviest_class" if light else "best_matching")
+        assert light or viz.cut == mv.cut
+        assert viz.bound_exact == cb.vizing_classes_coefficient(delta) * ex.total
+        assert cb.Cut.from_side(g, viz.cut.side).exact_weight >= viz.bound_exact
+    tree = cb.min_spanning_tree(g) if explicit and g.n and g.is_connected() else None
+    tf = cb.triangle_free_tree_bound(g, tree)
+    if g.m:
+        fresh = cb.WeightedGraph(g.n, g.edges)
+        assert tf.cut == cb.edge_rooted_tree_bound(fresh, tree).cut
+    t = tree or max_spanning_tree(g)
+    assert tf.bound_exact == ex.total / 2 + ex.weight(t.edge_ids) / 4
+    assert cb.Cut.from_side(g, tf.cut.side).exact_weight >= tf.bound_exact
+
+
+def test_vizing_classes_falls_back_to_the_heaviest_class_of_g():
+    g = double_stars()
+    ex = _exact_weights(g)
+    assert g.m >= 25 and 4 * ex.weight(cb.best_matching(g)) < ex.total
+    rep = cb.vizing_classes_bound(g)
+    assert rep.details["matching"] == "heaviest_class" and rep.details["class_count"] == 4
+    heaviest = max(cb.vizing_edge_coloring(g).classes(), key=ex.weight)
+    assert rep.cut == cb.matching_vizing_bound(g, heaviest).cut
+    assert rep.bound_exact == Fraction(7, 10) * ex.total <= rep.cut.exact_weight
 
 
 # -- shearer next to percolation ---------------------------------------------
