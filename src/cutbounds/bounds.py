@@ -50,9 +50,9 @@ class BoundReport:
     """Named bound with its certified value and constructed cut.
 
     mode "deterministic" guarantees cut.exact_weight >= bound_exact, the
-    exact bound value, of which ``bound_value`` is the rounded float;
-    mode "monte_carlo", which only ``shearer`` reports, bounds the
-    expectation only and has no ``bound_exact``.
+    exact bound value, of which ``bound_value`` is the rounded float; mode
+    "monte_carlo", which only ``shearer`` reports, at max degree 17 or more,
+    bounds the expectation only and has no ``bound_exact``.
     """
 
     name: str
@@ -61,9 +61,6 @@ class BoundReport:
     mode: str
     bound_exact: Optional[Fraction] = None
     details: dict = field(default_factory=dict)
-
-    def certified(self) -> bool:
-        return self.mode != DETERMINISTIC or meets(self.cut, self.bound_exact)
 
 
 def meets(cut: Cut, value: Fraction) -> bool:

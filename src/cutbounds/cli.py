@@ -28,6 +28,7 @@ EXIT_INTERNAL = 3
 
 # Smallest --max-n every kind of random verify instance can be drawn at.
 RANDOM_VERIFY_MIN_N = 4
+SHEARER_TRIALS = "shearer's trial count, read at max degree >= 17"
 
 
 def _bound_suite(g: WeightedGraph, seed: int, trials: int):
@@ -283,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph_input = _option("--input", help="graph file to load")
     graph_input.add_argument("--generate", nargs="+", metavar="ARG",
                              help="generator kind followed by its parameters")
-    seed = _option("--seed", type=int, default=0)
+    seed = _option("--seed", type=int, default=0, help="shearer's seed, read at max degree >= 17")
     fmt = _option("--format", choices=("table", "json-lines"), default="table")
     guard = _option("--max-n-override", type=_int_at_least(0), default=None,
                     help="override oracle size guards")
 
     p = sub.add_parser("bounds", parents=[graph_input, seed, fmt],
                        help="run every applicable bound")
-    p.add_argument("--trials", type=_int_at_least(1), default=256)
+    p.add_argument("--trials", type=_int_at_least(1), default=256, help=SHEARER_TRIALS)
     # each fn looks its cmd_* up when it runs, so main's one parser follows a rebinding
     p.set_defaults(fn=lambda args, out: cmd_bounds(args, out))
 
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[graph_input, seed],
                        help="soundness sweep: cut >= bound <= max cut")
-    p.add_argument("--trials", type=_int_at_least(1), default=16)
+    p.add_argument("--trials", type=_int_at_least(1), default=16, help=SHEARER_TRIALS)
     p.add_argument("--random", type=_int_at_least(0), default=0,
                    help="verify this many seeded random instances")
     p.add_argument("--max-n", type=int, default=14,

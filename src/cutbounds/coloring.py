@@ -253,10 +253,14 @@ def vizing_classes_bound(g: WeightedGraph) -> BoundReport:
     of a (delta+1)-edge-coloring of G (the first on ties).  That bound rises
     with w(M) and falls with its color count c <= 2*delta - 1 (a contracted
     matching leaves max degree <= 2*delta - 2); at w(M) = w(G)/(delta+1) and
-    c = 2*delta - 1 it equals t * w(G), so its cut meets t * w(G).
+    c = 2*delta - 1 it equals t * w(G), so its cut meets t * w(G).  Memoized on ``g``.
     """
     if not triangle_free(g):
         raise TriangleFoundError("coefficient bound needs a triangle-free graph")
+    return _cached_report(g, "vizing_classes", lambda: _vizing_classes(g))
+
+
+def _vizing_classes(g: WeightedGraph) -> BoundReport:
     ex = _exact_weights(g)
     delta = g.max_degree()
     coeff = vizing_classes_coefficient(max(delta, 1))  # an edgeless graph weighs 0

@@ -8,10 +8,10 @@ many endpoints realize them as successor arcs, and build the one of three
 certified cuts, each one edge set derandomized once, whose certified value is
 largest.  The padding is counted on G and never built: all three candidates
 run on G, and a host's arc into its gadget points past the last vertex.
-Also hosts the 2/3 coloring cut, the tree percolation cut
-(derandomized by conditional expectations), its combination bound, and the
-two-stage random redistribution bound, whose trials draw every coin up front
-from one seeded stream and run as one numpy kernel.
+Also hosts the 2/3 coloring cut, the tree percolation cut (derandomized by
+conditional expectations), its combination bound, and the redistribution
+bound: the ``vizing_classes`` cut certifies it up to max degree 16, and past
+that its trials draw every coin from one seeded stream into one numpy kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import (BoundReport, ClaimViolationError, MONTE_CARLO, _cached_report, _cut_sums,
                      _forest_sums, _lifted, _report, meets, per_component)
-from .coloring import matching_vizing_bound, shearer_coefficient
+from .coloring import matching_vizing_bound, shearer_coefficient, vizing_classes_bound
 from .cuts import Cut, _two_color, local_search_improve, place_blocks
 from .graph import (DisconnectedGraphError, NotSubcubicError, TriangleFoundError,
                     WeightedGraph, _cached, _component_split, _components, _edge_arrays,
@@ -714,26 +714,34 @@ def combined_tree_bound(g: WeightedGraph,
 
 
 def shearer_bound(g: WeightedGraph, trials: int = 256, seed: int = 0) -> BoundReport:
-    """Monte Carlo coefficient bound s * w(G) for triangle-free graphs,
-    s = 1/2 + 1/(4 sqrt(2 max_degree)).
-
-    Runs ``trials`` samples of the two-stage process: a uniform partition,
-    then a fresh side for every vertex that does not have more than half of
-    its neighbours on the other side (a tie keeps its side with probability
-    1/2).  Every coin is drawn up front from one ``random.Random(seed)``:
-    for each block of trials, a (b, n) bit block of first-stage sides, then
-    one of tie bits, then one of redraws.  Trials are ranked on their exact
-    integer cut weights; only the heaviest (the first on ties) becomes a
-    ``Cut``, and one local search improves it.
+    """Coefficient bound s * w(G), s = 1/2 + 1/(4 sqrt(2 max_degree)), for
+    triangle-free graphs.  Up to max degree 16 Vizing's coefficient covers s,
+    so the ``vizing_classes`` cut after one local search certifies the float
+    s * w(G) read as a ``Fraction``; from 17 on, ``_shearer_sample`` samples.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not triangle_free(g):
         raise TriangleFoundError("redistribution bound expects a triangle-free graph")
     delta = g.max_degree()
-    if g.m == 0:
-        return BoundReport("shearer", 0.0, Cut.from_side(g, [0] * g.n),
-                           MONTE_CARLO, None, {"delta": delta})
+    d = max(delta, 1)  # an edgeless graph weighs 0 at any coefficient
+    if 32 * d * (3 * d - 1) ** 2 < (4 * d * d + 2 * d - 2) ** 2:  # Vizing's below s: d >= 17
+        return _shearer_sample(g, trials, seed)
+    cut = local_search_improve(g, vizing_classes_bound(g).cut)
+    details = {"delta": delta, "coefficient": shearer_coefficient(d),
+               "certificate": "vizing_classes"}
+    return _report("shearer", Fraction(details["coefficient"] * g.total_weight), cut, details)
+
+
+def _shearer_sample(g: WeightedGraph, trials: int, seed: int) -> BoundReport:
+    """The Monte Carlo ``shearer`` report of a graph with edges: ``trials``
+    runs of the two-stage process (a uniform partition, then a fresh side for
+    each vertex with at most half its neighbours across, a tie kept with
+    probability 1/2), their coins drawn per block from one
+    ``random.Random(seed)``: first sides, tie bits, redraws.  The heaviest
+    trial on exact weights (the first on ties) gets one local search.
+    """
+    delta = g.max_degree()
     rng = random.Random(seed)
     ends, ints = _edge_arrays(g)
     rows = max(1, _BLOCK_CELLS // max(g.n, g.m))

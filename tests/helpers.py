@@ -6,6 +6,7 @@ remain a second route to the same quantities.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +15,13 @@ from itertools import combinations, product, repeat
 from cutbounds import (NotSubcubicError, TriangleFoundError, VertexColoring3, WeightedGraph,
                        gadget_k33_subdivided, triangle_free, verify_induced_bipartite)
 from cutbounds.cuts import Cut, NotBipartiteError, NotInducedError
+
+
+def certified(rep) -> bool:
+    """Whether a report keeps its claim: a deterministic cut weighs at least
+    its exact bound value, compared exactly; a Monte Carlo report claims an
+    expectation only."""
+    return rep.mode != "deterministic" or rep.cut.exact_weight >= rep.bound_exact
 
 
 def naive_max_cut(g: WeightedGraph) -> float:
@@ -140,6 +148,11 @@ def double_stars(copies: int = 5, eps: float = 0.25) -> WeightedGraph:
     star = WeightedGraph(6, [(0, 1, 1.0 + eps), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0),
                              (1, 5, 1.0)])
     return disjoint_union([star] * copies)
+
+
+def complete_bipartite(a: int, b: int, weight: float = 1.0) -> WeightedGraph:
+    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
+    return WeightedGraph(a + b, [(u, a + v, weight) for u in range(a) for v in range(b)])
 
 
 def random_connected_graph(n: int, extra_edges: int, rng: random.Random,
@@ -509,9 +522,9 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
 
     Every weight is ``Fraction(w)`` of its float.  Tree, matching and edge
     class weights are summed again over the structure the report's
-    ``details`` name or the library's own step picks; the two formulas with
-    a decimal constant (percolation's p and the 0.3193 coefficient) are
-    evaluated in float, as the report defines them, and read as a
+    ``details`` name or the library's own step picks; the three float
+    formulas (percolation's p, the 0.3193 coefficient and Shearer's square
+    root) are evaluated in float, as the report defines them, and read as a
     ``Fraction``.  Returns ``{key: value}``: the bound itself under
     ``name``, and for ``eight_elevenths`` also its three candidate cuts'
     certified values.
@@ -564,6 +577,9 @@ def reference_exact_bounds(g: WeightedGraph, name: str, details: dict) -> dict:
                                * (g.total_weight - wt))}
     if name == "combined_tree":
         return {name: Fraction(g.total_weight / 2.0 + 0.3193 * d["tree_weight"])}
+    if name == "shearer":  # an edgeless graph weighs 0 at any coefficient
+        s = 0.5 + 1.0 / (4.0 * math.sqrt(2.0 * max(d["delta"], 1)))
+        return {name: Fraction(s * g.total_weight)}
     raise KeyError(name)
 
 

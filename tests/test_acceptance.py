@@ -22,10 +22,10 @@ from cutbounds.graph import triangle_free
 from cutbounds.spanning import max_spanning_tree, shortest_fundamental_odd_cycle
 from cutbounds.subcubic import (COMBINATION_WEIGHT_A, COMBINATION_WEIGHT_B, PERCOLATION_P,
                                 percolation_expectation)
-from helpers import (eight_elevenths_candidate_cuts, percolation_conditional_expectation,
-                     percolation_raw, petersen_spoke_ids, random_certificate_edges,
-                     random_connected_graph, random_tf_subcubic_graph, shearer_sample,
-                     tree_paths)
+from helpers import (certified, eight_elevenths_candidate_cuts,
+                     percolation_conditional_expectation, percolation_raw, petersen_spoke_ids,
+                     random_certificate_edges, random_connected_graph, random_tf_subcubic_graph,
+                     shearer_sample, tree_paths)
 
 
 def _verdict(num: int, label: str, ok: bool) -> None:
@@ -215,7 +215,7 @@ def _assert_percolation_certificate(g):
     assert meets(cut, exact)
     assert reports[0].details["expectation"] == pytest.approx(float(exact))
     for rep in reports:
-        assert rep.mode == "deterministic" and rep.certified(), rep.name
+        assert rep.mode == "deterministic" and certified(rep), rep.name
 
 
 @settings(max_examples=80, deadline=None)

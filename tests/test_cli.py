@@ -10,6 +10,7 @@ import pytest
 import cutbounds as cb
 from cutbounds import cli
 from cutbounds.cli import main
+from helpers import certified, complete_bipartite
 
 
 def run_cli(args):
@@ -204,7 +205,7 @@ def test_verify_integer_weights_above_2_53(tmp_path):
     assert g.integer_weights  # integral at any size
     for rep in (cb.matching_bound(g), cb.edge_rooted_tree_bound(g),
                 cb.matching_vizing_bound(g, cb.best_matching(g))):
-        assert rep.certified()
+        assert certified(rep)
     # 2^53 + 1 is no float: the file's weight parses to 2^53, and w = 2^53 + 1
     # exactly, which no float holds
     assert cb.matching_bound(g).bound_exact == Fraction(2 ** 54 + 1, 2)
@@ -321,7 +322,7 @@ def test_bounds_on_the_empty_graph(tmp_path):
         ("eight_elevenths", 0.0, 0.0, "deterministic", ""),
         ("tree_percolation", no_tree),
         ("combined_tree", no_tree),
-        ("shearer", 0.0, 0.0, "monte_carlo", "")]
+        ("shearer", 0.0, 0.0, "deterministic", "")]
 
 
 def test_not_subcubic_is_a_typed_precondition():
@@ -512,7 +513,8 @@ def test_repeated_main_runs_a_rebound_command(monkeypatch):
 
 
 def test_repeated_main_forgets_the_previous_options(tmp_path):
-    path = _write(tmp_path, cb.petersen())
+    # K17,17 has max degree 17, so --seed moves its shearer row
+    path = _write(tmp_path, complete_bipartite(17, 17))
     base = ["bounds", "--input", path, "--trials", "8", "--format", "json-lines"]
     code, seeded = run_cli(base + ["--seed", "3"])
     assert code == 0

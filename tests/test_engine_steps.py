@@ -15,7 +15,7 @@ from cutbounds.bounds import _best_dfs_tree, greedy_matching
 from cutbounds.cuts import place_blocks
 from cutbounds.spanning import layer_edge_sets, reroot_at_edge
 from cutbounds.subcubic import color_components
-from helpers import (double_stars, greedy_matching_by_loop, labelling_of,
+from helpers import (certified, double_stars, greedy_matching_by_loop, labelling_of,
                      layer_sets_by_definition, lightest_layer_by_full_scan, parity_layer_split,
                      place_blocks_by_dicts, random_connected_graph, random_tf_subcubic_graph)
 
@@ -145,7 +145,7 @@ def test_poljak_turzik_and_dfs_tree_share_one_parity_cut(monkeypatch):
     pt = cb.poljak_turzik(g)
     dfs = cb.dfs_bound(g)
     assert (len(checked), len(cut)) == (1, 1)
-    assert pt.cut == dfs.cut and pt.certified() and dfs.certified()
+    assert pt.cut == dfs.cut and certified(pt) and certified(dfs)
     fresh = _three_components()
     assert cb.dfs_bound(fresh) == dfs == cb.per_component(_three_components(), cb.dfs_bound)
     assert cb.poljak_turzik(fresh) == pt
@@ -167,8 +167,11 @@ def test_vizing_classes_colors_g_only_when_the_best_matching_is_light(monkeypatc
     _counted(monkeypatch, coloring, "vizing_edge_coloring", colorings)
     for g, on_g in ((cb.petersen(), 0), (double_stars(), 1)):
         colorings.clear()
-        assert cb.vizing_classes_bound(g).certified()
+        assert certified(cb.vizing_classes_bound(g))
         assert [h is g for (h,) in colorings] == [True] * on_g + [False]
+        # the report is memoized: shearer borrows its cut and colours nothing
+        colorings.clear()
+        assert cb.shearer_bound(g).mode == "deterministic" and colorings == []
 
 
 def test_eight_elevenths_builds_only_the_winning_candidate(monkeypatch):
@@ -216,7 +219,7 @@ def test_long_odd_cycle_layer_bounds_check_one_set(monkeypatch):
     for bound in (cb.girth_bound, cb.edge_rooted_tree_bound):
         checked.clear()
         rep = bound(g)
-        assert rep.details["k"] >= 500 and rep.certified()
+        assert rep.details["k"] >= 500 and certified(rep)
         assert len(checked) == 1
 
 

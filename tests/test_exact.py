@@ -14,7 +14,7 @@ import cutbounds as cb
 from cutbounds import bounds
 from cutbounds.cli import _bound_suite, _run_bound, main
 from cutbounds.cuts import NotBipartiteError, NotInducedError, place_blocks
-from helpers import labelling_of, place_blocks_by_dicts
+from helpers import certified, labelling_of, place_blocks_by_dicts
 
 
 def _exact(g, edge_ids):
@@ -36,7 +36,7 @@ def test_matching_cut_meets_its_bound_exactly():
     assert rep.bound_exact == need
     assert _crossing(g, rep.cut.side) >= need
     assert rep.cut.exact_weight == _crossing(g, rep.cut.side)
-    assert rep.certified()
+    assert certified(rep)
 
 
 def test_exact_matching_small_finds_the_exact_maximum():

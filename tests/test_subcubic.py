@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import statistics
 import tracemalloc
@@ -19,12 +20,13 @@ from cutbounds.graph import _component_split, _exact_weights, _incidence_arrays
 from cutbounds.subcubic import (_BATCH_CELLS, _BLOCK_CELLS, _successors, color_components,
                                 percolation_expectation, _peel_greedy)
 from cutbounds.spanning import dfs_tree, max_spanning_tree, reroot_at_edge
-from helpers import (_padded_candidates, disjoint_union, double_stars,
-                     eight_elevenths_candidate_cuts, eight_elevenths_padded, gadget_colors,
-                     gadget_hosts, naive_max_cut, padded_coloring, peel_colors_by_scan,
-                     percolation_conditional_expectation, percolation_raw, random_connected_graph,
-                     random_tf_subcubic_graph, regularize_to_cubic, shearer_expectation,
-                     shearer_sides_by_loop, successor_digraph, tree_paths, tree_percolation_sample)
+from helpers import (_padded_candidates, certified, complete_bipartite, disjoint_union,
+                     double_stars, eight_elevenths_candidate_cuts, eight_elevenths_padded,
+                     gadget_colors, gadget_hosts, naive_max_cut, padded_coloring,
+                     peel_colors_by_scan, percolation_conditional_expectation, percolation_raw,
+                     random_connected_graph, random_tf_subcubic_graph, regularize_to_cubic,
+                     shearer_expectation, shearer_sides_by_loop, successor_digraph, tree_paths,
+                     tree_percolation_sample)
 
 
 def bridged_gadgets():
@@ -139,8 +141,8 @@ def test_bridged_cubic_input_colors_through_the_split(monkeypatch, tmp_path):
         return color_split_at(h, a)
 
     monkeypatch.setattr(subcubic, "_color_split_at", counting)
-    assert cb.two_thirds_bound(g).certified()
-    assert cb.eight_elevenths_bound(g).certified()
+    assert certified(cb.two_thirds_bound(g))
+    assert certified(cb.eight_elevenths_bound(g))
     assert len(split) == 1  # one Brooks coloring, shared by both bounds
     path = tmp_path / "bridged.graph"
     path.write_text(cb.save_graph(g))
@@ -579,7 +581,7 @@ def test_percolation_c5_pinned_value():
     assert value == pytest.approx(0.925 * 4 + 0.238996875, abs=1e-9)
     r = cb.tree_percolation_bound(g, t, 0.85)
     assert r.bound_value == value and r.bound_exact == Fraction(value)
-    assert r.mode == "deterministic" and r.certified()
+    assert r.mode == "deterministic" and certified(r)
     assert r.details["r"] == 5
     # C5's one non-tree edge closes the shortest odd cycle: the expectation is the bound
     assert r.details["expectation"] == pytest.approx(value)
@@ -620,7 +622,7 @@ def test_percolation_depends_on_the_tree_edges_only(g):
     assert cb.tree_percolation_bound(g, rerooted) == cb.tree_percolation_bound(fresh, t)
     d = dfs_tree(g, g.n - 1)
     rep = cb.tree_percolation_bound(g, d)
-    assert rep.mode == "deterministic" and rep.certified()
+    assert rep.mode == "deterministic" and certified(rep)
     assert rep.details["tree_weight"] == d.weight
 
 
@@ -665,7 +667,7 @@ def test_combined_tree_petersen():
     t = max_spanning_tree(g)
     r = cb.combined_tree_bound(g, t)
     assert r.bound_value == pytest.approx(7.5 + 0.3193 * 9.0)
-    assert r.mode == "deterministic" and r.certified()
+    assert r.mode == "deterministic" and certified(r)
     assert r.cut.weight <= 12.0
     assert r.cut == max(cb.eight_elevenths_bound(g).cut, cb.tree_percolation_bound(g, t).cut,
                         key=lambda c: c.weight)
@@ -690,7 +692,7 @@ def test_shearer_fixture_coefficients():
 
 def test_shearer_empirical_mean():
     g = cb.petersen()
-    r = cb.shearer_bound(g, trials=1500, seed=2)
+    r = subcubic._shearer_sample(g, 1500, 2)
     se = r.details["raw_std"] / r.details["trials"] ** 0.5
     assert r.details["raw_mean"] >= r.bound_value - 3 * se
 
@@ -701,7 +703,7 @@ def test_shearer_rejects_triangles():
 
 
 def test_monte_carlo_determinism():
-    g = cb.petersen()
+    g = complete_bipartite(17, 17)
     r1 = cb.shearer_bound(g, trials=40, seed=5)
     r2 = cb.shearer_bound(g, trials=40, seed=5)
     assert r1.cut == r2.cut and r1.details == r2.details
@@ -776,7 +778,7 @@ def test_shearer_kernel_follows_the_process_vertex_by_vertex(g):
 
 
 def _recording_kernel(monkeypatch):
-    """Every block of sides ``shearer_bound`` draws, each checked against the
+    """Every block of sides ``_shearer_sample`` draws, each checked against the
     vertex-by-vertex reference."""
     blocks = []
     kernel = subcubic._shearer_sides
@@ -813,13 +815,13 @@ def _assert_best_of_samples(g, rep, samples):
 @pytest.mark.parametrize("g", list(_coin_corpus()), ids=repr)
 def test_shearer_bound_keeps_the_best_kernel_sample(monkeypatch, g):
     blocks = _recording_kernel(monkeypatch)
-    rep = cb.shearer_bound(g, trials=29, seed=7)
+    rep = subcubic._shearer_sample(g, 29, 7)
     if g.m:
         _assert_best_of_samples(g, rep, [s for block in blocks for s in block.tolist()])
 
 
 def _recording_bits(monkeypatch):
-    """The trial count of every ``_bits`` draw ``shearer_bound`` makes."""
+    """The trial count of every ``_bits`` draw ``_shearer_sample`` makes."""
     draws = []
     bits = subcubic._bits
 
@@ -847,7 +849,7 @@ def test_shearer_bound_over_several_blocks(monkeypatch, g):
     trials = 2 * rows + 1  # three blocks, the last one partial
     draws = _recording_bits(monkeypatch)
     blocks = _recording_kernel(monkeypatch)
-    rep = cb.shearer_bound(g, trials=trials, seed=11)
+    rep = subcubic._shearer_sample(g, trials, 11)
     assert draws == [rows] * 6 + [1] * 3  # first sides, tie bits, redraws per block
     samples = [s for block in blocks for s in block.tolist()]
     # trial i keeps the coins of its block, whatever batches the kernel ran
@@ -872,7 +874,7 @@ def test_shearer_ranks_trials_on_exact_weights(monkeypatch):
         return search(h, cut)
 
     monkeypatch.setattr(subcubic, "local_search_improve", recording)
-    rep = cb.shearer_bound(g, trials=8, seed=0)
+    rep = subcubic._shearer_sample(g, 8, 0)
     samples = [s for block in blocks for s in block.tolist()]
     exact = [sum(q for (u, v, _), q in zip(g.edges, (2 ** 53, 1)) if s[u] != s[v])
              for s in samples]
@@ -911,7 +913,7 @@ def test_shearer_batches_stay_under_the_cell_cap(monkeypatch, g):
 
     monkeypatch.setattr(subcubic, "_shearer_sides", measured)
     _incidence_arrays(g)  # memoized before the first batch is measured
-    cb.shearer_bound(g, trials=64, seed=1)
+    subcubic._shearer_sample(g, 64, 1)
     assert sum(batches) == 64
     assert all(b <= rows or b * width <= _BATCH_CELLS for b in batches)
     assert max(peaks) <= 32 * max(_BATCH_CELLS, rows * width)
@@ -936,7 +938,7 @@ def test_shearer_seeds_one_stream_per_call(monkeypatch):
             super().__init__(seed)
 
     monkeypatch.setattr(subcubic, "random", SimpleNamespace(Random=CountingRandom))
-    cb.shearer_bound(g, trials=256, seed=5)
+    subcubic._shearer_sample(g, 256, 5)
     assert seeded == [5]
 
 
@@ -951,12 +953,12 @@ def test_per_component_percolation_stitches_certified_component_cuts(integer_wei
     for name, fn in (("tree_percolation", cb.tree_percolation_bound),
                      ("combined_tree", cb.combined_tree_bound)):
         rep = fn(g)  # one process on the spanning forest
-        assert rep.mode == "deterministic" and rep.certified()
+        assert rep.mode == "deterministic" and certified(rep)
         side = [0] * g.n
         exact = Fraction(0)
         for sub, orig_v in _component_split(g):
             part = fn(sub)
-            assert part.certified()
+            assert certified(part)
             exact += part.bound_exact
             for i, s in enumerate(part.cut.side):
                 side[orig_v[i]] = s
@@ -1047,7 +1049,7 @@ def test_explicit_trees_and_parameters_need_a_connected_graph():
 def test_an_isolated_vertex_adds_zero_to_the_edge_rooted_bound():
     alone = cb.edge_rooted_tree_bound(cb.petersen())
     rep = cb.edge_rooted_tree_bound(cb.WeightedGraph(12, cb.petersen().edges))
-    assert rep.bound_exact == alone.bound_exact and rep.certified()
+    assert rep.bound_exact == alone.bound_exact and certified(rep)
     assert rep.cut.side == alone.cut.side + (0, 0)
     assert rep.details == {"components": 3, "component_bounds": [alone.bound_value, 0.0, 0.0]}
     with pytest.raises(cb.BoundPreconditionError, match="needs at least one edge"):
@@ -1109,6 +1111,49 @@ def test_vizing_classes_falls_back_to_the_heaviest_class_of_g():
     assert rep.bound_exact == Fraction(7, 10) * ex.total <= rep.cut.exact_weight
 
 
+@settings(max_examples=120, deadline=None)
+@given(tf_subcubic_unions())
+@example(double_stars())
+def test_shearer_borrows_the_vizing_classes_cut(g):
+    # the reference runs on a fresh copy of g, so no memo is shared
+    rep = cb.shearer_bound(g, trials=1)
+    fresh = cb.WeightedGraph(g.n, g.edges)
+    assert rep.mode == "deterministic"
+    assert rep.cut == cb.local_search_improve(fresh, cb.vizing_classes_bound(fresh).cut)
+    s = 0.5 + 1.0 / (4.0 * math.sqrt(2.0 * max(g.max_degree(), 1)))
+    assert rep.details == {"delta": g.max_degree(), "coefficient": s,
+                           "certificate": "vizing_classes"}
+    assert rep.bound_exact == Fraction(s * g.total_weight)
+    side = rep.cut.side
+    crossing = sum((Fraction(w) for u, v, w in g.edges if side[u] != side[v]), Fraction(0))
+    assert crossing >= rep.bound_exact
+
+
+def _covers(d):
+    """Vizing's coefficient is at least Shearer's, on integers."""
+    return 32 * d * (3 * d - 1) ** 2 >= (4 * d * d + 2 * d - 2) ** 2
+
+
+def test_the_integer_test_matches_the_float_coefficients():
+    for d in range(1, 41):
+        assert _covers(d) == (float(cb.vizing_classes_coefficient(d)) >= cb.shearer_coefficient(d))
+        assert _covers(d) == (d <= 16)
+        rep = cb.shearer_bound(_star(d + 1), trials=1)
+        assert rep.mode == ("deterministic" if _covers(d) else "monte_carlo"), d
+
+
+def test_k16_16_is_certified_and_k17_17_is_sampled():
+    assert 32 * 16 * 47 ** 2 == 1_131_008 >= 1_110_916 == 1054 ** 2
+    assert 32 * 17 * 50 ** 2 == 1_360_000 < 1_411_344 == 1188 ** 2
+    k16 = cb.shearer_bound(complete_bipartite(16, 16), trials=4)
+    assert k16.mode == "deterministic" and certified(k16)
+    assert k16.details["certificate"] == "vizing_classes"
+    for seed in range(4):
+        k17 = cb.shearer_bound(complete_bipartite(17, 17), trials=4, seed=seed)
+        assert k17.mode == "monte_carlo" and k17.bound_exact is None
+        assert k17 == subcubic._shearer_sample(complete_bipartite(17, 17), 4, seed)
+
+
 # -- shearer next to percolation ---------------------------------------------
 
 
@@ -1116,8 +1161,8 @@ def test_shearer_is_independent_of_a_prior_percolation_run():
     g = random_tf_subcubic_graph(15, random.Random(12), True)
     assert g.is_connected()
     perc = cb.tree_percolation_bound(g)
-    after = cb.shearer_bound(g, trials=100, seed=5)
+    after = subcubic._shearer_sample(g, 100, 5)
     # shearer first, on a fresh graph so nothing is memoized
     h = cb.WeightedGraph(g.n, g.edges)
-    assert cb.shearer_bound(h, trials=100, seed=5) == after
+    assert subcubic._shearer_sample(h, 100, 5) == after
     assert cb.tree_percolation_bound(h) == perc
