@@ -212,7 +212,7 @@ def greedy_matching(g: WeightedGraph) -> tuple[int, ...]:
     """Heaviest-first greedy matching (ties by edge id), then one swap pass."""
     used = [False] * g.n
     chosen: list[int] = []
-    for eid in sorted(range(g.m), key=lambda e: (-g.edges[e][2], e)):
+    for eid in sorted(range(g.m), key=[w for _, _, w in g.edges].__getitem__, reverse=True):
         u, v, _ = g.edges[eid]
         if not used[u] and not used[v]:
             used[u] = used[v] = True

@@ -43,6 +43,7 @@ class Cut:
 
     side: tuple[int, ...]
     exact_weight: Fraction
+    _DIGITS = bytes.maketrans(b"\0\1", b"01")  # not a field: side bytes to "0"/"1"
 
     @property
     def weight(self) -> float:
@@ -65,7 +66,7 @@ class Cut:
         return self.side[u] != self.side[v]
 
     def bitstring(self) -> str:
-        return "".join(str(s) for s in self.side)
+        return bytes(self.side).translate(self._DIGITS).decode()
 
 
 class Labelling(NamedTuple):

@@ -137,8 +137,7 @@ def _kruskal(g: WeightedGraph, maximize: bool) -> RootedSpanningTree:
     lowest vertex (at 0 on a connected graph)."""
     if g.n == 0:
         raise DisconnectedGraphError("empty graph has no spanning tree")
-    order = sorted(range(g.m),
-                   key=lambda e: (-g.edges[e][2] if maximize else g.edges[e][2], e))
+    order = sorted(range(g.m), key=[w for _, _, w in g.edges].__getitem__, reverse=maximize)
     par = list(range(g.n))
     chosen: set[int] = set()
     for eid in order:

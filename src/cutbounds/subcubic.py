@@ -574,13 +574,15 @@ def tree_percolation_bound(g: WeightedGraph,
     the cut of the percolation process derandomized by conditional
     expectations.
 
-    Requires max degree at most 3.  ``_percolation_cut`` decides every tree
-    edge so the conditional expectation never falls and orients the kept
-    forest with ``place_blocks``; one local search follows, and the cut is
-    checked against the bound.  Details record the process's exact
-    expectation and the cut's weight before the search.  The report is
-    memoized on ``g``, keyed on p and the tree's edge set.  A spanning forest
-    runs one process, each component with its own r.
+    Requires max degree at most 3.  T's own bipartition, the process's cut
+    at p = 1, certifies each component whose share of it meets the value,
+    checked exactly; only the other components run ``_percolation_cut``,
+    which decides their tree edges so the conditional expectation never
+    falls and orients the kept forest with ``place_blocks``.  One local
+    search follows, and the cut is checked against the bound.  Details
+    record the process's exact expectation, the cut's weight before the
+    search and its ``certificate``.  The report is memoized on ``g``, keyed
+    on p and the tree's edge set.  Each component has its own r.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -593,15 +595,19 @@ def tree_percolation_bound(g: WeightedGraph,
                           lambda: _tree_percolation(g, t, p))
 
 
-def _tree_paths(g: WeightedGraph, t: RootedSpanningTree) -> list[tuple[int, list[int]]]:
+def _tree_paths(g: WeightedGraph, t: RootedSpanningTree,
+                short: list[bool]) -> list[tuple[int, list[int]]]:
     """``(f, tree edge ids on the tree path of f)`` for every non-tree edge f
-    of a forest; a tree leveled from a marked edge is rooted at 0 first."""
+    of a forest in a component flagged ``short``; a tree leveled from a
+    marked edge is rooted at 0 first."""
     rooted = t if len(t.roots) + len(t.edge_ids) == g.n else _orient(g, t.edge_ids, (0,), t.kind)
     parent, level = rooted.parent, rooted.level
-    up = [None if u is None else g.edge_id(v, u) for v, u in enumerate(parent)]
+    label = _components(g)[1]
+    up = [None if u is None or not short[label[v]] else g.edge_id(v, u)
+          for v, u in enumerate(parent)]
     paths = []
     for f, (a, b, _) in enumerate(g.edges):
-        if f in t.edge_ids:
+        if f in t.edge_ids or not short[label[a]]:
             continue
         path = []
         while a != b:
@@ -628,20 +634,21 @@ def _percolation_cut(g: WeightedGraph, t: RootedSpanningTree, p: float,
     through e of s w_f p^(u-1) / 2 >= 0.  So the conditional expectation
     never falls below the process's expectation, sum_e w_e (1+p)/2 +
     sum_f w_f (1/2 + s p^L / 2), and ``place_blocks`` orients the kept
-    pieces at least as well as a uniform orientation.
+    pieces at least as well as a uniform orientation.  A tree edge that no
+    path in ``paths`` runs through is kept, at no cost to decide.
     """
-    through: dict[int, list[int]] = {e: [] for e in t.edge_ids}
+    through: dict[int, list[int]] = {}
     signed, undecided = [], []
     for i, (f, path) in enumerate(paths):
         w = g.edges[f][2]
         signed.append(w if len(path) % 2 else -w)
         undecided.append(len(path))
         for e in path:
-            through[e].append(i)
+            through.setdefault(e, []).append(i)
     power = [p ** k for k in range(max(undecided, default=0))]
     live = [True] * len(paths)
-    kept = []
-    for e in sorted(t.edge_ids):
+    kept = [e for e in t.edge_ids if e not in through]  # w_e >= 0 keeps them
+    for e in sorted(through):
         fs = [i for i in through[e] if live[i]]
         if g.edges[e][2] + sum(signed[i] * power[undecided[i] - 1] for i in fs) >= 0:
             kept.append(e)
@@ -654,18 +661,22 @@ def _percolation_cut(g: WeightedGraph, t: RootedSpanningTree, p: float,
 
 
 def _tree_percolation(g: WeightedGraph, t: RootedSpanningTree, p: float) -> BoundReport:
-    paths = _tree_paths(g, t)
-    rs = _least_by_component(g, ((f, len(path) + 1) for f, path in paths if len(path) % 2 == 0))
-    raw = _percolation_cut(g, t, p, paths)
-    cut = local_search_improve(g, raw)
+    cycles = _forest_cycle_lengths(g, t)  # (f, c): f's tree path has c - 1 edges
+    rs = _least_by_component(g, ((f, c) for f, c in cycles if c % 2))
     unit = 1 << _exact_weights(g).scale  # an int over it rounds once
     values = [Fraction(percolation_expectation(w / unit, wt / unit, p, r))
               for w, wt, r in zip(*_forest_sums(g, t), rs)]
+    raw = Cut.from_side(g, _two_color(g, t.edge_ids).color)  # the process at p = 1
+    short = [x * v.denominator < v.numerator * unit for x, v in zip(_cut_sums(g, raw), values)]
+    if any(short):
+        raw = _percolation_cut(g, t, p, _tree_paths(g, t, short))
+    cut = local_search_improve(g, raw)
     # f crosses with probability 1/2 + s p^L / 2 = (1 - (-p)^L) / 2
     expectation = (p + 1.0) / 2.0 * t.weight + sum(
-        g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
-    details = {"p": p, "r": rs[0], "tree_weight": t.weight,
-               "expectation": expectation, "raw_weight": raw.weight}
+        g.edges[f][2] * (1.0 - (-p) ** (c - 1)) / 2.0 for f, c in cycles)
+    details = {"p": p, "r": rs[0], "tree_weight": t.weight, "expectation": expectation,
+               "raw_weight": raw.weight,
+               "certificate": "percolation" if any(short) else "tree_bipartition"}
     return _lifted(g, "tree_percolation", values, cut, details)
 
 

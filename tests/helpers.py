@@ -922,6 +922,64 @@ def percolation_conditional_expectation(g: WeightedGraph, p, paths: dict[int, li
     return total
 
 
+def reference_tree_percolation(g: WeightedGraph, t, p: float):
+    """The ``tree_percolation`` row with the process run on every component,
+    as it stood before T's bipartition certified it: ``(values, raw, report)``
+    with each component's exact value and the cut before the local search.
+    Every tree path is walked and stored; tree edges are decided in
+    ascending id."""
+    from cutbounds.bounds import _forest_sums, _lifted
+    from cutbounds.cuts import _two_color, local_search_improve, place_blocks
+    from cutbounds.graph import _exact_weights, _least_by_component
+    from cutbounds.spanning import _orient
+    from cutbounds.subcubic import percolation_expectation
+    rooted = t if len(t.roots) + len(t.edge_ids) == g.n else _orient(g, t.edge_ids, (0,), t.kind)
+    parent, level = rooted.parent, rooted.level
+    up = [None if u is None else g.edge_id(v, u) for v, u in enumerate(parent)]
+    paths = []
+    for f, (a, b, _) in enumerate(g.edges):
+        if f in t.edge_ids:
+            continue
+        path = []
+        while a != b:
+            if level[a] < level[b]:
+                a, b = b, a
+            path.append(up[a])
+            a = parent[a]
+        paths.append((f, path))
+    through: dict[int, list[int]] = {e: [] for e in t.edge_ids}
+    signed, undecided = [], []
+    for i, (f, path) in enumerate(paths):
+        w = g.edges[f][2]
+        signed.append(w if len(path) % 2 else -w)
+        undecided.append(len(path))
+        for e in path:
+            through[e].append(i)
+    power = [p ** k for k in range(max(undecided, default=0))]
+    live = [True] * len(paths)
+    kept = []
+    for e in sorted(t.edge_ids):
+        fs = [i for i in through[e] if live[i]]
+        if g.edges[e][2] + sum(signed[i] * power[undecided[i] - 1] for i in fs) >= 0:
+            kept.append(e)
+            for i in fs:
+                undecided[i] -= 1
+        else:
+            for i in fs:
+                live[i] = False
+    raw = place_blocks(g, _two_color(g, kept))
+    rs = _least_by_component(g, ((f, len(path) + 1) for f, path in paths if len(path) % 2 == 0))
+    unit = 1 << _exact_weights(g).scale
+    values = [Fraction(percolation_expectation(w / unit, wt / unit, p, r))
+              for w, wt, r in zip(*_forest_sums(g, t), rs)]
+    expectation = (p + 1.0) / 2.0 * t.weight + sum(
+        g.edges[f][2] * (1.0 - (-p) ** len(path)) / 2.0 for f, path in paths)
+    details = {"p": p, "r": rs[0], "tree_weight": t.weight,
+               "expectation": expectation, "raw_weight": raw.weight}
+    report = _lifted(g, "tree_percolation", values, local_search_improve(g, raw), details)
+    return values, raw, report
+
+
 def random_triangle_free_subcubic_by_scan(n: int, seed: int = 0,
                                           weight_dist: str = "unit") -> WeightedGraph:
     """The generator's reference: rescan every vertex pair for each edge,

@@ -192,27 +192,32 @@ def _no_random(*args):
 
 
 def _assert_percolation_certificate(g):
-    """The derandomized percolation cut, before local search, weighs at least
-    the process's exact expectation; both reports it feeds are certified and
-    no random generator is built."""
+    """The derandomized percolation process's cut, before local search,
+    weighs at least the process's exact expectation; the row's cut before
+    local search meets the value and weighs ``raw_weight``; both reports it
+    feeds are certified and no random generator is built."""
     raw = []
 
     def recording(h, cut):
         raw.append(cut)
         return local_search_improve(h, cut)
 
+    t = max_spanning_tree(g)
     with mock.patch.object(subcubic, "random", SimpleNamespace(Random=_no_random)), \
             mock.patch.object(subcubic, "local_search_improve", recording):
         reports = [cb.tree_percolation_bound(g)]
         if triangle_free(g):
             reports.append(cb.combined_tree_bound(g))
-    t = max_spanning_tree(g)
+        process = subcubic._percolation_cut(g, t, PERCOLATION_P, subcubic._tree_paths(g, t, [True]))
     exact = percolation_conditional_expectation(g, PERCOLATION_P, tree_paths(g, t),
                                                 dict.fromkeys(t.edge_ids))
     (cut,) = raw
+    assert g.is_connected()  # so the row's one value is its only component's
+    assert process.exact_weight == process.recompute_weight(g)
+    assert meets(process, exact)
     assert cut.exact_weight == cut.recompute_weight(g)
     assert cut.weight == reports[0].details["raw_weight"]
-    assert meets(cut, exact)
+    assert meets(cut, reports[0].bound_exact)
     assert reports[0].details["expectation"] == pytest.approx(float(exact))
     for rep in reports:
         assert rep.mode == "deterministic" and certified(rep), rep.name

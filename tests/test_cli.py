@@ -360,8 +360,19 @@ def test_certificate_failure_in_a_bound_exits_3(monkeypatch, capsys, command, er
 
 
 def _zero_percolation_cut(monkeypatch):
-    monkeypatch.setattr(cb.subcubic, "_percolation_cut",
-                        lambda g, t, p, paths: cb.Cut.from_side(g, [0] * g.n))
+    # T's bipartition certifies C5, so it is forced to zero too; only the
+    # row's own call sees the zero colouring, which the 8/11 cuts also use
+    real = cb.subcubic._tree_percolation
+
+    def zero_cuts(g, t, p):
+        with monkeypatch.context() as m:
+            m.setattr(cb.subcubic, "_two_color",
+                      lambda h, edge_ids: cb.cuts.Labelling((-1,) * h.n, (0,) * h.n, 0))
+            m.setattr(cb.subcubic, "_percolation_cut",
+                      lambda h, t, p, paths: cb.Cut.from_side(h, [0] * h.n))
+            return real(g, t, p)
+
+    monkeypatch.setattr(cb.subcubic, "_tree_percolation", zero_cuts)
     monkeypatch.setattr(cb.subcubic, "local_search_improve", lambda g, cut: cut)
     return "percolation cut weight 0.0 below certified"
 

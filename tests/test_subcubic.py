@@ -24,9 +24,10 @@ from helpers import (_padded_candidates, certified, complete_bipartite, disjoint
                      double_stars, eight_elevenths_candidate_cuts, eight_elevenths_padded,
                      gadget_colors, gadget_hosts, naive_max_cut, padded_coloring,
                      peel_colors_by_scan, percolation_conditional_expectation, percolation_raw,
-                     random_connected_graph, random_tf_subcubic_graph, regularize_to_cubic,
-                     shearer_expectation, shearer_sides_by_loop, successor_digraph, tree_paths,
-                     tree_percolation_sample)
+                     random_connected_graph, random_tf_subcubic_graph,
+                     reference_tree_percolation, regularize_to_cubic, shearer_expectation,
+                     shearer_sides_by_loop, successor_digraph, tree_paths,
+                     tree_percolation_sample, two_color_blocks)
 
 
 def bridged_gadgets():
@@ -639,8 +640,8 @@ def test_percolation_decides_each_tree_edge_by_its_conditional_expectation(n, se
         calls.append(list(edge_ids))
         return _two_color(h, calls[-1])
 
-    with mock.patch.object(subcubic, "_two_color", recording):
-        cb.tree_percolation_bound(g, t, p)
+    with mock.patch.object(subcubic, "_two_color", recording):  # the process itself
+        subcubic._percolation_cut(g, t, p, subcubic._tree_paths(g, t, [True]))
     (kept,) = calls
     paths = tree_paths(g, t)
     state = dict.fromkeys(t.edge_ids)
@@ -1029,6 +1030,101 @@ def test_tree_rows_on_a_forest_equal_their_lift_per_component(g):
                                     {"components": len(values),
                                      "component_bounds": [float(x) for x in values]})
         assert direct == lifted, name
+
+
+def _light_bipartition_k33():
+    """K3,3 with edge 0-3 subdivided by vertex 6, whose maximum spanning tree's
+    bipartition weighs 30, below its percolation value 30.13996875 (a
+    component of perfbench's ``disjoint_union(3)``)."""
+    edges = [(0, 4, 7), (0, 5, 2), (1, 3, 2), (1, 4, 2), (1, 5, 2), (2, 3, 5), (2, 4, 5),
+             (2, 5, 1), (0, 6, 6), (3, 6, 8)]
+    return cb.WeightedGraph(7, [(u, v, float(w)) for u, v, w in edges])
+
+
+@st.composite
+def percolation_inputs(draw):
+    """An interleaved union, a random tf subcubic graph or nothing, weighted
+    by integers or by floats; most draws add a scaled copy of
+    ``_light_bipartition_k33``, which misses its value at p = 0.85 and 0.95
+    (random graphs almost never do), and shuffle the vertex ids."""
+    g = draw(interleaved_unions() | st.just(cb.WeightedGraph(0, [])) | st.builds(
+        random_tf_subcubic_graph, st.integers(1, 40),
+        st.integers(0, 10 ** 6).map(random.Random), st.booleans()))
+    scale = draw(st.sampled_from([None, 1.0, 3.0, 0.7]))
+    if scale is None:
+        return g
+    light = cb.WeightedGraph(7, [(u, v, w * scale) for u, v, w in _light_bipartition_k33().edges])
+    g = disjoint_union([g, light])
+    perm = draw(st.permutations(range(g.n)))
+    return cb.WeightedGraph(g.n, [(perm[u], perm[v], w) for u, v, w in g.edges])
+
+
+def _component_sides(g, side):
+    return [tuple(side[v] for v in comp) for comp in g.components()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(percolation_inputs(), st.sampled_from([0.85, 0.95, 0.0, 0.5, 1.0]))
+# Petersen's bipartition meets its value, yet the process would drop tree edges
+@example(g=disjoint_union([cb.petersen(), _light_bipartition_k33()]), p=0.85)
+def test_percolation_runs_only_where_the_bipartition_misses(g, p):
+    # in each component the raw cut is T's bipartition where that cut meets the
+    # value, and elsewhere the process's cut as it stood before the check
+    if g.n == 0 or g.max_degree() > 3:
+        return
+    raws = []
+
+    def recording(h, cut):
+        raws.append(cut)
+        return cb.local_search_improve(h, cut)
+
+    fresh = cb.WeightedGraph(g.n, g.edges)
+    t = max_spanning_tree(fresh)
+    try:
+        values, ref_raw, ref = reference_tree_percolation(fresh, t, p)
+    except cb.ClaimViolationError as exc:
+        # at p = 1 the value is float(w(T)), which can round above the exact
+        # weight of a tree; the row must then fail the same way
+        with pytest.raises(cb.ClaimViolationError) as caught:
+            cb.tree_percolation_bound(g, None, p)
+        assert str(caught.value) == str(exc)
+        return
+    with mock.patch.object(subcubic, "local_search_improve", recording):
+        rep = cb.tree_percolation_bound(g, None, p)
+    (raw,) = raws
+    assert rep.bound_exact == ref.bound_exact and rep.bound_value == ref.bound_value
+    bip = [0] * g.n
+    for block in two_color_blocks(g, t.edge_ids):
+        for v, c in block.items():
+            bip[v] = c
+    short = []
+    for comp, value, mine, tree, old, old_cut in zip(
+            g.components(), values, _component_sides(g, raw.side), _component_sides(g, bip),
+            _component_sides(g, ref_raw.side), _component_sides(g, ref.cut.side)):
+        inside = set(comp)
+        share = sum((Fraction(w) for u, v, w in g.edges if u in inside and bip[u] != bip[v]),
+                    Fraction(0))
+        short.append(share < value)
+        assert mine == (old if short[-1] else tree)
+        if short[-1]:
+            assert tuple(rep.cut.side[v] for v in comp) == old_cut
+    if len(values) == 1:
+        certificate = "percolation" if short[0] else "tree_bipartition"
+        assert rep.details == {**ref.details, "raw_weight": raw.weight,
+                               "certificate": certificate}
+    else:
+        assert rep.details == ref.details
+
+
+def test_a_light_bipartition_falls_back_to_the_process():
+    g = _light_bipartition_k33()
+    rep = cb.tree_percolation_bound(g)
+    assert rep.bound_exact == Fraction(30.13996875) and rep.details["tree_weight"] == 30.0
+    assert rep.details["certificate"] == "percolation"
+    assert (rep.details["raw_weight"], rep.cut.weight) == (32.0, 33.0)
+    _, _, ref = reference_tree_percolation(g, max_spanning_tree(g), 0.85)
+    assert rep.cut == ref.cut
+    assert cb.tree_percolation_bound(cb.cycle(5)).details["certificate"] == "tree_bipartition"
 
 
 def test_explicit_trees_and_parameters_need_a_connected_graph():
